@@ -30,7 +30,8 @@ from .measures import (DefectReport, EmpiricalMeasure, HyperbolicMassReport,
                        disk_measure, hyperbolic_mass, invariance_defect,
                        packing_check, physical_fraction, pushforward_average,
                        pushforward_integrals, pushforward_measure,
-                       select_disjoint_balls, weak_star_distance, write_atoms)
+                       pushforward_step_integrals, select_disjoint_balls,
+                       weak_star_distance, write_atoms)
 from .models import (GridSpec, ModelSpec, build, converge_splitting,
                      lambda_fraction, linear_torus_system,
                      measure_constants_h, quasi_uniform, region_sample)

@@ -4,8 +4,8 @@
     srblab list-models
     srblab describe <experiment>
 
-The worker count for sample-parallel stages comes from the SRBLAB_WORKERS
-environment variable (default 1); results are identical for any value.
+SRBLAB_WORKERS (default 1) sets how many sample partitions sampling stages
+run one after another; results are identical for any value.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ import numpy as np
 
 from .charts import Point
 from .errors import EmptyRadius, HypothesisViolated
-from .linalg import Subspace, oblique_components
+from .linalg import Subspace, oblique_components, restricted_stretch
 from .systems import CocycleLog, orbit_coords, splitting_frames_along_orbit
 
 
@@ -172,12 +172,8 @@ def domination_robustness_radius(sys, gamma1, gamma2, grid_per_axis=24,
     t = sys.tangent(pts)
     e, f = splitting_frames_along_orbit(sys, pts[None, ...])
     e, f = e[0], f[0]
-    log_e = np.log(np.linalg.svd(t @ e, compute_uv=False)[..., 0])
-    img_f = t @ f
-    if f.shape[-1] == 1:
-        log_f = np.log(np.linalg.norm(img_f[..., 0], axis=-1))
-    else:
-        log_f = np.log(np.linalg.svd(img_f, compute_uv=False)[..., -1])
+    log_e = np.log(restricted_stretch(t, e, "max"))
+    log_f = np.log(restricted_stretch(t, f, "min"))
 
     shape = mesh.shape[:-1]
     worst_slope = 0.0

@@ -20,7 +20,8 @@ import numpy as np
 from .errors import (CarvingFailed, ChartOverflow, ConstantsInvalid,
                      DegenerateTangent, DimensionMismatch, HypothesisViolated,
                      ResolutionExhausted)
-from .linalg import Subspace, graph_norm, oblique_components, subspace_distance
+from .linalg import (Subspace, graph_norm, oblique_components,
+                     restricted_log_volume, subspace_distance)
 from .pliss import hyperbolic_times
 from .systems import _batch_qr, cocycle_logs
 
@@ -607,29 +608,13 @@ class DistortionReport:
     y_index: int
 
 
-def _step_jacobians(sys, trace):
-    """(n, S) restricted tangent-volume factors along an iterated trace."""
-    n = len(trace) - 1
-    out = np.empty((n, trace[0].n_samples))
-    for k in range(n):
-        dk = trace[k]
-        pts = dk.chart.wrap(dk.center + dk.disp)
-        t = sys.tangent(pts)
-        img = t @ dk.tangents
-        if dk.tangents.shape[2] == 1:
-            out[k] = np.linalg.norm(img[..., 0], axis=-1)
-        else:
-            g = np.swapaxes(img, -2, -1) @ img
-            out[k] = np.sqrt(np.clip(np.linalg.det(g), 0.0, None))
-    return out
-
-
 def distortion_profile(sys, d, n, bound_k=None):
     """Volume-distortion ratios of f^n between every sample and the center."""
     _, trace = iterate_disk(sys, d, n, keep_trace=True)
-    jac = _step_jacobians(sys, trace)
-    logs = np.log(jac)
-    tot = logs.sum(axis=0)
+    # log tangent-volume factors of steps 0..n-1, added in step order
+    tot = sum((restricted_log_volume(
+        sys.tangent(dk.chart.wrap(dk.center + dk.disp)), dk.tangents)
+        for dk in trace[:-1]), np.zeros(d.n_samples))
     ratios = np.exp(tot - tot[d.center_index])
     return ratios
 
@@ -684,14 +669,7 @@ def measure_distortion_constants(sys, a, lambda2, beta=None, grid_points=150,
     _, f = splitting_frames_along_orbit(sys, pts[None, ...])
     f = f[0]
 
-    def logvol(tm, fr):
-        img = tm @ fr
-        if fr.shape[-1] == 1:
-            return np.log(np.linalg.norm(img[..., 0], axis=-1))
-        g = np.swapaxes(img, -2, -1) @ img
-        return 0.5 * np.log(np.clip(np.linalg.det(g), 1e-300, None))
-
-    base = logvol(t, f)
+    base = restricted_log_volume(t, f)
     rng = np.random.default_rng(seed)
     r1 = 0.0
     for h in (0.02, 0.005):
@@ -699,7 +677,7 @@ def measure_distortion_constants(sys, a, lambda2, beta=None, grid_points=150,
         tilted = _batch_qr(f + h * w)
         dist = np.array([subspace_distance(Subspace(f[i]), Subspace(tilted[i]))
                          for i in range(len(pts))])
-        val = logvol(t, tilted)
+        val = restricted_log_volume(t, tilted)
         ok = dist > 1e-12
         r1 = max(r1, float(np.max(np.abs(val - base)[ok] / dist[ok])))
 

@@ -10,6 +10,7 @@ count (timing lives in run_meta.json, written separately).
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -24,15 +25,6 @@ from .models import (MODEL_INFO, ModelSpec, build, lambda_fraction,
                      measure_constants_h, region_sample)
 from .pliss import PlissParams, density_theta, hyperbolic_times, pliss_times
 from .systems import cocycle_logs, cocycle_logs_batch
-
-_ALLOWED_TOP = {"model", "experiment", "horizon", "disk", "constants",
-                "seed", "output_dir"}
-_ALLOWED_MODEL = {"name", "params"}
-_ALLOWED_DISK = {"center", "radius", "resolution", "direction"}
-_ALLOWED_CONSTANTS = {"sigma", "lambda1", "lambda2", "lambda3", "lambda4",
-                      "gamma", "a", "r", "r1", "xi", "alpha", "beta", "tol",
-                      "samples", "depth", "kappa", "threshold"}
-
 
 @dataclass
 class Config:
@@ -49,82 +41,91 @@ class Config:
         return self.constants.get(key, default)
 
 
+def _int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _num(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+_NUMBER = (_num, "a number")
+_POSITIVE = (lambda v: _num(v) and v > 0, "a number > 0")
+_UNIT = (lambda v: _num(v) and 0.0 < v < 1.0, "a number in (0, 1)")
+
+# every config field: dotted path -> (accepts(value), what it must be);
+# experiment, model.params.* and disk.center are added in parse_config
+_FIELDS = {
+    "model.name": (lambda v: isinstance(v, str) and v in MODEL_INFO,
+                   f"one of {sorted(MODEL_INFO)}"),
+    "horizon": (lambda v: v is None or _int(v) and v >= 1,
+                "null or a positive integer"),
+    "seed": (_int, "an integer"),
+    "output_dir": (lambda v: isinstance(v, str), "a string"),
+    "disk.radius": _POSITIVE,
+    "disk.resolution": (lambda v: _int(v) and v >= 3 and v % 2 == 1,
+                        "an odd integer >= 3"),
+    "disk.direction": (lambda v: v in ("E", "F"), "'E' or 'F'"),
+    **{f"constants.{k}": _UNIT
+       for k in ("sigma", "gamma", "lambda1", "lambda2", "lambda3", "lambda4")},
+    **{f"constants.{k}": _POSITIVE
+       for k in ("a", "r", "r1", "alpha", "beta", "kappa", "tol")},
+    "constants.xi": (lambda v: _num(v) and 0.0 < v <= 1.0, "a number in (0, 1]"),
+    "constants.samples": (lambda v: _int(v) and v >= 100,
+                          "an integer >= 100"),
+    "constants.depth": (lambda v: _int(v) and v >= 1, "a positive integer"),
+    "constants.threshold": _NUMBER,
+}
+_SECTIONS = ("model", "model.params", "disk", "constants")
+
+
+def _leaves(obj, prefix=""):
+    """(dotted path, value) of every field below the given mapping."""
+    for key, value in obj.items():
+        path = f"{prefix}{key}"
+        if path in _SECTIONS:
+            if not isinstance(value, dict):
+                raise ConfigInvalid(f"{path} must be a mapping")
+            yield from _leaves(value, path + ".")
+        else:
+            yield path, value
+
+
+def _check(fields, path, value):
+    if path not in fields:
+        raise ConfigInvalid(f"unknown field '{path}'")
+    accepts, what = fields[path]
+    if not accepts(value):
+        raise ConfigInvalid(f"{path} {value!r} is not {what}")
+
+
 def parse_config(obj):
     """Validate a raw config mapping; raises ConfigInvalid with field paths."""
     if not isinstance(obj, dict):
         raise ConfigInvalid("config root must be a mapping")
-    for k in obj:
-        if k not in _ALLOWED_TOP:
-            raise ConfigInvalid(f"unknown field '{k}'")
     model = obj.get("model")
     if not isinstance(model, dict) or "name" not in model:
         raise ConfigInvalid("model: expected {'name': ..., 'params': {...}}")
-    for k in model:
-        if k not in _ALLOWED_MODEL:
-            raise ConfigInvalid(f"unknown field 'model.{k}'")
     name = model["name"]
-    if name not in MODEL_INFO:
-        raise ConfigInvalid(
-            f"model.name '{name}' unknown; valid: {sorted(MODEL_INFO)}")
-    params = model.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigInvalid("model.params must be a mapping")
-    for k in params:
-        if k not in MODEL_INFO[name]["params"]:
-            raise ConfigInvalid(f"unknown field 'model.params.{k}' for {name}")
-
-    experiment = obj.get("experiment")
-    if experiment not in EXPERIMENTS:
-        raise ConfigInvalid(
-            f"experiment '{experiment}' unknown; valid: {sorted(EXPERIMENTS)}")
-
-    horizon = obj.get("horizon")
-    if horizon is not None:
-        if not isinstance(horizon, int) or horizon < 1:
-            raise ConfigInvalid("horizon must be a positive integer")
-
-    disk_cfg = obj.get("disk", {})
-    if not isinstance(disk_cfg, dict):
-        raise ConfigInvalid("disk must be a mapping")
-    for k in disk_cfg:
-        if k not in _ALLOWED_DISK:
-            raise ConfigInvalid(f"unknown field 'disk.{k}'")
-    if "radius" in disk_cfg and not disk_cfg["radius"] > 0:
-        raise ConfigInvalid("disk.radius must be > 0")
-    if "resolution" in disk_cfg:
-        res = disk_cfg["resolution"]
-        if not isinstance(res, int) or res < 3 or res % 2 == 0:
-            raise ConfigInvalid("disk.resolution must be an odd integer >= 3")
-    if "direction" in disk_cfg and disk_cfg["direction"] not in ("E", "F"):
-        raise ConfigInvalid("disk.direction must be 'E' or 'F'")
-
-    consts = obj.get("constants", {})
-    if not isinstance(consts, dict):
-        raise ConfigInvalid("constants must be a mapping")
-    for k, v in consts.items():
-        if k not in _ALLOWED_CONSTANTS:
-            raise ConfigInvalid(f"unknown field 'constants.{k}'")
-        if k == "sigma" and not (0.0 < v < 1.0):
-            raise ConfigInvalid(f"constants.sigma = {v} outside (0, 1)")
-        if k in ("gamma", "lambda1", "lambda2", "lambda3", "lambda4") \
-                and not (0.0 < v < 1.0):
-            raise ConfigInvalid(f"constants.{k} = {v} outside (0, 1)")
-        if k in ("a", "r", "r1", "alpha", "kappa", "tol") and not v > 0:
-            raise ConfigInvalid(f"constants.{k} must be > 0")
-        if k == "xi" and not (0.0 < v <= 1.0):
-            raise ConfigInvalid(f"constants.xi = {v} outside (0, 1]")
-        if k == "samples" and (not isinstance(v, int) or v < 100):
-            raise ConfigInvalid("constants.samples must be an integer >= 100")
-        if k == "depth" and (not isinstance(v, int) or v < 1):
-            raise ConfigInvalid("constants.depth must be a positive integer")
-
-    seed = obj.get("seed", 7)
-    if not isinstance(seed, int):
-        raise ConfigInvalid("seed must be an integer")
-
-    return Config(model_name=name, model_params=dict(params),
-                  experiment=experiment, horizon=horizon,
-                  disk=dict(disk_cfg), constants=dict(consts), seed=seed,
+    _check(_FIELDS, "model.name", name)
+    dim = MODEL_INFO[name]["dim"]
+    fields = {**_FIELDS,
+              "experiment": (lambda v: isinstance(v, str) and v in EXPERIMENTS,
+                             f"one of {sorted(EXPERIMENTS)}"),
+              **{f"model.params.{k}": _NUMBER
+                 for k in MODEL_INFO[name]["params"]},
+              "disk.center": (lambda v: v is None
+                              or isinstance(v, (list, tuple)) and len(v) == dim
+                              and all(map(_num, v)),
+                              f"null or a list of {dim} numbers")}
+    _check(fields, "experiment", obj.get("experiment"))
+    for path, value in _leaves(obj):
+        _check(fields, path, value)
+    return Config(model_name=name, model_params=dict(model.get("params", {})),
+                  experiment=obj["experiment"], horizon=obj.get("horizon"),
+                  disk=dict(obj.get("disk", {})),
+                  constants=dict(obj.get("constants", {})),
+                  seed=obj.get("seed", 7),
                   output_dir=obj.get("output_dir", "srblab_out"))
 
 
@@ -150,11 +151,7 @@ def _assert_entry(name, passed, value, bound):
 
 def _default_center(sys, cfg):
     if cfg.disk.get("center") is not None:
-        c = np.asarray(cfg.disk["center"], float)
-        if c.shape != (sys.dim,):
-            raise ConfigInvalid(
-                f"disk.center has {c.shape} entries, model needs {sys.dim}")
-        return c
+        return np.asarray(cfg.disk["center"], float)
     if sys.name.startswith("solenoid"):
         return region_sample(sys, 1, seed=cfg.seed, burn_in=12)[0]
     return np.asarray([0.2, 0.3], float)
@@ -435,19 +432,10 @@ def _exp_curvature(sys, cfg, out):
 
 
 def _exp_srb_converge(sys, cfg, out):
-    import math
     n = cfg.horizon or 20000
     d = _config_disk(sys, cfg, radius=0.2, resolution=401)
     tests = measures.default_observables(sys.chart)
-    w = d.cell_weights()
-    pts = d.points()
-    acc = {t.name: [] for t in tests}
-    for i in range(n):
-        for t in tests:
-            vals = np.asarray(t(pts), float) * w
-            acc[t.name].append(math.fsum(vals.tolist()))
-        if i < n - 1:
-            pts = sys.forward(pts)
+    steps = measures.pushforward_step_integrals(sys, d, n, tests)
 
     n0 = max(n // 16, 1)
     checkpoints = []
@@ -460,7 +448,8 @@ def _exp_srb_converge(sys, cfg, out):
     integ = {}
     rows = []
     for m in checkpoints:
-        integ[m] = {t.name: math.fsum(acc[t.name][:m]) / m for t in tests}
+        integ[m] = {t.name: math.fsum(row[:m].tolist()) / m
+                    for t, row in zip(tests, steps)}
         for t in tests:
             rows.append((m, t.name, integ[m][t.name]))
     _write_csv(os.path.join(out, "converge.csv"),
@@ -531,7 +520,6 @@ def _exp_hyperbolic_mass(sys, cfg, out):
 
 
 def _exp_physical_basin(sys, cfg, out, workers=1):
-    import math
     n = cfg.horizon or 20000
     tol = cfg.const("tol", 0.02)
     samples = cfg.const("samples", 200)

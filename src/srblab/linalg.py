@@ -101,21 +101,43 @@ def subspace_distance(a, b):
     return max(_onesided(a.frame, b.frame), _onesided(b.frame, a.frame))
 
 
-def restricted_norm(a, s):
-    """Operator norm of a restricted to the subspace s (image in ambient norm)."""
+def _acting_on(a, s):
+    """a as a float matrix, checked to act on the ambient space of s."""
     a = np.asarray(a, float)
     if a.shape[1] != s.ambient_dim:
         raise DimensionMismatch("matrix does not act on the subspace's space")
-    return float(np.linalg.svd(a @ s.frame, compute_uv=False)[0])
+    return a
+
+
+def restricted_norm(a, s):
+    """Operator norm of a restricted to the subspace s (image in ambient norm)."""
+    return float(restricted_stretch(_acting_on(a, s), s.frame, "max"))
 
 
 def restricted_mininorm(a, s):
     """Mininorm of a restricted to s: min stretch over unit vectors of s."""
-    a = np.asarray(a, float)
-    if a.shape[1] != s.ambient_dim:
-        raise DimensionMismatch("matrix does not act on the subspace's space")
-    sv = np.linalg.svd(a @ s.frame, compute_uv=False)
-    return float(sv[-1])
+    return float(restricted_stretch(_acting_on(a, s), s.frame, "min"))
+
+
+def restricted_stretch(t, frames, which):
+    """Batched largest ("max") or smallest ("min") singular value of t @ frames.
+
+    For one-column frames both are the norm of the image vector.
+    """
+    img = t @ frames
+    if frames.shape[-1] == 1:
+        return np.linalg.norm(img[..., 0], axis=-1)
+    sv = np.linalg.svd(img, compute_uv=False)
+    return sv[..., 0] if which == "max" else sv[..., -1]
+
+
+def restricted_log_volume(t, frames):
+    """Batched log of the volume expansion of t on the span of frames."""
+    if frames.shape[-1] == 1:
+        return np.log(restricted_stretch(t, frames, "max"))
+    img = t @ frames
+    g = np.swapaxes(img, -2, -1) @ img
+    return 0.5 * np.log(np.clip(np.linalg.det(g), 1e-300, None))
 
 
 def restricted_det(a, s):
@@ -124,10 +146,7 @@ def restricted_det(a, s):
     sqrt(det(M^T M)) with M = a @ frame; the product of the singular values
     of the restriction.  Raises DegenerateImage when the image collapses.
     """
-    a = np.asarray(a, float)
-    if a.shape[1] != s.ambient_dim:
-        raise DimensionMismatch("matrix does not act on the subspace's space")
-    m = a @ s.frame
+    m = _acting_on(a, s) @ s.frame
     g = m.T @ m
     val = float(np.sqrt(max(np.linalg.det(g), 0.0)))
     if val < DET_FLOOR:

@@ -59,10 +59,6 @@ class EmpiricalMeasure:
     def n_atoms(self):
         return len(self.weights)
 
-    def atoms(self):
-        for c, w in zip(self.coords, self.weights):
-            yield c, float(w)
-
     def integrate(self, obs):
         """Exactly-rounded integral of the observable against the measure."""
         vals = np.asarray(obs(self.coords), float) * self.weights
@@ -140,6 +136,39 @@ def pushforward_measure(sys, mu):
                             total=mu.total)
 
 
+# orbit rows per kernel block: a block holds _BLOCK x samples x dim floats
+_BLOCK = 256
+
+
+def _orbit_blocks(sys, pts, n):
+    """The forward-orbit rows f^i(pts), 0 <= i < n, in consecutive blocks.
+
+    Yields (i, rows) with rows the (k, S, d) array of f^i .. f^(i+k-1),
+    k <= _BLOCK.  Rows are not checked against the system region.
+    """
+    for i in range(0, n, _BLOCK):
+        rows = orbit_coords(sys, pts if i == 0 else sys.forward(rows[-1]),
+                            min(_BLOCK, n - i) - 1, check_region=False)
+        yield i, rows
+
+
+def pushforward_step_integrals(sys, d, n, tests):
+    """(len(tests), n) array whose column i holds int t d(f^i_* mu_0).
+
+    mu_0 is the disk's normalized volume.  The orbit is streamed in blocks,
+    each test is evaluated once per block, and the weighted sum over samples
+    is a fixed-order numpy reduction, so results repeat bit for bit.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    w = d.cell_weights()
+    out = np.empty((len(tests), n))
+    for i, block in _orbit_blocks(sys, d.points(), n):
+        for ti, t in enumerate(tests):
+            out[ti, i:i + len(block)] = np.sum(t(block) * w, axis=-1)
+    return out
+
+
 def pushforward_integrals(sys, d, n, tests):
     """Integrals of the tests against mu_n, streamed step by step.
 
@@ -147,18 +176,9 @@ def pushforward_integrals(sys, d, n, tests):
     without materializing the n x samples atom array; usable at n = 10^5.
     Returns {test name: integral}.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    w = d.cell_weights()
-    pts = d.points()
-    acc = {t.name: [] for t in tests}
-    for i in range(n):
-        for t in tests:
-            vals = np.asarray(t(pts), float) * w
-            acc[t.name].append(math.fsum(vals.tolist()))
-        if i < n - 1:
-            pts = sys.forward(pts)
-    return {name: math.fsum(vals) / n for name, vals in acc.items()}
+    steps = pushforward_step_integrals(sys, d, n, tests)
+    return {t.name: math.fsum(row.tolist()) / n
+            for t, row in zip(tests, steps)}
 
 
 def weak_star_distance(mu, nu, tests):
@@ -191,15 +211,15 @@ def invariance_defect(sys, d, n, tests):
 
     |int t d(f_* mu_n) - int t d(mu_n)| telescopes to
     |int t d(f^n_* mu_0) - int t d(mu_0)| / n <= 2 bound / n; both sides are
-    reported per test.
+    reported per test.  The two integrals are the sums of the per-step
+    integrals over steps 1..n and 0..n-1, so no atom array is built.
     """
-    mu = pushforward_average(sys, d, n)
-    fmu = pushforward_measure(sys, mu)
+    steps = pushforward_step_integrals(sys, d, n + 1, tests)
     per = {}
     bound = {}
-    for t in tests:
-        per[t.name] = abs(fmu.integrate(t) / fmu.total
-                          - mu.integrate(t) / mu.total)
+    for t, row in zip(tests, steps):
+        row = row.tolist()
+        per[t.name] = abs(math.fsum(row[1:]) - math.fsum(row[:-1])) / n
         bound[t.name] = 2.0 * t.bound / n
     return DefectReport(per_test=per, bound=bound, n=n)
 
@@ -324,13 +344,10 @@ def birkhoff(sys, x, obs, n):
 
 
 def _reference_integrals(mu_ref, tests):
-    out = {}
-    for t in tests:
-        if isinstance(mu_ref, dict):
-            out[t.name] = float(mu_ref[t.name])
-        else:
-            out[t.name] = mu_ref.integrate(t) / mu_ref.total
-    return out
+    """The reference integral of every test, as a (len(tests),) array."""
+    if isinstance(mu_ref, dict):
+        return np.array([float(mu_ref[t.name]) for t in tests])
+    return np.array([mu_ref.integrate(t) / mu_ref.total for t in tests])
 
 
 def physical_fraction(sys, region, mu_ref, tests, n, tol, samples,
@@ -339,10 +356,11 @@ def physical_fraction(sys, region, mu_ref, tests, n, tol, samples,
 
     region: (lower, upper) arrays, or None for the whole chart.  mu_ref: an
     EmpiricalMeasure or a {test name: integral} dict.  A start point counts
-    iff every test's n-step average is within tol of the reference; orbits
-    that leave the system region count as non-converged.  Results are
-    independent of the worker count: samples are chunked, each sample's
-    accumulation is elementwise, and chunk results are concatenated in order.
+    iff every test's n-step average is within tol of the reference and its
+    orbit rows 0..n all stay in the system region (row n is checked but not
+    summed).  workers is the number of sample partitions run one after
+    another; it bounds memory and does not change the result, because every
+    sample's sum adds its own orbit rows in a fixed order.
     """
     if samples < 100:
         raise ValueError("samples must be >= 100")
@@ -357,33 +375,21 @@ def physical_fraction(sys, region, mu_ref, tests, n, tol, samples,
     pts = sys.chart.wrap(pts)
     ref = _reference_integrals(mu_ref, tests)
 
-    def run_chunk(chunk):
-        cur = chunk.copy()
-        alive = sys.in_region(cur)
-        sums = np.zeros((len(tests), len(cur)))
-        for _ in range(n):
+    good = []
+    for chunk in np.array_split(pts, min(max(int(workers), 1), len(pts))):
+        alive = np.ones(len(chunk), bool)
+        sums = np.zeros((len(tests), len(chunk)))
+        for i, block in _orbit_blocks(sys, chunk, n + 1):
+            alive &= np.all(sys.in_region(block), axis=0)
+            summed = block[:n - i]
             for ti, t in enumerate(tests):
-                sums[ti] += np.where(alive, np.asarray(t(cur), float), 0.0)
-            nxt = sys.forward(cur)
-            ok = sys.in_region(nxt)
-            cur = np.where((alive & ok)[..., None], nxt, cur)
-            alive = alive & ok
-        avg = sums / n
-        good = alive.copy()
-        for ti, t in enumerate(tests):
-            good &= np.abs(avg[ti] - ref[t.name]) <= tol
-        return good
-
-    workers = max(int(workers), 1)
-    chunks = np.array_split(pts, min(workers, len(pts)))
-    if workers == 1:
-        parts = [run_chunk(c) for c in chunks]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_chunk, chunks))
-    good = np.concatenate(parts)
-    return float(np.count_nonzero(good) / samples)
+                # cumsum adds each sample's rows one by one, in step order,
+                # whatever the partition width
+                sums[ti] = np.cumsum(np.vstack([sums[ti], t(summed)]),
+                                     axis=0)[-1]
+        good.append(alive & np.all(np.abs(sums / n - ref[:, None]) <= tol,
+                                   axis=0))
+    return float(np.count_nonzero(np.concatenate(good)) / samples)
 
 
 def write_atoms(mu, path):

@@ -18,12 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .charts import Chart, torus_chart
 from .errors import ChainInfeasible, ConstructionFailed, NoConvergence
-from .linalg import (Subspace, restricted_mininorm, restricted_norm,
-                     subspace_distance)
+from .linalg import Subspace, restricted_stretch, subspace_distance
 from .pliss import lambda_membership_batch
 from .systems import (ConstantsH, ConvergedSplitting, ExactSplitting,
                       MapSystem, SystemConstants, cocycle_logs_batch,
@@ -69,19 +67,23 @@ class GridSpec:
 
 MODEL_INFO = {
     "cat": {
+        "dim": 2,
         "params": {},
         "doc": "linear torus automorphism [[2,1],[1,1]]; exact splitting",
     },
     "perturbed_cat": {
+        "dim": 2,
         "params": {"eps": 0.01},
         "doc": "cat + eps*(sin(2*pi*x1), 0); eps in [0, 0.05]; converged splitting",
     },
     "solenoid": {
+        "dim": 3,
         "params": {"c": 0.25, "d": 0.5},
         "doc": "(phi, w) -> (2 phi, c w + d e^{i phi}) on the solid torus; "
                "0 < c < 1/2, c < d, c + d < 1",
     },
     "dfa": {
+        "dim": 2,
         "params": {"delta": 0.05, "rho": 0.2},
         "doc": "cat deformed near its fixed point: unstable multiplier 1+delta "
                "at the origin, linear outside radius rho",
@@ -379,6 +381,25 @@ def build(spec, **params):
         raise ConstructionFailed(f"bad parameters for {name}: {exc}") from None
 
 
+def _halton(start, count, dim):
+    """Unscrambled Halton points with indices start..start+count-1.
+
+    Axis j is the radical inverse of the index in the j-th prime base,
+    accumulated digit by digit from the least significant one.
+    """
+    primes = [p for p in range(2, 10 * dim + 2)
+              if all(p % q for q in range(2, p))]
+    out = np.zeros((count, dim))
+    for j, base in enumerate(primes[:dim]):
+        q = np.arange(start, start + count)
+        scale = 1.0 / base
+        while np.any(q > 0):
+            out[:, j] += (q % base) * scale
+            scale /= base
+            q //= base
+    return out
+
+
 def quasi_uniform(lower, upper, count, seed=0, accept=None):
     """Low-discrepancy points in a box (Halton plus an irrational offset,
     which keeps the sequence off dyadic-rational artifacts of linear maps).
@@ -389,12 +410,13 @@ def quasi_uniform(lower, upper, count, seed=0, accept=None):
     lo = np.asarray(lower, float)
     hi = np.asarray(upper, float)
     dim = len(lo)
-    sampler = qmc.Halton(d=dim, scramble=False, seed=seed)
     offset = np.mod(_GOLDEN * (np.arange(dim) + 1)
                     + 0.123456789 * (seed + 1), 1.0)
     pts = []
+    drawn = 0
     while len(pts) < count:
-        raw = sampler.random(max(count, 64))
+        raw = _halton(drawn, max(count, 64), dim)
+        drawn += len(raw)
         cand = lo + np.mod(raw + offset, 1.0) * (hi - lo)
         ok = accept(cand) if accept is not None else np.ones(len(cand), bool)
         for row in cand[ok]:
@@ -477,13 +499,8 @@ def measure_constants_h(sys, grid=None, xi=None):
     t = sys.tangent(pts)
     e, f = splitting_frames_along_orbit(sys, pts[None, ...])
     e, f = e[0], f[0]
-    img_e = t @ e
-    sup_e = float(np.max(np.linalg.svd(img_e, compute_uv=False)[..., 0]))
-    img_f = t @ f
-    if f.shape[-1] == 1:
-        mins = np.linalg.norm(img_f[..., 0], axis=-1)
-    else:
-        mins = np.linalg.svd(img_f, compute_uv=False)[..., -1]
+    sup_e = float(np.max(restricted_stretch(t, e, "max")))
+    mins = restricted_stretch(t, f, "min")
     b = float(np.min(mins))
     c0 = float(np.max(np.abs(np.log(mins))))
 

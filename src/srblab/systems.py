@@ -24,7 +24,7 @@ import numpy as np
 from .charts import Chart, Point, require_same_chart
 from .errors import (ChainInfeasible, DegenerateSplitting, NoConvergence,
                      OrbitEscaped)
-from .linalg import Subspace
+from .linalg import Subspace, restricted_stretch
 
 _SEED_ANGLES = (0.7310987, 0.3891113, 0.9122891, 0.1930491)
 
@@ -331,16 +331,6 @@ def splitting_frames_along_orbit(sys, rows):
     return e, f
 
 
-def _restricted_extremes(t, frames, which):
-    """Batched largest/smallest singular value of t @ frames."""
-    img = t @ frames
-    if frames.shape[-1] == 1:
-        v = np.linalg.norm(img[..., 0], axis=-1)
-        return v
-    sv = np.linalg.svd(img, compute_uv=False)
-    return sv[..., 0] if which == "max" else sv[..., -1]
-
-
 def cocycle_logs(sys, x, n, include_zero=False):
     """Restricted derivative logs at f^j(x) for j = 1..n (0..n with the flag).
 
@@ -372,8 +362,6 @@ def cocycle_logs_batch(sys, coords, n, include_zero=False):
     log_f_inv = np.empty((rows.shape[1], m), float)
     for j in range(start, n + 1):
         t = sys.tangent(rows[j])
-        log_e[:, j - start] = np.log(
-            _restricted_extremes(t, e[j], "max"))
-        log_f_inv[:, j - start] = -np.log(
-            _restricted_extremes(t, f[j], "min"))
+        log_e[:, j - start] = np.log(restricted_stretch(t, e[j], "max"))
+        log_f_inv[:, j - start] = -np.log(restricted_stretch(t, f[j], "min"))
     return log_e, log_f_inv

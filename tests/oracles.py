@@ -87,3 +87,17 @@ def greedy_packing_oracle(dist, radius):
         if all(d[i, j] > 2.0 * radius for j in chosen):
             chosen.append(i)
     return chosen
+
+
+def invariance_defect_oracle(sys, d, n, tests):
+    """|int t d(f_* mu_n) - int t d(mu_n)| per test, from materialised atoms.
+
+    Builds the n x samples atoms of mu_n and their forward images and
+    integrates each test over both, straight from the definition.
+    """
+    from srblab import measures
+
+    mu = measures.pushforward_average(sys, d, n)
+    fmu = measures.pushforward_measure(sys, mu)
+    return {t.name: abs(fmu.integrate(t) / fmu.total
+                        - mu.integrate(t) / mu.total) for t in tests}

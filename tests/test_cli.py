@@ -70,6 +70,21 @@ class TestRun:
         assert r.returncode == 2
         assert "error:" in r.stderr
 
+    @pytest.mark.parametrize("patch, path", [
+        ({"constants": {"sigma": "x"}}, "constants.sigma"),
+        ({"horizon": True}, "horizon"),
+        ({"disk": {"center": "ab"}}, "disk.center"),
+        ({"disk": {"radius": "big"}}, "disk.radius"),
+        ({"model": {"name": "perturbed_cat", "params": {"eps": "a"}}},
+         "model.params.eps"),
+    ])
+    def test_malformed_field_exits_two_with_path(self, tmp_path, patch, path):
+        cfg = write_config(tmp_path, "bad.json", {**GOOD, **patch})
+        r = run_cli("run", cfg, "--output-dir", os.path.join(tmp_path, "o"))
+        assert r.returncode == 2
+        assert path in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_runtime_hypothesis_failure_exits_two(self, tmp_path):
         cfg = write_config(tmp_path, "hyp.json",
                            {**GOOD, "experiment": "contraction",
@@ -115,3 +130,14 @@ class TestIntrospection:
         r = run_cli("describe", "bogus")
         assert r.returncode == 2
         assert "error" in r.stderr
+
+
+class TestImport:
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats alone costs about a second on every import and CLI run
+        r = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, srblab; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "False"

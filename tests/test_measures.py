@@ -1,6 +1,7 @@
 """Empirical measures, pushforwards, weak-star bookkeeping, packings,
 and mass capture at hyperbolic times."""
 
+import dataclasses
 import math
 import os
 
@@ -9,9 +10,11 @@ import pytest
 
 from srblab import disks, measures
 from srblab.errors import ZeroMass
+from srblab.models import quasi_uniform
+from srblab.systems import orbit_coords
 
 from .conftest import V_U
-from .oracles import greedy_packing_oracle
+from .oracles import greedy_packing_oracle, invariance_defect_oracle
 
 X = np.array([0.2, 0.7])
 
@@ -99,6 +102,20 @@ class TestPushforward:
                 cat, unstable_disk(cat), 0,
                 measures.default_observables(cat.chart))
 
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 515])
+    def test_step_integrals_across_block_edges(self, pcat, n):
+        d = unstable_disk(pcat, resolution=21)
+        obs = measures.default_observables(pcat.chart)
+        steps = measures.pushforward_step_integrals(pcat, d, n, obs)
+        assert steps.shape == (len(obs), n)
+        rows = orbit_coords(pcat, d.points(), n - 1)
+        w = d.cell_weights()
+        for i in sorted({0, n // 2, n - 1}):
+            mu_i = measures.EmpiricalMeasure(rows[i], w, pcat.chart,
+                                             total=math.fsum(w.tolist()))
+            for k, o in enumerate(obs):
+                assert abs(steps[k, i] - mu_i.integrate(o)) <= 1e-15
+
 
 class TestWeakStar:
     def test_hand_computed_distance(self, cat):
@@ -142,6 +159,21 @@ class TestInvarianceDefect:
         assert set(rep.per_test) == {o.name for o in obs}
         assert all(b == 2.0 / 100 for b in rep.bound.values())
         assert rep.max_excess < 0.0
+
+    @pytest.mark.parametrize("model", ["cat", "pcat", "sol", "dfa"])
+    def test_streamed_matches_materialised_oracle(self, model, request):
+        sys = request.getfixturevalue(model)
+        obs = measures.default_observables(sys.chart)
+        if sys.dim == 2:
+            d = unstable_disk(sys)
+        else:
+            p = sys.point([0.3, 0.0, 0.0]).coords
+            _, f = sys.splitting.at(p)
+            d = disks.make_disk(sys, p, f, 0.02, resolution=101)
+        rep = measures.invariance_defect(sys, d, 100, obs)
+        want = invariance_defect_oracle(sys, d, 100, obs)
+        for o in obs:
+            assert abs(rep.per_test[o.name] - want[o.name]) <= 1e-15
 
     def test_bound_shrinks_with_horizon(self, cat):
         obs = measures.default_observables(cat.chart)
@@ -213,6 +245,26 @@ class TestPhysicalFraction:
         frac = measures.physical_fraction(cat, region, ref, obs, 2000, 0.05,
                                           100, seed=1)
         assert frac >= 0.99
+
+    def test_escape_counts_rows_zero_to_n(self, cat):
+        # a start counts iff orbit rows 0..n all stay in the region, row n
+        # included although the averages stop at row n - 1
+        strip = dataclasses.replace(
+            cat, region_contains=lambda c: np.asarray(c)[..., 0] < 0.8)
+        obs = measures.default_observables(cat.chart)
+        ref = {o.name: 0.0 for o in obs}
+        n, samples = 3, 150
+        pts = quasi_uniform(np.zeros(2), np.ones(2), samples, seed=2,
+                            accept=strip.in_region)
+        inside = strip.in_region(orbit_coords(strip, pts, n,
+                                              check_region=False))
+        want = np.mean(np.all(inside, axis=0))
+        assert want != np.mean(np.all(inside[:n], axis=0))
+        for workers in (1, 3):
+            frac = measures.physical_fraction(strip, None, ref, obs, n, 10.0,
+                                              samples, seed=2,
+                                              workers=workers)
+            assert frac == want
 
     def test_sample_floor(self, cat):
         obs = measures.default_observables(cat.chart)

@@ -5,6 +5,7 @@ from srblab import (ChainInfeasible, ConstructionFailed, build, cocycle_logs,
                     lambda_fraction, linear_torus_system, list_models,
                     measure_constants_h, quasi_uniform, region_sample,
                     subspace_distance, span)
+from srblab.models import _halton
 
 from .conftest import LAM_U, LOG_LAM_U, V_S, V_U
 
@@ -125,6 +126,21 @@ class TestSampling:
                             accept=lambda c: c[..., 0] < 0.5)
         assert len(pts) == 50
         assert np.all(pts[:, 0] < 0.5)
+
+    def test_quasi_uniform_refills_continue_the_sequence(self):
+        # the filter keeps about a tenth of each 64-point draw, so the 50
+        # points span several refills; a restarted index would repeat points
+        pts = quasi_uniform(np.zeros(2), np.ones(2), 50, seed=5,
+                            accept=lambda c: c[..., 0] < 0.1)
+        assert len(np.unique(pts, axis=0)) == 50
+
+    def test_halton_matches_scipy_in_two_draws(self):
+        from scipy.stats import qmc
+        for dim in (2, 3):
+            ref = qmc.Halton(d=dim, scramble=False)
+            want = np.vstack([ref.random(700), ref.random(1300)])
+            got = np.vstack([_halton(0, 700, dim), _halton(700, 1300, dim)])
+            assert np.array_equal(got, want)
 
     def test_region_sample_respects_region(self, sol):
         pts = region_sample(sol, 100, seed=11)
