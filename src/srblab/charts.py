@@ -36,6 +36,12 @@ class Chart:
     def __post_init__(self):
         if not (len(self.lower) == len(self.upper) == len(self.periodic)):
             raise ValueError("chart axis descriptions must have equal length")
+        # periodic axes, their lower bounds and periods, cached outside the
+        # dataclass fields so equality and hashing still see only the fields
+        per = np.flatnonzero(np.asarray(self.periodic, bool))
+        object.__setattr__(self, "_per", per)
+        object.__setattr__(self, "_per_lo", np.asarray(self.lower, float)[per])
+        object.__setattr__(self, "_per_w", self.widths[per])
 
     @property
     def dim(self):
@@ -55,25 +61,16 @@ class Chart:
 
     def wrap(self, coords):
         """Fold coordinates back into the fundamental domain (periodic axes)."""
-        coords = np.asarray(coords, float)
-        out = np.array(coords, copy=True)
-        lo = np.asarray(self.lower, float)
-        w = self.widths
-        for j in range(self.dim):
-            if self.periodic[j]:
-                out[..., j] = np.mod(out[..., j] - lo[j], w[j]) + lo[j]
+        out = np.array(coords, dtype=float)
+        p, lo = self._per, self._per_lo
+        out[..., p] = np.mod(out[..., p] - lo, self._per_w) + lo
         return out
 
     def displacement(self, a, b):
         """Minimal displacement b - a in the chart metric (wrapped per axis)."""
-        a = np.asarray(a, float)
-        b = np.asarray(b, float)
-        d = b - a
-        w = self.widths
-        out = np.array(d, copy=True)
-        for j in range(self.dim):
-            if self.periodic[j]:
-                out[..., j] = np.mod(d[..., j] + w[j] / 2.0, w[j]) - w[j] / 2.0
+        out = np.asarray(b, float) - np.asarray(a, float)
+        p, w = self._per, self._per_w
+        out[..., p] = np.mod(out[..., p] + w / 2.0, w) - w / 2.0
         return out
 
     def distance(self, a, b):
@@ -82,13 +79,10 @@ class Chart:
 
     def contains(self, coords, tol=1e-9):
         """True where box axes respect their bounds (periodic axes always do)."""
-        coords = np.asarray(coords, float)
-        ok = np.ones(coords.shape[:-1], dtype=bool)
-        for j in range(self.dim):
-            if not self.periodic[j]:
-                ok &= (coords[..., j] >= self.lower[j] - tol)
-                ok &= (coords[..., j] <= self.upper[j] + tol)
-        return ok
+        box = ~np.asarray(self.periodic, bool)
+        c = np.asarray(coords, float)[..., box]
+        return np.all((c >= np.asarray(self.lower, float)[box] - tol)
+                      & (c <= np.asarray(self.upper, float)[box] + tol), axis=-1)
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,12 @@ def _cmd_run(args):
         print(f"error: config is not valid JSON: {exc}", file=_stdsys.stderr)
         return 2
     try:
-        cfg = parse_config(raw)
         workers = int(os.environ.get("SRBLAB_WORKERS", "1"))
+    except ValueError as exc:
+        print(f"error: SRBLAB_WORKERS is not an integer ({exc})", file=_stdsys.stderr)
+        return 2
+    try:
+        cfg = parse_config(raw)
         summary = run_experiment(cfg, out_dir=args.output_dir,
                                  workers=max(workers, 1))
     except SrbLabError as exc:

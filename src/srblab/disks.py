@@ -9,6 +9,9 @@ keeps full relative precision at any scale.  Below a switch threshold the
 iteration propagates displacements through the center's tangent map (the
 quadratic remainder is below float resolution exactly when the switch is
 active); above it, the map is evaluated directly.
+
+Carving finds each ray's r-close component edge in batches on one shared
+center orbit: the ladder t = 2^-k brackets it, k-section rounds refine it.
 """
 
 from __future__ import annotations
@@ -96,15 +99,7 @@ class EmbeddedDisk:
         if self.dim == 1:
             s = self.arclengths()
             return np.abs(s - s[self.center_index])
-        from scipy.sparse import coo_matrix
-        from scipy.sparse.csgraph import dijkstra
-        e = self._edges()
-        w = self.edge_lengths()
-        g = coo_matrix((np.concatenate([w, w]),
-                        (np.concatenate([e[:, 0], e[:, 1]]),
-                         np.concatenate([e[:, 1], e[:, 0]]))),
-                       shape=(self.n_samples, self.n_samples))
-        return dijkstra(g.tocsr(), indices=self.center_index)
+        return self._mesh_paths(self.center_index)
 
     def pairwise_intrinsic(self, indices=None):
         """Intrinsic distance matrix between the given samples (all by default)."""
@@ -113,6 +108,11 @@ class EmbeddedDisk:
             if indices is not None:
                 s = s[indices]
             return np.abs(s[:, None] - s[None, :])
+        idx = np.arange(self.n_samples) if indices is None else np.asarray(indices)
+        return self._mesh_paths(idx)[:, idx]
+
+    def _mesh_paths(self, indices):
+        """2-D: shortest mesh-path lengths from the given samples (Dijkstra)."""
         from scipy.sparse import coo_matrix
         from scipy.sparse.csgraph import dijkstra
         e = self._edges()
@@ -120,9 +120,8 @@ class EmbeddedDisk:
         g = coo_matrix((np.concatenate([w, w]),
                         (np.concatenate([e[:, 0], e[:, 1]]),
                          np.concatenate([e[:, 1], e[:, 0]]))),
-                       shape=(self.n_samples, self.n_samples)).tocsr()
-        idx = np.arange(self.n_samples) if indices is None else np.asarray(indices)
-        return dijkstra(g, indices=idx)[:, idx]
+                       shape=(self.n_samples, self.n_samples))
+        return dijkstra(g.tocsr(), indices=indices)
 
     def intrinsic_radius(self):
         """Smallest intrinsic distance from the center to the disk boundary."""
@@ -132,16 +131,12 @@ class EmbeddedDisk:
         return float(np.min(d[self._boundary_nodes()]))
 
     def _boundary_nodes(self):
-        r = self.grid_shape[0]
-        idx = -np.ones(self.grid_shape, dtype=int)
-        idx[tuple(self._node_ij.T)] = np.arange(self.n_samples)
-        out = []
-        for k, (i, j) in enumerate(self._node_ij):
-            nb = [(i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)]
-            if any(not (0 <= a < r and 0 <= b < r) or idx[a, b] < 0
-                   for a, b in nb):
-                out.append(k)
-        return np.asarray(out, dtype=int)
+        """Nodes with a grid neighbour outside the grid or outside the disk."""
+        node = np.zeros(tuple(s + 2 for s in self.grid_shape), bool)
+        i, j = self._node_ij.T + 1
+        node[i, j] = True
+        inner = node[i - 1, j] & node[i + 1, j] & node[i, j - 1] & node[i, j + 1]
+        return np.flatnonzero(~inner)
 
     def cell_weights(self):
         """Normalized intrinsic-volume weights per sample (the disk's Lebesgue)."""
@@ -151,15 +146,12 @@ class EmbeddedDisk:
             w[:-1] += seg / 2.0
             w[1:] += seg / 2.0
         else:
-            e = self._edges()
-            el = self.edge_lengths()
-            acc = np.zeros(self.n_samples)
-            cnt = np.zeros(self.n_samples)
-            for (i, j), L in zip(e, el):
-                acc[i] += L
-                acc[j] += L
-                cnt[i] += 1
-                cnt[j] += 1
+            # bincount adds in input order: the interleaved edge ends keep
+            # the per-edge accumulation order
+            ends = self._edges().ravel()
+            acc = np.bincount(ends, np.repeat(self.edge_lengths(), 2),
+                              minlength=self.n_samples)
+            cnt = np.bincount(ends, minlength=self.n_samples)
             h = acc / np.maximum(cnt, 1)
             w = h ** 2
         total = w.sum()
@@ -227,9 +219,33 @@ def _copy_disk(d, center, disp, tangents):
                        center=center, disp=disp, tangents=tangents,
                        center_index=d.center_index, radius=d.radius,
                        grid_shape=d.grid_shape, mask=d.mask)
-    if hasattr(d, "_node_ij"):
-        out._node_ij = d._node_ij
+    for attr in ("_node_ij", "_tree"):
+        if hasattr(d, attr):
+            setattr(out, attr, getattr(d, attr))
     return out
+
+
+def _dfs_tree(d):
+    """Parents and depth levels 1, 2, ... of the center-rooted DFS tree along
+    which _advance sums wrapped jumps; built once per mesh (see _copy_disk)."""
+    if not hasattr(d, "_tree"):
+        adj = [[] for _ in range(d.n_samples)]
+        for i, j in d._edges().tolist():
+            adj[i].append(j)
+            adj[j].append(i)
+        parent = np.full(d.n_samples, -1)
+        depth = np.full(d.n_samples, -1)
+        depth[d.center_index] = 0
+        stack = [d.center_index]
+        while stack:
+            i = stack.pop()
+            for j in adj[i]:
+                if depth[j] < 0:
+                    parent[j], depth[j] = i, depth[i] + 1
+                    stack.append(j)
+        d._tree = parent, [np.flatnonzero(depth == k)
+                           for k in range(1, depth.max() + 1)]
+    return d._tree
 
 
 def _advance(sys, d):
@@ -243,34 +259,24 @@ def _advance(sys, d):
     else:
         pts = d.chart.wrap(d.center + d.disp)
         imgs = sys.forward(pts)
-        # rebuild cover displacements by accumulating short per-edge jumps
+        # rebuild cover displacements by accumulating short wrapped jumps
+        # outward from the center (wrapping does not commute with negation)
         new_disp = np.empty_like(d.disp)
-        edges = d._edges()
         ctr = d.center_index
         new_disp[ctr] = d.chart.displacement(new_center, imgs[ctr])
         if d.dim == 1:
-            for i in range(ctr + 1, d.n_samples):
-                new_disp[i] = new_disp[i - 1] + d.chart.displacement(
-                    imgs[i - 1], imgs[i])
-            for i in range(ctr - 1, -1, -1):
-                new_disp[i] = new_disp[i + 1] + d.chart.displacement(
-                    imgs[i + 1], imgs[i])
+            out = d.chart.displacement(imgs[ctr:-1], imgs[ctr + 1:])
+            back = d.chart.displacement(imgs[1:ctr + 1], imgs[:ctr])[::-1]
+            new_disp[ctr:] = np.cumsum(
+                np.concatenate([new_disp[ctr:ctr + 1], out]), axis=0)
+            new_disp[ctr::-1] = np.cumsum(
+                np.concatenate([new_disp[ctr:ctr + 1], back]), axis=0)
         else:
-            adj = [[] for _ in range(d.n_samples)]
-            for i, j in edges:
-                adj[i].append(j)
-                adj[j].append(i)
-            seen = np.zeros(d.n_samples, bool)
-            seen[ctr] = True
-            stack = [ctr]
-            while stack:
-                i = stack.pop()
-                for j in adj[i]:
-                    if not seen[j]:
-                        seen[j] = True
-                        new_disp[j] = new_disp[i] + d.chart.displacement(
-                            imgs[i], imgs[j])
-                        stack.append(j)
+            parent, levels = _dfs_tree(d)
+            # the root's entry (parent -1) is never read
+            jump = d.chart.displacement(imgs[parent], imgs)
+            for nodes in levels:
+                new_disp[nodes] = new_disp[parent[nodes]] + jump[nodes]
         t = sys.tangent(pts)
         new_tangents = _batch_qr(t @ d.tangents)
     return _copy_disk(d, d.chart.wrap(new_center), new_disp, new_tangents)
@@ -348,9 +354,7 @@ def _param_to_disp(d, t):
     """
     t = np.atleast_1d(np.asarray(t, float))
     base = d.params[:, 0]
-    out = np.empty((len(t), d.disp.shape[1]))
-    for c in range(d.disp.shape[1]):
-        out[:, c] = np.interp(t, base, d.disp[:, c])
+    out = np.stack([np.interp(t, base, col) for col in d.disp.T], axis=1)
     ci = d.center_index
     lo = base[ci - 1] if ci > 0 else 0.0
     hi = base[ci + 1] if ci + 1 < len(base) else 0.0
@@ -364,71 +368,68 @@ def _param_to_disp(d, t):
     return out
 
 
-def _pair_distances(sys, center, disp0, n):
-    """||displacement||_k between the orbits of center+disp0 and center.
+def _pair_distances(sys, center, disps, n):
+    """(m, n+1) norms ||displacement||_k between orbits of center + disps[i]
+    and center, k = 0..n.
 
-    Anchored two-point propagation: below the micro switch the displacement
-    rides the center's tangent map (full relative precision at any scale);
-    above it both points are mapped directly.
+    Anchored two-point propagation on one shared center orbit: rows below the
+    micro switch ride the center's tangent map (full relative precision at
+    any scale); the other rows are mapped directly.
     """
     chart = sys.chart
     ctr = chart.wrap(np.asarray(center, float))
-    disp = np.asarray(disp0, float).copy()
-    out = np.empty(n + 1)
-    out[0] = np.linalg.norm(disp)
+    disp = np.array(disps, dtype=float)
+    out = np.empty((len(disp), n + 1))
+    # stacked matmuls round like one point's t @ disp and norm (a dot), so
+    # every row takes the same micro/macro decisions as it would alone
+    out[:, 0] = np.sqrt((disp[:, None, :] @ disp[:, :, None]).ravel())
     for k in range(1, n + 1):
-        if np.linalg.norm(disp) < MICRO_SWITCH:
-            t = sys.tangent(ctr)
-            disp = t @ disp
-            ctr = chart.wrap(sys.forward(ctr))
-        else:
-            pt = chart.wrap(ctr + disp)
-            new_ctr = chart.wrap(sys.forward(ctr))
-            disp = chart.displacement(new_ctr, sys.forward(pt))
-            ctr = new_ctr
-        out[k] = np.linalg.norm(disp)
+        micro = out[:, k - 1] < MICRO_SWITCH
+        new_ctr = chart.wrap(sys.forward(ctr))
+        if micro.any():
+            disp[micro] = (sys.tangent(ctr) @ disp[micro, :, None])[:, :, 0]
+        if not micro.all():
+            pts = chart.wrap(ctr + disp[~micro])
+            disp[~micro] = chart.displacement(new_ctr, sys.forward(pts))
+        ctr = new_ctr
+        out[:, k] = np.sqrt((disp[:, None, :] @ disp[:, :, None]).ravel())
     return out
 
 
 def _ball_condition(sys, d, n, r, t):
-    """True iff the orbit of the param-t point stays r-close to the center orbit."""
-    disp = _param_to_disp(d, t)[0]
-    return bool(np.all(_pair_distances(sys, d.center, disp, n) <= r))
+    """Per parameter in t: does its orbit stay r-close to the center orbit?"""
+    dist = _pair_distances(sys, d.center, _param_to_disp(d, t), n)
+    return np.all(dist <= r, axis=1)
 
 
-def _bisect_edge(sys, d, n, r, good, bad, iters=60):
-    for _ in range(iters):
-        mid = 0.5 * (good + bad)
-        if mid == good or mid == bad:
-            break
-        if _ball_condition(sys, d, n, r, mid):
-            good = mid
-        else:
-            bad = mid
-    return good
+SECTIONS = 64   # a k-section round tests SECTIONS - 1 interior points
 
 
 def _edge_of_component(sys, d, n, r, sign):
     """Outermost parameter on one ray satisfying the full-orbit ball condition.
 
     The edge can sit exponentially deep (scale sigma^n of the ray), so the
-    bracket is found by geometric shrinking before linear bisection refines
-    it to full relative precision.
+    whole ladder t = sign 2^-k, k = 0..997 (down to about 1e-300), is tested
+    in one batch and the first good rung brackets the edge within a binade.
+    k-section rounds then shrink the bracket until no float lies strictly
+    inside it.  Inside one binade the section points are exact floats, so
+    where the ball condition is monotone along the ray the edge is the same
+    adjacent-float transition that bisection would find.
     """
-    t = float(sign)
-    if _ball_condition(sys, d, n, r, t):
-        return t
-    bad = t
-    good = 0.0
-    while abs(bad) > 1e-300:
-        t = bad / 2.0
-        if _ball_condition(sys, d, n, r, t):
-            good = t
-            break
-        bad = t
-    if good == 0.0:
+    ladder = sign * np.ldexp(1.0, -np.arange(998))
+    ok = _ball_condition(sys, d, n, r, ladder)
+    if not ok.any():
         raise CarvingFailed("ball condition fails arbitrarily close to the center")
-    return _bisect_edge(sys, d, n, r, good, bad)
+    k = int(np.argmax(ok))      # rung 0 (the end of the ray) brackets itself
+    good, bad = ladder[k], ladder[max(k - 1, 0)]
+    while True:
+        ts = good + (bad - good) * (np.arange(1, SECTIONS) / SECTIONS)
+        ts = ts[(ts != good) & (ts != bad)]
+        if ts.size == 0:
+            return float(good)
+        ok = np.concatenate([[True], _ball_condition(sys, d, n, r, ts), [False]])
+        j = int(np.argmin(ok))      # the first failing point, or bad itself
+        good, bad = np.concatenate([[good], ts, [bad]])[j - 1:j + 1]
 
 
 def _resample_interval(d, t_minus, t_plus, resolution):
@@ -443,11 +444,8 @@ def _resample_interval(d, t_minus, t_plus, resolution):
     t_new = np.concatenate([left[:-1], right])
     disp = _param_to_disp(d, t_new)
     disp[half] = 0.0 * disp[half]
-    tan = np.empty((len(t_new),) + d.tangents.shape[1:])
-    base = d.params[:, 0]
-    for c in range(d.tangents.shape[1]):
-        tan[:, c, 0] = np.interp(t_new, base, d.tangents[:, c, 0])
-    tan = _batch_qr(tan)
+    tan = _batch_qr(np.stack([np.interp(t_new, d.params[:, 0], col)
+                              for col in d.tangents[:, :, 0].T], axis=1)[:, :, None])
     scale = max(abs(t_minus), abs(t_plus))
     params = np.where(t_new[:, None] >= 0,
                       t_new[:, None] / (t_plus if t_plus > 0 else 1.0),
@@ -463,17 +461,19 @@ def hyperbolic_component(sys, d, n, r, sigma=None, verify_tol=0.05):
     """The sub-disk around the center whose whole n-orbit stays r-close and
     whose n-th image has intrinsic radius r.
 
-    Construction, per parameter ray: bisect the outermost parameter whose
+    Construction, per parameter ray: find the outermost parameter whose
     anchored two-point orbit satisfies the r-ball condition at every step
     0..n (the component of a curve under expanding dynamics is an interval,
-    so first-exit bisection finds its edge), resample the surviving interval
-    at the original resolution, verify the ball conditions on the resampled
-    trace, then trim so the intrinsic radius of the n-th image equals r on
-    each side.  When sigma is given, n is first certified as a
-    sigma-hyperbolic time of the center orbit.
+    so its edge is the first exit along the ray).  The search tests the
+    whole ladder t = 2^-k in one batch on one shared center orbit, then
+    refines the bracket by k-section rounds down to adjacent floats.  The
+    surviving interval is resampled at the original resolution, the ball
+    conditions are verified on the resampled trace, and each side is trimmed
+    so the intrinsic radius of the n-th image equals r.  When sigma is given,
+    n is first certified as a sigma-hyperbolic time of the center orbit.
 
-    1-D disks get the full bisection treatment; 2-D disks are carved at
-    sample granularity (rays of grid nodes), which is all their linear test
+    1-D disks get the full edge search; 2-D disks are carved at sample
+    granularity (rays of grid nodes), which is all their linear test
     coverage needs.
     """
     if r <= 0:
@@ -492,13 +492,12 @@ def hyperbolic_component(sys, d, n, r, sigma=None, verify_tol=0.05):
     if d.dim == 2:
         return _carve_2d(sys, d, n, r)
 
-    t0 = d.params[:, 0]
     t_plus = _edge_of_component(sys, d, n, r, +1)
     t_minus = _edge_of_component(sys, d, n, r, -1)
 
-    carved = _resample_interval(d, t_minus, t_plus, len(t0))
+    carved = _resample_interval(d, t_minus, t_plus, d.n_samples)
     final, ftrace = iterate_disk(sys, carved, n, keep_trace=True)
-    # The edge bisection propagates anchored two-point displacements; the
+    # The edge search propagates anchored two-point displacements; the
     # trace below accumulates per-edge wrapped differences.  Near the
     # micro/macro switch both carry ~eps/MICRO_SWITCH relative rounding per
     # step, so they agree only to ~n * 2e-8; 1e-5 covers that with margin.
@@ -526,7 +525,7 @@ def hyperbolic_component(sys, d, n, r, sigma=None, verify_tol=0.05):
 
     t_hi = cut_p * (t_plus if t_plus > 0 else 1.0)
     t_lo = abs(cut_m) * (t_minus if t_minus < 0 else -1.0)
-    out = _resample_interval(d, t_lo, t_hi, len(t0))
+    out = _resample_interval(d, t_lo, t_hi, d.n_samples)
     if out.n_samples < 3 or t_hi <= 0.0 or t_lo >= 0.0:
         raise CarvingFailed("carved component collapsed below 3 samples")
     return out

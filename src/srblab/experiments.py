@@ -668,7 +668,10 @@ def run_experiment(cfg, out_dir=None, workers=1):
     import time
     t0 = time.perf_counter()
     out = out_dir or cfg.output_dir
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigInvalid(f"output_dir {out!r} cannot be created: {exc}") from exc
     sys_ = build(ModelSpec(name=cfg.model_name, params=dict(cfg.model_params)))
     fn = EXPERIMENTS[cfg.experiment]["fn"]
     if cfg.experiment == "physical_basin":

@@ -101,3 +101,149 @@ def invariance_defect_oracle(sys, d, n, tests):
     fmu = measures.pushforward_measure(sys, mu)
     return {t.name: abs(fmu.integrate(t) / fmu.total
                         - mu.integrate(t) / mu.total) for t in tests}
+
+
+# ---- charts and disks: the per-axis, per-point and per-edge definitions ----
+
+def wrap_oracle(chart, coords):
+    """Fold periodic axes into [lower, upper), one axis at a time."""
+    out = np.array(coords, dtype=float)
+    lo = np.asarray(chart.lower, float)
+    w = np.asarray(chart.upper, float) - lo
+    for j in range(chart.dim):
+        if chart.periodic[j]:
+            out[..., j] = np.mod(out[..., j] - lo[j], w[j]) + lo[j]
+    return out
+
+
+def displacement_oracle(chart, a, b):
+    """b - a with each periodic axis wrapped into [-w/2, w/2)."""
+    d = np.asarray(b, float) - np.asarray(a, float)
+    w = np.asarray(chart.upper, float) - np.asarray(chart.lower, float)
+    out = np.array(d, copy=True)
+    for j in range(chart.dim):
+        if chart.periodic[j]:
+            out[..., j] = np.mod(d[..., j] + w[j] / 2.0, w[j]) - w[j] / 2.0
+    return out
+
+
+def pair_distances_oracle(sys, center, disp0, n):
+    """||displacement||_k, k = 0..n, of one point's orbit from the center's.
+
+    One point at a time: below disks.MICRO_SWITCH the displacement rides the
+    center's tangent map, above it both points are mapped directly.
+    """
+    from srblab.disks import MICRO_SWITCH
+    chart = sys.chart
+    ctr = chart.wrap(np.asarray(center, float))
+    disp = np.asarray(disp0, float).copy()
+    out = np.empty(n + 1)
+    out[0] = np.linalg.norm(disp)
+    for k in range(1, n + 1):
+        if np.linalg.norm(disp) < MICRO_SWITCH:
+            t = sys.tangent(ctr)
+            disp = t @ disp
+            ctr = chart.wrap(sys.forward(ctr))
+        else:
+            pt = chart.wrap(ctr + disp)
+            new_ctr = chart.wrap(sys.forward(ctr))
+            disp = chart.displacement(new_ctr, sys.forward(pt))
+            ctr = new_ctr
+        out[k] = np.linalg.norm(disp)
+    return out
+
+
+def edge_bisection_oracle(sys, d, n, r, sign):
+    """Outermost parameter on one ray whose orbit stays r-close, by halving
+    t from sign down to 1e-300 and then bisecting the bracket serially."""
+    from srblab.disks import _param_to_disp
+
+    def good(t):
+        disp = _param_to_disp(d, t)[0]
+        return bool(np.all(pair_distances_oracle(sys, d.center, disp, n) <= r))
+
+    t = float(sign)
+    if good(t):
+        return t
+    bad, lo = t, 0.0
+    while abs(bad) > 1e-300:
+        t = bad / 2.0
+        if good(t):
+            lo = t
+            break
+        bad = t
+    assert lo != 0.0, "ball condition fails arbitrarily close to the center"
+    for _ in range(60):
+        mid = 0.5 * (lo + bad)
+        if mid == lo or mid == bad:
+            break
+        if good(mid):
+            lo = mid
+        else:
+            bad = mid
+    return lo
+
+
+def advance_oracle(sys, d):
+    """One forward step of an anchored disk in the macro regime, rebuilding
+    displacements edge by edge: along the curve outward from the center in
+    1-D, in depth-first order from the center in 2-D."""
+    from srblab.disks import _copy_disk
+    from srblab.systems import _batch_qr
+    new_center = sys.forward(d.center)
+    pts = d.chart.wrap(d.center + d.disp)
+    imgs = sys.forward(pts)
+    new_disp = np.empty_like(d.disp)
+    ctr = d.center_index
+    new_disp[ctr] = d.chart.displacement(new_center, imgs[ctr])
+    if d.dim == 1:
+        for i in range(ctr + 1, d.n_samples):
+            new_disp[i] = new_disp[i - 1] + d.chart.displacement(
+                imgs[i - 1], imgs[i])
+        for i in range(ctr - 1, -1, -1):
+            new_disp[i] = new_disp[i + 1] + d.chart.displacement(
+                imgs[i + 1], imgs[i])
+    else:
+        adj = [[] for _ in range(d.n_samples)]
+        for i, j in d._edges():
+            adj[i].append(j)
+            adj[j].append(i)
+        seen = np.zeros(d.n_samples, bool)
+        seen[ctr] = True
+        stack = [ctr]
+        while stack:
+            i = stack.pop()
+            for j in adj[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    new_disp[j] = new_disp[i] + d.chart.displacement(
+                        imgs[i], imgs[j])
+                    stack.append(j)
+    new_tangents = _batch_qr(sys.tangent(pts) @ d.tangents)
+    return _copy_disk(d, d.chart.wrap(new_center), new_disp, new_tangents)
+
+
+def cell_weights_oracle(d):
+    """2-D cell weights: squared mean length of the edges at each node."""
+    acc = np.zeros(d.n_samples)
+    cnt = np.zeros(d.n_samples)
+    for (i, j), length in zip(d._edges(), d.edge_lengths()):
+        acc[i] += length
+        acc[j] += length
+        cnt[i] += 1
+        cnt[j] += 1
+    w = (acc / np.maximum(cnt, 1)) ** 2
+    return w / w.sum()
+
+
+def boundary_nodes_oracle(d):
+    """2-D nodes with a grid neighbour off the grid or outside the disk."""
+    r = d.grid_shape[0]
+    idx = -np.ones(d.grid_shape, dtype=int)
+    idx[tuple(d._node_ij.T)] = np.arange(d.n_samples)
+    out = []
+    for k, (i, j) in enumerate(d._node_ij):
+        nb = [(i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)]
+        if any(not (0 <= a < r and 0 <= b < r) or idx[a, b] < 0 for a, b in nb):
+            out.append(k)
+    return np.asarray(out, dtype=int)

@@ -102,6 +102,24 @@ class TestRun:
         assert r.returncode == 3
         assert any(l.startswith("[FAIL] ") for l in r.stdout.splitlines())
 
+    def test_non_integer_workers_env_exits_two(self, tmp_path):
+        cfg = write_config(tmp_path, "ok.json", GOOD)
+        r = run_cli("run", cfg, "--output-dir", os.path.join(tmp_path, "o"),
+                    env_extra={"SRBLAB_WORKERS": "abc"})
+        assert r.returncode == 2
+        assert "SRBLAB_WORKERS" in r.stderr and "'abc'" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_uncreatable_output_dir_exits_two(self, tmp_path):
+        cfg = write_config(tmp_path, "ok.json", GOOD)
+        blocker = os.path.join(tmp_path, "a_file")
+        open(blocker, "w").close()
+        out = os.path.join(blocker, "sub")
+        r = run_cli("run", cfg, "--output-dir", out)
+        assert r.returncode == 2
+        assert out in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_worker_env_keeps_summary_bytes(self, tmp_path):
         cfg = write_config(tmp_path, "ok.json", GOOD)
         blobs = []

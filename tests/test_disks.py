@@ -11,10 +11,11 @@ from srblab.errors import (CarvingFailed, ChartOverflow, ConstantsInvalid,
                            DimensionMismatch, HypothesisViolated,
                            ResolutionExhausted)
 from srblab.linalg import Subspace
-from srblab.models import measure_constants_h
+from srblab.models import measure_constants_h, region_sample
 from srblab.pliss import hyperbolic_times
 from srblab.systems import cocycle_logs
 
+from . import oracles
 from .conftest import LAM_U, V_S, V_U
 
 X = np.array([0.2, 0.7])
@@ -288,3 +289,80 @@ class TestTwoDimensional:
         d = self.make(cat4, resolution=21)
         with pytest.raises(CarvingFailed, match="below 3 per axis"):
             disks.hyperbolic_component(cat4, d, 4, R, sigma=0.5)
+
+
+MODELS = ["cat", "pcat", "sol", "dfa"]
+
+
+def model_disk(sys, x=None, resolution=201):
+    """A flat F-disk of radius R through x (default: a sampled region point)."""
+    x = region_sample(sys, 1, seed=5)[0] if x is None else x
+    return disks.make_disk(sys, x, sys.splitting.at(x)[1], R,
+                           resolution=resolution)
+
+
+class TestBatchedCarving:
+    """The batched edge search and disk stepping against the one-point,
+    bisection and per-edge definitions in tests/oracles.py."""
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_pair_distances_rows_match_serial(self, request, model):
+        sys = request.getfixturevalue(model)
+        d = model_disk(sys)
+        rng = np.random.default_rng(11)
+        dirs = [d.tangents[d.center_index, :, 0], rng.standard_normal(sys.dim)]
+        disps = np.concatenate([np.outer(np.logspace(-14, -3, 12),
+                                         v / np.linalg.norm(v)) for v in dirs])
+        n = 12
+        got = disks._pair_distances(sys, d.center, disps, n)
+        assert got.shape == (len(disps), n + 1)
+        # rows start on both sides of the switch, and some cross it
+        assert np.any(got[:, 0] < disks.MICRO_SWITCH)
+        assert np.any(got[:, 0] > disks.MICRO_SWITCH)
+        assert np.any((got[:, 0] < disks.MICRO_SWITCH)
+                      & (got[:, -1] > disks.MICRO_SWITCH))
+        for row, disp in zip(got, disps):
+            want = oracles.pair_distances_oracle(sys, d.center, disp, n)
+            np.testing.assert_allclose(row, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n", [10, 26])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_edges_match_bisection(self, request, model, n):
+        sys = request.getfixturevalue(model)
+        d = model_disk(sys)
+        for sign in (+1, -1):
+            got = disks._edge_of_component(sys, d, n, R, sign)
+            want = oracles.edge_bisection_oracle(sys, d, n, R, sign)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_advance_1d_bit_identical(self, request, model):
+        sys = request.getfixturevalue(model)
+        # near the origin the images sit in fine binades, where a negated
+        # wrapped jump differs from the reverse jump in the last bit
+        for x in (None, np.full(sys.dim, 0.05)):
+            cur = model_disk(sys, x)
+            for _ in range(3):
+                nxt = disks._advance(sys, cur)
+                want = oracles.advance_oracle(sys, cur)
+                for field in ("center", "disp", "tangents"):
+                    assert np.array_equal(getattr(nxt, field),
+                                          getattr(want, field))
+                cur = nxt
+
+    def test_2d_advance_and_weights_bit_identical(self, cat4):
+        full = TestTwoDimensional().make(cat4, resolution=41)
+        carved = disks.hyperbolic_component(cat4, full, 2, R, sigma=0.5)
+        for d in (full, carved):
+            cur = d
+            for _ in range(2):      # the second step reuses the cached tree
+                nxt = disks._advance(cat4, cur)
+                want = oracles.advance_oracle(cat4, cur)
+                for field in ("center", "disp", "tangents"):
+                    assert np.array_equal(getattr(nxt, field),
+                                          getattr(want, field))
+                assert np.array_equal(nxt.cell_weights(),
+                                      oracles.cell_weights_oracle(nxt))
+                assert np.array_equal(nxt._boundary_nodes(),
+                                      oracles.boundary_nodes_oracle(nxt))
+                cur = nxt

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,10 @@ from srblab import (Subspace, graph_norm, mininorm, oblique_components,
                     restricted_det, restricted_mininorm, restricted_norm,
                     span, subspace_distance, torus_chart)
 
+from srblab.charts import Chart
+
 from .conftest import LAM_S, LAM_U, V_S, V_U
+from .oracles import displacement_oracle, wrap_oracle
 
 CAT = np.array([[2.0, 1.0], [1.0, 1.0]])
 
@@ -150,3 +155,29 @@ class TestChart:
         w = ch.wrap(p)
         assert w[0] == pytest.approx(7.0 % (2 * np.pi))
         assert np.allclose(w[1:], p[1:])
+
+    def test_wrap_and_displacement_equal_per_axis_definition(self, sol):
+        # the solenoid chart mixes a periodic axis with two box axes
+        ch = sol.chart
+        lo, hi = np.array(ch.lower), np.array(ch.upper)
+        w = hi - lo
+        rng = np.random.default_rng(9)
+        pts = np.concatenate([lo + rng.uniform(-2.0, 3.0, (200, 3)) * w,
+                              [lo, hi, [lo[0], hi[1], lo[2]],
+                               [hi[0], lo[1], hi[2]]]])
+        for p in (pts, pts[0], pts.reshape(17, 12, 3)[:, :2]):
+            assert np.array_equal(ch.wrap(p), wrap_oracle(ch, p))
+        half = np.array([w[0] / 2.0, 0.0, 0.0])
+        a = np.concatenate([pts, pts, pts])
+        b = np.concatenate([pts[::-1], pts + half, pts - half])
+        for x, y in ((a, b), (a[0], b), (a, b[7]), (a[3], b[3])):
+            assert np.array_equal(ch.displacement(x, y),
+                                  displacement_oracle(ch, x, y))
+
+    def test_equal_charts_compare_and_hash_equal(self, sol):
+        ch = sol.chart
+        twin = Chart(ch.chart_id, tuple(ch.lower), tuple(ch.upper),
+                     tuple(ch.periodic))
+        assert twin == ch and hash(twin) == hash(ch)
+        assert [f.name for f in dataclasses.fields(Chart)] == [
+            "chart_id", "lower", "upper", "periodic"]
