@@ -23,8 +23,9 @@ import numpy as np
 from .errors import (CarvingFailed, ChartOverflow, ConstantsInvalid,
                      DegenerateTangent, DimensionMismatch, HypothesisViolated,
                      ResolutionExhausted)
-from .linalg import (Subspace, graph_norm, oblique_components,
-                     restricted_log_volume, subspace_distance)
+from .cones import cone_width_of
+from .linalg import (Subspace, dot_norms, graph_norm, restricted_log_volume,
+                     subspace_distance)
 from .pliss import hyperbolic_times
 from .systems import _batch_qr, cocycle_logs
 
@@ -326,22 +327,17 @@ class TangencyReport:
 
 
 def tangency_report(d, splitting):
-    """How far the disk's tangents sit from F, measured two ways."""
+    """How far the disk's tangents sit from F, measured two ways.
+
+    E and F are queried once for all samples; every tangent column is then
+    split along them in one batch.
+    """
     pts = d.points()
-    worst_w = 0.0
-    worst_dist = 0.0
-    for s in range(d.n_samples):
-        e, f = splitting.at(pts[s])
-        tan = Subspace(d.tangents[s])
-        worst_dist = max(worst_dist, subspace_distance(tan, f))
-        for col in range(d.tangents.shape[2]):
-            v = d.tangents[s][:, col]
-            ve, vf = oblique_components(v, e, f)
-            nf = np.linalg.norm(vf)
-            w = np.inf if nf == 0 else np.linalg.norm(ve) / nf
-            worst_w = max(worst_w, w)
-    return TangencyReport(max_width=float(worst_w),
-                          max_f_distance=float(worst_dist))
+    e, f = splitting.e_frames(pts), splitting.f_frames(pts)
+    dist = subspace_distance(d.tangents, f)
+    widths = cone_width_of(np.swapaxes(d.tangents, 1, 2), e[:, None], f[:, None])
+    return TangencyReport(max_width=float(np.max(widths)),
+                          max_f_distance=float(np.max(dist)))
 
 
 def _param_to_disp(d, t):
@@ -382,7 +378,7 @@ def _pair_distances(sys, center, disps, n):
     out = np.empty((len(disp), n + 1))
     # stacked matmuls round like one point's t @ disp and norm (a dot), so
     # every row takes the same micro/macro decisions as it would alone
-    out[:, 0] = np.sqrt((disp[:, None, :] @ disp[:, :, None]).ravel())
+    out[:, 0] = dot_norms(disp)
     for k in range(1, n + 1):
         micro = out[:, k - 1] < MICRO_SWITCH
         new_ctr = chart.wrap(sys.forward(ctr))
@@ -392,7 +388,7 @@ def _pair_distances(sys, center, disps, n):
             pts = chart.wrap(ctr + disp[~micro])
             disp[~micro] = chart.displacement(new_ctr, sys.forward(pts))
         ctr = new_ctr
-        out[:, k] = np.sqrt((disp[:, None, :] @ disp[:, :, None]).ravel())
+        out[:, k] = dot_norms(disp)
     return out
 
 
@@ -660,13 +656,11 @@ def measure_distortion_constants(sys, a, lambda2, beta=None, grid_points=150,
     log vol(Df|F) over nearby sample pairs.
     """
     from .models import region_sample   # local import: models builds on disks' siblings
-    from .systems import splitting_frames_along_orbit
 
     beta = sys.constants.beta if beta is None else float(beta)
     pts = region_sample(sys, grid_points, seed=seed, burn_in=10)
     t = sys.tangent(pts)
-    _, f = splitting_frames_along_orbit(sys, pts[None, ...])
-    f = f[0]
+    f = sys.splitting.f_frames(pts)
 
     base = restricted_log_volume(t, f)
     rng = np.random.default_rng(seed)
@@ -674,8 +668,7 @@ def measure_distortion_constants(sys, a, lambda2, beta=None, grid_points=150,
     for h in (0.02, 0.005):
         w = rng.standard_normal(f.shape)
         tilted = _batch_qr(f + h * w)
-        dist = np.array([subspace_distance(Subspace(f[i]), Subspace(tilted[i]))
-                         for i in range(len(pts))])
+        dist = subspace_distance(f, tilted)
         val = restricted_log_volume(t, tilted)
         ok = dist > 1e-12
         r1 = max(r1, float(np.max(np.abs(val - base)[ok] / dist[ok])))

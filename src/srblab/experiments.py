@@ -152,9 +152,10 @@ def _assert_entry(name, passed, value, bound):
 def _default_center(sys, cfg):
     if cfg.disk.get("center") is not None:
         return np.asarray(cfg.disk["center"], float)
-    if sys.name.startswith("solenoid"):
+    center = MODEL_INFO[sys.name]["center"]
+    if center is None:
         return region_sample(sys, 1, seed=cfg.seed, burn_in=12)[0]
-    return np.asarray([0.2, 0.3], float)
+    return np.asarray(center, float)
 
 
 def _config_disk(sys, cfg, radius=0.02, resolution=101, center=None):
@@ -360,7 +361,7 @@ def _exp_distortion(sys, cfg, out):
         _assert_entry("ratios-above-1-over-K", lo >= 1.0 / k_bound,
                       lo, 1.0 / k_bound),
     ]
-    if sys.name == "cat":
+    if MODEL_INFO[sys.name]["linear"]:
         dev = max(abs(hi - 1.0), abs(lo - 1.0))
         assertions.append(_assert_entry("constant-volume-exactness",
                                         dev <= 1e-10, dev, 1e-10))
@@ -523,11 +524,12 @@ def _exp_physical_basin(sys, cfg, out, workers=1):
     n = cfg.horizon or 20000
     tol = cfg.const("tol", 0.02)
     samples = cfg.const("samples", 200)
-    threshold = cfg.const("threshold", 0.99 if sys.name == "cat" else 0.9)
+    linear = MODEL_INFO[sys.name]["linear"]
+    threshold = cfg.const("threshold", 0.99 if linear else 0.9)
     tests = measures.default_observables(sys.chart)
 
-    if sys.name == "cat":
-        ref = {t.name: 0.0 for t in tests}
+    if linear:   # Lebesgue is the SRB measure: the tests' own integrals
+        ref = {t.name: t.reference_integral for t in tests}
     else:
         d = _config_disk(sys, cfg, radius=0.05, resolution=101)
         ref = measures.pushforward_integrals(sys, d, n, tests)

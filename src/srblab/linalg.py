@@ -29,14 +29,9 @@ class Subspace:
 
     def __post_init__(self):
         f = np.array(self.frame, dtype=float, copy=True)
-        if f.ndim == 1:
-            f = f[:, None]
-        if f.ndim != 2:
+        if f.ndim not in (1, 2):
             raise ValueError("frame must be a 2-D array of columns")
-        g = f.T @ f
-        if not np.allclose(g, np.eye(f.shape[1]), atol=FRAME_TOL):
-            raise ValueError("frame columns must be orthonormal")
-        object.__setattr__(self, "frame", f)
+        object.__setattr__(self, "frame", _frames(f))
 
     @property
     def ambient_dim(self):
@@ -45,6 +40,29 @@ class Subspace:
     @property
     def dim(self):
         return self.frame.shape[1]
+
+
+def _frames(a):
+    """(..., d, k) frame stack of a Subspace, a vector or an array of frames.
+
+    Raises ValueError unless every frame has orthonormal columns.
+    """
+    if isinstance(a, Subspace):
+        return a.frame
+    f = np.asarray(a, float)
+    if f.ndim == 1:
+        f = f[:, None]
+    g = np.swapaxes(f, -2, -1) @ f
+    if not np.allclose(g, np.eye(f.shape[-1]), atol=FRAME_TOL):
+        raise ValueError("frame columns must be orthonormal")
+    return f
+
+
+def dot_norms(v):
+    """Euclidean norms over the last axis of v, each rounded exactly like
+    np.linalg.norm of that one vector (a dot product); norm(axis=-1) sums
+    the squares another way and can differ in the last bit."""
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
 def span(vectors):
@@ -78,10 +96,10 @@ def mininorm(a):
 def _onesided(qa, qb):
     # sup over unit u in span(qa) of dist(u, span(qb)):
     # largest singular value of (I - qb qb^T) qa.
-    proj = qa - qb @ (qb.T @ qa)
+    proj = qa - qb @ (np.swapaxes(qb, -2, -1) @ qa)
     if proj.size == 0:
-        return 0.0
-    return float(np.linalg.svd(proj, compute_uv=False)[0])
+        return np.zeros(proj.shape[:-2])
+    return np.linalg.svd(proj, compute_uv=False)[..., 0]
 
 
 def subspace_distance(a, b):
@@ -90,15 +108,16 @@ def subspace_distance(a, b):
     max of the two one-sided quantities sup_{unit u in A} dist(u, B) and the
     mirror image; for equal dimensions both sides coincide (largest principal
     angle sine) and the value is a metric on the Grassmannian.
+
+    a, b: Subspaces or (..., d, k) stacks of orthonormal frames, broadcast
+    against each other; a float for single frames, else an array.
     """
-    if not isinstance(a, Subspace):
-        a = Subspace(a)
-    if not isinstance(b, Subspace):
-        b = Subspace(b)
-    if a.ambient_dim != b.ambient_dim:
+    a, b = _frames(a), _frames(b)
+    if a.shape[-2] != b.shape[-2]:
         raise DimensionMismatch(
-            f"ambient dims differ: {a.ambient_dim} vs {b.ambient_dim}")
-    return max(_onesided(a.frame, b.frame), _onesided(b.frame, a.frame))
+            f"ambient dims differ: {a.shape[-2]} vs {b.shape[-2]}")
+    dist = np.maximum(_onesided(a, b), _onesided(b, a))
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def _acting_on(a, s):
@@ -157,22 +176,27 @@ def restricted_det(a, s):
 def oblique_components(v, e, f):
     """Split v = v_E + v_F along a (possibly non-orthogonal) splitting.
 
-    Returns (v_e, v_f) as ambient vectors.  Raises DegenerateSplitting when
-    the joint frame [E | F] is numerically rank-deficient (smallest principal
-    angle under the floor).
+    Returns (v_e, v_f) as ambient vectors.  v (..., d) broadcasts against
+    e and f, Subspaces or (..., d, k) frame stacks.  Raises
+    DegenerateSplitting when some joint frame [E | F] is numerically
+    rank-deficient (smallest principal angle under the floor).
     """
     v = np.asarray(v, float)
-    joint = np.hstack([e.frame, f.frame])
-    if joint.shape[0] != joint.shape[1]:
+    e, f = _frames(e), _frames(f)
+    lead = np.broadcast_shapes(e.shape[:-2], f.shape[:-2])
+    joint = np.concatenate([np.broadcast_to(e, lead + e.shape[-2:]),
+                            np.broadcast_to(f, lead + f.shape[-2:])], axis=-1)
+    if joint.shape[-2] != joint.shape[-1]:
         raise DimensionMismatch(
-            f"E (+{e.dim}) and F (+{f.dim}) do not fill ambient dim {joint.shape[0]}")
-    sv = np.linalg.svd(joint, compute_uv=False)
-    if sv[-1] < ANGLE_FLOOR:
+            f"E (+{e.shape[-1]}) and F (+{f.shape[-1]}) do not fill ambient "
+            f"dim {joint.shape[-2]}")
+    smallest = np.min(np.linalg.svd(joint, compute_uv=False)[..., -1])
+    if smallest < ANGLE_FLOOR:
         raise DegenerateSplitting(
-            f"joint frame smallest singular value {sv[-1]:.3e} below floor")
-    coeff = np.linalg.solve(joint, v)
-    ce, cf = coeff[: e.dim], coeff[e.dim:]
-    return e.frame @ ce, f.frame @ cf
+            f"joint frame smallest singular value {smallest:.3e} below floor")
+    coeff = np.linalg.solve(joint, v[..., None])
+    ke = e.shape[-1]
+    return (e @ coeff[..., :ke, :])[..., 0], (f @ coeff[..., ke:, :])[..., 0]
 
 
 def graph_norm(base, target):

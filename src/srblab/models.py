@@ -25,7 +25,7 @@ from .linalg import Subspace, restricted_stretch, subspace_distance
 from .pliss import lambda_membership_batch
 from .systems import (ConstantsH, ConvergedSplitting, ExactSplitting,
                       MapSystem, SystemConstants, cocycle_logs_batch,
-                      orbit_coords, splitting_frames_along_orbit)
+                      orbit_coords)
 
 LAMBDA_U = (3.0 + np.sqrt(5.0)) / 2.0
 LAMBDA_S = (3.0 - np.sqrt(5.0)) / 2.0
@@ -65,28 +65,40 @@ class GridSpec:
     margin: float = 0.01
 
 
+# Per model: chart dimension, default parameters, a one-line description,
+# the default disk center (None: drawn from the region, burned in 12 steps)
+# and whether the map is linear (constant Jacobian, Lebesgue as its SRB
+# measure), which the experiments turn into exact checks.
 MODEL_INFO = {
     "cat": {
         "dim": 2,
         "params": {},
         "doc": "linear torus automorphism [[2,1],[1,1]]; exact splitting",
+        "center": (0.2, 0.3),
+        "linear": True,
     },
     "perturbed_cat": {
         "dim": 2,
         "params": {"eps": 0.01},
         "doc": "cat + eps*(sin(2*pi*x1), 0); eps in [0, 0.05]; converged splitting",
+        "center": (0.2, 0.3),
+        "linear": False,
     },
     "solenoid": {
         "dim": 3,
         "params": {"c": 0.25, "d": 0.5},
         "doc": "(phi, w) -> (2 phi, c w + d e^{i phi}) on the solid torus; "
                "0 < c < 1/2, c < d, c + d < 1",
+        "center": None,
+        "linear": False,
     },
     "dfa": {
         "dim": 2,
         "params": {"delta": 0.05, "rho": 0.2},
         "doc": "cat deformed near its fixed point: unstable multiplier 1+delta "
                "at the origin, linear outside radius rho",
+        "center": (0.2, 0.3),
+        "linear": False,
     },
 }
 
@@ -444,41 +456,36 @@ def region_sample(sys, count, seed=0, burn_in=0):
     return pts
 
 
-def converge_splitting(sys, x, depth=None):
-    """(E, F, residual) at x, refined to the requested depth.
+def converge_splitting(sys, x, depth=40):
+    """(E, F, residual) at x, refined to the requested cone-iteration depth.
 
     residual is the worst invariance defect over the two bundles:
     subspace_distance(span(Df(x) B(x)), B(f(x))).  Raises NoConvergence when
     deepening from depth/2 to depth failed to improve a residual that is
-    still above the float floor.
+    still above the float floor.  A closed-form splitting ignores the depth,
+    so its residual never worsens with it.
     """
     coords = np.asarray(getattr(x, "coords", x), float)
     sp = sys.splitting
-    depth = depth or getattr(sp, "depth", 40)
-
-    def frames_at(c, dep):
-        if sp.kind == "exact":
-            return sp.e_frames(c), sp.f_frames(c)
-        return sp.e_frames(c, depth=dep), sp.f_frames(c, depth=dep)
 
     def residual_at(dep):
-        e0, f0 = frames_at(coords, dep)
         fx = sys.forward(coords)
-        e1, f1 = frames_at(fx, dep)
         t = sys.tangent(coords)
-        res_e = subspace_distance(Subspace(np.linalg.qr(t @ e0)[0]), Subspace(e1))
-        res_f = subspace_distance(Subspace(np.linalg.qr(t @ f0)[0]), Subspace(f1))
+        res_e = subspace_distance(np.linalg.qr(t @ sp.e_frames(coords, dep))[0],
+                                  sp.e_frames(fx, dep))
+        res_f = subspace_distance(np.linalg.qr(t @ sp.f_frames(coords, dep))[0],
+                                  sp.f_frames(fx, dep))
         return max(res_e, res_f)
 
     res = residual_at(depth)
-    if sp.kind != "exact" and res > 1e-12:
+    if res > 1e-12:
         res_half = residual_at(max(depth // 2, 1))
         if res > res_half:
             raise NoConvergence(
                 f"residual {res:.3e} at depth {depth} worse than "
                 f"{res_half:.3e} at depth {depth // 2}")
-    e, f = frames_at(coords, depth)
-    return Subspace(e), Subspace(f), float(res)
+    return (Subspace(sp.e_frames(coords, depth)),
+            Subspace(sp.f_frames(coords, depth)), float(res))
 
 
 def measure_constants_h(sys, grid=None, xi=None):
@@ -491,14 +498,17 @@ def measure_constants_h(sys, grid=None, xi=None):
     midpoint of its feasible window.  Raises ChainInfeasible with the
     measured numbers when the window is empty or F fails to expand on
     average.
+
+    The one write to sys: when the model declares no c0, the measured
+    sup |log mininorm(Df|F)| is stored in sys.constants.c0, where the
+    hyperbolic_mass experiment reads it.  Declared constants are left alone.
     """
     grid = grid or GridSpec()
     xi = sys.constants.xi if xi is None else float(xi)
     pts = region_sample(sys, grid.points, seed=grid.seed, burn_in=grid.burn_in)
 
     t = sys.tangent(pts)
-    e, f = splitting_frames_along_orbit(sys, pts[None, ...])
-    e, f = e[0], f[0]
+    e, f = sys.splitting.e_frames(pts), sys.splitting.f_frames(pts)
     sup_e = float(np.max(restricted_stretch(t, e, "max")))
     mins = restricted_stretch(t, f, "min")
     b = float(np.min(mins))
@@ -527,9 +537,6 @@ def measure_constants_h(sys, grid=None, xi=None):
     consts = ConstantsH(eps0=float(eps0), lambda1=lam1, lambda2=lam2,
                         lambda3=lam3, b=b, xi=xi)
     consts.validate()
-    sys.constants.sup_e = sup_e
-    if sys.constants.b is None:
-        sys.constants.b = b
     if sys.constants.c0 is None:
         sys.constants.c0 = c0
     return consts

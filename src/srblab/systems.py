@@ -29,14 +29,16 @@ from .linalg import Subspace, restricted_stretch
 _SEED_ANGLES = (0.7310987, 0.3891113, 0.9122891, 0.1930491)
 
 
-def _generic_frame(dim, k):
-    """A fixed, deterministically generic (dim, k) frame used as sweep seed."""
+def _generic_frames(pts, k):
+    """A fixed, deterministically generic (d, k) frame, one copy per point of
+    the (..., d) array pts: the seed of every cone sweep."""
+    dim = pts.shape[-1]
     rng = np.random.default_rng(1234567)
     m = np.stack([np.cos(_SEED_ANGLES[j % 4] * (np.arange(dim) + 2 + j))
                   for j in range(k)], axis=1)
     m = m + 1e-3 * rng.standard_normal((dim, k))  # fixed rng: still deterministic
     q, _ = np.linalg.qr(m)
-    return q
+    return np.broadcast_to(q, pts.shape[:-1] + q.shape).copy()
 
 
 def _batch_qr(frames):
@@ -48,18 +50,51 @@ def _batch_qr(frames):
     return q * s[..., None, :]
 
 
-class SplittingField:
-    """Base interface: orthonormal E- and F-frames at coordinate arrays."""
+def _pushed(tangent, path, frames):
+    """frames, then its images under Df at each point of path in turn,
+    orthonormalized: the forward cone iteration that converges to F."""
+    yield frames
+    for y in path:
+        frames = _batch_qr(tangent(y) @ frames)
+        yield frames
 
-    kind = "abstract"
+
+def _pulled(tangent, path, frames):
+    """frames, then its preimages under Df at each point of path in turn,
+    orthonormalized: the inverse iteration that converges to E."""
+    yield frames
+    for y in path:
+        frames = _batch_qr(np.linalg.solve(tangent(y), frames))
+        yield frames
+
+
+def _last(frames_seq):
+    """The final frames of a push or pull, without keeping the others."""
+    for frames in frames_seq:
+        pass
+    return frames
+
+
+class SplittingField:
+    """Base interface: orthonormal E- and F-frames at coordinate arrays.
+
+    e_frames/f_frames map (..., d) coordinates to (..., d, dim) frames.
+    `depth` sets the cone-iteration depth of a converged splitting and is
+    ignored by a closed-form one.
+    """
+
     dim_e = None
     dim_f = None
 
-    def e_frames(self, coords):
+    def e_frames(self, coords, depth=None):
         raise NotImplementedError
 
-    def f_frames(self, coords):
+    def f_frames(self, coords, depth=None):
         raise NotImplementedError
+
+    def frames_along(self, rows):
+        """E- and F-frames at every row of (m+1, ..., d) forward-orbit rows."""
+        return self.e_frames(rows), self.f_frames(rows)
 
     def at(self, coords):
         """(E, F) as Subspaces at a single coordinate vector."""
@@ -70,18 +105,16 @@ class SplittingField:
 class ExactSplitting(SplittingField):
     """Splitting given in closed form (constant or pointwise formulas)."""
 
-    kind = "exact"
-
     def __init__(self, dim_e, dim_f, e_fn, f_fn):
         self.dim_e = dim_e
         self.dim_f = dim_f
         self._e_fn = e_fn
         self._f_fn = f_fn
 
-    def e_frames(self, coords):
+    def e_frames(self, coords, depth=None):
         return self._e_fn(np.asarray(coords, float))
 
-    def f_frames(self, coords):
+    def f_frames(self, coords, depth=None):
         return self._f_fn(np.asarray(coords, float))
 
 
@@ -90,11 +123,9 @@ class ConvergedSplitting(SplittingField):
 
     F at x: push a fixed generic frame forward along the backward orbit of x
     (depth steps).  E at x: pull a generic frame backward along the forward
-    orbit (inverse/adjoint iteration).  Queries at identical (rounded)
-    coordinates are memoized; the field behaves as a pure function.
+    orbit (inverse iteration).  Every query recomputes; the field is a pure
+    function of the coordinates and keeps no state between queries.
     """
-
-    kind = "converged"
 
     def __init__(self, dim_e, dim_f, forward, inverse, tangent, depth=40,
                  exact_e=None):
@@ -105,68 +136,37 @@ class ConvergedSplitting(SplittingField):
         self._inverse = inverse
         self._tangent = tangent
         self._exact_e = exact_e  # models with an exactly-invariant E supply it
-        self._cache = {}
 
-    # -- F: forward cone iteration ------------------------------------
     def f_frames(self, coords, depth=None):
         c = np.asarray(coords, float)
-        depth = self.depth if depth is None else depth
-        single = c.ndim == 1
-        pts = c[None, :] if single else c.reshape(-1, c.shape[-1])
-        out = self._f_batch(pts, depth)
-        if single:
-            return out[0]
-        return out.reshape(c.shape[:-1] + out.shape[-2:])
+        back = [c.reshape(-1, c.shape[-1])]
+        for _ in range(self.depth if depth is None else depth):
+            back.append(self._inverse(back[-1]))
+        out = _last(_pushed(self._tangent, reversed(back[1:]),
+                            _generic_frames(back[0], self.dim_f)))
+        return out.reshape(c.shape + (self.dim_f,))
 
-    def _f_batch(self, pts, depth):
-        back = pts
-        trail = [back]
-        for _ in range(depth):
-            back = self._inverse(back)
-            trail.append(back)
-        frames = np.broadcast_to(
-            _generic_frame(pts.shape[-1], self.dim_f),
-            (pts.shape[0], pts.shape[-1], self.dim_f)).copy()
-        for k in range(depth, 0, -1):
-            t = self._tangent(trail[k])
-            frames = _batch_qr(t @ frames)
-        return frames
-
-    # -- E: inverse iteration along the forward orbit ------------------
     def e_frames(self, coords, depth=None):
         c = np.asarray(coords, float)
         if self._exact_e is not None:
             return self._exact_e(c)
-        depth = self.depth if depth is None else depth
-        single = c.ndim == 1
-        pts = c[None, :] if single else c.reshape(-1, c.shape[-1])
-        out = self._e_batch(pts, depth)
-        if single:
-            return out[0]
-        return out.reshape(c.shape[:-1] + out.shape[-2:])
+        fwd = [c.reshape(-1, c.shape[-1])]
+        for _ in range(self.depth if depth is None else depth):
+            fwd.append(self._forward(fwd[-1]))
+        out = _last(_pulled(self._tangent, reversed(fwd[:-1]),
+                            _generic_frames(fwd[0], self.dim_e)))
+        return out.reshape(c.shape + (self.dim_e,))
 
-    def _e_batch(self, pts, depth):
-        fwd = pts
-        trail = [fwd]
-        for _ in range(depth):
-            fwd = self._forward(fwd)
-            trail.append(fwd)
-        frames = np.broadcast_to(
-            _generic_frame(pts.shape[-1], self.dim_e),
-            (pts.shape[0], pts.shape[-1], self.dim_e)).copy()
-        for k in range(depth - 1, -1, -1):
-            t = self._tangent(trail[k])
-            frames = _batch_qr(np.linalg.solve(t, frames))
-        return frames
-
-    def at(self, coords):
-        c = np.asarray(coords, float)
-        key = np.round(c, 12).tobytes()
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = (Subspace(self.e_frames(c)), Subspace(self.f_frames(c)))
-            self._cache[key] = hit
-        return hit
+    def frames_along(self, rows):
+        """F is seeded by the field at row 0 and pushed forward one tangent
+        application per step (equivalent to deepening the cone iteration);
+        E is seeded by the field at the last row and pulled back."""
+        f = np.stack(list(_pushed(self._tangent, rows[:-1],
+                                  self.f_frames(rows[0]))))
+        if self._exact_e is not None:
+            return self._exact_e(rows), f
+        e = list(_pulled(self._tangent, rows[:-1][::-1], self.e_frames(rows[-1])))
+        return np.stack(e[::-1]), f
 
 
 @dataclass
@@ -288,47 +288,13 @@ def orbit_coords(sys, coords, n, check_region=True):
 
 
 def splitting_frames_along_orbit(sys, rows):
-    """E- and F-frames at each orbit row, propagated dynamically.
+    """E- and F-frames at each of the (m+1, ..., d) forward-orbit rows.
 
-    rows: (m+1, ..., d) forward-orbit coordinates.  For exact splittings the
-    fields are evaluated pointwise.  For converged splittings, F is seeded by
-    the field at row 0 and pushed forward one tangent application per step
-    (equivalent to deepening the cone iteration); E is seeded by the field at
-    a point `depth` steps beyond the last row and pulled back.
+    The splitting decides how: closed-form bundles are evaluated pointwise,
+    converged ones are pushed and pulled along the rows (see
+    ConvergedSplitting.frames_along).
     """
-    sp = sys.splitting
-    m = rows.shape[0] - 1
-    if sp.kind == "exact":
-        e = np.stack([sp.e_frames(rows[j]) for j in range(m + 1)])
-        f = np.stack([sp.f_frames(rows[j]) for j in range(m + 1)])
-        return e, f
-
-    lead = rows.shape[1:-1]
-    d = rows.shape[-1]
-    f = np.empty((m + 1,) + lead + (d, sp.dim_f), float)
-    f[0] = sp.f_frames(rows[0])
-    for j in range(m):
-        t = sys.tangent(rows[j])
-        f[j + 1] = _batch_qr(t @ f[j])
-
-    e = np.empty((m + 1,) + lead + (d, sp.dim_e), float)
-    if sp._exact_e is not None:
-        for j in range(m + 1):
-            e[j] = sp._exact_e(rows[j])
-        return e, f
-    ext = rows[m]
-    tail = []
-    for _ in range(sp.depth):
-        tail.append(ext)
-        ext = sys.forward(ext)
-    cur = np.broadcast_to(_generic_frame(d, sp.dim_e),
-                          lead + (d, sp.dim_e)).copy()
-    for y in reversed(tail):
-        cur = _batch_qr(np.linalg.solve(sys.tangent(y), cur))
-    e[m] = cur
-    for j in range(m - 1, -1, -1):
-        e[j] = _batch_qr(np.linalg.solve(sys.tangent(rows[j]), e[j + 1]))
-    return e, f
+    return sys.splitting.frames_along(rows)
 
 
 def cocycle_logs(sys, x, n, include_zero=False):

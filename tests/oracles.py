@@ -247,3 +247,122 @@ def boundary_nodes_oracle(d):
         if any(not (0 <= a < r and 0 <= b < r) or idx[a, b] < 0 for a, b in nb):
             out.append(k)
     return np.asarray(out, dtype=int)
+
+
+def f_batch_oracle(sys, pts, depth):
+    """F at (N, d) points: a generic frame pushed forward along the depth
+    steps of each backward orbit, deepest preimage first."""
+    from srblab.systems import _batch_qr, _generic_frames
+    back = pts
+    trail = [back]
+    for _ in range(depth):
+        back = sys.inverse(back)
+        trail.append(back)
+    frames = _generic_frames(pts, sys.splitting.dim_f)
+    for k in range(depth, 0, -1):
+        frames = _batch_qr(sys.tangent(trail[k]) @ frames)
+    return frames
+
+
+def e_batch_oracle(sys, pts, depth):
+    """E at (N, d) points: a generic frame pulled back along the depth steps
+    of each forward orbit, farthest image first."""
+    from srblab.systems import _batch_qr, _generic_frames
+    fwd = pts
+    trail = [fwd]
+    for _ in range(depth):
+        fwd = sys.forward(fwd)
+        trail.append(fwd)
+    frames = _generic_frames(pts, sys.splitting.dim_e)
+    for k in range(depth - 1, -1, -1):
+        frames = _batch_qr(np.linalg.solve(sys.tangent(trail[k]), frames))
+    return frames
+
+
+def splitting_frames_oracle(sys, rows):
+    """E- and F-frames along (m+1, N, d) orbit rows, one row at a time.
+
+    Closed-form bundles are evaluated row by row.  A converged F is seeded by
+    f_batch_oracle at row 0 and pushed forward step by step; a converged E
+    (unless exactly known) is seeded by pulling a generic frame back along a
+    tail of depth forward steps past the last row, then pulled back row by
+    row.
+    """
+    from srblab.systems import ExactSplitting, _batch_qr, _generic_frames
+    sp = sys.splitting
+    m = rows.shape[0] - 1
+    if isinstance(sp, ExactSplitting):
+        e = np.stack([sp.e_frames(rows[j]) for j in range(m + 1)])
+        f = np.stack([sp.f_frames(rows[j]) for j in range(m + 1)])
+        return e, f
+    lead = rows.shape[1:-1]
+    d = rows.shape[-1]
+    f = np.empty((m + 1,) + lead + (d, sp.dim_f), float)
+    f[0] = f_batch_oracle(sys, rows[0], sp.depth)
+    for j in range(m):
+        f[j + 1] = _batch_qr(sys.tangent(rows[j]) @ f[j])
+    e = np.empty((m + 1,) + lead + (d, sp.dim_e), float)
+    if sp._exact_e is not None:
+        for j in range(m + 1):
+            e[j] = sp._exact_e(rows[j])
+        return e, f
+    ext = rows[m]
+    tail = []
+    for _ in range(sp.depth):
+        tail.append(ext)
+        ext = sys.forward(ext)
+    cur = _generic_frames(rows[m], sp.dim_e)
+    for y in reversed(tail):
+        cur = _batch_qr(np.linalg.solve(sys.tangent(y), cur))
+    e[m] = cur
+    for j in range(m - 1, -1, -1):
+        e[j] = _batch_qr(np.linalg.solve(sys.tangent(rows[j]), e[j + 1]))
+    return e, f
+
+
+def tangency_report_oracle(d, splitting):
+    """(worst width, worst F-distance) over the disk, sample by sample and
+    tangent column by tangent column."""
+    from srblab.linalg import Subspace, oblique_components, subspace_distance
+    pts = d.points()
+    worst_w = 0.0
+    worst_dist = 0.0
+    for s in range(d.n_samples):
+        e, f = splitting.at(pts[s])
+        worst_dist = max(worst_dist,
+                         subspace_distance(Subspace(d.tangents[s]), f))
+        for col in range(d.tangents.shape[2]):
+            ve, vf = oblique_components(d.tangents[s][:, col], e, f)
+            nf = np.linalg.norm(vf)
+            w = np.inf if nf == 0 else np.linalg.norm(ve) / nf
+            worst_w = max(worst_w, w)
+    return worst_w, worst_dist
+
+
+def cone_contraction_oracle(sys, x, a, gamma, n, samples=16, seed=5):
+    """verify_cone_contraction with one draw, one oblique split and one width
+    per boundary vector."""
+    from srblab.linalg import Subspace, oblique_components
+    from srblab.systems import orbit_coords
+    rows = orbit_coords(sys, np.asarray(x, float)[None, :], n)
+    e_fr, f_fr = splitting_frames_oracle(sys, rows)
+    e0, f0 = Subspace(e_fr[0, 0]), Subspace(f_fr[0, 0])
+    rng = np.random.default_rng(seed)
+    vecs = []
+    for _ in range(samples):
+        ce = rng.standard_normal(e0.dim)
+        cf = rng.standard_normal(f0.dim)
+        vecs.append(a * (e0.frame @ (ce / np.linalg.norm(ce)))
+                    + f0.frame @ (cf / np.linalg.norm(cf)))
+    vecs = np.stack(vecs)
+    worst = np.empty(n, float)
+    for i in range(1, n + 1):
+        vecs = vecs @ sys.tangent(rows[i - 1, 0]).T
+        e_i, f_i = Subspace(e_fr[i, 0]), Subspace(f_fr[i, 0])
+        widths = []
+        for v in vecs:
+            ve, vf = oblique_components(v, e_i, f_i)
+            nf = np.linalg.norm(vf)
+            widths.append(np.inf if nf == 0 else np.linalg.norm(ve) / nf)
+        worst[i - 1] = max(widths) / (gamma ** i * a)
+    return worst

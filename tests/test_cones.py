@@ -5,8 +5,10 @@ import pytest
 
 from srblab import cones
 from srblab.errors import EmptyRadius, HypothesisViolated
+from srblab.models import region_sample
 from srblab.systems import cocycle_logs
 
+from . import oracles
 from .conftest import LAM_U, V_S, V_U
 
 X = np.array([0.2, 0.7])
@@ -72,6 +74,13 @@ class TestConeWidthOf:
         w2 = cones.cone_width_of(7.0 * (0.37 * V_S + V_U), e, f)
         assert np.isclose(w1, w2, rtol=1e-12)
         assert np.isclose(w1, 0.37, rtol=1e-12)
+
+    def test_batch_matches_per_vector(self, cat):
+        e, f = cat.splitting.at(X)
+        vs = np.stack([V_U, V_S, V_S + V_U, 0.37 * V_S + V_U, -2.0 * V_U])
+        got = cones.cone_width_of(vs, e, f)
+        assert got.shape == (5,)
+        assert np.array_equal(got, [cones.cone_width_of(v, e, f) for v in vs])
 
 
 class TestConeWidthBound:
@@ -141,6 +150,14 @@ class TestVerifyConeContraction:
     def test_perturbed_cat_within_budget(self, pcat):
         worst = cones.verify_cone_contraction(pcat, X, 0.5, 0.2, 10)
         assert np.all(worst <= 1.0 + 1e-9)
+
+    @pytest.mark.parametrize("model", ["cat", "pcat", "sol", "dfa"])
+    def test_matches_per_vector_loop(self, request, model):
+        sys = request.getfixturevalue(model)
+        x = region_sample(sys, 1, seed=8, burn_in=3)[0]
+        worst = cones.verify_cone_contraction(sys, x, 0.5, 0.4, 20, seed=2)
+        want = oracles.cone_contraction_oracle(sys, x, 0.5, 0.4, 20, seed=2)
+        np.testing.assert_allclose(worst, want, rtol=1e-12, atol=1e-12)
 
 
 class TestRobustnessRadius:

@@ -118,6 +118,16 @@ class TestTangencyAndHolder:
         rep = disks.tangency_report(g, cat.splitting)
         assert rep.max_width > 1e-4
 
+    @pytest.mark.parametrize("steps", [0, 3])
+    @pytest.mark.parametrize("model", ["cat", "pcat", "sol", "dfa"])
+    def test_report_matches_per_sample_loop(self, request, model, steps):
+        sys = request.getfixturevalue(model)
+        d = disks.iterate_disk(sys, model_disk(sys), steps)
+        rep = disks.tangency_report(d, sys.splitting)
+        want = oracles.tangency_report_oracle(d, sys.splitting)
+        np.testing.assert_allclose([rep.max_width, rep.max_f_distance], want,
+                                   rtol=1e-12, atol=1e-12)
+
     def test_holder_flat_is_zero(self, cat):
         assert disks.holder_curvature(flat_disk(cat, 101), 0.5) < 1e-12
 
@@ -284,6 +294,19 @@ class TestTwoDimensional:
         rep = disks.backward_contraction_check(cat4, carved, 2, 0.5)
         assert np.isclose(rep.max_violation, (1.0 / LAM_U) / np.sqrt(0.5),
                           rtol=1e-9)
+
+    def test_tangency_matches_per_sample_loop(self, cat4):
+        d = self.make(cat4, resolution=21)
+        tilted = disks.iterate_disk(cat4, d, 1)
+        tilted.tangents = disks._batch_qr(
+            tilted.tangents + 0.01 * np.cos(np.arange(tilted.tangents.size))
+            .reshape(tilted.tangents.shape))
+        for disk in (d, tilted):
+            rep = disks.tangency_report(disk, cat4.splitting)
+            want = oracles.tangency_report_oracle(disk, cat4.splitting)
+            np.testing.assert_allclose([rep.max_width, rep.max_f_distance],
+                                       want, rtol=1e-12, atol=1e-12)
+        assert rep.max_width > 1e-3
 
     def test_carve_needs_enough_cells(self, cat4):
         d = self.make(cat4, resolution=21)

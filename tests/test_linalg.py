@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from srblab import (Subspace, graph_norm, mininorm, oblique_components,
+from srblab import (DegenerateSplitting, DimensionMismatch, Subspace,
+                    graph_norm, mininorm, oblique_components,
                     restricted_det, restricted_mininorm, restricted_norm,
                     span, subspace_distance, torus_chart)
 
@@ -114,6 +115,40 @@ class TestObliqueAndGraph:
             assert np.allclose(ve + vf, v, atol=1e-12)
             assert abs(V_U @ ve) <= 1e-12 * np.linalg.norm(ve) + 1e-12 or \
                 np.allclose(np.cross(ve, V_S), 0.0, atol=1e-12)
+
+    def test_stacks_match_frame_by_frame(self):
+        rng = np.random.default_rng(21)
+        a = np.linalg.qr(rng.normal(size=(6, 3, 2)))[0]
+        b = np.linalg.qr(rng.normal(size=(6, 3, 1)))[0]
+        dist = subspace_distance(a, b)
+        assert dist.shape == (6,)
+        assert np.array_equal(dist, [subspace_distance(p, q)
+                                     for p, q in zip(a, b)])
+        v = rng.normal(size=(6, 3))
+        ve, vf = oblique_components(v, a, b)
+        for i in range(6):
+            we, wf = oblique_components(v[i], Subspace(a[i]), Subspace(b[i]))
+            np.testing.assert_allclose(ve[i], we, rtol=1e-14, atol=1e-15)
+            np.testing.assert_allclose(vf[i], wf, rtol=1e-14, atol=1e-15)
+
+    def test_stack_checks_every_frame(self):
+        rng = np.random.default_rng(22)
+        a = np.linalg.qr(rng.normal(size=(4, 3, 2)))[0]
+        b = np.linalg.qr(rng.normal(size=(4, 3, 1)))[0]
+        bad = a.copy()
+        bad[2] *= 1.5
+        with pytest.raises(ValueError, match="orthonormal"):
+            subspace_distance(bad, b)
+        with pytest.raises(ValueError, match="orthonormal"):
+            oblique_components(np.ones(3), bad, b)
+        with pytest.raises(DimensionMismatch):
+            subspace_distance(a, np.eye(2))
+        with pytest.raises(DimensionMismatch):
+            oblique_components(np.ones(3), a[:, :, :1], b)
+        flat = b.copy()
+        flat[3] = a[3, :, :1]   # F inside E at one sample only
+        with pytest.raises(DegenerateSplitting):
+            oblique_components(np.ones(3), a, flat)
 
     def test_graph_norm_known_tilt(self):
         base = Subspace(np.array([[1.0], [0.0]]))

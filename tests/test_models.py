@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from srblab import (ChainInfeasible, ConstructionFailed, build, cocycle_logs,
-                    lambda_fraction, linear_torus_system, list_models,
+                    converge_splitting, lambda_fraction, linear_torus_system,
+                    list_models,
                     measure_constants_h, quasi_uniform, region_sample,
                     subspace_distance, span)
 from srblab.models import _halton
@@ -69,6 +70,23 @@ class TestMapConsistency:
             e1, f1 = sys.splitting.at(fx)
             assert subspace_distance(span(df @ f0.frame), f1) < 1e-7
             assert subspace_distance(span(df @ e0.frame), e1) < 1e-7
+
+
+class TestConvergeSplitting:
+    @pytest.mark.parametrize("model", ["cat", "pcat", "sol", "dfa"])
+    def test_refines_to_the_requested_depth(self, request, model):
+        sys = request.getfixturevalue(model)
+        x = region_sample(sys, 1, seed=6)[0]
+        e, f, res = converge_splitting(sys, x)
+        e0, f0 = sys.splitting.at(x)
+        assert np.array_equal(e.frame, e0.frame)
+        assert np.array_equal(f.frame, f0.frame)
+        assert res < 1e-14
+        shallow = converge_splitting(sys, x, depth=12)[2]
+        if model == "cat":    # closed form: the depth changes nothing
+            assert shallow == res
+        else:
+            assert 1e-12 < shallow < 1e-8
 
 
 class TestCatExactness:

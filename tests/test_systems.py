@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,13 @@ from srblab import (OrbitEscaped, cocycle_logs, cocycle_logs_batch,
                     orbit_coords, splitting_frames_along_orbit,
                     subspace_distance, span)
 
+from srblab.models import region_sample
+
+from . import oracles
 from .conftest import LAM_S, LAM_U, LOG_LAM_U
 
 X0 = np.array([0.2, 0.3])
+MODELS = ["cat", "pcat", "sol", "dfa"]
 
 
 class TestCocycleLogs:
@@ -96,6 +102,37 @@ class TestSplittingFrames:
             ej, fj = pcat.splitting.at(rows[j])
             assert subspace_distance(span(e[j]), ej) < 1e-8
             assert subspace_distance(span(f[j]), fj) < 1e-8
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_frames_bit_identical_to_row_loops(self, request, model):
+        sys = request.getfixturevalue(model)
+        rows = orbit_coords(sys, region_sample(sys, 6, seed=3, burn_in=2), 12)
+        got = splitting_frames_along_orbit(sys, rows)
+        want = oracles.splitting_frames_oracle(sys, rows)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_pointwise_queries_bit_identical_to_one_row_orbit(self, request,
+                                                              model):
+        sys = request.getfixturevalue(model)
+        pts = region_sample(sys, 9, seed=4)
+        e, f = oracles.splitting_frames_oracle(sys, pts[None, ...])
+        assert np.array_equal(sys.splitting.e_frames(pts), e[0])
+        assert np.array_equal(sys.splitting.f_frames(pts), f[0])
+
+    @pytest.mark.parametrize("model", ["pcat", "sol"])
+    def test_queries_leave_the_field_unchanged(self, request, model):
+        sys = request.getfixturevalue(model)
+        sp = sys.splitting
+        before = {k: copy.copy(v) for k, v in vars(sp).items()}
+        pts = region_sample(sys, 3, seed=6)
+        for p in (pts[0], pts[0], pts[1]):
+            sp.at(p)
+        sp.e_frames(pts)
+        sp.f_frames(pts, depth=7)
+        splitting_frames_along_orbit(sys, orbit_coords(sys, pts, 3))
+        assert vars(sp) == before
 
     def test_converged_field_is_pure(self, pcat):
         p = np.array([0.37, 0.61])
