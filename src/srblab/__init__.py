@@ -23,15 +23,13 @@ from .errors import (CarvingFailed, ChainInfeasible, ChartOverflow,
 from .experiments import (Config, describe, list_models, parse_config,
                           run_experiment)
 from .linalg import (Subspace, graph_norm, mininorm, oblique_components,
-                     restricted_det, restricted_mininorm, restricted_norm,
                      span, subspace_distance)
 from .measures import (DefectReport, EmpiricalMeasure, HyperbolicMassReport,
-                       Observable, birkhoff, default_observables,
-                       disk_measure, hyperbolic_mass, invariance_defect,
-                       packing_check, physical_fraction, pushforward_average,
-                       pushforward_integrals, pushforward_measure,
+                       Observable, default_observables, disk_measure,
+                       hyperbolic_mass, invariance_defect, packing_check,
+                       physical_fraction, pushforward_integrals,
                        pushforward_step_integrals, select_disjoint_balls,
-                       weak_star_distance, write_atoms)
+                       weak_star_distance)
 from .models import (GridSpec, ModelSpec, build, converge_splitting,
                      lambda_fraction, linear_torus_system,
                      measure_constants_h, quasi_uniform, region_sample)

@@ -41,7 +41,7 @@ class EmbeddedDisk:
     disp      : (S, d) displacement of each sample from the center, in the
                 universal cover (periodic axes unwrapped along the mesh).
     tangents  : (S, d, dim) orthonormal tangent frames.
-    grid_shape: (R,) for curves, (R, R) for 2-D disks (with a ball mask).
+    grid_shape: (R,) for curves, (R, R) for 2-D disks (nodes in the ball).
     """
 
     chart: object
@@ -53,7 +53,6 @@ class EmbeddedDisk:
     center_index: int
     radius: float
     grid_shape: tuple
-    mask: np.ndarray = None
 
     @property
     def n_samples(self):
@@ -219,7 +218,7 @@ def _copy_disk(d, center, disp, tangents):
     out = EmbeddedDisk(chart=d.chart, dim=d.dim, params=d.params.copy(),
                        center=center, disp=disp, tangents=tangents,
                        center_index=d.center_index, radius=d.radius,
-                       grid_shape=d.grid_shape, mask=d.mask)
+                       grid_shape=d.grid_shape)
     for attr in ("_node_ij", "_tree"):
         if hasattr(d, attr):
             setattr(out, attr, getattr(d, attr))
@@ -603,7 +602,7 @@ class DistortionReport:
     y_index: int
 
 
-def distortion_profile(sys, d, n, bound_k=None):
+def distortion_profile(sys, d, n):
     """Volume-distortion ratios of f^n between every sample and the center."""
     _, trace = iterate_disk(sys, d, n, keep_trace=True)
     # log tangent-volume factors of steps 0..n-1, added in step order

@@ -20,7 +20,6 @@ from . import disks, measures
 from .cones import (check_avg_domination, domination_robustness_radius,
                     verify_cone_contraction)
 from .errors import ConfigInvalid, HypothesisViolated
-from .linalg import Subspace
 from .models import (MODEL_INFO, ModelSpec, build, lambda_fraction,
                      measure_constants_h, region_sample)
 from .pliss import PlissParams, density_theta, hyperbolic_times, pliss_times
@@ -73,7 +72,6 @@ _FIELDS = {
     "constants.xi": (lambda v: _num(v) and 0.0 < v <= 1.0, "a number in (0, 1]"),
     "constants.samples": (lambda v: _int(v) and v >= 100,
                           "an integer >= 100"),
-    "constants.depth": (lambda v: _int(v) and v >= 1, "a positive integer"),
     "constants.threshold": _NUMBER,
 }
 _SECTIONS = ("model", "model.params", "disk", "constants")

@@ -120,24 +120,6 @@ def subspace_distance(a, b):
     return float(dist) if dist.ndim == 0 else dist
 
 
-def _acting_on(a, s):
-    """a as a float matrix, checked to act on the ambient space of s."""
-    a = np.asarray(a, float)
-    if a.shape[1] != s.ambient_dim:
-        raise DimensionMismatch("matrix does not act on the subspace's space")
-    return a
-
-
-def restricted_norm(a, s):
-    """Operator norm of a restricted to the subspace s (image in ambient norm)."""
-    return float(restricted_stretch(_acting_on(a, s), s.frame, "max"))
-
-
-def restricted_mininorm(a, s):
-    """Mininorm of a restricted to s: min stretch over unit vectors of s."""
-    return float(restricted_stretch(_acting_on(a, s), s.frame, "min"))
-
-
 def restricted_stretch(t, frames, which):
     """Batched largest ("max") or smallest ("min") singular value of t @ frames.
 
@@ -157,20 +139,6 @@ def restricted_log_volume(t, frames):
     img = t @ frames
     g = np.swapaxes(img, -2, -1) @ img
     return 0.5 * np.log(np.clip(np.linalg.det(g), 1e-300, None))
-
-
-def restricted_det(a, s):
-    """Unsigned volume expansion of a on the subspace s.
-
-    sqrt(det(M^T M)) with M = a @ frame; the product of the singular values
-    of the restriction.  Raises DegenerateImage when the image collapses.
-    """
-    m = _acting_on(a, s) @ s.frame
-    g = m.T @ m
-    val = float(np.sqrt(max(np.linalg.det(g), 0.0)))
-    if val < DET_FLOOR:
-        raise DegenerateImage(f"restricted volume {val:.3e} below floor")
-    return val
 
 
 def oblique_components(v, e, f):

@@ -115,27 +115,6 @@ def disk_measure(d):
                             chart=d.chart, total=1.0)
 
 
-def pushforward_average(sys, d, n):
-    """mu_n: atoms f^i(y_s) for 0 <= i < n, weights w_s/n, total exactly 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    w = d.cell_weights()
-    rows = orbit_coords(sys, d.points(), n - 1)
-    coords = rows.reshape(-1, rows.shape[-1])
-    weights = np.tile(w / n, n)
-    # the float total of the relabeled weights, declared exactly
-    total = math.fsum(weights.tolist())
-    return EmpiricalMeasure(coords=coords, weights=weights, chart=sys.chart,
-                            total=total)
-
-
-def pushforward_measure(sys, mu):
-    """f_* mu: the same weights on forward-mapped atoms."""
-    return EmpiricalMeasure(coords=sys.forward(mu.coords),
-                            weights=mu.weights.copy(), chart=mu.chart,
-                            total=mu.total)
-
-
 # orbit rows per kernel block: a block holds _BLOCK x samples x dim floats
 _BLOCK = 256
 
@@ -172,8 +151,9 @@ def pushforward_step_integrals(sys, d, n, tests):
 def pushforward_integrals(sys, d, n, tests):
     """Integrals of the tests against mu_n, streamed step by step.
 
-    Equivalent to pushforward_average(...).integrate(t) for every t, but
-    without materializing the n x samples atom array; usable at n = 10^5.
+    Equivalent to integrating t against the materialised atom measure
+    (tests/oracles.py `pushforward_average`) for every t, but without
+    building the n x samples atom array; usable at n = 10^5.
     Returns {test name: integral}.
     """
     steps = pushforward_step_integrals(sys, d, n, tests)
@@ -333,16 +313,6 @@ def hyperbolic_mass(sys, d, n, sigma, r1, lam=None, theta=None, n_start=1):
                                 densities=np.asarray(densities, float))
 
 
-def birkhoff(sys, x, obs, n):
-    """(1/n) sum of obs over the first n orbit points, exactly-rounded."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    coords = np.asarray(getattr(x, "coords", x), float)
-    rows = orbit_coords(sys, coords, n - 1)
-    vals = np.asarray(obs(rows), float)
-    return math.fsum(vals.tolist()) / n
-
-
 def _reference_integrals(mu_ref, tests):
     """The reference integral of every test, as a (len(tests),) array."""
     if isinstance(mu_ref, dict):
@@ -391,12 +361,3 @@ def physical_fraction(sys, region, mu_ref, tests, n, tol, samples,
                                    axis=0))
     return float(np.count_nonzero(np.concatenate(good)) / samples)
 
-
-def write_atoms(mu, path):
-    """Columnar text serialization: one row per atom, coords then weight."""
-    with open(path, "w") as fh:
-        cols = [f"x{j}" for j in range(mu.coords.shape[1])] + ["weight"]
-        fh.write(",".join(cols) + "\n")
-        for c, w in zip(mu.coords, mu.weights):
-            row = [f"{v:.17g}" for v in c] + [f"{w:.17g}"]
-            fh.write(",".join(row) + "\n")

@@ -141,11 +141,9 @@ def linear_torus_system(matrix, e_dirs, f_dirs, name="linear"):
     def f_fn(c):
         return np.broadcast_to(f_frame, c.shape[:-1] + f_frame.shape).copy()
 
-    sup_e = float(np.linalg.svd(a @ e_frame, compute_uv=False)[0])
     min_f = float(np.linalg.svd(a @ f_frame, compute_uv=False)[-1])
     consts = SystemConstants(
-        b=min_f, c0=abs(float(np.log(min_f))), sup_e=sup_e,
-        beta=1.0, xi=0.5,
+        c0=abs(float(np.log(min_f))), beta=1.0, xi=0.5,
         ground_truth={"matrix": a.tolist()})
     return MapSystem(
         name=name, chart=chart,
@@ -266,7 +264,7 @@ def _build_solenoid(c=0.25, d=0.5):
         coords = np.asarray(coords, float)
         return coords[..., 1] ** 2 + coords[..., 2] ** 2 <= 1.0 + 1e-9
 
-    consts = SystemConstants(sup_e=c, beta=0.5, xi=0.5,
+    consts = SystemConstants(beta=0.5, xi=0.5,
                              ground_truth={"c": c, "d": d,
                                            "log_e": float(np.log(c)),
                                            "base_factor": 2.0})

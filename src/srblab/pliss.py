@@ -59,6 +59,15 @@ def _prefix(values):
     return s
 
 
+def _record_times(u):
+    """Indices n >= 1 where u(n) <= min(u(0..n-1)): the weak running minima.
+
+    Both selections are this scan: a window ending at n clears its bound
+    iff u(n) is a new running extremum of the adjusted prefix sum.
+    """
+    return np.flatnonzero(u[1:] <= np.minimum.accumulate(u)[:-1]) + 1
+
+
 def pliss_times(b, params):
     """Indices n_i (1-based) whose every lookback window averages >= c2.
 
@@ -83,13 +92,7 @@ def pliss_times(b, params):
         raise HypothesisViolated(
             f"sum(b) = {total} below c1*N = {params.c1 * n_len}")
     t = _prefix(b) - params.c2 * np.arange(n_len + 1, dtype=np.longdouble)
-    out = []
-    running = t[0]
-    for n in range(1, n_len + 1):
-        if t[n] >= running:
-            out.append(n)
-        running = max(running, t[n])
-    return np.asarray(out, dtype=int)
+    return _record_times(-t)
 
 
 def hyperbolic_times(log_f_inv, sigma):
@@ -107,13 +110,7 @@ def hyperbolic_times(log_f_inv, sigma):
     # precision the caller's entries live in, accumulation in extended
     u = _prefix(a) - np.longdouble(np.log(sigma)) * np.arange(
         n_len + 1, dtype=np.longdouble)
-    times = []
-    running_min = u[0]
-    for n in range(1, n_len + 1):
-        if u[n] <= running_min:
-            times.append(n)
-        running_min = min(running_min, u[n])
-    times = np.asarray(times, dtype=int)
+    times = _record_times(u)
     return HyperbolicTimeReport(times=times, sigma=float(sigma),
                                 density=len(times) / n_len if n_len else 0.0)
 
@@ -147,20 +144,17 @@ def lambda_membership(log_f_inv, lam, n_start=1):
     The array is read 1-based; checks (1/n) sum_{j=1..n} log_f_inv[j]
     <= log(lam) for all n_start <= n <= N.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    a = np.asarray(log_f_inv, float)
-    n_len = len(a)
-    if not (1 <= n_start <= n_len):
-        raise ValueError(f"n_start = {n_start} outside 1..{n_len}")
-    s = _prefix(a)
-    ns = np.arange(n_start, n_len + 1, dtype=np.longdouble)
-    return bool(np.all(s[n_start:] <= np.longdouble(np.log(lam)) * ns))
+    return bool(lambda_membership_batch(
+        np.asarray(log_f_inv, float)[None], lam, n_start)[0])
 
 
 def lambda_membership_batch(log_f_inv_rows, lam, n_start=1):
-    """Vectorized lambda_membership over rows of a (N, horizon) array."""
+    """lambda_membership of every row of a (N, horizon) array."""
+    if lam <= 0:
+        raise ValueError("lam must be positive")
     a = np.asarray(log_f_inv_rows, dtype=np.longdouble)
+    if not (1 <= n_start <= a.shape[1]):
+        raise ValueError(f"n_start = {n_start} outside 1..{a.shape[1]}")
     s = np.cumsum(a, axis=1)
     ns = np.arange(1, a.shape[1] + 1, dtype=np.longdouble)
     ok = s <= np.longdouble(np.log(lam)) * ns

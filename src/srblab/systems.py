@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charts import Chart, Point, require_same_chart
-from .errors import (ChainInfeasible, DegenerateSplitting, NoConvergence,
-                     OrbitEscaped)
+from .errors import ChainInfeasible, OrbitEscaped
 from .linalg import Subspace, restricted_stretch
 
 _SEED_ANGLES = (0.7310987, 0.3891113, 0.9122891, 0.1930491)
@@ -173,17 +172,13 @@ class ConvergedSplitting(SplittingField):
 class SystemConstants:
     """Exactly-known or declared constants of a model.
 
-    b        : inf over the region of mininorm(Df|F); None when only measurable.
     c0       : sup |log ||(Df|F)^-1||| over the region; None when measurable.
-    sup_e    : sup ||Df|E||; None when measurable.
     beta     : declared Hoelder exponent of the F bundle.
     xi       : default curvature/Hoelder exponent used by constant chains.
     ground_truth : dict of named exact values with short derivations.
     """
 
-    b: float = None
     c0: float = None
-    sup_e: float = None
     beta: float = 0.5
     xi: float = 0.5
     ground_truth: dict = field(default_factory=dict)

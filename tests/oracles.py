@@ -1,9 +1,12 @@
 """Definitional brute-force checkers used as independent test oracles.
 
-Everything here evaluates window sums directly from the definitions, with no
-running-extremum shortcuts, so agreement with the package's O(N) algorithms
-is meaningful.  Costs are O(N^2) per sequence throughout.
+The window-sum checkers evaluate every window directly from the definitions,
+with no running-extremum shortcuts, so agreement with the package's O(N)
+algorithms is meaningful; they cost O(N^2) per sequence.  The "selection
+scans" section is the exception: loop references compared bit for bit.
 """
+import math
+
 import numpy as np
 
 
@@ -63,6 +66,57 @@ def membership_oracle(log_f_inv, lam, n_start):
     return bool(np.all(s[window] / ns[window] <= np.log(lam)))
 
 
+# ---- selection scans: the element-by-element running-extremum loops ----
+# The package now selects with one vectorised record scan; these keep the
+# loop form it replaced, with the same extended-precision prefix arithmetic,
+# so the two can be compared bit for bit.
+
+def _prefix_loop(values):
+    v = np.asarray(values, dtype=np.longdouble)
+    s = np.empty(len(v) + 1, dtype=np.longdouble)
+    s[0] = 0.0
+    np.cumsum(v, out=s[1:])
+    return s
+
+
+def pliss_times_loop(b, c2):
+    """1-based n where T(n) = S(n) - n c2 is a weak running maximum."""
+    b = np.asarray(b, float)
+    n_len = len(b)
+    t = _prefix_loop(b) - c2 * np.arange(n_len + 1, dtype=np.longdouble)
+    out = []
+    running = t[0]
+    for n in range(1, n_len + 1):
+        if t[n] >= running:
+            out.append(n)
+        running = max(running, t[n])
+    return np.asarray(out, dtype=int)
+
+
+def hyperbolic_times_loop(log_f_inv, sigma):
+    """1-based n where U(n) = S(n) - n log(sigma) is a weak running minimum."""
+    a = np.asarray(log_f_inv, float)
+    n_len = len(a)
+    u = _prefix_loop(a) - np.longdouble(np.log(sigma)) * np.arange(
+        n_len + 1, dtype=np.longdouble)
+    times = []
+    running_min = u[0]
+    for n in range(1, n_len + 1):
+        if u[n] <= running_min:
+            times.append(n)
+        running_min = min(running_min, u[n])
+    return np.asarray(times, dtype=int)
+
+
+def lambda_membership_single(log_f_inv, lam, n_start):
+    """Prefix averages of one row against log(lam), in extended precision."""
+    a = np.asarray(log_f_inv, float)
+    n_len = len(a)
+    s = _prefix_loop(a)
+    ns = np.arange(n_start, n_len + 1, dtype=np.longdouble)
+    return bool(np.all(s[n_start:] <= np.longdouble(np.log(lam)) * ns))
+
+
 def admissible_sequence(rng, c0, c1, n):
     """A random length-n sequence with entries <= c0 and mean >= c1.
 
@@ -89,16 +143,45 @@ def greedy_packing_oracle(dist, radius):
     return chosen
 
 
+def pushforward_average(sys, d, n):
+    """mu_n: atoms f^i(y_s) for 0 <= i < n, weights w_s/n, total exactly 1.
+
+    The materialised atom measure that the streamed orbit kernel
+    (measures.pushforward_step_integrals / pushforward_integrals) integrates
+    against without building it.
+    """
+    from srblab import measures
+    from srblab.systems import orbit_coords
+
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    w = d.cell_weights()
+    rows = orbit_coords(sys, d.points(), n - 1)
+    coords = rows.reshape(-1, rows.shape[-1])
+    weights = np.tile(w / n, n)
+    # the float total of the relabeled weights, declared exactly
+    total = math.fsum(weights.tolist())
+    return measures.EmpiricalMeasure(coords=coords, weights=weights,
+                                     chart=sys.chart, total=total)
+
+
+def pushforward_measure(sys, mu):
+    """f_* mu: the same weights on forward-mapped atoms."""
+    from srblab import measures
+
+    return measures.EmpiricalMeasure(coords=sys.forward(mu.coords),
+                                     weights=mu.weights.copy(),
+                                     chart=mu.chart, total=mu.total)
+
+
 def invariance_defect_oracle(sys, d, n, tests):
     """|int t d(f_* mu_n) - int t d(mu_n)| per test, from materialised atoms.
 
     Builds the n x samples atoms of mu_n and their forward images and
     integrates each test over both, straight from the definition.
     """
-    from srblab import measures
-
-    mu = measures.pushforward_average(sys, d, n)
-    fmu = measures.pushforward_measure(sys, mu)
+    mu = pushforward_average(sys, d, n)
+    fmu = pushforward_measure(sys, mu)
     return {t.name: abs(fmu.integrate(t) / fmu.total
                         - mu.integrate(t) / mu.total) for t in tests}
 

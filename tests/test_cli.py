@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+import srblab
+
 CLI = [sys.executable, "-m", "srblab.cli"]
 
 
@@ -77,6 +79,7 @@ class TestRun:
         ({"disk": {"radius": "big"}}, "disk.radius"),
         ({"model": {"name": "perturbed_cat", "params": {"eps": "a"}}},
          "model.params.eps"),
+        ({"constants": {"depth": 3}}, "constants.depth"),
     ])
     def test_malformed_field_exits_two_with_path(self, tmp_path, patch, path):
         cfg = write_config(tmp_path, "bad.json", {**GOOD, **patch})
@@ -150,7 +153,47 @@ class TestIntrospection:
         assert "error" in r.stderr
 
 
+PUBLIC = [
+    "CarvingFailed", "ChainInfeasible", "Chart", "ChartOverflow",
+    "CocycleLog", "ConeSpec", "Config", "ConfigInvalid", "ConstantsH",
+    "ConstantsInvalid", "ConstructionFailed", "ContractionReport",
+    "ConvergedSplitting", "CurvatureConstants", "CurvatureReport",
+    "DefectReport", "DegenerateImage", "DegenerateSplitting",
+    "DegenerateTangent", "DimensionMismatch", "DiskTrace",
+    "DistortionConstants", "DistortionReport", "DominationCertificate",
+    "EmbeddedDisk", "EmpiricalMeasure", "EmptyRadius", "ExactSplitting",
+    "GridSpec", "HyperbolicMassReport", "HyperbolicTimeReport",
+    "HypothesisViolated", "MapSystem", "ModelSpec", "NoConvergence",
+    "Observable", "OrbitEscaped", "PlissParams", "Point",
+    "ResolutionExhausted", "SingularMap", "SplittingField", "SrbLabError",
+    "Subspace", "SystemConstants", "TangencyReport", "ZeroMass",
+    "backward_contraction_check", "build", "charts", "check_avg_domination",
+    "cocycle_logs", "cocycle_logs_batch", "cone_from_system",
+    "cone_width_bound", "cone_width_of", "cones", "converge_splitting",
+    "curvature_constants", "curvature_recursion", "default_observables",
+    "density_theta", "describe", "disk_measure", "disks", "distortion",
+    "distortion_profile", "domination_robustness_radius", "errors",
+    "experiments", "first_nonneg_shift", "graph_norm", "holder_curvature",
+    "hyperbolic_component", "hyperbolic_mass", "hyperbolic_times", "in_cone",
+    "invariance_defect", "iterate_disk", "lambda_fraction",
+    "lambda_membership", "lambda_membership_batch", "linalg",
+    "linear_torus_system", "list_models", "make_disk", "make_graph_disk",
+    "measure_constants_h", "measure_distortion_constants", "measure_l1",
+    "measures", "mininorm", "models", "oblique_components", "orbit_coords",
+    "packing_check", "parse_config", "physical_fraction", "pliss",
+    "pliss_times", "pushforward_integrals", "pushforward_step_integrals",
+    "quasi_uniform", "region_sample", "run_experiment",
+    "select_disjoint_balls", "span", "splitting_frames_along_orbit",
+    "subspace_distance", "systems", "tangency_report", "torus_chart",
+    "verify_cone_contraction", "weak_star_distance",
+]
+
+
 class TestImport:
+    def test_public_surface_is_pinned(self):
+        # a name added to or dropped from the package root shows up here
+        assert sorted(srblab.__all__) == PUBLIC
+
     def test_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats alone costs about a second on every import and CLI run
         r = subprocess.run(

@@ -1,0 +1,111 @@
+"""Generated configs: valid ones parse, malformed ones exit 2 with the path.
+
+Configs are built from the field table `experiments._FIELDS`, so a field
+added there is fuzzed without touching this file.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from srblab import cli
+from srblab.experiments import _FIELDS, EXPERIMENTS, parse_config
+
+# leaf values tried against every _FIELDS entry; each field's check splits
+# them into the values it accepts and the values it rejects
+POOL = [None, True, False, -1, 0, 1, 2, 3, 5, 64, 99, 100, 101, 250,
+        -0.5, 0.0, 1e-3, 0.5, 0.99, 1.0, 1.5, 1e6, "", "E", "F", "G",
+        "cat", "out", [0.1, 0.2], {"k": 1}]
+SPLIT = {path: ([v for v in POOL if accepts(v)],
+                [v for v in POOL if not accepts(v)])
+         for path, (accepts, _what) in _FIELDS.items()}
+LEAVES = st.one_of(st.sampled_from(POOL), st.integers(-10, 1000),
+                   st.floats(-3.0, 3.0, allow_nan=False),
+                   st.text(max_size=4))
+FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
+                database=None)
+
+
+def nest(leaves):
+    """The config mapping whose dotted leaf paths are the given keys."""
+    cfg = {}
+    for path, value in leaves.items():
+        *head, last = path.split(".")
+        node = cfg
+        for key in head:
+            node = node.setdefault(key, {})
+        node[last] = value
+    return cfg
+
+
+@st.composite
+def valid_leaves(draw):
+    """Dotted path -> value for model, experiment and a few _FIELDS entries."""
+    leaves = {"experiment": draw(st.sampled_from(sorted(EXPERIMENTS)))}
+    for path in draw(st.lists(st.sampled_from(sorted(_FIELDS)), unique=True,
+                              max_size=8)):
+        value = draw(LEAVES)
+        if not _FIELDS[path][0](value):
+            value = draw(st.sampled_from(SPLIT[path][0]))
+        leaves[path] = value
+    if "model.name" not in leaves:
+        leaves["model.name"] = draw(st.sampled_from(SPLIT["model.name"][0]))
+    return leaves
+
+
+class TestConfigFuzz:
+    def test_pool_covers_both_sides_of_every_field(self):
+        assert all(ok and bad for ok, bad in SPLIT.values())
+
+    @FUZZ
+    @given(valid_leaves())
+    def test_valid_configs_parse(self, leaves):
+        cfg = parse_config(nest(leaves))
+        assert cfg.model_name == leaves["model.name"]
+        assert cfg.experiment == leaves["experiment"]
+        for path, value in leaves.items():
+            section, _, key = path.partition(".")
+            if section in ("disk", "constants"):
+                assert getattr(cfg, section)[key] == value
+            elif not key and path != "experiment":
+                assert getattr(cfg, path) == value
+
+    @FUZZ
+    @given(valid_leaves(), st.data())
+    def test_malformed_configs_exit_two(self, leaves, data):
+        kind = data.draw(st.sampled_from(["value", "unknown", "section"]))
+        if kind == "value":
+            path = data.draw(st.sampled_from(sorted(_FIELDS)))
+            value = data.draw(LEAVES)
+            if _FIELDS[path][0](value):
+                value = data.draw(st.sampled_from(SPLIT[path][1]))
+            leaves[path] = value
+            raw = nest(leaves)
+        elif kind == "unknown":
+            prefix = data.draw(st.sampled_from(["", "model.", "disk.",
+                                                "constants."]))
+            path = prefix + "zz" + data.draw(st.text("abc_", max_size=4))
+            leaves[path] = data.draw(LEAVES)
+            raw = nest(leaves)
+        else:
+            path = data.draw(st.sampled_from(["disk", "constants"]))
+            raw = nest({k: v for k, v in leaves.items()
+                        if not k.startswith(path + ".")})
+            raw[path] = data.draw(LEAVES)
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "fuzz.json")
+            with open(cfg, "w") as fh:
+                json.dump(raw, fh)
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["run", cfg, "--output-dir",
+                                 os.path.join(tmp, "out")])
+            assert not os.path.exists(os.path.join(tmp, "out"))
+        assert code == 2
+        assert err.getvalue().startswith("error: ConfigInvalid: ")
+        assert path in err.getvalue()

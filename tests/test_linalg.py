@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from srblab import (DegenerateSplitting, DimensionMismatch, Subspace,
-                    graph_norm, mininorm, oblique_components,
-                    restricted_det, restricted_mininorm, restricted_norm,
-                    span, subspace_distance, torus_chart)
+                    graph_norm, mininorm, oblique_components, span,
+                    subspace_distance, torus_chart)
 
 from srblab.charts import Chart
+from srblab.linalg import restricted_log_volume, restricted_stretch
 
 from .conftest import LAM_S, LAM_U, V_S, V_U
 from .oracles import displacement_oracle, wrap_oracle
@@ -54,11 +54,11 @@ class TestSubspace:
 
 class TestRestrictedQuantities:
     def test_cat_eigendirections(self):
-        assert restricted_norm(CAT, Subspace(V_U[:, None])) == \
+        assert restricted_stretch(CAT, V_U[:, None], "max") == \
             pytest.approx(LAM_U, rel=1e-14)
-        assert restricted_mininorm(CAT, Subspace(V_U[:, None])) == \
+        assert restricted_stretch(CAT, V_U[:, None], "min") == \
             pytest.approx(LAM_U, rel=1e-14)
-        assert restricted_norm(CAT, Subspace(V_S[:, None])) == \
+        assert restricted_stretch(CAT, V_S[:, None], "max") == \
             pytest.approx(LAM_S, rel=1e-13)
 
     def test_restricted_norms_vs_direct_svd(self):
@@ -67,16 +67,19 @@ class TestRestrictedQuantities:
             a = rng.normal(size=(5, 5))
             q = span(rng.normal(size=(5, 2)))
             sv = np.linalg.svd(a @ q.frame, compute_uv=False)
-            assert restricted_norm(a, q) == pytest.approx(sv[0], rel=1e-12)
-            assert restricted_mininorm(a, q) == pytest.approx(sv[-1], rel=1e-12)
-            assert restricted_det(a, q) == pytest.approx(np.prod(sv), rel=1e-10)
+            assert restricted_stretch(a, q.frame, "max") == \
+                pytest.approx(sv[0], rel=1e-12)
+            assert restricted_stretch(a, q.frame, "min") == \
+                pytest.approx(sv[-1], rel=1e-12)
+            assert np.exp(restricted_log_volume(a, q.frame)) == \
+                pytest.approx(np.prod(sv), rel=1e-10)
 
     def test_restricted_det_is_volume_ratio(self):
         # unit square spanned by the frame maps to a parallelogram whose
-        # area is the restricted determinant
+        # area is the restricted volume expansion
         a = np.diag([3.0, 0.5])
-        q = Subspace(np.eye(2))
-        assert restricted_det(a, q) == pytest.approx(1.5, rel=1e-14)
+        assert np.exp(restricted_log_volume(a, np.eye(2))) == \
+            pytest.approx(1.5, rel=1e-14)
 
 
 class TestSubspaceDistance:

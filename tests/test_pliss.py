@@ -7,7 +7,9 @@ from srblab import (HypothesisViolated, PlissParams, density_theta,
 
 from .conftest import LOG_LAM_U
 from .oracles import (admissible_sequence, hyperbolic_oracle,
-                      membership_oracle, pliss_oracle, shift_oracle)
+                      hyperbolic_times_loop, lambda_membership_single,
+                      membership_oracle, pliss_oracle, pliss_times_loop,
+                      shift_oracle)
 
 
 class TestPlissTimes:
@@ -169,7 +171,7 @@ class TestLambdaMembership:
         rng = np.random.default_rng(37)
         rows = rng.uniform(-1.5, 0.2, (64, 20))
         got = lambda_membership_batch(rows, 0.6, 2)
-        want = np.array([lambda_membership(r, 0.6, 2) for r in rows])
+        want = np.array([lambda_membership_single(r, 0.6, 2) for r in rows])
         assert np.array_equal(got, want)
 
     def test_anti_monotone_in_horizon(self):
@@ -179,6 +181,90 @@ class TestLambdaMembership:
             v = rng.uniform(-1.2, 0.4, 24)
             if lambda_membership(v, 0.7, 3):
                 assert lambda_membership(v[:12], 0.7, 3)
+
+
+def tie_heavy(rng, n, step, p=(1 / 3, 1 / 3, 1 / 3)):
+    """Entries from {0, step, 2 step}: short longdouble partial sums are exact,
+    so adjusted prefix sums tie their running extremum often."""
+    return rng.choice([0.0, step, 2.0 * step], size=n, p=p)
+
+
+class TestRecordScan:
+    """The record scan against the running-extremum loops it replaced."""
+
+    def test_hyperbolic_times_random(self):
+        rng = np.random.default_rng(101)
+        for _ in range(500):
+            v = rng.uniform(-1.0, 0.5, int(rng.integers(0, 80)))
+            sigma = float(rng.uniform(0.3, 0.95))
+            assert np.array_equal(hyperbolic_times(v, sigma).times,
+                                  hyperbolic_times_loop(v, sigma))
+
+    def test_hyperbolic_times_ties(self):
+        rng = np.random.default_rng(103)
+        for _ in range(500):
+            sigma = float(rng.uniform(0.3, 0.95))
+            v = tie_heavy(rng, int(rng.integers(1, 80)), np.log(sigma))
+            got = hyperbolic_times(v, sigma).times
+            assert got.dtype == hyperbolic_times_loop(v, sigma).dtype
+            assert np.array_equal(got, hyperbolic_times_loop(v, sigma))
+
+    def test_pliss_times_random(self):
+        rng = np.random.default_rng(107)
+        for _ in range(500):
+            n = int(rng.integers(1, 80))
+            c0 = float(rng.uniform(0.5, 2.0))
+            c2 = float(rng.uniform(0.0, 0.4)) * c0
+            c1 = float(rng.uniform(c2 + 0.1 * c0, 0.8 * c0))
+            b = admissible_sequence(rng, c0, c1, n)
+            assert np.array_equal(pliss_times(b, PlissParams(c0, c1, c2)),
+                                  pliss_times_loop(b, c2))
+
+    def test_pliss_times_ties(self):
+        rng = np.random.default_rng(109)
+        done = 0
+        while done < 500:
+            c2 = -np.log(float(rng.uniform(0.3, 0.95)))
+            b = tie_heavy(rng, int(rng.integers(1, 80)), c2, p=(0.2, 0.2, 0.6))
+            p = PlissParams(2.0 * c2, 1.05 * c2, c2)
+            if np.sum(b) < p.c1 * len(b):
+                continue
+            assert np.array_equal(pliss_times(b, p), pliss_times_loop(b, c2))
+            done += 1
+
+    def test_membership_random_and_ties(self):
+        rng = np.random.default_rng(113)
+        for k in range(1000):
+            n = int(rng.integers(1, 60))
+            lam = float(rng.uniform(0.3, 0.9))
+            v = (tie_heavy(rng, n, np.log(lam)) if k % 2
+                 else rng.uniform(-1.5, 0.5, n))
+            ns = int(rng.integers(1, n + 1))
+            assert lambda_membership(v, lam, ns) is \
+                lambda_membership_single(v, lam, ns)
+
+    def test_long_sequences(self):
+        rng = np.random.default_rng(127)
+        n, sigma = 20000, 0.6
+        for v in (rng.uniform(-1.0, 0.4, n), tie_heavy(rng, n, np.log(sigma))):
+            assert np.array_equal(hyperbolic_times(v, sigma).times,
+                                  hyperbolic_times_loop(v, sigma))
+            for ns in (1, n // 2, n):
+                assert lambda_membership(v, sigma, ns) is \
+                    lambda_membership_single(v, sigma, ns)
+        c2 = -np.log(sigma)
+        b = tie_heavy(rng, n, c2, p=(0.2, 0.2, 0.6))
+        got = pliss_times(b, PlissParams(2.0 * c2, 1.05 * c2, c2))
+        assert len(got) > 0
+        assert np.array_equal(got, pliss_times_loop(b, c2))
+
+    def test_batch_checks_its_arguments(self):
+        rows = np.zeros((3, 5))
+        with pytest.raises(ValueError, match="positive"):
+            lambda_membership_batch(rows, 0.0)
+        for ns in (0, 6):
+            with pytest.raises(ValueError, match="outside 1..5"):
+                lambda_membership_batch(rows, 0.5, ns)
 
 
 class TestDensityTheta:
