@@ -1,14 +1,14 @@
 """Finite-horizon hyperbolicity diagnostics and empirical SRB-style measures
 for invertible model maps with dominated splittings."""
 
-from .charts import Chart, Point, torus_chart
+from .charts import Chart, torus_chart
 from .cones import (ConeSpec, DominationCertificate, check_avg_domination,
                     cone_from_system, cone_width_bound, cone_width_of,
                     domination_robustness_radius, in_cone,
                     verify_cone_contraction)
 from .disks import (ContractionReport, CurvatureConstants, CurvatureReport,
-                    DiskTrace, DistortionConstants, DistortionReport,
-                    EmbeddedDisk, TangencyReport, backward_contraction_check,
+                    DistortionConstants, DistortionReport, EmbeddedDisk,
+                    TangencyReport, backward_contraction_check,
                     curvature_constants, curvature_recursion, distortion,
                     distortion_profile, holder_curvature,
                     hyperbolic_component, iterate_disk, make_disk,
@@ -30,7 +30,7 @@ from .measures import (DefectReport, EmpiricalMeasure, HyperbolicMassReport,
                        physical_fraction, pushforward_integrals,
                        pushforward_step_integrals, select_disjoint_balls,
                        weak_star_distance)
-from .models import (GridSpec, ModelSpec, build, converge_splitting,
+from .models import (ModelSpec, build, converge_splitting,
                      lambda_fraction, linear_torus_system,
                      measure_constants_h, quasi_uniform, region_sample)
 from .pliss import (HyperbolicTimeReport, PlissParams, density_theta,

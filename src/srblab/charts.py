@@ -9,7 +9,7 @@ periodic axes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ class Chart:
     Parameters
     ----------
     chart_id : str
-        Name used to tag points and check that operands agree.
+        Name of the chart.
     lower, upper : tuple of float
         Per-axis bounds.  For a periodic axis the period is upper - lower.
     periodic : tuple of bool
@@ -77,35 +77,17 @@ class Chart:
         """Chart-metric distance; broadcasts over leading axes."""
         return np.linalg.norm(self.displacement(a, b), axis=-1)
 
-    def contains(self, coords, tol=1e-9):
-        """True where box axes respect their bounds (periodic axes always do)."""
+    def contains(self, coords):
+        """True where box axes respect their bounds to within 1e-9 (periodic
+        axes always do)."""
         box = ~np.asarray(self.periodic, bool)
         c = np.asarray(coords, float)[..., box]
-        return np.all((c >= np.asarray(self.lower, float)[box] - tol)
-                      & (c <= np.asarray(self.upper, float)[box] + tol), axis=-1)
+        return np.all((c >= np.asarray(self.lower, float)[box] - 1e-9)
+                      & (c <= np.asarray(self.upper, float)[box] + 1e-9),
+                      axis=-1)
 
 
-@dataclass(frozen=True)
-class Point:
-    """A point tagged with the chart it lives on."""
-
-    chart_id: str
-    coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords",
-                           np.array(self.coords, dtype=float, copy=True))
-        if self.coords.ndim != 1:
-            raise ValueError("Point coords must be a 1-D array")
-
-
-def torus_chart(dim, chart_id=None):
+def torus_chart(dim):
     """The flat dim-torus with unit periods, coordinates in [0, 1)."""
-    cid = chart_id or f"torus{dim}"
-    return Chart(cid, (0.0,) * dim, (1.0,) * dim, (True,) * dim)
+    return Chart(f"torus{dim}", (0.0,) * dim, (1.0,) * dim, (True,) * dim)
 
-
-def require_same_chart(chart, point):
-    if point.chart_id != chart.chart_id:
-        raise ValueError(
-            f"point lives on chart {point.chart_id!r}, expected {chart.chart_id!r}")

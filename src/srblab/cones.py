@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import Point
 from .errors import EmptyRadius, HypothesisViolated
 from .linalg import dot_norms, oblique_components, restricted_stretch
 from .systems import CocycleLog, orbit_coords, splitting_frames_along_orbit
@@ -37,7 +36,6 @@ class DominationCertificate:
     gamma: float
     n: int
     ratios: np.ndarray          # cumulative products, i = 1..n
-    base: Point
 
 
 def cone_from_system(sys, width):
@@ -50,8 +48,7 @@ def in_cone(v, x, cone):
     Decomposes v = v_E + v_F along the splitting at x and checks
     ||v_E|| <= a ||v_F||.  Vectors with v_F = 0 (and v != 0) are outside.
     """
-    coords = np.asarray(getattr(x, "coords", x), float)
-    e, f = cone.splitting.at(coords)
+    e, f = cone.splitting.at(np.asarray(x, float))
     ve, vf = oblique_components(np.asarray(v, float), e, f)
     ne, nf = np.linalg.norm(ve), np.linalg.norm(vf)
     if nf == 0.0:
@@ -102,8 +99,7 @@ def check_avg_domination(cocycle, gamma, n=None):
             f"domination fails at i = {i}: log-product {float(cum[i - 1]):.6f} "
             f"> i*log(gamma) = {float(bound[i - 1]):.6f}")
     return DominationCertificate(gamma=float(gamma), n=n,
-                                 ratios=np.exp(cum).astype(float),
-                                 base=cocycle.base)
+                                 ratios=np.exp(cum).astype(float))
 
 
 def cone_width_bound(a, gamma, i):
@@ -115,23 +111,23 @@ def cone_width_bound(a, gamma, i):
     return float(gamma ** i * a)
 
 
-def verify_cone_contraction(sys, x, a, gamma, n, samples=16, seed=5):
+def verify_cone_contraction(sys, x, a, gamma, n, seed=5):
     """Push cone-boundary vectors through Df^i and compare widths to gamma^i a.
 
-    Samples unit vectors on the width-a boundary at x (||v_E|| = a ||v_F||),
-    transports them along the orbit, and measures the width of each image in
-    the splitting at f^i(x).  Returns the (n,) array of worst ratios
-    width_i / (gamma^i * a); a certificate-consistent run stays <= 1 + tol.
+    Samples 16 unit vectors on the width-a boundary at x
+    (||v_E|| = a ||v_F||), transports them along the orbit, and measures the
+    width of each image in the splitting at f^i(x).  Returns the (n,) array
+    of worst ratios width_i / (gamma^i * a); a certificate-consistent run
+    stays <= 1 + tol.
     """
-    coords = np.asarray(getattr(x, "coords", x), float)
-    rows = orbit_coords(sys, coords[None, :], n)
+    rows = orbit_coords(sys, np.asarray(x, float)[None, :], n)
     e_fr, f_fr = splitting_frames_along_orbit(sys, rows)
     e0, f0 = e_fr[0, 0], f_fr[0, 0]
     rng = np.random.default_rng(seed)
-    # one draw of (samples, dim E + dim F) normals is the stream of per-sample
+    # one draw of (16, dim E + dim F) normals is the stream of per-sample
     # (E, F) coefficient pairs; stacked matrix-vector products and dot_norms
     # round like the one-vector forms, so the widths do not depend on batching
-    ce, cf = np.split(rng.standard_normal((samples, e0.shape[1] + f0.shape[1])),
+    ce, cf = np.split(rng.standard_normal((16, e0.shape[1] + f0.shape[1])),
                       [e0.shape[1]], axis=1)
     ve = e0 @ (ce / dot_norms(ce)[:, None])[:, :, None]
     vf = f0 @ (cf / dot_norms(cf)[:, None])[:, :, None]
@@ -144,17 +140,16 @@ def verify_cone_contraction(sys, x, a, gamma, n, samples=16, seed=5):
     return worst
 
 
-def domination_robustness_radius(sys, gamma1, gamma2, grid_per_axis=24,
-                                 safety=2.0):
+def domination_robustness_radius(sys, gamma1, gamma2):
     """Largest certified radius r keeping perturbed ratios inside
     [sqrt(gamma1/gamma2), sqrt(gamma2/gamma1)].
 
     pre: gamma1 < gamma2 (the slack pays for the perturbation).
-    Scans a grid for the per-step quantities log||Df|E|| and
-    log mininorm(Df|F), measures their modulus of continuity via adjacent
-    grid differences, and returns bound / (safety * worst_slope), capped at
-    the chart diameter.  Raises EmptyRadius when even one grid step already
-    moves some quantity past the bound.
+    Scans a grid of 24 points per axis for the per-step quantities
+    log||Df|E|| and log mininorm(Df|F), measures their modulus of continuity
+    via adjacent grid differences, and returns bound / (2 * worst_slope),
+    capped at the chart diameter.  Raises EmptyRadius when even one grid
+    step already moves some quantity past the bound.
     """
     if not (0.0 < gamma1 < gamma2):
         raise ValueError("need 0 < gamma1 < gamma2")
@@ -163,9 +158,9 @@ def domination_robustness_radius(sys, gamma1, gamma2, grid_per_axis=24,
     chart = sys.chart
     lo = np.asarray(chart.lower, float)
     hi = np.asarray(chart.upper, float)
-    axes = [np.linspace(lo[j], hi[j], grid_per_axis, endpoint=False)
+    axes = [np.linspace(lo[j], hi[j], 24, endpoint=False)
             if chart.periodic[j] else
-            np.linspace(lo[j], hi[j], grid_per_axis)
+            np.linspace(lo[j], hi[j], 24)
             for j in range(chart.dim)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     pts = mesh.reshape(-1, chart.dim)
@@ -182,8 +177,7 @@ def domination_robustness_radius(sys, gamma1, gamma2, grid_per_axis=24,
     for vals in (log_e.reshape(shape), log_f.reshape(shape)):
         mask = keep.reshape(shape)
         for j in range(chart.dim):
-            step = (hi[j] - lo[j]) / (grid_per_axis if chart.periodic[j]
-                                      else grid_per_axis - 1)
+            step = (hi[j] - lo[j]) / (24 if chart.periodic[j] else 23)
             if chart.periodic[j]:
                 nxt = np.roll(vals, -1, axis=j)
                 ok = mask & np.roll(mask, -1, axis=j)
@@ -207,4 +201,4 @@ def domination_robustness_radius(sys, gamma1, gamma2, grid_per_axis=24,
             f"> bound {bound:.4g}; no positive radius certifiable at this grid")
     if worst_slope == 0.0:
         return chart.diameter
-    return float(min(bound / (safety * worst_slope), chart.diameter))
+    return float(min(bound / (2.0 * worst_slope), chart.diameter))

@@ -16,7 +16,7 @@ center orbit: the ladder t = 2^-k brackets it, k-section rounds refine it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,6 +42,8 @@ class EmbeddedDisk:
                 universal cover (periodic axes unwrapped along the mesh).
     tangents  : (S, d, dim) orthonormal tangent frames.
     grid_shape: (R,) for curves, (R, R) for 2-D disks (nodes in the ball).
+    node_ij   : (S, 2) grid indices of the samples of a 2-D disk; None for
+                curves, whose samples are the grid in order.
     """
 
     chart: object
@@ -53,6 +55,7 @@ class EmbeddedDisk:
     center_index: int
     radius: float
     grid_shape: tuple
+    node_ij: np.ndarray = None
 
     @property
     def n_samples(self):
@@ -73,7 +76,7 @@ class EmbeddedDisk:
             return np.stack([i, i + 1], axis=1)
         r = self.grid_shape[0]
         idx = -np.ones(self.grid_shape, dtype=int)
-        idx[tuple(self._node_ij.T)] = np.arange(self.n_samples)
+        idx[tuple(self.node_ij.T)] = np.arange(self.n_samples)
         pairs = []
         for di, dj in ((0, 1), (1, 0)):
             a = idx[: r - di, : r - dj]
@@ -101,15 +104,12 @@ class EmbeddedDisk:
             return np.abs(s - s[self.center_index])
         return self._mesh_paths(self.center_index)
 
-    def pairwise_intrinsic(self, indices=None):
-        """Intrinsic distance matrix between the given samples (all by default)."""
+    def pairwise_intrinsic(self):
+        """Intrinsic distance matrix between all samples."""
         if self.dim == 1:
             s = self.arclengths()
-            if indices is not None:
-                s = s[indices]
             return np.abs(s[:, None] - s[None, :])
-        idx = np.arange(self.n_samples) if indices is None else np.asarray(indices)
-        return self._mesh_paths(idx)[:, idx]
+        return self._mesh_paths(np.arange(self.n_samples))
 
     def _mesh_paths(self, indices):
         """2-D: shortest mesh-path lengths from the given samples (Dijkstra)."""
@@ -133,7 +133,7 @@ class EmbeddedDisk:
     def _boundary_nodes(self):
         """Nodes with a grid neighbour outside the grid or outside the disk."""
         node = np.zeros(tuple(s + 2 for s in self.grid_shape), bool)
-        i, j = self._node_ij.T + 1
+        i, j = self.node_ij.T + 1
         node[i, j] = True
         inner = node[i - 1, j] & node[i + 1, j] & node[i, j - 1] & node[i, j + 1]
         return np.flatnonzero(~inner)
@@ -189,7 +189,7 @@ def make_disk(sys, x, direction, radius, resolution=101):
     dim = direction.dim
     if dim not in (1, 2):
         raise DimensionMismatch(f"disk dimension must be 1 or 2, got {dim}")
-    coords = np.asarray(getattr(x, "coords", x), float)
+    coords = np.asarray(x, float)
     chart = sys.chart
 
     widths = chart.widths
@@ -205,51 +205,40 @@ def make_disk(sys, x, direction, radius, resolution=101):
         raise ChartOverflow("disk leaves the chart's box bounds")
     tangents = np.broadcast_to(direction.frame,
                                (params.shape[0],) + direction.frame.shape).copy()
-    d = EmbeddedDisk(chart=chart, dim=dim, params=params,
-                     center=chart.wrap(coords), disp=disp, tangents=tangents,
-                     center_index=center_index, radius=float(radius),
-                     grid_shape=grid_shape)
-    if node_ij is not None:
-        d._node_ij = node_ij
-    return d
-
-
-def _copy_disk(d, center, disp, tangents):
-    out = EmbeddedDisk(chart=d.chart, dim=d.dim, params=d.params.copy(),
-                       center=center, disp=disp, tangents=tangents,
-                       center_index=d.center_index, radius=d.radius,
-                       grid_shape=d.grid_shape)
-    for attr in ("_node_ij", "_tree"):
-        if hasattr(d, attr):
-            setattr(out, attr, getattr(d, attr))
-    return out
+    return EmbeddedDisk(chart=chart, dim=dim, params=params,
+                        center=chart.wrap(coords), disp=disp,
+                        tangents=tangents, center_index=center_index,
+                        radius=float(radius), grid_shape=grid_shape,
+                        node_ij=node_ij)
 
 
 def _dfs_tree(d):
-    """Parents and depth levels 1, 2, ... of the center-rooted DFS tree along
-    which _advance sums wrapped jumps; built once per mesh (see _copy_disk)."""
-    if not hasattr(d, "_tree"):
-        adj = [[] for _ in range(d.n_samples)]
-        for i, j in d._edges().tolist():
-            adj[i].append(j)
-            adj[j].append(i)
-        parent = np.full(d.n_samples, -1)
-        depth = np.full(d.n_samples, -1)
-        depth[d.center_index] = 0
-        stack = [d.center_index]
-        while stack:
-            i = stack.pop()
-            for j in adj[i]:
-                if depth[j] < 0:
-                    parent[j], depth[j] = i, depth[i] + 1
-                    stack.append(j)
-        d._tree = parent, [np.flatnonzero(depth == k)
-                           for k in range(1, depth.max() + 1)]
-    return d._tree
+    """Parents and depth levels 1, 2, ... of the center-rooted DFS tree of a
+    2-D disk's mesh, along which _advance sums wrapped jumps."""
+    adj = [[] for _ in range(d.n_samples)]
+    for i, j in d._edges().tolist():
+        adj[i].append(j)
+        adj[j].append(i)
+    parent = np.full(d.n_samples, -1)
+    depth = np.full(d.n_samples, -1)
+    depth[d.center_index] = 0
+    stack = [d.center_index]
+    while stack:
+        i = stack.pop()
+        for j in adj[i]:
+            if depth[j] < 0:
+                parent[j], depth[j] = i, depth[i] + 1
+                stack.append(j)
+    return parent, [np.flatnonzero(depth == k)
+                    for k in range(1, depth.max() + 1)]
 
 
-def _advance(sys, d):
-    """One forward step of an anchored disk; returns a new disk."""
+def _advance(sys, d, tree):
+    """One forward step of an anchored disk; returns a new disk.
+
+    tree: _dfs_tree(d) for a 2-D disk (it depends on the mesh only, so one
+    tree serves every step of an iteration), None for a curve.
+    """
     scale = float(np.max(np.linalg.norm(d.disp, axis=1))) if d.n_samples else 0.0
     new_center = sys.forward(d.center)
     if scale < MICRO_SWITCH:
@@ -272,51 +261,35 @@ def _advance(sys, d):
             new_disp[ctr::-1] = np.cumsum(
                 np.concatenate([new_disp[ctr:ctr + 1], back]), axis=0)
         else:
-            parent, levels = _dfs_tree(d)
+            parent, levels = tree
             # the root's entry (parent -1) is never read
             jump = d.chart.displacement(imgs[parent], imgs)
             for nodes in levels:
                 new_disp[nodes] = new_disp[parent[nodes]] + jump[nodes]
         t = sys.tangent(pts)
         new_tangents = _batch_qr(t @ d.tangents)
-    return _copy_disk(d, d.chart.wrap(new_center), new_disp, new_tangents)
+    return replace(d, center=d.chart.wrap(new_center), disp=new_disp,
+                   tangents=new_tangents)
 
 
-@dataclass
-class DiskTrace:
-    """Disks at every step of an iteration, step 0 = the input disk."""
+def iterate_disk(sys, d, steps):
+    """The list [d, f(d), ..., f^steps(d)] of a disk's forward images.
 
-    disks: list
-
-    def __getitem__(self, k):
-        return self.disks[k]
-
-    def __len__(self):
-        return len(self.disks)
-
-
-def iterate_disk(sys, d, steps, max_gap=None, keep_trace=False):
-    """Push a disk forward `steps` times.
-
-    Raises ResolutionExhausted as soon as an edge exceeds the trust ceiling
-    (default: a tenth of the chart diameter); the harness owns any
-    refine-and-retry loop.
+    Raises ResolutionExhausted as soon as an edge exceeds the trust ceiling,
+    a tenth of the chart diameter; the harness owns any refine-and-retry
+    loop.  The input disk is left as it is.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    ceiling = max_gap if max_gap is not None else 0.1 * sys.chart.diameter
-    cur = d
+    ceiling = 0.1 * sys.chart.diameter
+    tree = _dfs_tree(d) if d.dim == 2 else None
     trace = [d]
     for k in range(1, steps + 1):
-        cur = _advance(sys, cur)
-        gap = float(np.max(cur.edge_lengths()))
+        trace.append(_advance(sys, trace[-1], tree))
+        gap = float(np.max(trace[-1].edge_lengths()))
         if gap > ceiling:
             raise ResolutionExhausted(k, gap, ceiling)
-        if keep_trace:
-            trace.append(cur)
-    if keep_trace:
-        return cur, DiskTrace(trace)
-    return cur
+    return trace
 
 
 @dataclass(frozen=True)
@@ -452,7 +425,7 @@ def _resample_interval(d, t_minus, t_plus, resolution):
     return out
 
 
-def hyperbolic_component(sys, d, n, r, sigma=None, verify_tol=0.05):
+def hyperbolic_component(sys, d, n, r, sigma=None):
     """The sub-disk around the center whose whole n-orbit stays r-close and
     whose n-th image has intrinsic radius r.
 
@@ -464,8 +437,9 @@ def hyperbolic_component(sys, d, n, r, sigma=None, verify_tol=0.05):
     refines the bracket by k-section rounds down to adjacent floats.  The
     surviving interval is resampled at the original resolution, the ball
     conditions are verified on the resampled trace, and each side is trimmed
-    so the intrinsic radius of the n-th image equals r.  When sigma is given,
-    n is first certified as a sigma-hyperbolic time of the center orbit.
+    so the intrinsic radius of the n-th image equals r (each side must reach
+    at least 0.95 r before the trim).  When sigma is given, n is first
+    certified as a sigma-hyperbolic time of the center orbit.
 
     1-D disks get the full edge search; 2-D disks are carved at sample
     granularity (rays of grid nodes), which is all their linear test
@@ -491,13 +465,13 @@ def hyperbolic_component(sys, d, n, r, sigma=None, verify_tol=0.05):
     t_minus = _edge_of_component(sys, d, n, r, -1)
 
     carved = _resample_interval(d, t_minus, t_plus, d.n_samples)
-    final, ftrace = iterate_disk(sys, carved, n, keep_trace=True)
+    ftrace = iterate_disk(sys, carved, n)
+    final = ftrace[-1]
     # The edge search propagates anchored two-point displacements; the
     # trace below accumulates per-edge wrapped differences.  Near the
     # micro/macro switch both carry ~eps/MICRO_SWITCH relative rounding per
     # step, so they agree only to ~n * 2e-8; 1e-5 covers that with margin.
-    for k in range(n + 1):
-        dk = ftrace[k]
+    for k, dk in enumerate(ftrace):
         dist = np.linalg.norm(dk.disp, axis=1)
         if np.any(dist > r * (1.0 + 1e-5)):
             raise CarvingFailed(
@@ -509,7 +483,7 @@ def hyperbolic_component(sys, d, n, r, sigma=None, verify_tol=0.05):
     s_c = s[final.center_index]
     right = s[final.center_index:] - s_c
     left = s_c - s[: final.center_index + 1][::-1]
-    if right[-1] < r * (1 - verify_tol) or left[-1] < r * (1 - verify_tol):
+    if right[-1] < 0.95 * r or left[-1] < 0.95 * r:
         raise CarvingFailed(
             f"n-th image radius only ({left[-1]:.3g}, {right[-1]:.3g}) < r = {r}; "
             f"initial disk too small or resolution too coarse")
@@ -527,10 +501,8 @@ def hyperbolic_component(sys, d, n, r, sigma=None, verify_tol=0.05):
 
 
 def _carve_2d(sys, d, n, r):
-    _, trace = iterate_disk(sys, d, n, keep_trace=True)
     ok = np.ones(d.n_samples, bool)
-    for k in range(n + 1):
-        dk = trace[k]
+    for dk in iterate_disk(sys, d, n):
         dist = dk.chart.distance(dk.chart.wrap(dk.center + dk.disp),
                                  dk.center_point())
         ok &= dist <= r
@@ -554,13 +526,12 @@ def _carve_2d(sys, d, n, r):
         raise CarvingFailed(
             f"carved component has {int(keep.sum())} samples, below 3 per axis")
     idx = np.where(keep)[0]
-    sub = EmbeddedDisk(chart=d.chart, dim=2, params=d.params[idx].copy(),
-                       center=d.center.copy(), disp=d.disp[idx].copy(),
-                       tangents=d.tangents[idx].copy(),
-                       center_index=int(np.where(idx == d.center_index)[0][0]),
-                       radius=d.radius, grid_shape=d.grid_shape)
-    sub._node_ij = d._node_ij[idx]
-    return sub
+    return EmbeddedDisk(chart=d.chart, dim=2, params=d.params[idx].copy(),
+                        center=d.center.copy(), disp=d.disp[idx].copy(),
+                        tangents=d.tangents[idx].copy(),
+                        center_index=int(np.where(idx == d.center_index)[0][0]),
+                        radius=d.radius, grid_shape=d.grid_shape,
+                        node_ij=d.node_ij[idx])
 
 
 @dataclass(frozen=True)
@@ -579,8 +550,7 @@ def backward_contraction_check(sys, d, n, sigma):
     """
     if not (0.0 < sigma < 1.0):
         raise ValueError("sigma must be in (0, 1)")
-    _, trace = iterate_disk(sys, d, n, keep_trace=True)
-    arcs = np.stack([trace[k].dist_from_center() for k in range(n + 1)])
+    arcs = np.stack([dk.dist_from_center() for dk in iterate_disk(sys, d, n)])
     final = arcs[n]
     live = final > 0
     live[d.center_index] = False
@@ -599,16 +569,14 @@ class DistortionReport:
     ratio: float
     bound_k: float
     n: int
-    y_index: int
 
 
 def distortion_profile(sys, d, n):
     """Volume-distortion ratios of f^n between every sample and the center."""
-    _, trace = iterate_disk(sys, d, n, keep_trace=True)
     # log tangent-volume factors of steps 0..n-1, added in step order
     tot = sum((restricted_log_volume(
         sys.tangent(dk.chart.wrap(dk.center + dk.disp)), dk.tangents)
-        for dk in trace[:-1]), np.zeros(d.n_samples))
+        for dk in iterate_disk(sys, d, n)[:-1]), np.zeros(d.n_samples))
     ratios = np.exp(tot - tot[d.center_index])
     return ratios
 
@@ -625,7 +593,7 @@ def distortion(sys, d, y_index, n, constants=None):
     bound = constants.bound_k if constants is not None else None
     return DistortionReport(ratio=float(ratios[y_index]),
                             bound_k=float(bound) if bound else np.inf,
-                            n=n, y_index=y_index)
+                            n=n)
 
 
 @dataclass(frozen=True)
@@ -646,9 +614,8 @@ class DistortionConstants:
                             / (1.0 - l2 ** (self.beta / 2.0))))
 
 
-def measure_distortion_constants(sys, a, lambda2, beta=None, grid_points=150,
-                                 seed=3, safety=1.5):
-    """Grid-scan estimates of R1 and R2, padded by the safety factor.
+def measure_distortion_constants(sys, a, lambda2, beta=None, seed=3):
+    """Estimates of R1 and R2 on 150 region samples, padded by a factor 1.5.
 
     R1: worst |d log vol(Df | plane)| per unit subspace distance, probed by
     tilting F(x) by small rotations.  R2: worst beta-Hoelder quotient of
@@ -657,7 +624,7 @@ def measure_distortion_constants(sys, a, lambda2, beta=None, grid_points=150,
     from .models import region_sample   # local import: models builds on disks' siblings
 
     beta = sys.constants.beta if beta is None else float(beta)
-    pts = region_sample(sys, grid_points, seed=seed, burn_in=10)
+    pts = region_sample(sys, 150, seed=seed, burn_in=10)
     t = sys.tangent(pts)
     f = sys.splitting.f_frames(pts)
 
@@ -677,14 +644,15 @@ def measure_distortion_constants(sys, a, lambda2, beta=None, grid_points=150,
     gap = sys.chart.distance(pts[p], pts[q])
     ok = gap > 1e-9
     r2 = float(np.max(np.abs(base[p] - base[q])[ok] / gap[ok] ** beta))
-    return DistortionConstants(r1=safety * r1, r2=safety * r2, a=float(a),
+    return DistortionConstants(r1=1.5 * r1, r2=1.5 * r2, a=float(a),
                                lambda2=float(lambda2), beta=beta)
 
 
 # ---- curvature -------------------------------------------------------
 
-def holder_curvature(d, xi, delta0=None):
-    """Worst ||L_x(y)|| / d_D(x,y)^xi over sample pairs within delta0.
+def holder_curvature(d, xi):
+    """Worst ||L_x(y)|| / d_D(x,y)^xi over sample pairs within intrinsic
+    distance delta0 = 0.1 * chart diameter.
 
     L_x(y) is the linear map carrying T_xD onto T_yD as a graph over T_xD
     into its orthogonal complement.  Raises DegenerateTangent when a pair's
@@ -693,7 +661,7 @@ def holder_curvature(d, xi, delta0=None):
     """
     if not (0.0 < xi <= 1.0):
         raise ValueError("xi must be in (0, 1]")
-    delta0 = delta0 if delta0 is not None else 0.1 * d.chart.diameter
+    delta0 = 0.1 * d.chart.diameter
     dist = d.pairwise_intrinsic()
     sel = (dist > 0) & (dist <= delta0)
     if not np.any(sel):
@@ -746,10 +714,11 @@ class CurvatureConstants:
         return float(2.0 ** (1.0 + self.xi) * self.l1 / self.b ** (1.0 + self.xi))
 
 
-def measure_l1(sys, xi, grid_points=200, seed=3, safety=1.5):
-    """xi-Hoelder constant of x -> Df(x) over nearby sampled pairs, padded."""
+def measure_l1(sys, xi):
+    """xi-Hoelder constant of x -> Df(x) over nearby pairs of 200 region
+    samples, padded by a factor 1.5."""
     from .models import region_sample
-    pts = region_sample(sys, grid_points, seed=seed, burn_in=10)
+    pts = region_sample(sys, 200, seed=3, burn_in=10)
     t = sys.tangent(pts)
     order = np.argsort(pts[:, 0])
     p, q = order[:-1], order[1:]
@@ -758,15 +727,15 @@ def measure_l1(sys, xi, grid_points=200, seed=3, safety=1.5):
     diff = np.linalg.norm(t[p] - t[q], ord=2, axis=(1, 2))
     if not np.any(ok):
         return 0.0
-    return float(safety * np.max(diff[ok] / gap[ok] ** xi))
+    return float(1.5 * np.max(diff[ok] / gap[ok] ** xi))
 
 
-def curvature_constants(sys, consts_h, l1=None, alpha=None, lambda4=None):
-    """Assemble the curvature recursion constants from a constant chain."""
+def curvature_constants(sys, consts_h, alpha=None, lambda4=None):
+    """Assemble the curvature recursion constants from a constant chain and
+    the measured l1 (measure_l1)."""
     b = consts_h.b
     xi = consts_h.xi
-    if l1 is None:
-        l1 = measure_l1(sys, xi)
+    l1 = measure_l1(sys, xi)
     alpha = b / 8.0 if alpha is None else float(alpha)
     lambda4 = (consts_h.lambda3 + 1.0) / 2.0 if lambda4 is None else float(lambda4)
     if not (consts_h.lambda3 < lambda4 < 1.0):
@@ -785,7 +754,7 @@ class CurvatureReport:
     c_values: np.ndarray
 
 
-def curvature_recursion(sys, d, n, consts, xi=None, check=True):
+def curvature_recursion(sys, d, n, consts, check=True):
     """Iterate a disk n steps and compare measured curvature to the recursion.
 
     The per-step factors c_j = (||Df|E(f^j x)|| + 2 alpha) /
@@ -793,7 +762,7 @@ def curvature_recursion(sys, d, n, consts, xi=None, check=True):
     (0-based products).  The bound is the smaller of the unrolled product
     form and the closed form lambda4^n H_0 + L/(1 - lambda4).
     """
-    xi = consts.xi if xi is None else float(xi)
+    xi = consts.xi
     logs = cocycle_logs(sys, d.center_point(), n - 1, include_zero=True)
     norm_e = np.exp(logs.log_e)
     min_f = np.exp(-logs.log_f_inv)
@@ -809,8 +778,7 @@ def curvature_recursion(sys, d, n, consts, xi=None, check=True):
                 f"> lambda4^{n - k} = {consts.lambda4 ** (n - k):.4g}")
 
     h0 = holder_curvature(d, xi)
-    final = iterate_disk(sys, d, n)
-    measured = holder_curvature(final, xi)
+    measured = holder_curvature(iterate_disk(sys, d, n)[-1], xi)
 
     lterm = consts.l_term
     geo = 1.0
@@ -835,7 +803,7 @@ def make_graph_disk(sys, x, base_dir, normal_dir, radius, resolution=101,
 
     disp(t) = t r u + (t r)^2/2 kappa w, tangent renormalized accordingly.
     """
-    coords = np.asarray(getattr(x, "coords", x), float)
+    coords = np.asarray(x, float)
     u = np.asarray(base_dir, float)
     u = u / np.linalg.norm(u)
     w = np.asarray(normal_dir, float)

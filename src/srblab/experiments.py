@@ -78,9 +78,15 @@ _SECTIONS = ("model", "model.params", "disk", "constants")
 
 
 def _leaves(obj, prefix=""):
-    """(dotted path, value) of every field below the given mapping."""
+    """(dotted path, value) of every field below the given mapping.
+
+    A key that itself spells a dotted path is unknown: it would pass the
+    check under its full path and then never be read.
+    """
     for key, value in obj.items():
         path = f"{prefix}{key}"
+        if "." in str(key):
+            raise ConfigInvalid(f"unknown field '{path}'")
         if path in _SECTIONS:
             if not isinstance(value, dict):
                 raise ConfigInvalid(f"{path} must be a mapping")
@@ -288,11 +294,10 @@ def _exp_cone_check(sys, cfg, out):
 def _exp_disk_iterate(sys, cfg, out):
     n = cfg.horizon or 6
     d = _config_disk(sys, cfg, radius=0.01, resolution=201)
-    cur, trace = disks.iterate_disk(sys, d, n, keep_trace=True)
+    trace = disks.iterate_disk(sys, d, n)
     rows = []
     first = last = None
-    for k in range(n + 1):
-        dk = trace[k]
+    for k, dk in enumerate(trace):
         rep = disks.tangency_report(dk, sys.splitting)
         if k == 0:
             first = rep
@@ -308,7 +313,7 @@ def _exp_disk_iterate(sys, cfg, out):
         _assert_entry("tangents-stay-near-F", last.max_f_distance <= tol,
                       last.max_f_distance, tol),
     ]
-    quantities = {"final_radius": cur.intrinsic_radius(),
+    quantities = {"final_radius": trace[-1].intrinsic_radius(),
                   "final_max_width": last.max_width,
                   "final_f_distance": last.max_f_distance}
     return quantities, assertions
@@ -414,7 +419,7 @@ def _exp_curvature(sys, cfg, out):
     h0 = disks.holder_curvature(d, xi)
     step_bound = ((ne0 + 2 * cc.alpha) / (mf0 - 2 * cc.alpha) ** (1 + xi) * h0
                   + cc.l1 / (mf0 - 2 * cc.alpha) ** (1 + xi))
-    h1 = disks.holder_curvature(disks.iterate_disk(sys, d, 1), xi)
+    h1 = disks.holder_curvature(disks.iterate_disk(sys, d, 1)[-1], xi)
     assertions = [
         _assert_entry("flat-disk-curvature-zero", h_flat <= 1e-9,
                       h_flat, 1e-9),

@@ -27,11 +27,9 @@ class Observable:
     fn: callable
     bound: float
     reference_integral: float = None
-    reference_note: str = ""
 
     def __call__(self, coords):
-        c = np.asarray(getattr(coords, "coords", coords), float)
-        return self.fn(c)
+        return self.fn(np.asarray(coords, float))
 
 
 @dataclass
@@ -65,28 +63,27 @@ class EmpiricalMeasure:
         return math.fsum(vals.tolist())
 
 
-def default_observables(chart, per_axis=4):
-    """Trigonometric characters per periodic axis, capped-coordinate tests on
-    box axes; the default family has per_axis tests for every coordinate."""
+def default_observables(chart):
+    """Four tests per coordinate: the first two trigonometric characters on a
+    periodic axis (cos and sin each), a linear, a quadratic and a cosine wave
+    test on a box axis."""
     obs = []
     for j in range(chart.dim):
         w = chart.widths[j]
         lo = chart.lower[j]
         if chart.periodic[j]:
-            for k in range(1, per_axis // 2 + 1):
+            for k in (1, 2):
                 freq = 2.0 * np.pi * k / w
                 obs.append(Observable(
                     name=f"cos{k}_x{j}",
                     fn=(lambda c, j=j, freq=freq, lo=lo:
                         np.cos(freq * (c[..., j] - lo))),
-                    bound=1.0, reference_integral=0.0,
-                    reference_note="character integral over a full period"))
+                    bound=1.0, reference_integral=0.0))
                 obs.append(Observable(
                     name=f"sin{k}_x{j}",
                     fn=(lambda c, j=j, freq=freq, lo=lo:
                         np.sin(freq * (c[..., j] - lo))),
-                    bound=1.0, reference_integral=0.0,
-                    reference_note="character integral over a full period"))
+                    bound=1.0, reference_integral=0.0))
         else:
             half = w / 2.0
             mid = lo + half
@@ -99,13 +96,12 @@ def default_observables(chart, per_axis=4):
                 fn=(lambda c, j=j, mid=mid, half=half:
                     ((c[..., j] - mid) / half) ** 2),
                 bound=1.0))
-            for k in range(1, per_axis // 2):
-                freq = np.pi * k / half
-                obs.append(Observable(
-                    name=f"wave{k}_x{j}",
-                    fn=(lambda c, j=j, freq=freq, mid=mid:
-                        np.cos(freq * (c[..., j] - mid))),
-                    bound=1.0))
+            freq = np.pi / half
+            obs.append(Observable(
+                name=f"wave1_x{j}",
+                fn=(lambda c, j=j, freq=freq, mid=mid:
+                    np.cos(freq * (c[..., j] - mid))),
+                bound=1.0))
     return obs
 
 
@@ -250,7 +246,7 @@ class HyperbolicMassReport:
     densities: np.ndarray  # per qualifying sample: hyperbolic-time density
 
 
-def hyperbolic_mass(sys, d, n, sigma, r1, lam=None, theta=None, n_start=1):
+def hyperbolic_mass(sys, d, n, sigma, r1, lam=None, theta=None):
     """Mass of mu_n captured by disjoint balls at hyperbolic-time images.
 
     For each 0 <= i < n: S_i = samples whose cocycle rows pass the lam
@@ -271,7 +267,7 @@ def hyperbolic_mass(sys, d, n, sigma, r1, lam=None, theta=None, n_start=1):
     _, log_f_inv = cocycle_logs_batch(sys, pts, n)
 
     if lam is not None:
-        member = lambda_membership_batch(log_f_inv, lam, n_start=n_start)
+        member = lambda_membership_batch(log_f_inv, lam)
     else:
         member = np.ones(len(w), bool)
     lambda_mass = float(math.fsum(w[member].tolist()))

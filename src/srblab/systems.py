@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charts import Chart, Point, require_same_chart
+from .charts import Chart
 from .errors import ChainInfeasible, OrbitEscaped
 from .linalg import Subspace, restricted_stretch
 
@@ -201,9 +201,6 @@ class MapSystem:
     def dim(self):
         return self.chart.dim
 
-    def point(self, coords):
-        return Point(self.chart.chart_id, self.chart.wrap(coords))
-
     def in_region(self, coords):
         coords = np.asarray(coords, float)
         ok = self.chart.contains(coords)
@@ -241,23 +238,12 @@ class CocycleLog:
 
     Arrays are indexed so that position p corresponds to the orbit index
     start + p; start is 1 by default and 0 when the zeroth entry was
-    requested.  `entry(j)` fetches by orbit index.
+    requested.
     """
 
-    base: Point
     start: int
     log_e: np.ndarray
     log_f_inv: np.ndarray
-
-    @property
-    def horizon(self):
-        return self.start + len(self.log_e) - 1
-
-    def entry(self, j):
-        if not (self.start <= j <= self.horizon):
-            raise IndexError(f"orbit index {j} outside [{self.start}, {self.horizon}]")
-        p = j - self.start
-        return float(self.log_e[p]), float(self.log_f_inv[p])
 
     def f_inv_from_one(self):
         """The log_f_inv entries for orbit indices 1..n (detector convention)."""
@@ -298,14 +284,9 @@ def cocycle_logs(sys, x, n, include_zero=False):
     post: log_e[j] = log ||Df|E(f^j x)||, log_f_inv[j] = -log mininorm(Df|F(f^j x)).
     Raises OrbitEscaped if the forward orbit leaves the region.
     """
-    if isinstance(x, Point):
-        require_same_chart(sys.chart, x)
-        c = x.coords
-    else:
-        c = np.asarray(x, float)
-    start = 0 if include_zero else 1
-    le, lf = cocycle_logs_batch(sys, c[None, :], n, include_zero=include_zero)
-    return CocycleLog(base=sys.point(c), start=start,
+    le, lf = cocycle_logs_batch(sys, np.asarray(x, float)[None, :], n,
+                                include_zero=include_zero)
+    return CocycleLog(start=0 if include_zero else 1,
                       log_e=le[0], log_f_inv=lf[0])
 
 

@@ -5,6 +5,7 @@ with no running-extremum shortcuts, so agreement with the package's O(N)
 algorithms is meaningful; they cost O(N^2) per sequence.  The "selection
 scans" section is the exception: loop references compared bit for bit.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -271,7 +272,6 @@ def advance_oracle(sys, d):
     """One forward step of an anchored disk in the macro regime, rebuilding
     displacements edge by edge: along the curve outward from the center in
     1-D, in depth-first order from the center in 2-D."""
-    from srblab.disks import _copy_disk
     from srblab.systems import _batch_qr
     new_center = sys.forward(d.center)
     pts = d.chart.wrap(d.center + d.disp)
@@ -303,7 +303,8 @@ def advance_oracle(sys, d):
                         imgs[i], imgs[j])
                     stack.append(j)
     new_tangents = _batch_qr(sys.tangent(pts) @ d.tangents)
-    return _copy_disk(d, d.chart.wrap(new_center), new_disp, new_tangents)
+    return dataclasses.replace(d, center=d.chart.wrap(new_center),
+                               disp=new_disp, tangents=new_tangents)
 
 
 def cell_weights_oracle(d):
@@ -323,9 +324,9 @@ def boundary_nodes_oracle(d):
     """2-D nodes with a grid neighbour off the grid or outside the disk."""
     r = d.grid_shape[0]
     idx = -np.ones(d.grid_shape, dtype=int)
-    idx[tuple(d._node_ij.T)] = np.arange(d.n_samples)
+    idx[tuple(d.node_ij.T)] = np.arange(d.n_samples)
     out = []
-    for k, (i, j) in enumerate(d._node_ij):
+    for k, (i, j) in enumerate(d.node_ij):
         nb = [(i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)]
         if any(not (0 <= a < r and 0 <= b < r) or idx[a, b] < 0 for a, b in nb):
             out.append(k)

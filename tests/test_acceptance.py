@@ -98,7 +98,7 @@ def test_criterion_3_backward_contraction(cat, pcat, sol):
             (cat, np.array([0.2, 0.7]), 0.5),
             (pcat, np.array([0.2, 0.7]),
              measure_constants_h(pcat, xi=0.5).lambda2),
-            (sol, sol.point([0.3, 0.0, 0.0]).coords,
+            (sol, sol.chart.wrap([0.3, 0.0, 0.0]),
              measure_constants_h(sol, xi=0.5).lambda2),
         ]
         for sys, x, sigma in cases:
@@ -218,7 +218,7 @@ def test_criterion_6_cesaro_invariance_defect(cat, pcat, sol, dfa):
             if sys.dim == 2:
                 x = np.array([0.2, 0.7])
             else:
-                x = sys.point([0.3, 0.0, 0.0]).coords
+                x = sys.chart.wrap([0.3, 0.0, 0.0])
             d = disks.make_disk(sys, x, unstable_vector(sys, x), 0.02,
                                 resolution=101)
             for n in (100, 1000, 10_000):

@@ -80,6 +80,11 @@ class TestRun:
         ({"model": {"name": "perturbed_cat", "params": {"eps": "a"}}},
          "model.params.eps"),
         ({"constants": {"depth": 3}}, "constants.depth"),
+        # keys spelling a dotted path: valid paths, but never read there
+        ({"disk.radius": 5.0}, "disk.radius"),
+        ({"model.name": "dfa"}, "model.name"),
+        ({"model": {"name": "perturbed_cat", "params.eps": 0.02}},
+         "model.params.eps"),
     ])
     def test_malformed_field_exits_two_with_path(self, tmp_path, patch, path):
         cfg = write_config(tmp_path, "bad.json", {**GOOD, **patch})
@@ -159,12 +164,12 @@ PUBLIC = [
     "ConstantsInvalid", "ConstructionFailed", "ContractionReport",
     "ConvergedSplitting", "CurvatureConstants", "CurvatureReport",
     "DefectReport", "DegenerateImage", "DegenerateSplitting",
-    "DegenerateTangent", "DimensionMismatch", "DiskTrace",
+    "DegenerateTangent", "DimensionMismatch",
     "DistortionConstants", "DistortionReport", "DominationCertificate",
     "EmbeddedDisk", "EmpiricalMeasure", "EmptyRadius", "ExactSplitting",
-    "GridSpec", "HyperbolicMassReport", "HyperbolicTimeReport",
+    "HyperbolicMassReport", "HyperbolicTimeReport",
     "HypothesisViolated", "MapSystem", "ModelSpec", "NoConvergence",
-    "Observable", "OrbitEscaped", "PlissParams", "Point",
+    "Observable", "OrbitEscaped", "PlissParams",
     "ResolutionExhausted", "SingularMap", "SplittingField", "SrbLabError",
     "Subspace", "SystemConstants", "TangencyReport", "ZeroMass",
     "backward_contraction_check", "build", "charts", "check_avg_domination",

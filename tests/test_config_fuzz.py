@@ -78,7 +78,8 @@ class TestConfigFuzz:
     @FUZZ
     @given(valid_leaves(), st.data())
     def test_malformed_configs_exit_two(self, leaves, data):
-        kind = data.draw(st.sampled_from(["value", "unknown", "section"]))
+        kind = data.draw(st.sampled_from(["value", "unknown", "section",
+                                          "dotted"]))
         if kind == "value":
             path = data.draw(st.sampled_from(sorted(_FIELDS)))
             value = data.draw(LEAVES)
@@ -92,6 +93,13 @@ class TestConfigFuzz:
             path = prefix + "zz" + data.draw(st.text("abc_", max_size=4))
             leaves[path] = data.draw(LEAVES)
             raw = nest(leaves)
+        elif kind == "dotted":
+            # a known path spelled as one top-level key, with a value its
+            # field accepts: only the spelling is wrong
+            path = data.draw(st.sampled_from([p for p in sorted(_FIELDS)
+                                              if "." in p]))
+            raw = nest(leaves)
+            raw[path] = data.draw(st.sampled_from(SPLIT[path][0]))
         else:
             path = data.draw(st.sampled_from(["disk", "constants"]))
             raw = nest({k: v for k, v in leaves.items()

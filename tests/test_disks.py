@@ -77,33 +77,30 @@ class TestMakeDisk:
 class TestIterateDisk:
     def test_cat_stretches_by_unstable_rate(self, cat):
         d = flat_disk(cat, resolution=101)
-        d1 = disks.iterate_disk(cat, d, 1)
+        d1 = disks.iterate_disk(cat, d, 1)[-1]
         ratio = d1.edge_lengths().sum() / d.edge_lengths().sum()
         assert np.isclose(ratio, LAM_U, rtol=1e-10)
         assert np.allclose(d1.center, cat.forward(X))
 
     def test_zero_steps_identity(self, cat):
         d = flat_disk(cat, resolution=101)
-        assert disks.iterate_disk(cat, d, 0) is d
+        trace = disks.iterate_disk(cat, d, 0)
+        assert len(trace) == 1 and trace[0] is d
         with pytest.raises(ValueError):
             disks.iterate_disk(cat, d, -1)
 
     def test_trace_collects_every_stage(self, cat):
         d = flat_disk(cat, resolution=101)
-        last, trace = disks.iterate_disk(cat, d, 3, keep_trace=True)
-        assert len(trace.disks) == 4
-        assert trace.disks[0] is d
-        assert trace.disks[-1] is last
+        trace = disks.iterate_disk(cat, d, 3)
+        assert len(trace) == 4
+        assert trace[0] is d
+        assert np.array_equal(trace[-1].disp,
+                              disks.iterate_disk(cat, trace[2], 1)[-1].disp)
 
     def test_resolution_exhausted_on_deep_push(self, cat):
         d = flat_disk(cat, resolution=101)
         with pytest.raises(ResolutionExhausted, match="refine"):
             disks.iterate_disk(cat, d, 10)
-
-    def test_max_gap_override(self, cat):
-        d = flat_disk(cat, resolution=101)
-        with pytest.raises(ResolutionExhausted):
-            disks.iterate_disk(cat, d, 1, max_gap=1e-6)
 
 
 class TestTangencyAndHolder:
@@ -122,7 +119,7 @@ class TestTangencyAndHolder:
     @pytest.mark.parametrize("model", ["cat", "pcat", "sol", "dfa"])
     def test_report_matches_per_sample_loop(self, request, model, steps):
         sys = request.getfixturevalue(model)
-        d = disks.iterate_disk(sys, model_disk(sys), steps)
+        d = disks.iterate_disk(sys, model_disk(sys), steps)[-1]
         rep = disks.tangency_report(d, sys.splitting)
         want = oracles.tangency_report_oracle(d, sys.splitting)
         np.testing.assert_allclose([rep.max_width, rep.max_f_distance], want,
@@ -158,7 +155,7 @@ class TestHyperbolicComponent:
     def test_nth_image_has_requested_radius(self, cat):
         d = flat_disk(cat)
         carved = disks.hyperbolic_component(cat, d, 10, R, sigma=0.5)
-        img = disks.iterate_disk(cat, carved, 10)
+        img = disks.iterate_disk(cat, carved, 10)[-1]
         assert np.isclose(img.intrinsic_radius(), R, rtol=1e-8)
 
     def test_deep_time_reachable(self, cat):
@@ -273,16 +270,28 @@ class TestTwoDimensional:
         return disks.make_disk(cat4, x4, Subspace(f_cols), R,
                                resolution=resolution)
 
-    def test_grid_and_fields(self, cat4):
+    def test_grid_and_fields(self, cat4, cat):
         d = self.make(cat4, resolution=21)
         assert d.dim == 2
         assert d.grid_shape == (21, 21)
         assert d.params.shape[1] == 2
+        assert d.node_ij.shape == (d.n_samples, 2)
         assert np.allclose(d.disp[d.center_index], 0.0)
+        assert flat_disk(cat).node_ij is None
+
+    def test_iterate_leaves_the_disk_unchanged(self, cat4):
+        d = self.make(cat4, resolution=21)
+        before = dict(vars(d))
+        disp = d.disp.copy()
+        trace = disks.iterate_disk(cat4, d, 2)
+        assert vars(d).keys() == before.keys()
+        assert all(vars(d)[k] is v for k, v in before.items())
+        assert np.array_equal(d.disp, disp)
+        assert all(vars(dk).keys() == before.keys() for dk in trace)
 
     def test_iterate_stretches(self, cat4):
         d = self.make(cat4, resolution=21)
-        d1 = disks.iterate_disk(cat4, d, 1)
+        d1 = disks.iterate_disk(cat4, d, 1)[-1]
         assert np.isclose(d1.edge_lengths().max() / d.edge_lengths().max(),
                           LAM_U, rtol=1e-9)
 
@@ -297,7 +306,7 @@ class TestTwoDimensional:
 
     def test_tangency_matches_per_sample_loop(self, cat4):
         d = self.make(cat4, resolution=21)
-        tilted = disks.iterate_disk(cat4, d, 1)
+        tilted = disks.iterate_disk(cat4, d, 1)[-1]
         tilted.tangents = disks._batch_qr(
             tilted.tangents + 0.01 * np.cos(np.arange(tilted.tangents.size))
             .reshape(tilted.tangents.shape))
@@ -366,7 +375,7 @@ class TestBatchedCarving:
         for x in (None, np.full(sys.dim, 0.05)):
             cur = model_disk(sys, x)
             for _ in range(3):
-                nxt = disks._advance(sys, cur)
+                nxt = disks.iterate_disk(sys, cur, 1)[-1]
                 want = oracles.advance_oracle(sys, cur)
                 for field in ("center", "disp", "tangents"):
                     assert np.array_equal(getattr(nxt, field),
@@ -378,8 +387,8 @@ class TestBatchedCarving:
         carved = disks.hyperbolic_component(cat4, full, 2, R, sigma=0.5)
         for d in (full, carved):
             cur = d
-            for _ in range(2):      # the second step reuses the cached tree
-                nxt = disks._advance(cat4, cur)
+            for _ in range(2):
+                nxt = disks.iterate_disk(cat4, cur, 1)[-1]
                 want = oracles.advance_oracle(cat4, cur)
                 for field in ("center", "disp", "tangents"):
                     assert np.array_equal(getattr(nxt, field),

@@ -138,3 +138,12 @@ class TestRunExperiment:
         assert summary["pass"] is False
         failed = [a for a in summary["assertions"] if not a["passed"]]
         assert failed and failed[0]["name"] == "basin-fraction-large"
+
+    def test_default_config_digest(self, tmp_path):
+        from .default_configs import run_one
+        digests = [run_one("cat", "pliss_demo", os.path.join(tmp_path, tag))
+                   for tag in ("a", "b")]
+        outcome, files = digests[0]
+        assert outcome == 0
+        assert sorted(files) == ["pliss.csv", "summary.json"]
+        assert digests[0] == digests[1]

@@ -151,7 +151,7 @@ class TestInvarianceDefect:
         if sys.dim == 2:
             d = unstable_disk(sys)
         else:
-            p = sys.point([0.3, 0.0, 0.0]).coords
+            p = sys.chart.wrap([0.3, 0.0, 0.0])
             _, f = sys.splitting.at(p)
             d = disks.make_disk(sys, p, f, 0.02, resolution=101)
         rep = measures.invariance_defect(sys, d, 100, obs)
@@ -167,7 +167,7 @@ class TestInvarianceDefect:
         if sys.dim == 2:
             d = unstable_disk(sys)
         else:
-            p = sys.point([0.3, 0.0, 0.0]).coords
+            p = sys.chart.wrap([0.3, 0.0, 0.0])
             _, f = sys.splitting.at(p)
             d = disks.make_disk(sys, p, f, 0.02, resolution=101)
         rep = measures.invariance_defect(sys, d, 100, obs)
