@@ -30,9 +30,9 @@ from .measures import (DefectReport, EmpiricalMeasure, HyperbolicMassReport,
                        physical_fraction, pushforward_integrals,
                        pushforward_step_integrals, select_disjoint_balls,
                        weak_star_distance)
-from .models import (ModelSpec, build, converge_splitting,
-                     lambda_fraction, linear_torus_system,
-                     measure_constants_h, quasi_uniform, region_sample)
+from .models import (build, converge_splitting, lambda_fraction,
+                     linear_torus_system, measure_constants_h,
+                     quasi_uniform, region_sample)
 from .pliss import (HyperbolicTimeReport, PlissParams, density_theta,
                     first_nonneg_shift, hyperbolic_times, lambda_membership,
                     lambda_membership_batch, pliss_times)

@@ -24,7 +24,7 @@ from .errors import (CarvingFailed, ChartOverflow, ConstantsInvalid,
                      DegenerateTangent, DimensionMismatch, HypothesisViolated,
                      ResolutionExhausted)
 from .cones import cone_width_of
-from .linalg import (Subspace, dot_norms, graph_norm, restricted_log_volume,
+from .linalg import (Subspace, dot_norms, restricted_log_volume,
                      subspace_distance)
 from .pliss import hyperbolic_times
 from .systems import _batch_qr, cocycle_logs
@@ -425,7 +425,14 @@ def _resample_interval(d, t_minus, t_plus, resolution):
     return out
 
 
-def hyperbolic_component(sys, d, n, r, sigma=None):
+def carve_radius_limit(chart):
+    """Largest carving radius whose wrapped distances stay unambiguous: an
+    eighth of the chart's shortest period (no limit without periodic axes)."""
+    per = [w for w, p in zip(chart.widths, chart.periodic) if p]
+    return min(per) / 8.0 if per else np.inf
+
+
+def hyperbolic_component(sys, d, n, r, sigma):
     """The sub-disk around the center whose whole n-orbit stays r-close and
     whose n-th image has intrinsic radius r.
 
@@ -438,8 +445,8 @@ def hyperbolic_component(sys, d, n, r, sigma=None):
     surviving interval is resampled at the original resolution, the ball
     conditions are verified on the resampled trace, and each side is trimmed
     so the intrinsic radius of the n-th image equals r (each side must reach
-    at least 0.95 r before the trim).  When sigma is given, n is first
-    certified as a sigma-hyperbolic time of the center orbit.
+    at least 0.95 r before the trim).  n is first certified as a
+    sigma-hyperbolic time of the center orbit.
 
     1-D disks get the full edge search; 2-D disks are carved at sample
     granularity (rays of grid nodes), which is all their linear test
@@ -447,17 +454,16 @@ def hyperbolic_component(sys, d, n, r, sigma=None):
     """
     if r <= 0:
         raise ValueError("r must be > 0")
-    per = [w for w, p in zip(d.chart.widths, d.chart.periodic) if p]
-    if per and r > min(per) / 8.0:
+    limit = carve_radius_limit(d.chart)
+    if r > limit:
         raise ValueError(
             f"r = {r} too large for unambiguous wrapped distances "
-            f"(limit {min(per) / 8.0})")
-    if sigma is not None:
-        logs = cocycle_logs(sys, d.center_point(), n)
-        rep = hyperbolic_times(logs.f_inv_from_one(), sigma)
-        if n not in rep.times:
-            raise HypothesisViolated(
-                f"n = {n} is not a sigma = {sigma} hyperbolic time of the center")
+            f"(limit {limit})")
+    logs = cocycle_logs(sys, d.center_point(), n)
+    rep = hyperbolic_times(logs.f_inv_from_one(), sigma)
+    if n not in rep.times:
+        raise HypothesisViolated(
+            f"n = {n} is not a sigma = {sigma} hyperbolic time of the center")
     if d.dim == 2:
         return _carve_2d(sys, d, n, r)
 
@@ -651,45 +657,37 @@ def measure_distortion_constants(sys, a, lambda2, beta=None, seed=3):
 # ---- curvature -------------------------------------------------------
 
 def holder_curvature(d, xi):
-    """Worst ||L_x(y)|| / d_D(x,y)^xi over sample pairs within intrinsic
-    distance delta0 = 0.1 * chart diameter.
+    """Worst ||L_x(y)|| / d_D(x,y)^xi over sample pairs of a curve within
+    intrinsic distance delta0 = 0.1 * chart diameter.
 
     L_x(y) is the linear map carrying T_xD onto T_yD as a graph over T_xD
-    into its orthogonal complement.  Raises DegenerateTangent when a pair's
-    tangents are more than 45 degrees apart (the graph leaves the width-1
-    cone and the representation breaks down).
+    into its orthogonal complement.  Raises DimensionMismatch for 2-D disks
+    and DegenerateTangent when a pair's tangents are more than 45 degrees
+    apart (the graph leaves the width-1 cone and the representation breaks
+    down).
     """
     if not (0.0 < xi <= 1.0):
         raise ValueError("xi must be in (0, 1]")
+    if d.dim != 1:
+        raise DimensionMismatch("holder_curvature is defined for curves only")
     delta0 = 0.1 * d.chart.diameter
     dist = d.pairwise_intrinsic()
     sel = (dist > 0) & (dist <= delta0)
     if not np.any(sel):
         return 0.0
-    if d.tangents.shape[2] == 1:
-        tmat = d.tangents[:, :, 0]
-        g = tmat @ tmat.T
-        # perpendicular part of t_j relative to t_i, as explicit vectors:
-        # the difference arithmetic stays exact for near-parallel tangents,
-        # where 1 - g^2 would square away all precision
-        diff = tmat[None, :, :] - g[:, :, None] * tmat[:, None, :]
-        perp = np.linalg.norm(diff, axis=2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = perp / np.abs(g)
-        if np.any(sel & (ratio > 1.0 + 1e-12)):
-            raise DegenerateTangent(
-                "tangent pair further than 45 degrees apart within delta0")
-        vals = ratio[sel] / dist[sel] ** xi
-        return float(np.max(vals))
-    worst = 0.0
-    idx = np.argwhere(sel)
-    for i, j in idx:
-        gn = graph_norm(Subspace(d.tangents[i]), Subspace(d.tangents[j]))
-        if gn > 1.0 + 1e-12:
-            raise DegenerateTangent(
-                "tangent pair further than 45 degrees apart within delta0")
-        worst = max(worst, gn / dist[i, j] ** xi)
-    return float(worst)
+    tmat = d.tangents[:, :, 0]
+    g = tmat @ tmat.T
+    # perpendicular part of t_j relative to t_i, as explicit vectors: the
+    # difference arithmetic stays exact for near-parallel tangents, where
+    # 1 - g^2 would square away all precision
+    diff = tmat[None, :, :] - g[:, :, None] * tmat[:, None, :]
+    perp = np.linalg.norm(diff, axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = perp / np.abs(g)
+    if np.any(sel & (ratio > 1.0 + 1e-12)):
+        raise DegenerateTangent(
+            "tangent pair further than 45 degrees apart within delta0")
+    return float(np.max(ratio[sel] / dist[sel] ** xi))
 
 
 @dataclass(frozen=True)

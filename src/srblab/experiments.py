@@ -1,17 +1,20 @@
 """Config-driven experiments tying the toolkit together.
 
-Every experiment takes a validated Config, runs on a freshly built model,
-writes CSV artifacts plus a summary dict, and reports named pass/fail
-assertions.  Summaries are deterministic byte-for-byte for a fixed config:
-quantities derive only from (config, seed), never from wall time or worker
-count (timing lives in run_meta.json, written separately).
+Every experiment takes a freshly built model and a validated Config and
+returns its quantities, named pass/fail assertions and one CSV table;
+run_experiment writes the table, summary.json and run_meta.json.  Summaries
+are deterministic byte-for-byte for a fixed config: quantities derive only
+from (config, seed), never from wall time or worker count (timing lives in
+run_meta.json, written separately).
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +23,8 @@ from . import disks, measures
 from .cones import (check_avg_domination, domination_robustness_radius,
                     verify_cone_contraction)
 from .errors import ConfigInvalid, HypothesisViolated
-from .models import (MODEL_INFO, ModelSpec, build, lambda_fraction,
-                     measure_constants_h, region_sample)
+from .models import (MODEL_INFO, build, lambda_fraction, measure_constants_h,
+                     region_sample)
 from .pliss import PlissParams, density_theta, hyperbolic_times, pliss_times
 from .systems import cocycle_logs, cocycle_logs_batch
 
@@ -174,19 +177,30 @@ def _config_disk(sys, cfg, radius=0.02, resolution=101, center=None):
                            resolution=resolution)
 
 
-def _gain_sequence(logs):
-    """Per-step expansion gains -log||Df^-1|F|| along the orbit."""
-    return -np.asarray(logs.log_f_inv, float)
+def _carve_radius(sys, cfg, path):
+    """The carving radius set at a config path (default 0.02); one past
+    hyperbolic_component's limit is a config error naming the path."""
+    section, key = path.split(".")
+    r = getattr(cfg, section).get(key, 0.02)
+    limit = disks.carve_radius_limit(sys.chart)
+    if r > limit:
+        raise ConfigInvalid(
+            f"{path} {r!r} is not at most {limit:.6g}, an eighth of the "
+            f"shortest period of {sys.name}'s chart")
+    return r
 
 
 # ------------------------------------------------------------- experiments
 
-def _exp_pliss_demo(sys, cfg, out):
+def _exp_pliss_demo(sys, cfg):
+    """Select positive-density good times from an orbit's gain sequence
+    two ways (threshold scan and running-minimum detector) and check they
+    agree, with density above theta = (c1-c2)/(c0-c2).  Writes pliss.csv."""
     n = cfg.horizon or 100
     sigma = cfg.const("sigma", 0.5)
     x = _default_center(sys, cfg)
     logs = cocycle_logs(sys, x, n)
-    gains = _gain_sequence(logs)
+    gains = -np.asarray(logs.log_f_inv, float)   # per-step expansion gains
     c2 = -float(np.log(sigma))
     c0 = float(np.max(gains)) + 1e-9
     c1 = float(np.mean(gains)) - 1e-12
@@ -197,16 +211,13 @@ def _exp_pliss_demo(sys, cfg, out):
     params = PlissParams(c0=c0, c1=c1, c2=c2)
     times = pliss_times(gains, params)
     det = hyperbolic_times(np.asarray(logs.log_f_inv, float), sigma)
-    agree = (len(times) == len(det.times)
-             and bool(np.all(np.asarray(times) == np.asarray(det.times))))
+    agree = bool(np.array_equal(times, det.times))
     density = len(times) / n
     prefix = np.cumsum(gains) / np.arange(1, n + 1)
     flags = np.zeros(n, bool)
     flags[np.asarray(times, int) - 1] = True
-    _write_csv(os.path.join(out, "pliss.csv"),
-               ["j", "gain", "prefix_avg", "is_selected"],
-               [(j + 1, gains[j], prefix[j], int(flags[j]))
-                for j in range(n)])
+    table = ("pliss.csv", ["j", "gain", "prefix_avg", "is_selected"],
+             [(j + 1, gains[j], prefix[j], int(flags[j])) for j in range(n)])
     assertions = [
         _assert_entry("selection-matches-detector", agree, float(agree), 1.0),
         _assert_entry("density-exceeds-theta", density > params.theta,
@@ -214,10 +225,13 @@ def _exp_pliss_demo(sys, cfg, out):
     ]
     quantities = {"count": len(times), "density": density,
                   "theta": params.theta, "c0": c0, "c1": c1, "c2": c2}
-    return quantities, assertions
+    return quantities, assertions, table
 
 
-def _exp_hyperbolic_times(sys, cfg, out):
+def _exp_hyperbolic_times(sys, cfg):
+    """Detect sigma-hyperbolic times along an orbit, report count,
+    density, gaps, and compare the density to the guaranteed floor when
+    the orbit's average expansion supports one.  Writes times.csv."""
     n = cfg.horizon or 400
     sigma = cfg.const("sigma", 0.5)
     x = _default_center(sys, cfg)
@@ -233,11 +247,9 @@ def _exp_hyperbolic_times(sys, cfg, out):
         theta = density_theta(lam_meas, sigma, c0)
     cums = np.cumsum(lf) / np.arange(1, n + 1)
     flags = np.zeros(n, bool)
-    if len(times):
-        flags[times - 1] = True
-    _write_csv(os.path.join(out, "times.csv"),
-               ["j", "log_f_inv", "prefix_avg", "is_time"],
-               [(j + 1, lf[j], cums[j], int(flags[j])) for j in range(n)])
+    flags[times - 1] = True
+    table = ("times.csv", ["j", "log_f_inv", "prefix_avg", "is_time"],
+             [(j + 1, lf[j], cums[j], int(flags[j])) for j in range(n)])
     assertions = [
         _assert_entry("times-nonempty", len(times) > 0, len(times), 1.0),
     ]
@@ -250,10 +262,14 @@ def _exp_hyperbolic_times(sys, cfg, out):
                   "max_gap": int(np.max(gaps)) if len(times) else -1,
                   "measured_lambda": lam_meas, "c0": c0,
                   "theta": theta if theta is not None else float("nan")}
-    return quantities, assertions
+    return quantities, assertions, table
 
 
-def _exp_cone_check(sys, cfg, out):
+def _exp_cone_check(sys, cfg):
+    """Certify average domination along an orbit, transport cone-boundary
+    vectors and verify widths contract like gamma^i, and compute a
+    robustness radius from a grid modulus-of-continuity scan.  Writes
+    cone.csv."""
     n = cfg.horizon or 40
     a = cfg.const("a", 0.5)
     x = _default_center(sys, cfg)
@@ -273,11 +289,10 @@ def _exp_cone_check(sys, cfg, out):
     verify_n = min(n, max(1, int(np.floor(np.log(1e-12 / a) / np.log(gamma)))))
     worst = verify_cone_contraction(sys, x, a, gamma, verify_n, seed=cfg.seed)
     radius = domination_robustness_radius(sys, gamma, (1.0 + gamma) / 2.0)
-    _write_csv(os.path.join(out, "cone.csv"),
-               ["i", "cum_ratio", "gamma_pow_i", "width_ratio"],
-               [(i + 1, cert.ratios[i], gamma ** (i + 1),
-                 worst[i] if i < verify_n else float("nan"))
-                for i in range(n)])
+    table = ("cone.csv", ["i", "cum_ratio", "gamma_pow_i", "width_ratio"],
+             [(i + 1, cert.ratios[i], gamma ** (i + 1),
+               worst[i] if i < verify_n else float("nan"))
+              for i in range(n)])
     assertions = [
         _assert_entry("domination-certified", True, gamma_min, gamma),
         _assert_entry("cone-widths-contract", float(np.max(worst)) <= 1.0 + 1e-6,
@@ -288,26 +303,22 @@ def _exp_cone_check(sys, cfg, out):
                   "final_ratio": float(cert.ratios[-1]),
                   "verify_n": verify_n,
                   "robustness_radius": radius}
-    return quantities, assertions
+    return quantities, assertions, table
 
 
-def _exp_disk_iterate(sys, cfg, out):
+def _exp_disk_iterate(sys, cfg):
+    """Push a disk forward step by step, tracking edge gaps, intrinsic
+    radius, and how close its tangents stay to F.  Writes disk.csv."""
     n = cfg.horizon or 6
     d = _config_disk(sys, cfg, radius=0.01, resolution=201)
     trace = disks.iterate_disk(sys, d, n)
-    rows = []
-    first = last = None
-    for k, dk in enumerate(trace):
-        rep = disks.tangency_report(dk, sys.splitting)
-        if k == 0:
-            first = rep
-        last = rep
-        rows.append((k, float(np.max(dk.edge_lengths())),
-                     dk.intrinsic_radius(), rep.max_width,
-                     rep.max_f_distance))
-    _write_csv(os.path.join(out, "disk.csv"),
-               ["k", "max_edge", "intrinsic_radius", "max_width",
-                "max_f_distance"], rows)
+    reps = [disks.tangency_report(dk, sys.splitting) for dk in trace]
+    first, last = reps[0], reps[-1]
+    table = ("disk.csv", ["k", "max_edge", "intrinsic_radius", "max_width",
+                          "max_f_distance"],
+             [(k, float(np.max(dk.edge_lengths())), dk.intrinsic_radius(),
+               rep.max_width, rep.max_f_distance)
+              for k, (dk, rep) in enumerate(zip(trace, reps))])
     tol = max(first.max_f_distance, 1e-6)
     assertions = [
         _assert_entry("tangents-stay-near-F", last.max_f_distance <= tol,
@@ -316,35 +327,41 @@ def _exp_disk_iterate(sys, cfg, out):
     quantities = {"final_radius": trace[-1].intrinsic_radius(),
                   "final_max_width": last.max_width,
                   "final_f_distance": last.max_f_distance}
-    return quantities, assertions
+    return quantities, assertions, table
 
 
-def _exp_contraction(sys, cfg, out):
+def _exp_contraction(sys, cfg):
+    """Carve the hyperbolic-time component around the disk center and
+    verify backward intrinsic distances contract by sigma^(k/2) relative
+    to the final image.  Writes contraction.csv."""
     n = cfg.horizon or 20
     sigma = cfg.const("sigma", 0.5)
-    r = cfg.const("r", 0.02)
+    r = _carve_radius(sys, cfg, "constants.r")
     resolution = cfg.disk.get("resolution", 401)
     d = _config_disk(sys, cfg, radius=r, resolution=resolution)
     carved = disks.hyperbolic_component(sys, d, n, r, sigma=sigma)
     rep = disks.backward_contraction_check(sys, carved, n, sigma)
     grid_step = 2.0 / (resolution - 1)
     bound = 1.0 + 5.0 * grid_step
-    _write_csv(os.path.join(out, "contraction.csv"),
-               ["k", "worst_ratio"],
-               [(k + 1, rep.per_k[k]) for k in range(n)])
+    table = ("contraction.csv", ["k", "worst_ratio"],
+             [(k + 1, rep.per_k[k]) for k in range(n)])
     assertions = [
         _assert_entry("backward-contraction-bound",
                       rep.max_violation <= bound, rep.max_violation, bound),
     ]
     quantities = {"max_violation": rep.max_violation, "sigma": sigma,
                   "r": r, "carved_radius": carved.radius}
-    return quantities, assertions
+    return quantities, assertions, table
 
 
-def _exp_distortion(sys, cfg, out):
+def _exp_distortion(sys, cfg):
+    """Measure tangent-volume distortion along a carved disk and compare
+    to the two-sided bound K = exp(2*R1*a/(1-lambda2) +
+    R2*lambda2^(beta/2)/(1-lambda2^(beta/2))) with grid-measured R1,
+    R2.  Writes distortion.csv."""
     n = cfg.horizon or 12
     sigma = cfg.const("sigma", 0.5)
-    r = cfg.const("r", 0.02)
+    r = _carve_radius(sys, cfg, "constants.r")
     d = _config_disk(sys, cfg, radius=r, resolution=201)
     carved = disks.hyperbolic_component(sys, d, n, r, sigma=sigma)
     consts_h = measure_constants_h(sys, xi=cfg.const("xi"))
@@ -355,10 +372,9 @@ def _exp_distortion(sys, cfg, out):
     ratios = disks.distortion_profile(sys, carved, n)
     k_bound = dc.bound_k
     lo, hi = float(np.min(ratios)), float(np.max(ratios))
-    _write_csv(os.path.join(out, "distortion.csv"),
-               ["sample", "param", "ratio"],
-               [(s, carved.params[s, 0], ratios[s])
-                for s in range(carved.n_samples)])
+    table = ("distortion.csv", ["sample", "param", "ratio"],
+             [(s, carved.params[s, 0], ratios[s])
+              for s in range(carved.n_samples)])
     assertions = [
         _assert_entry("ratios-below-K", hi <= k_bound, hi, k_bound),
         _assert_entry("ratios-above-1-over-K", lo >= 1.0 / k_bound,
@@ -370,12 +386,16 @@ def _exp_distortion(sys, cfg, out):
                                         dev <= 1e-10, dev, 1e-10))
     quantities = {"K": k_bound, "R1": dc.r1, "R2": dc.r2, "a": a,
                   "ratio_min": lo, "ratio_max": hi}
-    return quantities, assertions
+    return quantities, assertions, table
 
 
-def _exp_curvature(sys, cfg, out):
+def _exp_curvature(sys, cfg):
+    """Check the tangent-field regularity recursion: flat disks measure
+    zero, curved disks stay below lambda4^n * H0 + L/(1-lambda4) along the
+    iteration.  Writes curvature.csv."""
     n = cfg.horizon or 6
     kappa = cfg.const("kappa", 0.5)
+    r = _carve_radius(sys, cfg, "disk.radius")
     consts_h = measure_constants_h(sys, xi=cfg.const("xi"))
     xi = consts_h.xi
     cc = disks.curvature_constants(sys, consts_h,
@@ -386,7 +406,6 @@ def _exp_curvature(sys, cfg, out):
 
     center = _default_center(sys, cfg)
     e, f = sys.splitting.at(center)
-    r = cfg.disk.get("radius", 0.02)
     d = disks.make_graph_disk(sys, center, f.frame[:, 0], e.frame[:, 0], r,
                               resolution=cfg.disk.get("resolution", 201),
                               curvature=kappa)
@@ -409,8 +428,8 @@ def _exp_curvature(sys, cfg, out):
         rep = disks.curvature_recursion(sys, carved, m, cc, check=False)
         ratio_worst = max(ratio_worst, rep.measured / rep.bound)
         rows.append((m, rep.measured, rep.bound_product, rep.bound_closed))
-    _write_csv(os.path.join(out, "curvature.csv"),
-               ["n", "measured", "bound_product", "bound_closed"], rows)
+    table = ("curvature.csv",
+             ["n", "measured", "bound_product", "bound_closed"], rows)
 
     # one-step claim: H(fD) <= c_0 H(D) + L1/(m_0 - 2 alpha)^(1+xi)
     logs0 = cocycle_logs(sys, d.center_point(), 0, include_zero=True)
@@ -432,10 +451,13 @@ def _exp_curvature(sys, cfg, out):
                   "times_checked": len(rows),
                   "measured_final": rep.measured, "bound_final": rep.bound,
                   "l1": cc.l1, "alpha": cc.alpha, "lambda4": cc.lambda4}
-    return quantities, assertions
+    return quantities, assertions, table
 
 
-def _exp_srb_converge(sys, cfg, out):
+def _exp_srb_converge(sys, cfg):
+    """Stream the Cesaro averages of disk pushforwards across doubling
+    horizons and track weak-star Cauchy distances on the default test
+    family.  Writes converge.csv."""
     n = cfg.horizon or 20000
     d = _config_disk(sys, cfg, radius=0.2, resolution=401)
     tests = measures.default_observables(sys.chart)
@@ -449,15 +471,10 @@ def _exp_srb_converge(sys, cfg, out):
         m *= 2
     checkpoints.append(n)
 
-    integ = {}
-    rows = []
-    for m in checkpoints:
-        integ[m] = {t.name: math.fsum(row[:m].tolist()) / m
-                    for t, row in zip(tests, steps)}
-        for t in tests:
-            rows.append((m, t.name, integ[m][t.name]))
-    _write_csv(os.path.join(out, "converge.csv"),
-               ["n", "test", "integral"], rows)
+    integ = {m: {t.name: math.fsum(row[:m].tolist()) / m
+                 for t, row in zip(tests, steps)} for m in checkpoints}
+    table = ("converge.csv", ["n", "test", "integral"],
+             [(m, t.name, integ[m][t.name]) for m in checkpoints for t in tests])
 
     cauchy = [max(abs(integ[checkpoints[i + 1]][t.name]
                       - integ[checkpoints[i]][t.name]) for t in tests)
@@ -475,10 +492,13 @@ def _exp_srb_converge(sys, cfg, out):
     quantities = {"final_distance": final,
                   "checkpoints": [int(c) for c in checkpoints],
                   "cauchy": [float(c) for c in cauchy]}
-    return quantities, assertions
+    return quantities, assertions, table
 
 
-def _exp_hyperbolic_mass(sys, cfg, out):
+def _exp_hyperbolic_mass(sys, cfg):
+    """Estimate the mass of orbit averages captured at hyperbolic times by
+    disjoint balls, the long-run membership fraction and its stability,
+    and the per-orbit time densities against theta.  Writes mass.csv."""
     n = cfg.horizon or 60
     consts_h = measure_constants_h(sys, xi=cfg.const("xi"))
     lam1 = cfg.const("lambda1", consts_h.lambda1)
@@ -503,9 +523,8 @@ def _exp_hyperbolic_mass(sys, cfg, out):
                            for row in lf])
         dens_ok = float(np.mean(dens >= theta))
 
-    _write_csv(os.path.join(out, "mass.csv"),
-               ["i", "captured_mass"],
-               [(i, rep.per_i[i]) for i in range(n)])
+    table = ("mass.csv", ["i", "captured_mass"],
+             [(i, rep.per_i[i]) for i in range(n)])
     stable = (frac1 > 0.0 and frac2 > 0.0
               and abs(frac1 - frac2) <= 0.2 * frac1)
     assertions = [
@@ -520,10 +539,13 @@ def _exp_hyperbolic_mass(sys, cfg, out):
                   "lambda1": lam1, "sigma": sigma,
                   "lambda_mass": rep.lambda_mass, "floor": rep.floor,
                   "fraction": frac1, "fraction_doubled": frac2}
-    return quantities, assertions
+    return quantities, assertions, table
 
 
-def _exp_physical_basin(sys, cfg, out, workers=1):
+def _exp_physical_basin(sys, cfg, workers):
+    """Estimate the fraction of quasi-uniform starts whose Birkhoff
+    averages converge to the reference integrals within tolerance.  Writes
+    basin.csv."""
     n = cfg.horizon or 20000
     tol = cfg.const("tol", 0.02)
     samples = cfg.const("samples", 200)
@@ -540,87 +562,28 @@ def _exp_physical_basin(sys, cfg, out, workers=1):
     frac = measures.physical_fraction(sys, None, ref, tests, n, tol,
                                       samples, seed=cfg.seed,
                                       workers=workers)
-    _write_csv(os.path.join(out, "basin.csv"),
-               ["test", "reference"],
-               [(t.name, ref[t.name]) for t in tests])
+    table = ("basin.csv", ["test", "reference"],
+             [(t.name, ref[t.name]) for t in tests])
     assertions = [
         _assert_entry("basin-fraction-large", frac >= threshold,
                       frac, threshold),
     ]
     quantities = {"fraction": frac, "tol": tol, "samples": samples,
                   "n": n}
-    return quantities, assertions
+    return quantities, assertions, table
 
 
 EXPERIMENTS = {
-    "pliss_demo": {
-        "fn": _exp_pliss_demo,
-        "doc": ("Select positive-density good times from an orbit's gain "
-                "sequence two ways (threshold scan and running-minimum "
-                "detector) and check they agree, with density above "
-                "theta = (c1-c2)/(c0-c2).  Writes pliss.csv."),
-    },
-    "hyperbolic_times": {
-        "fn": _exp_hyperbolic_times,
-        "doc": ("Detect sigma-hyperbolic times along an orbit, report count, "
-                "density, gaps, and compare the density to the guaranteed "
-                "floor when the orbit's average expansion supports one.  "
-                "Writes times.csv."),
-    },
-    "cone_check": {
-        "fn": _exp_cone_check,
-        "doc": ("Certify average domination along an orbit, transport "
-                "cone-boundary vectors and verify widths contract like "
-                "gamma^i, and compute a robustness radius from a grid "
-                "modulus-of-continuity scan.  Writes cone.csv."),
-    },
-    "disk_iterate": {
-        "fn": _exp_disk_iterate,
-        "doc": ("Push a disk forward step by step, tracking edge gaps, "
-                "intrinsic radius, and how close its tangents stay to F.  "
-                "Writes disk.csv."),
-    },
-    "contraction": {
-        "fn": _exp_contraction,
-        "doc": ("Carve the hyperbolic-time component around the disk center "
-                "and verify backward intrinsic distances contract by "
-                "sigma^(k/2) relative to the final image.  "
-                "Writes contraction.csv."),
-    },
-    "distortion": {
-        "fn": _exp_distortion,
-        "doc": ("Measure tangent-volume distortion along a carved disk and "
-                "compare to the two-sided bound "
-                "K = exp(2*R1*a/(1-lambda2) + "
-                "R2*lambda2^(beta/2)/(1-lambda2^(beta/2))) "
-                "with grid-measured R1, R2.  Writes distortion.csv."),
-    },
-    "curvature": {
-        "fn": _exp_curvature,
-        "doc": ("Check the tangent-field regularity recursion: flat disks "
-                "measure zero, curved disks stay below "
-                "lambda4^n * H0 + L/(1-lambda4) along the iteration.  "
-                "Writes curvature.csv."),
-    },
-    "srb_converge": {
-        "fn": _exp_srb_converge,
-        "doc": ("Stream the Cesaro averages of disk pushforwards across "
-                "doubling horizons and track weak-star Cauchy distances on "
-                "the default test family.  Writes converge.csv."),
-    },
-    "hyperbolic_mass": {
-        "fn": _exp_hyperbolic_mass,
-        "doc": ("Estimate the mass of orbit averages captured at hyperbolic "
-                "times by disjoint balls, the long-run membership fraction "
-                "and its stability, and the per-orbit time densities against "
-                "theta.  Writes mass.csv."),
-    },
-    "physical_basin": {
-        "fn": _exp_physical_basin,
-        "doc": ("Estimate the fraction of quasi-uniform starts whose "
-                "Birkhoff averages converge to the reference integrals "
-                "within tolerance.  Writes basin.csv."),
-    },
+    "pliss_demo": _exp_pliss_demo,
+    "hyperbolic_times": _exp_hyperbolic_times,
+    "cone_check": _exp_cone_check,
+    "disk_iterate": _exp_disk_iterate,
+    "contraction": _exp_contraction,
+    "distortion": _exp_distortion,
+    "curvature": _exp_curvature,
+    "srb_converge": _exp_srb_converge,
+    "hyperbolic_mass": _exp_hyperbolic_mass,
+    "physical_basin": _exp_physical_basin,
 }
 
 
@@ -628,7 +591,7 @@ def describe(name):
     if name not in EXPERIMENTS:
         raise ConfigInvalid(
             f"experiment '{name}' unknown; valid: {sorted(EXPERIMENTS)}")
-    return f"{name}\n\n{EXPERIMENTS[name]['doc']}\n"
+    return f"{name}\n\n{inspect.getdoc(EXPERIMENTS[name])}\n"
 
 
 def list_models():
@@ -664,25 +627,41 @@ def config_echo(cfg):
     }
 
 
+def _write_json(path, obj):
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
 def run_experiment(cfg, out_dir=None, workers=1):
-    """Execute one experiment; returns the summary dict and writes artifacts.
+    """Execute one experiment; returns the summary dict and writes the run's
+    files: the experiment's CSV, summary.json and run_meta.json.
 
     summary.json is byte-stable for a fixed config across runs and worker
-    counts; wall time and the worker count go to run_meta.json instead.
+    counts; wall time and the worker count go to run_meta.json instead.  A
+    run that raises writes run_meta.json alone, with the error's type and
+    message, and re-raises.
     """
-    import time
     t0 = time.perf_counter()
     out = out_dir or cfg.output_dir
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
         raise ConfigInvalid(f"output_dir {out!r} cannot be created: {exc}") from exc
-    sys_ = build(ModelSpec(name=cfg.model_name, params=dict(cfg.model_params)))
-    fn = EXPERIMENTS[cfg.experiment]["fn"]
-    if cfg.experiment == "physical_basin":
-        quantities, assertions = fn(sys_, cfg, out, workers=workers)
-    else:
-        quantities, assertions = fn(sys_, cfg, out)
+    meta_path = os.path.join(out, "run_meta.json")
+    try:
+        sys_ = build(cfg.model_name, **cfg.model_params)
+        fn = EXPERIMENTS[cfg.experiment]
+        if cfg.experiment == "physical_basin":
+            result = fn(sys_, cfg, workers=workers)
+        else:
+            result = fn(sys_, cfg)
+    except Exception as exc:
+        _write_json(meta_path, {
+            "wall_time_s": time.perf_counter() - t0, "workers": workers,
+            "error": {"type": type(exc).__name__, "message": str(exc)}})
+        raise
+    quantities, assertions, (csv_name, header, rows) = result
+    _write_csv(os.path.join(out, csv_name), header, rows)
     summary = {
         "experiment": cfg.experiment,
         "config": config_echo(cfg),
@@ -690,9 +669,7 @@ def run_experiment(cfg, out_dir=None, workers=1):
         "assertions": assertions,
         "pass": all(a["passed"] for a in assertions),
     }
-    with open(os.path.join(out, "summary.json"), "w") as fh:
-        fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    meta = {"wall_time_s": time.perf_counter() - t0, "workers": workers}
-    with open(os.path.join(out, "run_meta.json"), "w") as fh:
-        fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    _write_json(os.path.join(out, "summary.json"), summary)
+    _write_json(meta_path, {"wall_time_s": time.perf_counter() - t0,
+                            "workers": workers})
     return summary

@@ -15,8 +15,6 @@ dfa            -- cat deformed near its fixed point so the unstable multiplier
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .charts import Chart, torus_chart
@@ -42,52 +40,6 @@ def _unit(v):
 
 CAT_UNSTABLE = _unit([1.0, LAMBDA_U - 2.0])
 CAT_STABLE = _unit([1.0, LAMBDA_S - 2.0])
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Name plus parameters, as they appear in experiment configs."""
-
-    name: str
-    params: dict = field(default_factory=dict)
-
-
-# Per model: chart dimension, default parameters, a one-line description,
-# the default disk center (None: drawn from the region, burned in 12 steps)
-# and whether the map is linear (constant Jacobian, Lebesgue as its SRB
-# measure), which the experiments turn into exact checks.
-MODEL_INFO = {
-    "cat": {
-        "dim": 2,
-        "params": {},
-        "doc": "linear torus automorphism [[2,1],[1,1]]; exact splitting",
-        "center": (0.2, 0.3),
-        "linear": True,
-    },
-    "perturbed_cat": {
-        "dim": 2,
-        "params": {"eps": 0.01},
-        "doc": "cat + eps*(sin(2*pi*x1), 0); eps in [0, 0.05]; converged splitting",
-        "center": (0.2, 0.3),
-        "linear": False,
-    },
-    "solenoid": {
-        "dim": 3,
-        "params": {"c": 0.25, "d": 0.5},
-        "doc": "(phi, w) -> (2 phi, c w + d e^{i phi}) on the solid torus; "
-               "0 < c < 1/2, c < d, c + d < 1",
-        "center": None,
-        "linear": False,
-    },
-    "dfa": {
-        "dim": 2,
-        "params": {"delta": 0.05, "rho": 0.2},
-        "doc": "cat deformed near its fixed point: unstable multiplier 1+delta "
-               "at the origin, linear outside radius rho",
-        "center": (0.2, 0.3),
-        "linear": False,
-    },
-}
 
 
 def _constant_matrix_fns(a):
@@ -152,7 +104,7 @@ def _build_cat():
     return sys
 
 
-def _build_perturbed_cat(eps=0.01):
+def _build_perturbed_cat(eps):
     if not (0.0 <= eps <= 0.05):
         raise ConstructionFailed(f"eps = {eps} outside [0, 0.05]")
     chart = torus_chart(2)
@@ -191,7 +143,7 @@ def _build_perturbed_cat(eps=0.01):
                      constants=consts)
 
 
-def _build_solenoid(c=0.25, d=0.5):
+def _build_solenoid(c, d):
     if not (0.0 < c < 0.5):
         raise ConstructionFailed(f"c = {c} outside (0, 1/2)")
     if not (d > c):
@@ -260,7 +212,7 @@ def _build_solenoid(c=0.25, d=0.5):
                      constants=consts, region_contains=region)
 
 
-def _build_dfa(delta=0.05, rho=0.2):
+def _build_dfa(delta, rho):
     if not (0.0 < delta <= 0.5):
         raise ConstructionFailed(f"delta = {delta} outside (0, 0.5]")
     if not (0.05 <= rho <= 0.45):
@@ -355,25 +307,57 @@ def _build_dfa(delta=0.05, rho=0.2):
                      tangent=tangent, splitting=splitting, constants=consts)
 
 
-_BUILDERS = {
-    "cat": _build_cat,
-    "perturbed_cat": _build_perturbed_cat,
-    "solenoid": _build_solenoid,
-    "dfa": _build_dfa,
+# Per model: its builder, chart dimension, default parameters (declared
+# nowhere else), a one-line description, the default disk center (None:
+# drawn from the region, burned in 12 steps) and whether the map is linear
+# (constant Jacobian, Lebesgue as its SRB measure), which the experiments
+# turn into exact checks.
+MODEL_INFO = {
+    "cat": {
+        "build": _build_cat,
+        "dim": 2,
+        "params": {},
+        "doc": "linear torus automorphism [[2,1],[1,1]]; exact splitting",
+        "center": (0.2, 0.3),
+        "linear": True,
+    },
+    "perturbed_cat": {
+        "build": _build_perturbed_cat,
+        "dim": 2,
+        "params": {"eps": 0.01},
+        "doc": "cat + eps*(sin(2*pi*x1), 0); eps in [0, 0.05]; converged splitting",
+        "center": (0.2, 0.3),
+        "linear": False,
+    },
+    "solenoid": {
+        "build": _build_solenoid,
+        "dim": 3,
+        "params": {"c": 0.25, "d": 0.5},
+        "doc": "(phi, w) -> (2 phi, c w + d e^{i phi}) on the solid torus; "
+               "0 < c < 1/2, c < d, c + d < 1",
+        "center": None,
+        "linear": False,
+    },
+    "dfa": {
+        "build": _build_dfa,
+        "dim": 2,
+        "params": {"delta": 0.05, "rho": 0.2},
+        "doc": "cat deformed near its fixed point: unstable multiplier 1+delta "
+               "at the origin, linear outside radius rho",
+        "center": (0.2, 0.3),
+        "linear": False,
+    },
 }
 
 
-def build(spec, **params):
-    """Instantiate a zoo model from a ModelSpec or a bare name + params."""
-    if isinstance(spec, ModelSpec):
-        name, params = spec.name, dict(spec.params)
-    else:
-        name = spec
-    if name not in _BUILDERS:
+def build(name, **params):
+    """Instantiate a zoo model: its MODEL_INFO defaults updated by params."""
+    if name not in MODEL_INFO:
         raise ConstructionFailed(
-            f"unknown model {name!r}; choose from {sorted(_BUILDERS)}")
+            f"unknown model {name!r}; choose from {sorted(MODEL_INFO)}")
+    info = MODEL_INFO[name]
     try:
-        return _BUILDERS[name](**params)
+        return info["build"](**{**info["params"], **params})
     except TypeError as exc:
         raise ConstructionFailed(f"bad parameters for {name}: {exc}") from None
 

@@ -85,6 +85,14 @@ class TestRun:
         ({"model.name": "dfa"}, "model.name"),
         ({"model": {"name": "perturbed_cat", "params.eps": 0.02}},
          "model.params.eps"),
+        # pass parse_config, but too large for hyperbolic_component to carve
+        ({"experiment": "contraction", "constants": {"r": 0.2}},
+         "constants.r"),
+        ({"experiment": "distortion", "constants": {"r": 0.2}},
+         "constants.r"),
+        ({"experiment": "curvature", "disk": {"radius": 0.2}}, "disk.radius"),
+        ({"model": {"name": "solenoid"}, "experiment": "contraction",
+          "constants": {"r": 1.0}}, "constants.r"),
     ])
     def test_malformed_field_exits_two_with_path(self, tmp_path, patch, path):
         cfg = write_config(tmp_path, "bad.json", {**GOOD, **patch})
@@ -100,6 +108,10 @@ class TestRun:
         r = run_cli("run", cfg, "--output-dir", os.path.join(tmp_path, "o"))
         assert r.returncode == 2
         assert "HypothesisViolated" in r.stderr
+        assert sorted(os.listdir(os.path.join(tmp_path, "o"))) == ["run_meta.json"]
+        meta = json.load(open(os.path.join(tmp_path, "o", "run_meta.json")))
+        assert meta["error"]["type"] == "HypothesisViolated"
+        assert "hyperbolic time" in meta["error"]["message"]
 
     def test_honest_assertion_failure_exits_three(self, tmp_path):
         cfg = write_config(tmp_path, "fail.json",
@@ -168,7 +180,7 @@ PUBLIC = [
     "DistortionConstants", "DistortionReport", "DominationCertificate",
     "EmbeddedDisk", "EmpiricalMeasure", "EmptyRadius", "ExactSplitting",
     "HyperbolicMassReport", "HyperbolicTimeReport",
-    "HypothesisViolated", "MapSystem", "ModelSpec", "NoConvergence",
+    "HypothesisViolated", "MapSystem", "NoConvergence",
     "Observable", "OrbitEscaped", "PlissParams",
     "ResolutionExhausted", "SingularMap", "SplittingField", "SrbLabError",
     "Subspace", "SystemConstants", "TangencyReport", "ZeroMass",

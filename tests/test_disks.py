@@ -317,6 +317,10 @@ class TestTwoDimensional:
                                        want, rtol=1e-12, atol=1e-12)
         assert rep.max_width > 1e-3
 
+    def test_holder_curvature_is_for_curves_only(self, cat4):
+        with pytest.raises(DimensionMismatch):
+            disks.holder_curvature(self.make(cat4, resolution=5), 0.5)
+
     def test_carve_needs_enough_cells(self, cat4):
         d = self.make(cat4, resolution=21)
         with pytest.raises(CarvingFailed, match="below 3 per axis"):

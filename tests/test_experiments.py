@@ -1,5 +1,6 @@
 """Config validation, experiment runs, and output determinism."""
 
+import inspect
 import json
 import os
 
@@ -67,6 +68,7 @@ class TestRegistry:
         for name in experiments.EXPERIMENTS:
             text = experiments.describe(name)
             assert isinstance(text, str) and len(text) > 20
+            assert inspect.getdoc(experiments.EXPERIMENTS[name]) in text
 
     def test_unknown_experiment(self):
         with pytest.raises(SrbLabError):

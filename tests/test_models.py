@@ -37,6 +37,11 @@ class TestRegistry:
         with pytest.raises(ConstructionFailed):
             build("solenoid", c=0.6, d=0.3)
 
+    def test_unknown_parameter_rejected(self):
+        # the misspelt key reaches the builder alongside the default eps
+        with pytest.raises(ConstructionFailed, match="epsilon"):
+            build("perturbed_cat", epsilon=0.01)
+
 
 class TestMapConsistency:
     @pytest.mark.parametrize("name,params", [
