@@ -36,10 +36,10 @@ from .models import (build, converge_splitting, lambda_fraction,
 from .pliss import (HyperbolicTimeReport, PlissParams, density_theta,
                     first_nonneg_shift, hyperbolic_times, lambda_membership,
                     lambda_membership_batch, pliss_times)
-from .systems import (CocycleLog, ConstantsH, ConvergedSplitting,
-                      ExactSplitting, MapSystem, SplittingField,
-                      SystemConstants, cocycle_logs, cocycle_logs_batch,
-                      orbit_coords, splitting_frames_along_orbit)
+from .systems import (CocycleLog, ConstantsH, ConvergedSplitting, MapSystem,
+                      SplittingField, SystemConstants, cocycle_logs,
+                      cocycle_logs_batch, orbit_coords,
+                      splitting_frames_along_orbit)
 
 __version__ = "0.1.0"
 

@@ -69,8 +69,9 @@ def cone_width_of(v, e, f):
     return float(w) if w.ndim == 0 else w
 
 
-def check_avg_domination(cocycle, gamma, n=None):
-    """Certify prod_{j=0}^{i-1} ||Df|E(f^j x)|| / mininorm(Df|F(f^j x)) <= gamma^i.
+def check_avg_domination(cocycle, gamma):
+    """Certify prod_{j=0}^{i-1} ||Df|E(f^j x)|| / mininorm(Df|F(f^j x)) <= gamma^i
+    for every i up to the cocycle's length n.
 
     The product is 0-based, so the cocycle must carry entry 0 (request
     cocycle_logs with include_zero=True).  Returns a DominationCertificate,
@@ -84,12 +85,9 @@ def check_avg_domination(cocycle, gamma, n=None):
             "build the cocycle with include_zero=True")
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-    avail = len(cocycle.log_e)
-    n = avail if n is None else int(n)
-    if n > avail:
-        raise ValueError(f"n = {n} exceeds the {avail} available entries")
-    step_logs = (np.asarray(cocycle.log_e[:n], np.longdouble)
-                 + np.asarray(cocycle.log_f_inv[:n], np.longdouble))
+    n = len(cocycle.log_e)
+    step_logs = (np.asarray(cocycle.log_e, np.longdouble)
+                 + np.asarray(cocycle.log_f_inv, np.longdouble))
     cum = np.cumsum(step_logs)
     bound = np.log(np.longdouble(gamma)) * np.arange(1, n + 1, dtype=np.longdouble)
     bad = np.argwhere(cum > bound + 1e-12)
@@ -172,23 +170,16 @@ def domination_robustness_radius(sys, gamma1, gamma2):
     log_f = np.log(restricted_stretch(t, f, "min"))
 
     shape = mesh.shape[:-1]
+    mask = keep.reshape(shape)
     worst_slope = 0.0
     finest_jump = 0.0
     for vals in (log_e.reshape(shape), log_f.reshape(shape)):
-        mask = keep.reshape(shape)
         for j in range(chart.dim):
             step = (hi[j] - lo[j]) / (24 if chart.periodic[j] else 23)
-            if chart.periodic[j]:
-                nxt = np.roll(vals, -1, axis=j)
-                ok = mask & np.roll(mask, -1, axis=j)
-            else:
-                nxt = np.roll(vals, -1, axis=j)
-                sl = [slice(None)] * chart.dim
-                sl[j] = slice(0, -1)
-                ok = np.zeros_like(mask)
-                ok[tuple(sl)] = True
-                ok &= mask & np.roll(mask, -1, axis=j)
-            diffs = np.abs(nxt - vals)[ok]
+            ok = mask & np.roll(mask, -1, axis=j)
+            if not chart.periodic[j]:   # a box axis has no wrap-around pair
+                np.moveaxis(ok, j, 0)[-1] = False
+            diffs = np.abs(np.roll(vals, -1, axis=j) - vals)[ok]
             if diffs.size == 0:
                 continue
             jump = float(np.max(diffs))

@@ -26,6 +26,7 @@ from .errors import (CarvingFailed, ChartOverflow, ConstantsInvalid,
 from .cones import cone_width_of
 from .linalg import (Subspace, dot_norms, restricted_log_volume,
                      subspace_distance)
+from .models import region_sample
 from .pliss import hyperbolic_times
 from .systems import _batch_qr, cocycle_logs
 
@@ -627,8 +628,6 @@ def measure_distortion_constants(sys, a, lambda2, beta=None, seed=3):
     tilting F(x) by small rotations.  R2: worst beta-Hoelder quotient of
     log vol(Df|F) over nearby sample pairs.
     """
-    from .models import region_sample   # local import: models builds on disks' siblings
-
     beta = sys.constants.beta if beta is None else float(beta)
     pts = region_sample(sys, 150, seed=seed, burn_in=10)
     t = sys.tangent(pts)
@@ -715,7 +714,6 @@ class CurvatureConstants:
 def measure_l1(sys, xi):
     """xi-Hoelder constant of x -> Df(x) over nearby pairs of 200 region
     samples, padded by a factor 1.5."""
-    from .models import region_sample
     pts = region_sample(sys, 200, seed=3, burn_in=10)
     t = sys.tangent(pts)
     order = np.argsort(pts[:, 0])

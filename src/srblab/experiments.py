@@ -638,8 +638,9 @@ def run_experiment(cfg, out_dir=None, workers=1):
 
     summary.json is byte-stable for a fixed config across runs and worker
     counts; wall time and the worker count go to run_meta.json instead.  A
-    run that raises writes run_meta.json alone, with the error's type and
-    message, and re-raises.
+    summary.json already in the directory is removed first, so a verdict
+    never outlives its run.  A run that raises writes run_meta.json alone,
+    with the error's type and message, and re-raises.
     """
     t0 = time.perf_counter()
     out = out_dir or cfg.output_dir
@@ -647,6 +648,9 @@ def run_experiment(cfg, out_dir=None, workers=1):
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
         raise ConfigInvalid(f"output_dir {out!r} cannot be created: {exc}") from exc
+    summary_path = os.path.join(out, "summary.json")
+    if os.path.exists(summary_path):
+        os.remove(summary_path)
     meta_path = os.path.join(out, "run_meta.json")
     try:
         sys_ = build(cfg.model_name, **cfg.model_params)
@@ -669,7 +673,7 @@ def run_experiment(cfg, out_dir=None, workers=1):
         "assertions": assertions,
         "pass": all(a["passed"] for a in assertions),
     }
-    _write_json(os.path.join(out, "summary.json"), summary)
+    _write_json(summary_path, summary)
     _write_json(meta_path, {"wall_time_s": time.perf_counter() - t0,
                             "workers": workers})
     return summary

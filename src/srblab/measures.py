@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroMass
+from .models import quasi_uniform
 from .pliss import hyperbolic_times, lambda_membership_batch
 from .systems import cocycle_logs_batch, orbit_coords
 
@@ -309,19 +310,12 @@ def hyperbolic_mass(sys, d, n, sigma, r1, lam=None, theta=None):
                                 densities=np.asarray(densities, float))
 
 
-def _reference_integrals(mu_ref, tests):
-    """The reference integral of every test, as a (len(tests),) array."""
-    if isinstance(mu_ref, dict):
-        return np.array([float(mu_ref[t.name]) for t in tests])
-    return np.array([mu_ref.integrate(t) / mu_ref.total for t in tests])
-
-
 def physical_fraction(sys, region, mu_ref, tests, n, tol, samples,
                       seed=0, workers=1):
     """Fraction of quasi-uniform starts whose Birkhoff averages match mu_ref.
 
-    region: (lower, upper) arrays, or None for the whole chart.  mu_ref: an
-    EmpiricalMeasure or a {test name: integral} dict.  A start point counts
+    region: (lower, upper) arrays, or None for the whole chart.  mu_ref: the
+    {test name: integral} dict of the reference measure.  A start point counts
     iff every test's n-step average is within tol of the reference and its
     orbit rows 0..n all stay in the system region (row n is checked but not
     summed).  workers is the number of sample partitions run one after
@@ -332,14 +326,13 @@ def physical_fraction(sys, region, mu_ref, tests, n, tol, samples,
         raise ValueError("samples must be >= 100")
     if n < 1:
         raise ValueError("n must be >= 1")
-    from .models import quasi_uniform
     lower, upper = (region if region is not None
                     else (sys.chart.lower, sys.chart.upper))
     pts = quasi_uniform(np.asarray(lower, float), np.asarray(upper, float),
                         samples, seed=seed,
                         accept=lambda c: sys.in_region(sys.chart.wrap(c)))
     pts = sys.chart.wrap(pts)
-    ref = _reference_integrals(mu_ref, tests)
+    ref = np.array([float(mu_ref[t.name]) for t in tests])
 
     good = []
     for chunk in np.array_split(pts, min(max(int(workers), 1), len(pts))):

@@ -21,8 +21,8 @@ from .charts import Chart, torus_chart
 from .errors import ChainInfeasible, ConstructionFailed, NoConvergence
 from .linalg import Subspace, restricted_stretch, subspace_distance
 from .pliss import lambda_membership_batch
-from .systems import (ConstantsH, ConvergedSplitting, ExactSplitting,
-                      MapSystem, SystemConstants, cocycle_logs_batch,
+from .systems import (DEPTH, ConstantsH, ConvergedSplitting, MapSystem,
+                      SplittingField, SystemConstants, cocycle_logs_batch,
                       orbit_coords)
 
 LAMBDA_U = (3.0 + np.sqrt(5.0)) / 2.0
@@ -89,7 +89,7 @@ def linear_torus_system(matrix, e_dirs, f_dirs, name="linear"):
         forward=lambda c: fwd(c, chart),
         inverse=lambda c: inv(c, chart),
         tangent=tan,
-        splitting=ExactSplitting(e_frame.shape[1], f_frame.shape[1], e_fn, f_fn),
+        splitting=SplittingField(e_frame.shape[1], f_frame.shape[1], e_fn, f_fn),
         constants=consts)
 
 
@@ -135,7 +135,7 @@ def _build_perturbed_cat(eps):
         t[..., 0, 0] += eps * two_pi * np.cos(two_pi * c[..., 0])
         return t
 
-    splitting = ConvergedSplitting(1, 1, forward, inverse, tangent, depth=40)
+    splitting = ConvergedSplitting(1, 1, forward, inverse, tangent)
     consts = SystemConstants(beta=0.5, xi=0.5,
                              ground_truth={"eps": eps})
     return MapSystem(name="perturbed_cat", chart=chart, forward=forward,
@@ -192,12 +192,10 @@ def _build_solenoid(c, d):
 
     e_frame = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
-    def exact_e(coords):
-        coords = np.asarray(coords, float)
+    def e_fn(coords):
         return np.broadcast_to(e_frame, coords.shape[:-1] + (3, 2)).copy()
 
-    splitting = ConvergedSplitting(2, 1, forward, inverse, tangent, depth=40,
-                                   exact_e=exact_e)
+    splitting = ConvergedSplitting(2, 1, forward, inverse, tangent, e_fn=e_fn)
 
     def region(coords):
         coords = np.asarray(coords, float)
@@ -297,7 +295,7 @@ def _build_dfa(delta, rho):
             f"deformation Jacobian dips to {np.min(dets):.3g}; "
             f"reduce delta or enlarge rho")
 
-    splitting = ConvergedSplitting(1, 1, forward, inverse, tangent, depth=40)
+    splitting = ConvergedSplitting(1, 1, forward, inverse, tangent)
     consts = SystemConstants(beta=0.5, xi=1.0,
                              ground_truth={
                                  "delta": delta, "rho": rho,
@@ -425,7 +423,7 @@ def region_sample(sys, count, seed=0, burn_in=0):
     return pts
 
 
-def converge_splitting(sys, x, depth=40):
+def converge_splitting(sys, x, depth=DEPTH):
     """(E, F, residual) at x, refined to the requested cone-iteration depth.
 
     residual is the worst invariance defect over the two bundles:

@@ -5,6 +5,13 @@ E/F splitting field, and whatever constants are known exactly for the model.
 All callables are vectorized: they accept (..., dim) coordinate arrays and
 broadcast over leading axes.
 
+A splitting bundle without a closed form comes from one of two cone
+iterations over (m+1, ..., d) forward-orbit rows.  The push kernel (F)
+pushes a generic frame forward along the DEPTH-step backward orbit of the
+first row, then along the rows.  The pull kernel (E) pulls a generic frame
+back along the DEPTH-step forward orbit of the last row, then back along the
+rows.  A query at single points is the one-row case of the same kernel.
+
 The cocycle convention, fixed once for the whole toolkit: entry j of a
 cocycle log stores the value at the orbit point f^j(x),
 
@@ -18,6 +25,7 @@ requested (average-domination products are 0-based).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
@@ -26,6 +34,7 @@ from .errors import ChainInfeasible, OrbitEscaped
 from .linalg import Subspace, restricted_stretch
 
 _SEED_ANGLES = (0.7310987, 0.3891113, 0.9122891, 0.1930491)
+DEPTH = 40   # cone-iteration steps before a converged bundle reaches its rows
 
 
 def _generic_frames(pts, k):
@@ -67,105 +76,81 @@ def _pulled(tangent, path, frames):
         yield frames
 
 
-def _last(frames_seq):
-    """The final frames of a push or pull, without keeping the others."""
-    for frames in frames_seq:
-        pass
-    return frames
-
-
 class SplittingField:
-    """Base interface: orthonormal E- and F-frames at coordinate arrays.
+    """Orthonormal E- and F-frames; this base class holds the closed forms.
 
-    e_frames/f_frames map (..., d) coordinates to (..., d, dim) frames.
-    `depth` sets the cone-iteration depth of a converged splitting and is
-    ignored by a closed-form one.
+    e_fn/f_fn map (..., d) coordinates to (..., d, dim) frames.  Every query
+    goes through one per-bundle method on forward-orbit rows: frames_along
+    runs it on the rows, e_frames/f_frames on one row.  `depth` sets the
+    cone-iteration depth of a converged bundle; a closed form ignores it.
     """
-
-    dim_e = None
-    dim_f = None
-
-    def e_frames(self, coords, depth=None):
-        raise NotImplementedError
-
-    def f_frames(self, coords, depth=None):
-        raise NotImplementedError
-
-    def frames_along(self, rows):
-        """E- and F-frames at every row of (m+1, ..., d) forward-orbit rows."""
-        return self.e_frames(rows), self.f_frames(rows)
-
-    def at(self, coords):
-        """(E, F) as Subspaces at a single coordinate vector."""
-        c = np.asarray(coords, float)
-        return Subspace(self.e_frames(c)), Subspace(self.f_frames(c))
-
-
-class ExactSplitting(SplittingField):
-    """Splitting given in closed form (constant or pointwise formulas)."""
 
     def __init__(self, dim_e, dim_f, e_fn, f_fn):
         self.dim_e = dim_e
         self.dim_f = dim_f
-        self._e_fn = e_fn
-        self._f_fn = f_fn
+        self.e_fn = e_fn
+        self.f_fn = f_fn
 
-    def e_frames(self, coords, depth=None):
-        return self._e_fn(np.asarray(coords, float))
+    def _e_rows(self, rows, depth):
+        return self.e_fn(rows)
 
-    def f_frames(self, coords, depth=None):
-        return self._f_fn(np.asarray(coords, float))
+    def _f_rows(self, rows, depth):
+        return self.f_fn(rows)
+
+    def e_frames(self, coords, depth=DEPTH):
+        return self._e_rows(np.asarray(coords, float)[None], depth)[0]
+
+    def f_frames(self, coords, depth=DEPTH):
+        return self._f_rows(np.asarray(coords, float)[None], depth)[0]
+
+    def frames_along(self, rows):
+        """E- and F-frames at every row of (m+1, ..., d) forward-orbit rows."""
+        rows = np.asarray(rows, float)
+        return self._e_rows(rows, DEPTH), self._f_rows(rows, DEPTH)
+
+    def at(self, coords):
+        """(E, F) as Subspaces at a single coordinate vector."""
+        return Subspace(self.e_frames(coords)), Subspace(self.f_frames(coords))
 
 
 class ConvergedSplitting(SplittingField):
-    """Splitting obtained by cone iteration to a recorded depth.
+    """Splitting whose F comes from the push kernel and whose E comes from
+    the pull kernel unless e_fn gives it in closed form.
 
-    F at x: push a fixed generic frame forward along the backward orbit of x
-    (depth steps).  E at x: pull a generic frame backward along the forward
-    orbit (inverse iteration).  Every query recomputes; the field is a pure
-    function of the coordinates and keeps no state between queries.
+    A kernel keeps only the row frames, and it flattens the rows to
+    (m+1, N, d) first, so a frame does not depend on the leading shape.  The
+    field is a pure function of the coordinates.
     """
 
-    def __init__(self, dim_e, dim_f, forward, inverse, tangent, depth=40,
-                 exact_e=None):
-        self.dim_e = dim_e
-        self.dim_f = dim_f
-        self.depth = depth
+    def __init__(self, dim_e, dim_f, forward, inverse, tangent, e_fn=None):
+        super().__init__(dim_e, dim_f, e_fn, None)
         self._forward = forward
         self._inverse = inverse
         self._tangent = tangent
-        self._exact_e = exact_e  # models with an exactly-invariant E supply it
 
-    def f_frames(self, coords, depth=None):
-        c = np.asarray(coords, float)
-        back = [c.reshape(-1, c.shape[-1])]
-        for _ in range(self.depth if depth is None else depth):
+    def _f_rows(self, rows, depth):
+        flat = rows.reshape(len(rows), -1, rows.shape[-1])
+        back = [flat[0]]
+        for _ in range(depth):
             back.append(self._inverse(back[-1]))
-        out = _last(_pushed(self._tangent, reversed(back[1:]),
-                            _generic_frames(back[0], self.dim_f)))
-        return out.reshape(c.shape + (self.dim_f,))
+        # Df at f^-depth(row 0), ..., f^-1(row 0), then at rows 0..m-1
+        frames = _pushed(self._tangent, chain(back[:0:-1], flat[:-1]),
+                         _generic_frames(flat[0], self.dim_f))
+        f = np.stack(list(islice(frames, depth, None)))
+        return f.reshape(rows.shape + (self.dim_f,))
 
-    def e_frames(self, coords, depth=None):
-        c = np.asarray(coords, float)
-        if self._exact_e is not None:
-            return self._exact_e(c)
-        fwd = [c.reshape(-1, c.shape[-1])]
-        for _ in range(self.depth if depth is None else depth):
-            fwd.append(self._forward(fwd[-1]))
-        out = _last(_pulled(self._tangent, reversed(fwd[:-1]),
-                            _generic_frames(fwd[0], self.dim_e)))
-        return out.reshape(c.shape + (self.dim_e,))
-
-    def frames_along(self, rows):
-        """F is seeded by the field at row 0 and pushed forward one tangent
-        application per step (equivalent to deepening the cone iteration);
-        E is seeded by the field at the last row and pulled back."""
-        f = np.stack(list(_pushed(self._tangent, rows[:-1],
-                                  self.f_frames(rows[0]))))
-        if self._exact_e is not None:
-            return self._exact_e(rows), f
-        e = list(_pulled(self._tangent, rows[:-1][::-1], self.e_frames(rows[-1])))
-        return np.stack(e[::-1]), f
+    def _e_rows(self, rows, depth):
+        if self.e_fn is not None:
+            return self.e_fn(rows)
+        flat = rows.reshape(len(rows), -1, rows.shape[-1])
+        ahead = [flat[-1]]
+        for _ in range(depth):
+            ahead.append(self._forward(ahead[-1]))
+        # Df at f^(depth-1)(row m), ..., row m, then at rows m-1..0
+        frames = _pulled(self._tangent, chain(ahead[-2::-1], flat[-2::-1]),
+                         _generic_frames(flat[-1], self.dim_e))
+        e = np.stack(list(islice(frames, depth, None))[::-1])
+        return e.reshape(rows.shape + (self.dim_e,))
 
 
 @dataclass
@@ -272,8 +257,7 @@ def splitting_frames_along_orbit(sys, rows):
     """E- and F-frames at each of the (m+1, ..., d) forward-orbit rows.
 
     The splitting decides how: closed-form bundles are evaluated pointwise,
-    converged ones are pushed and pulled along the rows (see
-    ConvergedSplitting.frames_along).
+    converged ones come from the push and pull kernels of ConvergedSplitting.
     """
     return sys.splitting.frames_along(rows)
 

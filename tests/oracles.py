@@ -372,27 +372,28 @@ def splitting_frames_oracle(sys, rows):
     tail of depth forward steps past the last row, then pulled back row by
     row.
     """
-    from srblab.systems import ExactSplitting, _batch_qr, _generic_frames
+    from srblab.systems import (DEPTH, ConvergedSplitting, _batch_qr,
+                                _generic_frames)
     sp = sys.splitting
     m = rows.shape[0] - 1
-    if isinstance(sp, ExactSplitting):
+    if not isinstance(sp, ConvergedSplitting):
         e = np.stack([sp.e_frames(rows[j]) for j in range(m + 1)])
         f = np.stack([sp.f_frames(rows[j]) for j in range(m + 1)])
         return e, f
     lead = rows.shape[1:-1]
     d = rows.shape[-1]
     f = np.empty((m + 1,) + lead + (d, sp.dim_f), float)
-    f[0] = f_batch_oracle(sys, rows[0], sp.depth)
+    f[0] = f_batch_oracle(sys, rows[0], DEPTH)
     for j in range(m):
         f[j + 1] = _batch_qr(sys.tangent(rows[j]) @ f[j])
     e = np.empty((m + 1,) + lead + (d, sp.dim_e), float)
-    if sp._exact_e is not None:
+    if sp.e_fn is not None:
         for j in range(m + 1):
-            e[j] = sp._exact_e(rows[j])
+            e[j] = sp.e_fn(rows[j])
         return e, f
     ext = rows[m]
     tail = []
-    for _ in range(sp.depth):
+    for _ in range(DEPTH):
         tail.append(ext)
         ext = sys.forward(ext)
     cur = _generic_frames(rows[m], sp.dim_e)

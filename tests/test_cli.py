@@ -178,7 +178,7 @@ PUBLIC = [
     "DefectReport", "DegenerateImage", "DegenerateSplitting",
     "DegenerateTangent", "DimensionMismatch",
     "DistortionConstants", "DistortionReport", "DominationCertificate",
-    "EmbeddedDisk", "EmpiricalMeasure", "EmptyRadius", "ExactSplitting",
+    "EmbeddedDisk", "EmpiricalMeasure", "EmptyRadius",
     "HyperbolicMassReport", "HyperbolicTimeReport",
     "HypothesisViolated", "MapSystem", "NoConvergence",
     "Observable", "OrbitEscaped", "PlissParams",

@@ -123,11 +123,6 @@ class TestAvgDomination:
             with pytest.raises(ValueError):
                 cones.check_avg_domination(logs, g)
 
-    def test_horizon_capped_by_entries(self, cat):
-        logs = cocycle_logs(cat, X, 5, include_zero=True)
-        with pytest.raises(ValueError):
-            cones.check_avg_domination(logs, 0.15, n=100)
-
     def test_rejects_raw_arrays(self):
         with pytest.raises(TypeError):
             cones.check_avg_domination(np.zeros(5), 0.15)

@@ -141,6 +141,19 @@ class TestRunExperiment:
         failed = [a for a in summary["assertions"] if not a["passed"]]
         assert failed and failed[0]["name"] == "basin-fraction-large"
 
+    def test_failed_rerun_leaves_no_stale_summary(self, tmp_path):
+        out = os.path.join(tmp_path, "run")
+        ok = experiments.parse_config(base_config(experiment="contraction",
+                                                  horizon=10))
+        assert experiments.run_experiment(ok, out_dir=out)["pass"] is True
+        bad = experiments.parse_config(base_config(
+            experiment="contraction", horizon=10, constants={"sigma": 0.1}))
+        with pytest.raises(SrbLabError):
+            experiments.run_experiment(bad, out_dir=out)
+        assert not os.path.exists(os.path.join(out, "summary.json"))
+        meta = json.loads(open(os.path.join(out, "run_meta.json")).read())
+        assert meta["error"]["type"] == "HypothesisViolated"
+
     def test_default_config_digest(self, tmp_path):
         from .default_configs import run_one
         digests = [run_one("cat", "pliss_demo", os.path.join(tmp_path, tag))

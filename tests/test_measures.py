@@ -236,9 +236,10 @@ class TestPhysicalFraction:
     def test_measure_reference_and_workers_invariance(self, cat):
         obs = measures.default_observables(cat.chart)
         pa = pushforward_average(cat, unstable_disk(cat), 5)
-        f1 = measures.physical_fraction(cat, None, pa, obs, 200, 0.3, 100,
+        ref = {o.name: pa.integrate(o) / pa.total for o in obs}
+        f1 = measures.physical_fraction(cat, None, ref, obs, 200, 0.3, 100,
                                         seed=1)
-        f3 = measures.physical_fraction(cat, None, pa, obs, 200, 0.3, 100,
+        f3 = measures.physical_fraction(cat, None, ref, obs, 200, 0.3, 100,
                                         seed=1, workers=3)
         assert f1 == f3
 

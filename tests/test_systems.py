@@ -121,6 +121,16 @@ class TestSplittingFrames:
         assert np.array_equal(sys.splitting.e_frames(pts), e[0])
         assert np.array_equal(sys.splitting.f_frames(pts), f[0])
 
+    @pytest.mark.parametrize("model", ["pcat", "sol", "dfa"])
+    def test_frames_do_not_depend_on_the_leading_shape(self, request, model):
+        sys = request.getfixturevalue(model)
+        rows = orbit_coords(sys, region_sample(sys, 6, seed=5, burn_in=2), 7)
+        flat = splitting_frames_along_orbit(sys, rows)
+        nested = splitting_frames_along_orbit(sys, rows.reshape(8, 2, 3, -1))
+        for g, w in zip(nested, flat):
+            assert g.shape == (8, 2, 3) + w.shape[2:]
+            assert np.array_equal(g.reshape(w.shape), w)
+
     @pytest.mark.parametrize("model", ["pcat", "sol"])
     def test_queries_leave_the_field_unchanged(self, request, model):
         sys = request.getfixturevalue(model)
