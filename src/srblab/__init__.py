@@ -18,8 +18,8 @@ from .errors import (CarvingFailed, ChainInfeasible, ChartOverflow,
                      ConfigInvalid, ConstantsInvalid, ConstructionFailed,
                      DegenerateImage, DegenerateSplitting, DegenerateTangent,
                      DimensionMismatch, EmptyRadius, HypothesisViolated,
-                     NoConvergence, OrbitEscaped, ResolutionExhausted,
-                     SingularMap, SrbLabError, ZeroMass)
+                     OrbitEscaped, ResolutionExhausted, SingularMap,
+                     SrbLabError, ZeroMass)
 from .experiments import (Config, describe, list_models, parse_config,
                           run_experiment)
 from .linalg import (Subspace, graph_norm, mininorm, oblique_components,
@@ -30,9 +30,8 @@ from .measures import (DefectReport, EmpiricalMeasure, HyperbolicMassReport,
                        physical_fraction, pushforward_integrals,
                        pushforward_step_integrals, select_disjoint_balls,
                        weak_star_distance)
-from .models import (build, converge_splitting, lambda_fraction,
-                     linear_torus_system, measure_constants_h,
-                     quasi_uniform, region_sample)
+from .models import (build, lambda_fraction, linear_torus_system,
+                     measure_constants_h, quasi_uniform, region_sample)
 from .pliss import (HyperbolicTimeReport, PlissParams, density_theta,
                     first_nonneg_shift, hyperbolic_times, lambda_membership,
                     lambda_membership_batch, pliss_times)

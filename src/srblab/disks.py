@@ -496,11 +496,9 @@ def hyperbolic_component(sys, d, n, r, sigma):
             f"initial disk too small or resolution too coarse")
     tp = carved.params[:, 0][final.center_index:]
     tm = carved.params[:, 0][: final.center_index + 1][::-1]
-    cut_p = float(np.interp(r, right, tp)) if right[-1] > r else 1.0
-    cut_m = float(np.interp(r, left, tm)) if left[-1] > r else -1.0
-
-    t_hi = cut_p * (t_plus if t_plus > 0 else 1.0)
-    t_lo = abs(cut_m) * (t_minus if t_minus < 0 else -1.0)
+    # past the image's end np.interp clamps to the end parameter +-1
+    t_hi = float(np.interp(r, right, tp)) * t_plus
+    t_lo = abs(float(np.interp(r, left, tm))) * t_minus
     out = _resample_interval(d, t_lo, t_hi, d.n_samples)
     if out.n_samples < 3 or t_hi <= 0.0 or t_lo >= 0.0:
         raise CarvingFailed("carved component collapsed below 3 samples")
@@ -588,19 +586,17 @@ def distortion_profile(sys, d, n):
     return ratios
 
 
-def distortion(sys, d, y_index, n, constants=None):
+def distortion(sys, d, y_index, n, constants):
     """Distortion of f^n along the disk between sample y_index and the center.
 
-    constants: a DistortionConstants (measured R1/R2 etc); when present the
-    report carries the bound exp(2 R1 a/(1-l2) + R2 l2^{b/2}/(1-l2^{b/2})).
+    constants: a DistortionConstants (measured R1/R2 etc); the report carries
+    its bound exp(2 R1 a/(1-l2) + R2 l2^{b/2}/(1-l2^{b/2})).
     """
     if not (0 <= y_index < d.n_samples):
         raise ValueError(f"y_index {y_index} out of range")
     ratios = distortion_profile(sys, d, n)
-    bound = constants.bound_k if constants is not None else None
     return DistortionReport(ratio=float(ratios[y_index]),
-                            bound_k=float(bound) if bound else np.inf,
-                            n=n)
+                            bound_k=constants.bound_k, n=n)
 
 
 @dataclass(frozen=True)

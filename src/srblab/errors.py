@@ -76,10 +76,6 @@ class ChainInfeasible(SrbLabError):
     """No constant chain 0 < l1 < l1*e^eps0 < l2 < l3 < 1 exists for the data."""
 
 
-class NoConvergence(SrbLabError):
-    """Iterative splitting refinement stopped improving before tolerance."""
-
-
 class ConstructionFailed(SrbLabError):
     """Model parameters do not produce a valid system."""
 

@@ -69,7 +69,7 @@ _FIELDS = {
                         "an odd integer >= 3"),
     "disk.direction": (lambda v: v in ("E", "F"), "'E' or 'F'"),
     **{f"constants.{k}": _UNIT
-       for k in ("sigma", "gamma", "lambda1", "lambda2", "lambda3", "lambda4")},
+       for k in ("sigma", "gamma", "lambda1", "lambda4")},
     **{f"constants.{k}": _POSITIVE
        for k in ("a", "r", "r1", "alpha", "beta", "kappa", "tol")},
     "constants.xi": (lambda v: _num(v) and 0.0 < v <= 1.0, "a number in (0, 1]"),
@@ -401,10 +401,10 @@ def _exp_curvature(sys, cfg):
     cc = disks.curvature_constants(sys, consts_h,
                                    alpha=cfg.const("alpha"),
                                    lambda4=cfg.const("lambda4"))
-    flat = _config_disk(sys, cfg, radius=0.02, resolution=201)
+    center = _default_center(sys, cfg)
+    flat = _config_disk(sys, cfg, radius=0.02, resolution=201, center=center)
     h_flat = disks.holder_curvature(flat, xi)
 
-    center = _default_center(sys, cfg)
     e, f = sys.splitting.at(center)
     d = disks.make_graph_disk(sys, center, f.frame[:, 0], e.frame[:, 0], r,
                               resolution=cfg.disk.get("resolution", 201),
@@ -559,9 +559,8 @@ def _exp_physical_basin(sys, cfg, workers):
         d = _config_disk(sys, cfg, radius=0.05, resolution=101)
         ref = measures.pushforward_integrals(sys, d, n, tests)
 
-    frac = measures.physical_fraction(sys, None, ref, tests, n, tol,
-                                      samples, seed=cfg.seed,
-                                      workers=workers)
+    frac = measures.physical_fraction(sys, ref, tests, n, tol, samples,
+                                      seed=cfg.seed, workers=workers)
     table = ("basin.csv", ["test", "reference"],
              [(t.name, ref[t.name]) for t in tests])
     assertions = [

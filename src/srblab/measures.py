@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroMass
-from .models import quasi_uniform
+from .models import region_sample
 from .pliss import hyperbolic_times, lambda_membership_batch
 from .systems import cocycle_logs_batch, orbit_coords
 
@@ -243,20 +243,20 @@ class HyperbolicMassReport:
     per_i: np.ndarray      # selected-ball mass at each step i (un-divided)
     lambda_mass: float     # disk volume of the finite-horizon membership set
     tau: float             # min over nonempty steps of captured/total mass
-    floor: float           # tau * theta * lambda_mass (nan without theta)
+    floor: float           # tau * theta * lambda_mass
     densities: np.ndarray  # per qualifying sample: hyperbolic-time density
 
 
-def hyperbolic_mass(sys, d, n, sigma, r1, lam=None, theta=None):
+def hyperbolic_mass(sys, d, n, sigma, r1, lam, theta):
     """Mass of mu_n captured by disjoint balls at hyperbolic-time images.
 
     For each 0 <= i < n: S_i = samples whose cocycle rows pass the lam
-    long-run test (all samples when lam is None) and for which i is a
-    sigma-hyperbolic time; their step-i images get a greedy packing by balls
-    of radius r1/4 (chart metric: at useful horizons the stretched image's
-    intrinsic metric only exceeds it, so chart-disjoint is the conservative
-    side), and the mass of S_i samples inside selected balls accumulates.
-    eta is the grand total over i divided by n.
+    long-run test and for which i is a sigma-hyperbolic time; their step-i
+    images get a greedy packing by balls of radius r1/4 (chart metric: at
+    useful horizons the stretched image's intrinsic metric only exceeds it,
+    so chart-disjoint is the conservative side), and the mass of S_i samples
+    inside selected balls accumulates.  eta is the grand total over i
+    divided by n; floor is tau * theta * lambda_mass.
     """
     if not (0.0 < sigma < 1.0):
         raise ValueError("sigma must be in (0, 1)")
@@ -267,10 +267,7 @@ def hyperbolic_mass(sys, d, n, sigma, r1, lam=None, theta=None):
     rows = orbit_coords(sys, pts, n)
     _, log_f_inv = cocycle_logs_batch(sys, pts, n)
 
-    if lam is not None:
-        member = lambda_membership_batch(log_f_inv, lam)
-    else:
-        member = np.ones(len(w), bool)
+    member = lambda_membership_batch(log_f_inv, lam)
     lambda_mass = float(math.fsum(w[member].tolist()))
 
     hyp = np.zeros((len(w), n + 1), bool)
@@ -304,34 +301,27 @@ def hyperbolic_mass(sys, d, n, sigma, r1, lam=None, theta=None):
             tau = min(tau, captured / avail)
     eta = captured_tot / n
     tau = 0.0 if not np.isfinite(tau) else float(tau)
-    floor = float(tau * theta * lambda_mass) if theta is not None else float("nan")
     return HyperbolicMassReport(eta=float(eta), per_i=per_i,
-                                lambda_mass=lambda_mass, tau=tau, floor=floor,
+                                lambda_mass=lambda_mass, tau=tau,
+                                floor=float(tau * theta * lambda_mass),
                                 densities=np.asarray(densities, float))
 
 
-def physical_fraction(sys, region, mu_ref, tests, n, tol, samples,
-                      seed=0, workers=1):
-    """Fraction of quasi-uniform starts whose Birkhoff averages match mu_ref.
+def physical_fraction(sys, mu_ref, tests, n, tol, samples, seed=0, workers=1):
+    """Fraction of region_sample starts whose Birkhoff averages match mu_ref.
 
-    region: (lower, upper) arrays, or None for the whole chart.  mu_ref: the
-    {test name: integral} dict of the reference measure.  A start point counts
-    iff every test's n-step average is within tol of the reference and its
-    orbit rows 0..n all stay in the system region (row n is checked but not
-    summed).  workers is the number of sample partitions run one after
-    another; it bounds memory and does not change the result, because every
-    sample's sum adds its own orbit rows in a fixed order.
+    mu_ref: the {test name: integral} dict of the reference measure.  A start
+    point counts iff every test's n-step average is within tol of the
+    reference and its orbit rows 0..n all stay in the system region (row n
+    is checked but not summed).  workers is the number of sample partitions
+    run one after another; it bounds memory and does not change the result,
+    because every sample's sum adds its own orbit rows in a fixed order.
     """
     if samples < 100:
         raise ValueError("samples must be >= 100")
     if n < 1:
         raise ValueError("n must be >= 1")
-    lower, upper = (region if region is not None
-                    else (sys.chart.lower, sys.chart.upper))
-    pts = quasi_uniform(np.asarray(lower, float), np.asarray(upper, float),
-                        samples, seed=seed,
-                        accept=lambda c: sys.in_region(sys.chart.wrap(c)))
-    pts = sys.chart.wrap(pts)
+    pts = region_sample(sys, samples, seed=seed)
     ref = np.array([float(mu_ref[t.name]) for t in tests])
 
     good = []

@@ -18,10 +18,10 @@ from __future__ import annotations
 import numpy as np
 
 from .charts import Chart, torus_chart
-from .errors import ChainInfeasible, ConstructionFailed, NoConvergence
-from .linalg import Subspace, restricted_stretch, subspace_distance
+from .errors import ChainInfeasible, ConstructionFailed
+from .linalg import restricted_stretch
 from .pliss import lambda_membership_batch
-from .systems import (DEPTH, ConstantsH, ConvergedSplitting, MapSystem,
+from .systems import (ConstantsH, ConvergedSplitting, MapSystem,
                       SplittingField, SystemConstants, cocycle_logs_batch,
                       orbit_coords)
 
@@ -423,38 +423,6 @@ def region_sample(sys, count, seed=0, burn_in=0):
     return pts
 
 
-def converge_splitting(sys, x, depth=DEPTH):
-    """(E, F, residual) at x, refined to the requested cone-iteration depth.
-
-    residual is the worst invariance defect over the two bundles:
-    subspace_distance(span(Df(x) B(x)), B(f(x))).  Raises NoConvergence when
-    deepening from depth/2 to depth failed to improve a residual that is
-    still above the float floor.  A closed-form splitting ignores the depth,
-    so its residual never worsens with it.
-    """
-    coords = np.asarray(x, float)
-    sp = sys.splitting
-
-    def residual_at(dep):
-        fx = sys.forward(coords)
-        t = sys.tangent(coords)
-        res_e = subspace_distance(np.linalg.qr(t @ sp.e_frames(coords, dep))[0],
-                                  sp.e_frames(fx, dep))
-        res_f = subspace_distance(np.linalg.qr(t @ sp.f_frames(coords, dep))[0],
-                                  sp.f_frames(fx, dep))
-        return max(res_e, res_f)
-
-    res = residual_at(depth)
-    if res > 1e-12:
-        res_half = residual_at(max(depth // 2, 1))
-        if res > res_half:
-            raise NoConvergence(
-                f"residual {res:.3e} at depth {depth} worse than "
-                f"{res_half:.3e} at depth {depth // 2}")
-    return (Subspace(sp.e_frames(coords, depth)),
-            Subspace(sp.f_frames(coords, depth)), float(res))
-
-
 _MARGIN = 0.01   # headroom of eps0 and of lambda1's log
 
 
@@ -511,10 +479,11 @@ def measure_constants_h(sys, xi=None):
     return consts
 
 
-def lambda_fraction(sys, lam, horizon, count=400, seed=11):
+def lambda_fraction(sys, lam, horizon, seed=11):
     """Fraction of sampled points whose finite-horizon prefix averages all
-    stay below log(lam) — the sampling surrogate for membership mass."""
-    pts = region_sample(sys, count, seed=seed)
+    stay below log(lam) — the sampling surrogate for membership mass, on
+    400 region samples."""
+    pts = region_sample(sys, 400, seed=seed)
     _, lf = cocycle_logs_batch(sys, pts, horizon)
     ok = lambda_membership_batch(lf, lam)
     return float(np.mean(ok)), pts[ok]

@@ -81,8 +81,7 @@ class SplittingField:
 
     e_fn/f_fn map (..., d) coordinates to (..., d, dim) frames.  Every query
     goes through one per-bundle method on forward-orbit rows: frames_along
-    runs it on the rows, e_frames/f_frames on one row.  `depth` sets the
-    cone-iteration depth of a converged bundle; a closed form ignores it.
+    runs it on the rows, e_frames/f_frames on one row.
     """
 
     def __init__(self, dim_e, dim_f, e_fn, f_fn):
@@ -91,22 +90,22 @@ class SplittingField:
         self.e_fn = e_fn
         self.f_fn = f_fn
 
-    def _e_rows(self, rows, depth):
+    def _e_rows(self, rows):
         return self.e_fn(rows)
 
-    def _f_rows(self, rows, depth):
+    def _f_rows(self, rows):
         return self.f_fn(rows)
 
-    def e_frames(self, coords, depth=DEPTH):
-        return self._e_rows(np.asarray(coords, float)[None], depth)[0]
+    def e_frames(self, coords):
+        return self._e_rows(np.asarray(coords, float)[None])[0]
 
-    def f_frames(self, coords, depth=DEPTH):
-        return self._f_rows(np.asarray(coords, float)[None], depth)[0]
+    def f_frames(self, coords):
+        return self._f_rows(np.asarray(coords, float)[None])[0]
 
     def frames_along(self, rows):
         """E- and F-frames at every row of (m+1, ..., d) forward-orbit rows."""
         rows = np.asarray(rows, float)
-        return self._e_rows(rows, DEPTH), self._f_rows(rows, DEPTH)
+        return self._e_rows(rows), self._f_rows(rows)
 
     def at(self, coords):
         """(E, F) as Subspaces at a single coordinate vector."""
@@ -128,28 +127,28 @@ class ConvergedSplitting(SplittingField):
         self._inverse = inverse
         self._tangent = tangent
 
-    def _f_rows(self, rows, depth):
+    def _f_rows(self, rows):
         flat = rows.reshape(len(rows), -1, rows.shape[-1])
         back = [flat[0]]
-        for _ in range(depth):
+        for _ in range(DEPTH):
             back.append(self._inverse(back[-1]))
-        # Df at f^-depth(row 0), ..., f^-1(row 0), then at rows 0..m-1
+        # Df at f^-DEPTH(row 0), ..., f^-1(row 0), then at rows 0..m-1
         frames = _pushed(self._tangent, chain(back[:0:-1], flat[:-1]),
                          _generic_frames(flat[0], self.dim_f))
-        f = np.stack(list(islice(frames, depth, None)))
+        f = np.stack(list(islice(frames, DEPTH, None)))
         return f.reshape(rows.shape + (self.dim_f,))
 
-    def _e_rows(self, rows, depth):
+    def _e_rows(self, rows):
         if self.e_fn is not None:
             return self.e_fn(rows)
         flat = rows.reshape(len(rows), -1, rows.shape[-1])
         ahead = [flat[-1]]
-        for _ in range(depth):
+        for _ in range(DEPTH - 1):
             ahead.append(self._forward(ahead[-1]))
-        # Df at f^(depth-1)(row m), ..., row m, then at rows m-1..0
-        frames = _pulled(self._tangent, chain(ahead[-2::-1], flat[-2::-1]),
+        # Df at f^(DEPTH-1)(row m), ..., row m, then at rows m-1..0
+        frames = _pulled(self._tangent, chain(ahead[::-1], flat[-2::-1]),
                          _generic_frames(flat[-1], self.dim_e))
-        e = np.stack(list(islice(frames, depth, None))[::-1])
+        e = np.stack(list(islice(frames, DEPTH, None))[::-1])
         return e.reshape(rows.shape + (self.dim_e,))
 
 

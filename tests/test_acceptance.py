@@ -241,8 +241,8 @@ def test_criterion_7_physical_convergence(cat):
         assert dist < 0.03
 
         ref = {o.name: o.reference_integral for o in obs}
-        frac = measures.physical_fraction(cat, None, ref, obs, 100_000,
-                                          0.02, 200, seed=1)
+        frac = measures.physical_fraction(cat, ref, obs, 100_000, 0.02, 200,
+                                          seed=1)
         assert frac >= 0.99
 
 

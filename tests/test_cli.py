@@ -93,6 +93,9 @@ class TestRun:
         ({"experiment": "curvature", "disk": {"radius": 0.2}}, "disk.radius"),
         ({"model": {"name": "solenoid"}, "experiment": "contraction",
           "constants": {"r": 1.0}}, "constants.r"),
+        # valid numbers once, but no experiment read them
+        ({"constants": {"lambda2": 0.3}}, "constants.lambda2"),
+        ({"constants": {"lambda3": 0.9}}, "constants.lambda3"),
     ])
     def test_malformed_field_exits_two_with_path(self, tmp_path, patch, path):
         cfg = write_config(tmp_path, "bad.json", {**GOOD, **patch})
@@ -180,13 +183,13 @@ PUBLIC = [
     "DistortionConstants", "DistortionReport", "DominationCertificate",
     "EmbeddedDisk", "EmpiricalMeasure", "EmptyRadius",
     "HyperbolicMassReport", "HyperbolicTimeReport",
-    "HypothesisViolated", "MapSystem", "NoConvergence",
+    "HypothesisViolated", "MapSystem",
     "Observable", "OrbitEscaped", "PlissParams",
     "ResolutionExhausted", "SingularMap", "SplittingField", "SrbLabError",
     "Subspace", "SystemConstants", "TangencyReport", "ZeroMass",
     "backward_contraction_check", "build", "charts", "check_avg_domination",
     "cocycle_logs", "cocycle_logs_batch", "cone_from_system",
-    "cone_width_bound", "cone_width_of", "cones", "converge_splitting",
+    "cone_width_bound", "cone_width_of", "cones",
     "curvature_constants", "curvature_recursion", "default_observables",
     "density_theta", "describe", "disk_measure", "disks", "distortion",
     "distortion_profile", "domination_robustness_radius", "errors",

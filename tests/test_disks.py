@@ -202,9 +202,12 @@ class TestDistortion:
     def test_cat_ratio_exactly_one(self, cat):
         d = flat_disk(cat)
         carved = disks.hyperbolic_component(cat, d, 10, R, sigma=0.5)
-        rep = disks.distortion(cat, carved, 3, 10)
+        # zero regularity constants make the bound exactly 1
+        flat = disks.DistortionConstants(r1=0.0, r2=0.0, a=0.05,
+                                         lambda2=0.5, beta=0.5)
+        rep = disks.distortion(cat, carved, 3, 10, constants=flat)
         assert rep.ratio == 1.0
-        assert rep.bound_k == np.inf          # no constants supplied
+        assert rep.bound_k == 1.0
         prof = disks.distortion_profile(cat, carved, 10)
         assert np.all(prof == 1.0)
 

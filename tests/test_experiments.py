@@ -62,6 +62,20 @@ class TestParseConfig:
             experiments.parse_config(raw)
         assert fragment in str(err.value)
 
+    def test_every_field_has_a_reader(self):
+        # a field that parse_config accepts but no experiment reads lets a
+        # config change nothing while looking as if it did
+        src = inspect.getsource(experiments)
+        for path in experiments._FIELDS:
+            section, _, key = path.rpartition(".")
+            readers = {
+                "constants": [f'const("{key}"',
+                              f'_carve_radius(sys, cfg, "{path}")'],
+                "disk": [f'disk.get("{key}"', f'disk["{key}"]',
+                         f'_carve_radius(sys, cfg, "{path}")'],
+            }.get(section, [f"cfg.{path.replace('.', '_')}"])
+            assert any(r in src for r in readers), path
+
 
 class TestRegistry:
     def test_all_experiments_described(self):

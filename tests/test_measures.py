@@ -229,27 +229,18 @@ class TestPhysicalFraction:
     def test_reference_dict_accepted(self, cat):
         obs = measures.default_observables(cat.chart)
         ref = {o.name: 0.0 for o in obs}
-        frac = measures.physical_fraction(cat, None, ref, obs, 2000, 0.05,
-                                          100, seed=1)
+        frac = measures.physical_fraction(cat, ref, obs, 2000, 0.05, 100,
+                                          seed=1)
         assert frac == 1.0
 
     def test_measure_reference_and_workers_invariance(self, cat):
         obs = measures.default_observables(cat.chart)
         pa = pushforward_average(cat, unstable_disk(cat), 5)
         ref = {o.name: pa.integrate(o) / pa.total for o in obs}
-        f1 = measures.physical_fraction(cat, None, ref, obs, 200, 0.3, 100,
-                                        seed=1)
-        f3 = measures.physical_fraction(cat, None, ref, obs, 200, 0.3, 100,
-                                        seed=1, workers=3)
+        f1 = measures.physical_fraction(cat, ref, obs, 200, 0.3, 100, seed=1)
+        f3 = measures.physical_fraction(cat, ref, obs, 200, 0.3, 100, seed=1,
+                                        workers=3)
         assert f1 == f3
-
-    def test_region_restricts_samples(self, cat):
-        obs = measures.default_observables(cat.chart)
-        ref = {o.name: 0.0 for o in obs}
-        region = (np.array([0.0, 0.0]), np.array([0.5, 1.0]))
-        frac = measures.physical_fraction(cat, region, ref, obs, 2000, 0.05,
-                                          100, seed=1)
-        assert frac >= 0.99
 
     def test_escape_counts_rows_zero_to_n(self, cat):
         # a start counts iff orbit rows 0..n all stay in the region, row n
@@ -266,7 +257,7 @@ class TestPhysicalFraction:
         want = np.mean(np.all(inside, axis=0))
         assert want != np.mean(np.all(inside[:n], axis=0))
         for workers in (1, 3):
-            frac = measures.physical_fraction(strip, None, ref, obs, n, 10.0,
+            frac = measures.physical_fraction(strip, ref, obs, n, 10.0,
                                               samples, seed=2,
                                               workers=workers)
             assert frac == want
@@ -274,15 +265,18 @@ class TestPhysicalFraction:
     def test_sample_floor(self, cat):
         obs = measures.default_observables(cat.chart)
         with pytest.raises(ValueError, match=">= 100"):
-            measures.physical_fraction(cat, None, {o.name: 0.0 for o in obs},
-                                       obs, 10, 0.05, 50)
+            measures.physical_fraction(cat, {o.name: 0.0 for o in obs}, obs,
+                                       10, 0.05, 50)
 
 
 class TestHyperbolicMass:
     def test_cat_capture(self, cat):
-        rep = measures.hyperbolic_mass(cat, unstable_disk(cat), 30, 0.5, 0.05)
+        # every cat orbit passes the long-run test at lam = 0.5 > 1/lambda_u
+        rep = measures.hyperbolic_mass(cat, unstable_disk(cat), 30, 0.5, 0.05,
+                                       lam=0.5, theta=0.5)
         assert 0.0 < rep.eta <= 1.0
         assert np.isclose(rep.lambda_mass, 1.0, rtol=1e-12)
+        assert rep.floor == rep.tau * 0.5 * rep.lambda_mass
         assert rep.per_i.shape == (30,)
         assert len(rep.densities) == 101
         # every cat point has every time hyperbolic at sigma = 0.5
@@ -291,7 +285,7 @@ class TestHyperbolicMass:
     def test_validation(self, cat):
         d = unstable_disk(cat)
         with pytest.raises(ValueError):
-            measures.hyperbolic_mass(cat, d, 10, 1.5, 0.05)
+            measures.hyperbolic_mass(cat, d, 10, 1.5, 0.05, 0.5, 0.5)
         with pytest.raises(ValueError):
-            measures.hyperbolic_mass(cat, d, 10, 0.5, -1.0)
+            measures.hyperbolic_mass(cat, d, 10, 0.5, -1.0, 0.5, 0.5)
 

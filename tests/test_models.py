@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from srblab import (ChainInfeasible, ConstructionFailed, build, cocycle_logs,
-                    converge_splitting, lambda_fraction, linear_torus_system,
-                    list_models,
+                    lambda_fraction, linear_torus_system, list_models,
                     measure_constants_h, quasi_uniform, region_sample,
                     subspace_distance, span)
 from srblab.models import _halton
@@ -73,25 +72,9 @@ class TestMapConsistency:
             df = sys.tangent(x)
             e0, f0 = sys.splitting.at(x)
             e1, f1 = sys.splitting.at(fx)
-            assert subspace_distance(span(df @ f0.frame), f1) < 1e-7
-            assert subspace_distance(span(df @ e0.frame), e1) < 1e-7
-
-
-class TestConvergeSplitting:
-    @pytest.mark.parametrize("model", ["cat", "pcat", "sol", "dfa"])
-    def test_refines_to_the_requested_depth(self, request, model):
-        sys = request.getfixturevalue(model)
-        x = region_sample(sys, 1, seed=6)[0]
-        e, f, res = converge_splitting(sys, x)
-        e0, f0 = sys.splitting.at(x)
-        assert np.array_equal(e.frame, e0.frame)
-        assert np.array_equal(f.frame, f0.frame)
-        assert res < 1e-14
-        shallow = converge_splitting(sys, x, depth=12)[2]
-        if model == "cat":    # closed form: the depth changes nothing
-            assert shallow == res
-        else:
-            assert 1e-12 < shallow < 1e-8
+            # at the cone depth DEPTH the worst residual is at the float floor
+            assert max(subspace_distance(span(df @ f0.frame), f1),
+                       subspace_distance(span(df @ e0.frame), e1)) < 1e-14
 
 
 class TestCatExactness:
@@ -200,13 +183,13 @@ class TestConstantsH:
 
 class TestLambdaFraction:
     def test_cat_everything_qualifies(self, cat):
-        frac, pts = lambda_fraction(cat, 0.5, 100, count=200, seed=3)
+        frac, pts = lambda_fraction(cat, 0.5, 100, seed=3)
         assert frac == 1.0
-        assert len(pts) == 200
+        assert len(pts) == 400
 
     def test_dfa_positive_and_deterministic(self, dfa):
-        f1, p1 = lambda_fraction(dfa, 0.45, 300, count=200, seed=5)
-        f2, p2 = lambda_fraction(dfa, 0.45, 300, count=200, seed=5)
+        f1, p1 = lambda_fraction(dfa, 0.45, 300, seed=5)
+        f2, p2 = lambda_fraction(dfa, 0.45, 300, seed=5)
         assert f1 == f2
         assert np.array_equal(p1, p2)
         assert 0.0 < f1 <= 1.0

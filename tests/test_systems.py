@@ -8,6 +8,7 @@ from srblab import (OrbitEscaped, cocycle_logs, cocycle_logs_batch,
                     subspace_distance, span)
 
 from srblab.models import region_sample
+from srblab.systems import DEPTH, ConvergedSplitting
 
 from . import oracles
 from .conftest import LAM_S, LAM_U, LOG_LAM_U
@@ -140,9 +141,23 @@ class TestSplittingFrames:
         for p in (pts[0], pts[0], pts[1]):
             sp.at(p)
         sp.e_frames(pts)
-        sp.f_frames(pts, depth=7)
+        sp.f_frames(pts)
         splitting_frames_along_orbit(sys, orbit_coords(sys, pts, 3))
         assert vars(sp) == before
+
+    def test_pull_kernel_maps_the_last_row_depth_minus_one_steps(self, pcat):
+        # the pull uses Df at f^(DEPTH-1)(row m) .. row m: no further image
+        calls = []
+
+        def forward(c):
+            calls.append(len(c))
+            return pcat.forward(c)
+
+        sp = ConvergedSplitting(1, 1, forward, pcat.inverse, pcat.tangent)
+        pts = region_sample(pcat, 5, seed=6)
+        e = sp.e_frames(pts)
+        assert calls == [5] * (DEPTH - 1)
+        assert np.array_equal(e, pcat.splitting.e_frames(pts))
 
     def test_converged_field_is_pure(self, pcat):
         p = np.array([0.37, 0.61])
