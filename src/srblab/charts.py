@@ -42,6 +42,11 @@ class Chart:
         object.__setattr__(self, "_per", per)
         object.__setattr__(self, "_per_lo", np.asarray(self.lower, float)[per])
         object.__setattr__(self, "_per_w", self.widths[per])
+        # a unit torus with one lower bound folds the whole array at once
+        unit = (all(self.periodic) and np.all(self.widths == 1.0)
+                and len(set(self.lower)) == 1)
+        object.__setattr__(self, "_unit_lo",
+                           float(self.lower[0]) if unit else None)
 
     @property
     def dim(self):
@@ -62,6 +67,8 @@ class Chart:
     def wrap(self, coords):
         """Fold coordinates back into the fundamental domain (periodic axes)."""
         out = np.array(coords, dtype=float)
+        if self._unit_lo is not None:
+            return _fold_unit(out, self._unit_lo)
         p, lo = self._per, self._per_lo
         out[..., p] = np.mod(out[..., p] - lo, self._per_w) + lo
         return out
@@ -69,6 +76,8 @@ class Chart:
     def displacement(self, a, b):
         """Minimal displacement b - a in the chart metric (wrapped per axis)."""
         out = np.asarray(b, float) - np.asarray(a, float)
+        if self._unit_lo is not None:
+            return _fold_unit(out, -0.5)
         p, w = self._per, self._per_w
         out[..., p] = np.mod(out[..., p] + w / 2.0, w) - w / 2.0
         return out
@@ -85,6 +94,15 @@ class Chart:
         return np.all((c >= np.asarray(self.lower, float)[box] - 1e-9)
                       & (c <= np.asarray(self.upper, float)[box] + 1e-9),
                       axis=-1)
+
+
+def _fold_unit(t, lo):
+    """t folded into [lo, lo + 1) in place.  For period 1, t - floor(t)
+    equals np.mod(t, 1.0) bit for bit, so this is the per-axis fold."""
+    t -= lo
+    t -= np.floor(t)
+    t += lo
+    return t
 
 
 def torus_chart(dim):

@@ -1,7 +1,7 @@
 """Run the 40 default configs (every experiment on every zoo model, seed 7)
 and print a digest of what they write.
 
-    python3 tests/default_configs.py OUT_DIR
+    python3 tests/default_configs.py OUT_DIR [--check OUTCOMES_JSON]
 
 Prints JSON mapping "model-experiment" to [outcome, {file: sha256}]: the
 outcome is 0 when every assertion passes, 3 when one fails (the CLI's exit
@@ -9,6 +9,11 @@ codes), or the SrbLabError class name for a run the CLI ends with exit 2.
 run_meta.json holds wall time, so it is left out.  Two checkouts that print
 the same digest give byte-identical results.  srblab is imported from the
 src/ next to this file.
+
+With --check, the outcomes are also compared with a {"model-experiment":
+outcome} file (tests/default_outcomes.json holds the expected table; the
+sha256s are left out because they depend on the numpy/BLAS build).  Every
+entry that disagrees is named on stderr and the exit code is 1.
 """
 
 import hashlib
@@ -41,13 +46,27 @@ def run_one(model, experiment, out_dir):
     return outcome, files
 
 
+def disagreements(digest, expected):
+    """One line per entry whose outcome differs from the expected table."""
+    return [f"{key}: expected {expected.get(key, 'no entry')}, "
+            f"got {digest[key][0] if key in digest else 'no run'}"
+            for key in sorted(set(digest) | set(expected))
+            if key not in digest or digest[key][0] != expected.get(key)]
+
+
 def main(argv):
-    if len(argv) != 1:
+    if len(argv) not in (1, 3) or (len(argv) == 3 and argv[1] != "--check"):
         print(__doc__, file=sys.stderr)
         return 2
     digest = {f"{m}-{e}": list(run_one(m, e, argv[0]))
               for m in sorted(MODEL_INFO) for e in EXPERIMENTS}
     print(json.dumps(digest, indent=1, sort_keys=True))
+    if len(argv) == 3:
+        with open(argv[2]) as fh:
+            bad = disagreements(digest, json.load(fh))
+        for line in bad:
+            print(line, file=sys.stderr)
+        return 1 if bad else 0
     return 0
 
 

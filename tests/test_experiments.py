@@ -8,6 +8,7 @@ import pytest
 
 from srblab import experiments
 from srblab.errors import ConfigInvalid, SrbLabError
+from srblab.models import MODEL_INFO
 
 
 def base_config(**over):
@@ -176,3 +177,18 @@ class TestRunExperiment:
         assert outcome == 0
         assert sorted(files) == ["pliss.csv", "summary.json"]
         assert digests[0] == digests[1]
+
+    def test_default_outcome_table_covers_every_config(self):
+        from .default_configs import disagreements
+        path = os.path.join(os.path.dirname(__file__), "default_outcomes.json")
+        with open(path) as fh:
+            expected = json.load(fh)
+        assert sorted(expected) == sorted(f"{m}-{e}" for m in MODEL_INFO
+                                          for e in experiments.EXPERIMENTS)
+        digest = {key: [outcome, {}] for key, outcome in expected.items()}
+        assert disagreements(digest, expected) == []
+        digest["cat-pliss_demo"][0] = 3
+        del digest["dfa-cone_check"]
+        assert disagreements(digest, expected) == [
+            "cat-pliss_demo: expected 0, got 3",
+            "dfa-cone_check: expected EmptyRadius, got no run"]

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srblab import (DegenerateSplitting, DimensionMismatch, Subspace,
                     graph_norm, mininorm, oblique_components, span,
@@ -14,6 +16,22 @@ from .conftest import LAM_S, LAM_U, V_S, V_U
 from .oracles import displacement_oracle, wrap_oracle
 
 CAT = np.array([[2.0, 1.0], [1.0, 1.0]])
+
+# charts whose every axis has period 1 from one shared lower bound
+UNIT_TORI = [torus_chart(2), torus_chart(4),
+             Chart("unit_centred", (-0.5, -0.5), (0.5, 0.5), (True, True))]
+# integers, half-integers and their float neighbours, signed zeros, a
+# negative value that rounds up to the period, and large magnitudes
+_HALVES = np.arange(-6, 7) / 2.0
+FOLD_CASES = np.concatenate([
+    _HALVES, np.nextafter(_HALVES, np.inf), np.nextafter(_HALVES, -np.inf),
+    [0.0, -0.0, -1e-300, 1e-300, 1e15, -1e15, 1e15 + 0.5, -1e15 - 0.5]])
+COORD = st.floats(-1e15, 1e15, allow_nan=False, allow_infinity=False)
+
+
+def bits(a):
+    """int64 view of a float array: unlike ==, it tells -0.0 from +0.0."""
+    return np.ascontiguousarray(a, float).view(np.int64)
 
 
 class TestSubspace:
@@ -211,6 +229,29 @@ class TestChart:
         for x, y in ((a, b), (a[0], b), (a, b[7]), (a[3], b[3])):
             assert np.array_equal(ch.displacement(x, y),
                                   displacement_oracle(ch, x, y))
+
+    @pytest.mark.parametrize("ch", UNIT_TORI, ids=lambda c: c.chart_id)
+    def test_unit_torus_fold_is_bit_identical_on_fixed_cases(self, ch):
+        assert ch._unit_lo is not None      # the whole-array path is taken
+        pts = np.repeat(FOLD_CASES[:, None], ch.dim, axis=1)
+        mixed = np.resize(FOLD_CASES, (len(FOLD_CASES), ch.dim))
+        for p in (pts, mixed, pts[3], mixed[1:].reshape(-1, 2, ch.dim)):
+            assert np.array_equal(bits(ch.wrap(p)), bits(wrap_oracle(ch, p)))
+        a, b = pts[:, None, :], pts[None, :, :]
+        assert np.array_equal(bits(ch.displacement(a, b)),
+                              bits(displacement_oracle(ch, a, b)))
+
+    @pytest.mark.parametrize("ch", UNIT_TORI, ids=lambda c: c.chart_id)
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(rows=st.lists(st.tuples(*[COORD] * 8), min_size=1, max_size=20))
+    def test_unit_torus_fold_is_bit_identical_on_random_floats(self, ch,
+                                                               rows):
+        xy = np.array(rows)
+        x, y = xy[:, :ch.dim], xy[:, 4:4 + ch.dim]
+        assert np.array_equal(bits(ch.wrap(x)), bits(wrap_oracle(ch, x)))
+        assert np.array_equal(bits(ch.displacement(x, y)),
+                              bits(displacement_oracle(ch, x, y)))
 
     def test_equal_charts_compare_and_hash_equal(self, sol):
         ch = sol.chart

@@ -23,6 +23,20 @@ def unstable_disk(sys, resolution=101):
     return disks.make_disk(sys, X, V_U, 0.02, resolution=resolution)
 
 
+def model_disk(sys, resolution=101):
+    """unstable_disk on the 2-D models, an F-disk through (0.3, 0, 0) on the
+    solenoid."""
+    if sys.dim == 2:
+        return unstable_disk(sys, resolution)
+    p = sys.chart.wrap([0.3, 0.0, 0.0])
+    _, f = sys.splitting.at(p)
+    return disks.make_disk(sys, p, f, 0.02, resolution=resolution)
+
+
+def is_k2(t):
+    return t._harmonic is not None and t._harmonic[1] == 2
+
+
 class TestObservables:
     def test_torus_set(self, cat):
         obs = measures.default_observables(cat.chart)
@@ -102,19 +116,58 @@ class TestPushforward:
                 cat, unstable_disk(cat), 0,
                 measures.default_observables(cat.chart))
 
-    @pytest.mark.parametrize("n", [1, 255, 256, 257, 515])
-    def test_step_integrals_across_block_edges(self, pcat, n):
-        d = unstable_disk(pcat, resolution=21)
-        obs = measures.default_observables(pcat.chart)
-        steps = measures.pushforward_step_integrals(pcat, d, n, obs)
-        assert steps.shape == (len(obs), n)
-        rows = orbit_coords(pcat, d.points(), n - 1)
-        w = d.cell_weights()
-        for i in sorted({0, n // 2, n - 1}):
-            mu_i = measures.EmpiricalMeasure(rows[i], w, pcat.chart,
-                                             total=math.fsum(w.tolist()))
+    @pytest.mark.parametrize("n", sorted({
+        1, measures._BLOCK - 1, measures._BLOCK, measures._BLOCK + 1,
+        255, 256, 257, 515}))
+    def test_step_integrals_across_block_edges(self, cat, pcat, sol, dfa, n):
+        for sys in (cat, pcat, sol, dfa):
+            d = model_disk(sys, resolution=21)
+            obs = measures.default_observables(sys.chart)
+            steps = measures.pushforward_step_integrals(sys, d, n, obs)
+            assert steps.shape == (len(obs), n)
+            rows = orbit_coords(sys, d.points(), n - 1)
+            w = d.cell_weights()
+            for i in sorted({0, n // 2, n - 1}):
+                mu_i = measures.EmpiricalMeasure(rows[i], w, sys.chart,
+                                                 total=math.fsum(w.tolist()))
+                for k, o in enumerate(obs):
+                    assert abs(steps[k, i] - mu_i.integrate(o)) <= 1e-15
+            # tests that are called match a per-step loop bit for bit; the
+            # k = 2 characters built from k = 1 values match it within 1e-15
             for k, o in enumerate(obs):
-                assert abs(steps[k, i] - mu_i.integrate(o)) <= 1e-15
+                want = np.array([np.sum(o(rows[i]) * w, axis=-1)
+                                 for i in range(n)])
+                if is_k2(o):
+                    assert np.max(np.abs(steps[k] - want)) <= 1e-15
+                else:
+                    assert np.array_equal(steps[k], want), (sys.name, o.name)
+
+    def test_harmonic_without_its_partners_is_called(self, pcat):
+        d = unstable_disk(pcat, resolution=21)
+        obs = {o.name: o for o in measures.default_observables(pcat.chart)}
+        rows = orbit_coords(pcat, d.points(), 39)
+        w = d.cell_weights()
+        for names in (["cos2_x0", "sin2_x1"],
+                      ["cos1_x0", "cos2_x0", "sin2_x0"],
+                      ["cos2_x0", "cos1_x0", "sin1_x0"],
+                      ["cos1_x1", "sin1_x1", "cos2_x0"]):
+            tests = [obs[k] for k in names]
+            steps = measures.pushforward_step_integrals(pcat, d, 40, tests)
+            want = [[np.sum(t.fn(r) * w, axis=-1) for r in rows]
+                    for t in tests]
+            assert np.array_equal(steps, np.array(want)), names
+
+    def test_default_harmonics_are_built_not_called(self, pcat):
+        called = set()
+
+        def counted(o):
+            return dataclasses.replace(
+                o, fn=lambda c: called.add(o.name) or o.fn(c))
+
+        obs = [counted(o) for o in measures.default_observables(pcat.chart)]
+        measures.pushforward_step_integrals(
+            pcat, unstable_disk(pcat, resolution=21), 3, obs)
+        assert called == {o.name for o in obs if not is_k2(o)}
 
 
 class TestWeakStar:
@@ -148,12 +201,7 @@ class TestInvarianceDefect:
     def test_bound_holds_everywhere(self, model, request):
         sys = request.getfixturevalue(model)
         obs = measures.default_observables(sys.chart)
-        if sys.dim == 2:
-            d = unstable_disk(sys)
-        else:
-            p = sys.chart.wrap([0.3, 0.0, 0.0])
-            _, f = sys.splitting.at(p)
-            d = disks.make_disk(sys, p, f, 0.02, resolution=101)
+        d = model_disk(sys)
         rep = measures.invariance_defect(sys, d, 100, obs)
         assert rep.n == 100
         assert set(rep.per_test) == {o.name for o in obs}
@@ -164,12 +212,7 @@ class TestInvarianceDefect:
     def test_streamed_matches_materialised_oracle(self, model, request):
         sys = request.getfixturevalue(model)
         obs = measures.default_observables(sys.chart)
-        if sys.dim == 2:
-            d = unstable_disk(sys)
-        else:
-            p = sys.chart.wrap([0.3, 0.0, 0.0])
-            _, f = sys.splitting.at(p)
-            d = disks.make_disk(sys, p, f, 0.02, resolution=101)
+        d = model_disk(sys)
         rep = measures.invariance_defect(sys, d, 100, obs)
         want = invariance_defect_oracle(sys, d, 100, obs)
         for o in obs:
@@ -233,14 +276,18 @@ class TestPhysicalFraction:
                                           seed=1)
         assert frac == 1.0
 
-    def test_measure_reference_and_workers_invariance(self, cat):
-        obs = measures.default_observables(cat.chart)
-        pa = pushforward_average(cat, unstable_disk(cat), 5)
-        ref = {o.name: pa.integrate(o) / pa.total for o in obs}
-        f1 = measures.physical_fraction(cat, ref, obs, 200, 0.3, 100, seed=1)
-        f3 = measures.physical_fraction(cat, ref, obs, 200, 0.3, 100, seed=1,
-                                        workers=3)
-        assert f1 == f3
+    def test_measure_reference_and_workers_invariance(self, cat, pcat, sol):
+        # a 50-step disk average as reference puts every fraction strictly
+        # between 0 and 1, so the partitions have something to disagree on
+        for sys in (cat, pcat, sol):
+            obs = measures.default_observables(sys.chart)
+            pa = pushforward_average(sys, model_disk(sys), 50)
+            ref = {o.name: pa.integrate(o) / pa.total for o in obs}
+            f1 = measures.physical_fraction(sys, ref, obs, 200, 0.1, 100,
+                                            seed=1)
+            f3 = measures.physical_fraction(sys, ref, obs, 200, 0.1, 100,
+                                            seed=1, workers=3)
+            assert 0.0 < f1 < 1.0 and f1 == f3, (sys.name, f1, f3)
 
     def test_escape_counts_rows_zero_to_n(self, cat):
         # a start counts iff orbit rows 0..n all stay in the region, row n
