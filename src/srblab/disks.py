@@ -28,7 +28,7 @@ from .linalg import (Subspace, dot_norms, restricted_log_volume,
                      subspace_distance)
 from .models import region_sample
 from .pliss import hyperbolic_times
-from .systems import _batch_qr, cocycle_logs
+from .systems import _batch_qr, _log_f_inv, cocycle_logs, orbit_coords
 
 MICRO_SWITCH = 1e-8
 
@@ -460,8 +460,8 @@ def hyperbolic_component(sys, d, n, r, sigma):
         raise ValueError(
             f"r = {r} too large for unambiguous wrapped distances "
             f"(limit {limit})")
-    logs = cocycle_logs(sys, d.center_point(), n)
-    rep = hyperbolic_times(logs.f_inv_from_one(), sigma)
+    lf = _log_f_inv(sys, orbit_coords(sys, d.center_point()[None], n))[0, 1:]
+    rep = hyperbolic_times(lf, sigma)
     if n not in rep.times:
         raise HypothesisViolated(
             f"n = {n} is not a sigma = {sigma} hyperbolic time of the center")

@@ -26,7 +26,7 @@ from .errors import ConfigInvalid, HypothesisViolated
 from .models import (MODEL_INFO, build, lambda_fraction, measure_constants_h,
                      region_sample)
 from .pliss import PlissParams, density_theta, hyperbolic_times, pliss_times
-from .systems import cocycle_logs, cocycle_logs_batch
+from .systems import _log_f_inv, cocycle_logs, orbit_coords
 
 @dataclass
 class Config:
@@ -199,8 +199,8 @@ def _exp_pliss_demo(sys, cfg):
     n = cfg.horizon or 100
     sigma = cfg.const("sigma", 0.5)
     x = _default_center(sys, cfg)
-    logs = cocycle_logs(sys, x, n)
-    gains = -np.asarray(logs.log_f_inv, float)   # per-step expansion gains
+    lf = _log_f_inv(sys, orbit_coords(sys, x[None], n))[0, 1:]
+    gains = -lf   # per-step expansion gains
     c2 = -float(np.log(sigma))
     c0 = float(np.max(gains)) + 1e-9
     c1 = float(np.mean(gains)) - 1e-12
@@ -210,7 +210,7 @@ def _exp_pliss_demo(sys, cfg):
             f"threshold {c2:.4f}; no positive-density selection possible")
     params = PlissParams(c0=c0, c1=c1, c2=c2)
     times = pliss_times(gains, params)
-    det = hyperbolic_times(np.asarray(logs.log_f_inv, float), sigma)
+    det = hyperbolic_times(lf, sigma)
     agree = bool(np.array_equal(times, det.times))
     density = len(times) / n
     prefix = np.cumsum(gains) / np.arange(1, n + 1)
@@ -235,8 +235,7 @@ def _exp_hyperbolic_times(sys, cfg):
     n = cfg.horizon or 400
     sigma = cfg.const("sigma", 0.5)
     x = _default_center(sys, cfg)
-    logs = cocycle_logs(sys, x, n)
-    lf = np.asarray(logs.log_f_inv, float)
+    lf = _log_f_inv(sys, orbit_coords(sys, x[None], n))[0, 1:]
     rep = hyperbolic_times(lf, sigma)
     times = np.asarray(rep.times, int)
     gaps = np.diff(times) if len(times) > 1 else np.asarray([0])
@@ -412,10 +411,8 @@ def _exp_curvature(sys, cfg):
     # the recursion is checked on carved hyperbolic-time components, whose
     # m-step images stay r-small; iterating the raw disk m steps would
     # stretch it past any fixed resolution
-    logs = cocycle_logs(sys, center, n)
-    times = [m for m in
-             hyperbolic_times(logs.f_inv_from_one(),
-                              consts_h.lambda2).times if m <= n]
+    lf = _log_f_inv(sys, orbit_coords(sys, center[None], n))[0, 1:]
+    times = [m for m in hyperbolic_times(lf, consts_h.lambda2).times if m <= n]
     if not times:
         raise HypothesisViolated(
             f"no lambda2-hyperbolic times <= {n} at the disk center")
@@ -517,8 +514,7 @@ def _exp_hyperbolic_mass(sys, cfg):
 
     dens_ok = 1.0
     if len(qual):
-        sample = qual[: min(len(qual), 200)]
-        _, lf = cocycle_logs_batch(sys, sample, n)
+        lf = _log_f_inv(sys, orbit_coords(sys, qual[:200], n))[:, 1:]
         dens = np.asarray([len(hyperbolic_times(row, sigma).times) / n
                            for row in lf])
         dens_ok = float(np.mean(dens >= theta))

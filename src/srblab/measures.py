@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ZeroMass
 from .models import region_sample
 from .pliss import hyperbolic_times, lambda_membership_batch
-from .systems import cocycle_logs_batch, orbit_coords
+from .systems import _log_f_inv, orbit_coords
 
 
 @dataclass
@@ -290,9 +290,8 @@ def hyperbolic_mass(sys, d, n, sigma, r1, lam, theta):
     if r1 <= 0:
         raise ValueError("r1 must be > 0")
     w = d.cell_weights()
-    pts = d.points()
-    rows = orbit_coords(sys, pts, n)
-    _, log_f_inv = cocycle_logs_batch(sys, pts, n)
+    rows = orbit_coords(sys, d.points(), n)
+    log_f_inv = _log_f_inv(sys, rows)[:, 1:]
 
     member = lambda_membership_batch(log_f_inv, lam)
     lambda_mass = float(math.fsum(w[member].tolist()))
@@ -359,9 +358,9 @@ def physical_fraction(sys, mu_ref, tests, n, tol, samples, seed=0, workers=1):
             alive &= np.all(sys.in_region(block), axis=0)
             summed = block[:n - i]
             for ti, v in enumerate(_test_values(tests, summed)):
-                # cumsum adds each sample's rows one by one, in step order,
-                # whatever the partition width
-                sums[ti] = np.cumsum(np.vstack([sums[ti], v]), axis=0)[-1]
+                # each sample adds its rows in step order at any partition
+                for row in v:
+                    sums[ti] += row
         good.append(alive & np.all(np.abs(sums / n - ref[:, None]) <= tol,
                                    axis=0))
     return float(np.count_nonzero(np.concatenate(good)) / samples)

@@ -22,7 +22,7 @@ from .errors import ChainInfeasible, ConstructionFailed
 from .linalg import restricted_stretch
 from .pliss import lambda_membership_batch
 from .systems import (ConstantsH, ConvergedSplitting, MapSystem,
-                      SplittingField, SystemConstants, cocycle_logs_batch,
+                      SplittingField, SystemConstants, _log_f_inv,
                       orbit_coords)
 
 LAMBDA_U = (3.0 + np.sqrt(5.0)) / 2.0
@@ -453,7 +453,7 @@ def measure_constants_h(sys, xi=None):
     b = float(np.min(mins))
     c0 = float(np.max(np.abs(np.log(mins))))
 
-    _, lf = cocycle_logs_batch(sys, pts[:200], 400)
+    lf = _log_f_inv(sys, orbit_coords(sys, pts[:200], 400))[:, 1:]
     q = float(np.quantile(np.mean(lf, axis=1), 0.9))
     lam1 = float(np.exp(q + _MARGIN))
     if lam1 >= 1.0:
@@ -484,6 +484,6 @@ def lambda_fraction(sys, lam, horizon, seed=11):
     stay below log(lam) — the sampling surrogate for membership mass, on
     400 region samples."""
     pts = region_sample(sys, 400, seed=seed)
-    _, lf = cocycle_logs_batch(sys, pts, horizon)
+    lf = _log_f_inv(sys, orbit_coords(sys, pts, horizon))[:, 1:]
     ok = lambda_membership_batch(lf, lam)
     return float(np.mean(ok)), pts[ok]

@@ -5,12 +5,11 @@ E/F splitting field, and whatever constants are known exactly for the model.
 All callables are vectorized: they accept (..., dim) coordinate arrays and
 broadcast over leading axes.
 
-A splitting bundle without a closed form comes from one of two cone
-iterations over (m+1, ..., d) forward-orbit rows.  The push kernel (F)
-pushes a generic frame forward along the DEPTH-step backward orbit of the
-first row, then along the rows.  The pull kernel (E) pulls a generic frame
-back along the DEPTH-step forward orbit of the last row, then back along the
-rows.  A query at single points is the one-row case of the same kernel.
+A converged bundle is a stream over (m+1, N, d) orbit rows fed by their
+tangents: the push yields F at rows 0..m after a DEPTH-step sweep along the
+backward orbit of row 0, the pull yields E at rows m..0 after one along the
+forward orbit of row m.  Only those sweeps evaluate their own Df, so the
+push, the pull and the cocycle logs share one tangent per row.
 
 The cocycle convention, fixed once for the whole toolkit: entry j of a
 cocycle log stores the value at the orbit point f^j(x),
@@ -25,7 +24,7 @@ requested (average-domination products are 0-based).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -58,30 +57,28 @@ def _batch_qr(frames):
     return q * s[..., None, :]
 
 
-def _pushed(tangent, path, frames):
-    """frames, then its images under Df at each point of path in turn,
-    orthonormalized: the forward cone iteration that converges to F."""
-    yield frames
-    for y in path:
-        frames = _batch_qr(tangent(y) @ frames)
-        yield frames
+def _swept(step, tangents, frames):
+    """The cone iteration: frames carried through each Df of tangents by step
+    (np.matmul pushes, np.linalg.solve pulls), yielded from step DEPTH on."""
+    for i, t in enumerate(tangents, 1):
+        frames = _batch_qr(step(t, frames))
+        if i >= DEPTH:
+            yield frames
 
 
-def _pulled(tangent, path, frames):
-    """frames, then its preimages under Df at each point of path in turn,
-    orthonormalized: the inverse iteration that converges to E."""
-    yield frames
-    for y in path:
-        frames = _batch_qr(np.linalg.solve(tangent(y), frames))
-        yield frames
+def _row_tangents(tangent, rows):
+    """Df at the (m+1, N, d) rows, one (N, d) call per row as a query makes."""
+    shape = rows.shape[1:] + rows.shape[-1:]
+    return np.fromiter(map(tangent, rows), (float, shape), len(rows))
 
 
 class SplittingField:
     """Orthonormal E- and F-frames; this base class holds the closed forms.
 
-    e_fn/f_fn map (..., d) coordinates to (..., d, dim) frames.  Every query
-    goes through one per-bundle method on forward-orbit rows: frames_along
-    runs it on the rows, e_frames/f_frames on one row.
+    e_fn/f_fn map (..., d) coordinates to (..., d, dim) frames.  Each bundle
+    is also a stream over (m+1, N, d) rows fed by their tangents: _push
+    yields F at rows 0..m, _pull yields E at rows m..0.  A closed form reads
+    no tangent, nor does a push on one row, so f_frames serves both classes.
     """
 
     def __init__(self, dim_e, dim_f, e_fn, f_fn):
@@ -90,22 +87,24 @@ class SplittingField:
         self.e_fn = e_fn
         self.f_fn = f_fn
 
-    def _e_rows(self, rows):
-        return self.e_fn(rows)
+    def _push(self, rows, tans):
+        return iter(self.f_fn(rows))
 
-    def _f_rows(self, rows):
-        return self.f_fn(rows)
+    def _pull(self, rows, tans):
+        return iter(self.e_fn(rows)[::-1])
 
     def e_frames(self, coords):
-        return self._e_rows(np.asarray(coords, float)[None])[0]
+        return self.e_fn(np.asarray(coords, float)[None])[0]
 
     def f_frames(self, coords):
-        return self._f_rows(np.asarray(coords, float)[None])[0]
+        c = np.asarray(coords, float)
+        f = next(self._push(c.reshape(1, -1, c.shape[-1]), ()))
+        return f.reshape(c.shape + (self.dim_f,))
 
     def frames_along(self, rows):
         """E- and F-frames at every row of (m+1, ..., d) forward-orbit rows."""
         rows = np.asarray(rows, float)
-        return self._e_rows(rows), self._f_rows(rows)
+        return self.e_fn(rows), self.f_fn(rows)
 
     def at(self, coords):
         """(E, F) as Subspaces at a single coordinate vector."""
@@ -113,12 +112,11 @@ class SplittingField:
 
 
 class ConvergedSplitting(SplittingField):
-    """Splitting whose F comes from the push kernel and whose E comes from
-    the pull kernel unless e_fn gives it in closed form.
+    """Splitting whose F comes from the push and whose E comes from the pull
+    unless e_fn gives it in closed form.
 
-    A kernel keeps only the row frames, and it flattens the rows to
-    (m+1, N, d) first, so a frame does not depend on the leading shape.  The
-    field is a pure function of the coordinates.
+    A query flattens its rows to (m+1, N, d), so no frame depends on the
+    leading shape, and fills one array from a stream; the field is pure.
     """
 
     def __init__(self, dim_e, dim_f, forward, inverse, tangent, e_fn=None):
@@ -127,29 +125,42 @@ class ConvergedSplitting(SplittingField):
         self._inverse = inverse
         self._tangent = tangent
 
-    def _f_rows(self, rows):
-        flat = rows.reshape(len(rows), -1, rows.shape[-1])
-        back = [flat[0]]
+    def _push(self, rows, tans):
+        back = [rows[0]]
         for _ in range(DEPTH):
             back.append(self._inverse(back[-1]))
-        # Df at f^-DEPTH(row 0), ..., f^-1(row 0), then at rows 0..m-1
-        frames = _pushed(self._tangent, chain(back[:0:-1], flat[:-1]),
-                         _generic_frames(flat[0], self.dim_f))
-        f = np.stack(list(islice(frames, DEPTH, None)))
-        return f.reshape(rows.shape + (self.dim_f,))
+        # Df at f^-DEPTH(row 0), ..., f^-1(row 0), then tans: rows 0..m-1
+        return _swept(np.matmul, chain(map(self._tangent, back[:0:-1]), tans),
+                      _generic_frames(rows[0], self.dim_f))
 
-    def _e_rows(self, rows):
+    def _pull(self, rows, tans):
         if self.e_fn is not None:
-            return self.e_fn(rows)
-        flat = rows.reshape(len(rows), -1, rows.shape[-1])
-        ahead = [flat[-1]]
+            return super()._pull(rows, tans)
+        ahead = [rows[-1]]
         for _ in range(DEPTH - 1):
             ahead.append(self._forward(ahead[-1]))
-        # Df at f^(DEPTH-1)(row m), ..., row m, then at rows m-1..0
-        frames = _pulled(self._tangent, chain(ahead[::-1], flat[-2::-1]),
-                         _generic_frames(flat[-1], self.dim_e))
-        e = np.stack(list(islice(frames, DEPTH, None))[::-1])
-        return e.reshape(rows.shape + (self.dim_e,))
+        # Df at f^(DEPTH-1)(row m), ..., f(row m), then tans: rows m..0
+        return _swept(np.linalg.solve,
+                      chain(map(self._tangent, ahead[:0:-1]), tans),
+                      _generic_frames(rows[-1], self.dim_e))
+
+    def e_frames(self, coords):
+        c = np.asarray(coords, float)
+        row = c.reshape(1, -1, c.shape[-1])
+        e = next(self._pull(row, map(self._tangent, row)))
+        return e.reshape(c.shape + (self.dim_e,))
+
+    def frames_along(self, rows):
+        rows = np.asarray(rows, float)
+        flat = rows.reshape(len(rows), -1, rows.shape[-1])
+        tans = _row_tangents(self._tangent, flat)
+        f = np.fromiter(self._push(flat, tans[:-1]),
+                        (float, flat.shape[1:] + (self.dim_f,)), len(flat))
+        e = self.e_fn(rows) if self.e_fn is not None else np.fromiter(
+            self._pull(flat, tans[::-1]),
+            (float, flat.shape[1:] + (self.dim_e,)), len(flat))[::-1]
+        return (e.reshape(rows.shape + (self.dim_e,)),
+                f.reshape(rows.shape + (self.dim_f,)))
 
 
 @dataclass
@@ -253,11 +264,7 @@ def orbit_coords(sys, coords, n, check_region=True):
 
 
 def splitting_frames_along_orbit(sys, rows):
-    """E- and F-frames at each of the (m+1, ..., d) forward-orbit rows.
-
-    The splitting decides how: closed-form bundles are evaluated pointwise,
-    converged ones come from the push and pull kernels of ConvergedSplitting.
-    """
+    """E- and F-frames at each of the (m+1, ..., d) forward-orbit rows."""
     return sys.splitting.frames_along(rows)
 
 
@@ -277,16 +284,24 @@ def cocycle_logs_batch(sys, coords, n, include_zero=False):
     """Vectorized cocycle logs for a batch of base points.
 
     Returns (log_e, log_f_inv), each of shape (N, n+1) when include_zero else
-    (N, n), column p holding the value at orbit index start + p.
+    (N, n), column p holding the value at orbit index start + p.  Each row's
+    Df feeds the pull, whose E frames give log_e, and _log_f_inv.
     """
     start = 0 if include_zero else 1
     rows = orbit_coords(sys, np.asarray(coords, float), n)
-    e, f = splitting_frames_along_orbit(sys, rows)
-    m = n + 1 - start
-    log_e = np.empty((rows.shape[1], m), float)
-    log_f_inv = np.empty((rows.shape[1], m), float)
-    for j in range(start, n + 1):
-        t = sys.tangent(rows[j])
-        log_e[:, j - start] = np.log(restricted_stretch(t, e[j], "max"))
-        log_f_inv[:, j - start] = -np.log(restricted_stretch(t, f[j], "min"))
-    return log_e, log_f_inv
+    tans = _row_tangents(sys.tangent, rows)
+    log_e = np.empty((rows.shape[1], n + 1 - start), float)
+    pull = sys.splitting._pull(rows, tans[::-1])
+    for j, e in zip(range(n, start - 1, -1), pull):
+        log_e[:, j - start] = np.log(restricted_stretch(tans[j], e, "max"))
+    return log_e, _log_f_inv(sys, rows, tans)[:, start:]
+
+
+def _log_f_inv(sys, rows, tans=None):
+    """-log mininorm(Df|F) at (n+1, N, d) orbit rows as (N, n+1), column j at
+    row j, from the push alone; tans: the row tangents if already held."""
+    tans = _row_tangents(sys.tangent, rows) if tans is None else tans
+    log_f_inv = np.empty((rows.shape[1], len(rows)), float)
+    for j, f in enumerate(sys.splitting._push(rows, tans[:-1])):
+        log_f_inv[:, j] = -np.log(restricted_stretch(tans[j], f, "min"))
+    return log_f_inv

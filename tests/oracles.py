@@ -405,6 +405,24 @@ def splitting_frames_oracle(sys, rows):
     return e, f
 
 
+def cocycle_logs_oracle(sys, coords, n, include_zero=False):
+    """(log_e, log_f_inv) as cocycle_logs_batch returns them, in three passes:
+    the orbit rows, their E- and F-frames from splitting_frames_oracle, then
+    one sys.tangent(rows[j]) call per row for both logs."""
+    from srblab.linalg import restricted_stretch
+    from srblab.systems import orbit_coords
+    start = 0 if include_zero else 1
+    rows = orbit_coords(sys, np.asarray(coords, float), n)
+    e, f = splitting_frames_oracle(sys, rows)
+    log_e = np.empty((rows.shape[1], n + 1 - start), float)
+    log_f_inv = np.empty_like(log_e)
+    for j in range(start, n + 1):
+        t = sys.tangent(rows[j])
+        log_e[:, j - start] = np.log(restricted_stretch(t, e[j], "max"))
+        log_f_inv[:, j - start] = -np.log(restricted_stretch(t, f[j], "min"))
+    return log_e, log_f_inv
+
+
 def tangency_report_oracle(d, splitting):
     """(worst width, worst F-distance) over the disk, sample by sample and
     tangent column by tangent column."""

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -7,8 +8,11 @@ from srblab import (OrbitEscaped, cocycle_logs, cocycle_logs_batch,
                     orbit_coords, splitting_frames_along_orbit,
                     subspace_distance, span)
 
-from srblab.models import region_sample
-from srblab.systems import DEPTH, ConvergedSplitting
+from srblab import measures
+from srblab.disks import make_disk
+from srblab.models import lambda_fraction, measure_constants_h, region_sample
+from srblab.pliss import lambda_membership_batch
+from srblab.systems import DEPTH, ConvergedSplitting, _log_f_inv
 
 from . import oracles
 from .conftest import LAM_S, LAM_U, LOG_LAM_U
@@ -178,3 +182,117 @@ class TestCocycleAgainstSplitting:
         rates = np.exp(-logs.log_f_inv)
         assert np.all(rates > 1.5)
         assert np.all(rates < 2.5)
+
+
+def _counted(sys, calls):
+    """sys whose map, tangent and splitting closures append the number of
+    points of each call to calls["forward"], calls["tangent"] (system and
+    splitting together), calls["pull_forward"] and calls["push_inverse"]."""
+    def wrap(key, fn):
+        def counted(c):
+            calls.setdefault(key, []).append(int(np.prod(np.shape(c)[:-1])))
+            return fn(c)
+        return counted
+
+    sp = sys.splitting
+    tangent = wrap("tangent", sys.tangent)
+    return dataclasses.replace(
+        sys, forward=wrap("forward", sys.forward), tangent=tangent,
+        constants=dataclasses.replace(sys.constants),
+        splitting=ConvergedSplitting(
+            sp.dim_e, sp.dim_f, wrap("pull_forward", sp._forward),
+            wrap("push_inverse", sp._inverse), tangent, e_fn=sp.e_fn))
+
+
+class TestFusedCocycleLogs:
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("include_zero", [False, True])
+    @pytest.mark.parametrize("n", [0, 1, 37])
+    def test_batch_bit_identical_to_three_pass_oracle(self, request, model,
+                                                      include_zero, n):
+        sys = request.getfixturevalue(model)
+        pts = region_sample(sys, 7, seed=8, burn_in=2)
+        got = cocycle_logs_batch(sys, pts, n, include_zero=include_zero)
+        want = oracles.cocycle_logs_oracle(sys, pts, n, include_zero)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_f_only_logs_bit_identical_to_oracle(self, request, model):
+        sys = request.getfixturevalue(model)
+        pts = region_sample(sys, 7, seed=9, burn_in=2)
+        got = _log_f_inv(sys, orbit_coords(sys, pts, 25))
+        _, want = oracles.cocycle_logs_oracle(sys, pts, 25, True)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("model", ["pcat", "dfa"])
+    def test_lambda_fraction_matches_the_two_bundle_path(self, request,
+                                                         model):
+        sys = request.getfixturevalue(model)
+        frac, qual = lambda_fraction(sys, 0.385, 30, seed=4)
+        pts = region_sample(sys, 400, seed=4)
+        _, lf = oracles.cocycle_logs_oracle(sys, pts, 30)
+        ok = lambda_membership_batch(lf, 0.385)
+        assert 0 < np.count_nonzero(ok) < len(ok)
+        assert frac == float(np.mean(ok))
+        assert np.array_equal(qual, pts[ok])
+
+    @pytest.mark.parametrize("model", ["pcat", "dfa"])
+    def test_hyperbolic_mass_matches_the_two_bundle_path(self, request,
+                                                         model, monkeypatch):
+        sys = request.getfixturevalue(model)
+        x = region_sample(sys, 3, seed=2)[1]
+        d = make_disk(sys, x, sys.splitting.f_frames(x)[:, 0], 0.02)
+        args = (sys, d, 30, 0.6, 0.05, 0.9, 0.1)
+        got = measures.hyperbolic_mass(*args)
+        monkeypatch.setattr(
+            measures, "_log_f_inv", lambda s, rows: oracles.cocycle_logs_oracle(
+                s, rows[0], len(rows) - 1, True)[1])
+        want = measures.hyperbolic_mass(*args)
+        assert want.lambda_mass > 0.0
+        for name in ("eta", "per_i", "lambda_mass", "tau", "floor",
+                     "densities"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+class TestTangentCounts:
+    def test_dfa_logs_evaluate_each_row_tangent_once(self, dfa):
+        calls = {}
+        pts = region_sample(dfa, 200, seed=5)
+        cocycle_logs_batch(_counted(dfa, calls), pts, 400)
+        orbit_points = 200 * 401
+        # the rows, then the DEPTH-step push and (DEPTH - 1)-step pull sweeps
+        assert sum(calls["tangent"]) == 200 * (401 + DEPTH + DEPTH - 1)
+        assert sum(calls["tangent"]) <= 1.2 * orbit_points
+
+    def test_lambda_fraction_runs_no_pull(self, dfa):
+        calls = {}
+        lambda_fraction(_counted(dfa, calls), 0.9, 30)
+        assert "pull_forward" not in calls
+
+    def test_measure_constants_h_pulls_only_at_its_sample_points(self, dfa):
+        calls = {}
+        measure_constants_h(_counted(dfa, calls))
+        # e_frames at the 400 sample points; the 200 cocycle orbits pull none
+        assert calls["pull_forward"] == [400] * (DEPTH - 1)
+
+    def test_hyperbolic_mass_maps_its_orbit_once(self, dfa):
+        calls = {}
+        x = region_sample(dfa, 3, seed=2)[1]
+        d = make_disk(dfa, x, dfa.splitting.f_frames(x)[:, 0], 0.02)
+        measures.hyperbolic_mass(_counted(dfa, calls), d, 30, 0.6, 0.05,
+                                 0.9, 0.1)
+        assert len(calls["forward"]) == 30
+        assert "pull_forward" not in calls
+
+    def test_point_queries_run_only_their_bundle(self, dfa):
+        pts = region_sample(dfa, 5, seed=6)
+        calls = {}
+        _counted(dfa, calls).splitting.f_frames(pts)
+        assert "pull_forward" not in calls
+        assert calls["tangent"] == [5] * DEPTH
+        calls = {}
+        _counted(dfa, calls).splitting.e_frames(pts)
+        assert "push_inverse" not in calls
+        assert calls["tangent"] == [5] * DEPTH
