@@ -2,10 +2,9 @@
 for invertible model maps with dominated splittings."""
 
 from .charts import Chart, torus_chart
-from .cones import (ConeSpec, DominationCertificate, check_avg_domination,
-                    cone_from_system, cone_width_bound, cone_width_of,
-                    domination_robustness_radius, in_cone,
-                    verify_cone_contraction)
+from .cones import (DominationCertificate, check_avg_domination,
+                    cone_width_bound, cone_width_of,
+                    domination_robustness_radius, verify_cone_contraction)
 from .disks import (ContractionReport, CurvatureConstants, CurvatureReport,
                     DistortionConstants, DistortionReport, EmbeddedDisk,
                     TangencyReport, backward_contraction_check,
@@ -16,25 +15,21 @@ from .disks import (ContractionReport, CurvatureConstants, CurvatureReport,
                     tangency_report)
 from .errors import (CarvingFailed, ChainInfeasible, ChartOverflow,
                      ConfigInvalid, ConstantsInvalid, ConstructionFailed,
-                     DegenerateImage, DegenerateSplitting, DegenerateTangent,
+                     DegenerateSplitting, DegenerateTangent,
                      DimensionMismatch, EmptyRadius, HypothesisViolated,
-                     OrbitEscaped, ResolutionExhausted, SingularMap,
-                     SrbLabError, ZeroMass)
+                     OrbitEscaped, ResolutionExhausted, SrbLabError)
 from .experiments import (Config, describe, list_models, parse_config,
                           run_experiment)
-from .linalg import (Subspace, graph_norm, mininorm, oblique_components,
-                     span, subspace_distance)
-from .measures import (DefectReport, EmpiricalMeasure, HyperbolicMassReport,
-                       Observable, default_observables, disk_measure,
-                       hyperbolic_mass, invariance_defect, packing_check,
-                       physical_fraction, pushforward_integrals,
-                       pushforward_step_integrals, select_disjoint_balls,
-                       weak_star_distance)
+from .linalg import Subspace, oblique_components, subspace_distance
+from .measures import (DefectReport, HyperbolicMassReport, Observable,
+                       default_observables, hyperbolic_mass,
+                       invariance_defect, physical_fraction,
+                       pushforward_integrals, pushforward_step_integrals,
+                       select_disjoint_balls, weak_star_distance)
 from .models import (build, lambda_fraction, linear_torus_system,
                      measure_constants_h, quasi_uniform, region_sample)
 from .pliss import (HyperbolicTimeReport, PlissParams, density_theta,
-                    first_nonneg_shift, hyperbolic_times, lambda_membership,
-                    lambda_membership_batch, pliss_times)
+                    hyperbolic_times, lambda_membership_batch, pliss_times)
 from .systems import (CocycleLog, ConstantsH, ConvergedSplitting, MapSystem,
                       SplittingField, SystemConstants, cocycle_logs,
                       cocycle_logs_batch, orbit_coords,

@@ -18,42 +18,12 @@ from .systems import CocycleLog, orbit_coords, splitting_frames_along_orbit
 
 
 @dataclass(frozen=True)
-class ConeSpec:
-    """Width plus the splitting field the cone is erected over."""
-
-    width: float
-    splitting: object   # a SplittingField
-
-    def __post_init__(self):
-        if not self.width > 0:
-            raise ValueError("cone width must be positive")
-
-
-@dataclass(frozen=True)
 class DominationCertificate:
     """Witness that cumulative E/F ratio products stay under gamma^i."""
 
     gamma: float
     n: int
     ratios: np.ndarray          # cumulative products, i = 1..n
-
-
-def cone_from_system(sys, width):
-    return ConeSpec(width=width, splitting=sys.splitting)
-
-
-def in_cone(v, x, cone):
-    """Is v inside the width-a cone over F at x?
-
-    Decomposes v = v_E + v_F along the splitting at x and checks
-    ||v_E|| <= a ||v_F||.  Vectors with v_F = 0 (and v != 0) are outside.
-    """
-    e, f = cone.splitting.at(np.asarray(x, float))
-    ve, vf = oblique_components(np.asarray(v, float), e, f)
-    ne, nf = np.linalg.norm(ve), np.linalg.norm(vf)
-    if nf == 0.0:
-        return ne == 0.0
-    return bool(ne <= cone.width * nf)
 
 
 def cone_width_of(v, e, f):

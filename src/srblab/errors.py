@@ -10,16 +10,8 @@ class SrbLabError(Exception):
     """Base class for all toolkit-specific failures."""
 
 
-class SingularMap(SrbLabError):
-    """Linear map is singular (or numerically below the determinant floor)."""
-
-
 class DimensionMismatch(SrbLabError):
     """Operands live in incompatible dimensions."""
-
-
-class DegenerateImage(SrbLabError):
-    """Restriction of a map to a subspace has rank-deficient image."""
 
 
 class OrbitEscaped(SrbLabError):
@@ -82,7 +74,3 @@ class ConstructionFailed(SrbLabError):
 
 class ConfigInvalid(SrbLabError):
     """Experiment configuration failed validation; message names the field."""
-
-
-class ZeroMass(SrbLabError):
-    """A measure with zero total mass cannot be normalized."""

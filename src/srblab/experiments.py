@@ -454,7 +454,12 @@ def _exp_curvature(sys, cfg):
 def _exp_srb_converge(sys, cfg):
     """Stream the Cesaro averages of disk pushforwards across doubling
     horizons and track weak-star Cauchy distances on the default test
-    family.  Writes converge.csv."""
+    family.  The final distance is to Lebesgue measure (the tests' reference
+    integrals) on linear models, where Lebesgue is the SRB measure.  On the
+    other models it is to the averages of a second disk of the same radius,
+    resolution and horizon, centred at a region point drawn with seed + 1:
+    the assertion is then named second-disk-weak-star-small and the summary
+    holds reference_center.  Writes converge.csv."""
     n = cfg.horizon or 20000
     d = _config_disk(sys, cfg, radius=0.2, resolution=401)
     tests = measures.default_observables(sys.chart)
@@ -473,22 +478,27 @@ def _exp_srb_converge(sys, cfg):
     table = ("converge.csv", ["n", "test", "integral"],
              [(m, t.name, integ[m][t.name]) for m in checkpoints for t in tests])
 
-    cauchy = [max(abs(integ[checkpoints[i + 1]][t.name]
-                      - integ[checkpoints[i]][t.name]) for t in tests)
-              for i in range(len(checkpoints) - 1)]
-    ref = {t.name: (t.reference_integral if t.reference_integral is not None
-                    else integ[checkpoints[-1]][t.name]) for t in tests}
-    final = max(abs(integ[n][t.name] - ref[t.name]) for t in tests)
-    assertions = [
-        _assert_entry("final-weak-star-small", final < 0.03, final, 0.03),
-    ]
+    cauchy = [measures.weak_star_distance(integ[b], integ[a], tests)
+              for a, b in zip(checkpoints, checkpoints[1:])]
+    quantities = {"checkpoints": [int(c) for c in checkpoints],
+                  "cauchy": [float(c) for c in cauchy]}
+    if MODEL_INFO[sys.name]["linear"]:
+        ref = {t.name: t.reference_integral for t in tests}
+        check = "final-weak-star-small"
+    else:
+        center = region_sample(sys, 1, seed=cfg.seed + 1, burn_in=12)[0]
+        second = _config_disk(sys, cfg, radius=0.2, resolution=401,
+                              center=center)
+        ref = measures.pushforward_integrals(sys, second, n, tests)
+        check = "second-disk-weak-star-small"
+        quantities["reference_center"] = center
+    final = measures.weak_star_distance(integ[n], ref, tests)
+    quantities["final_distance"] = final
+    assertions = [_assert_entry(check, final < 0.03, final, 0.03)]
     if len(cauchy) >= 2:
         assertions.append(_assert_entry(
             "cauchy-distances-shrink", cauchy[-1] <= cauchy[0],
             cauchy[-1], cauchy[0]))
-    quantities = {"final_distance": final,
-                  "checkpoints": [int(c) for c in checkpoints],
-                  "cauchy": [float(c) for c in cauchy]}
     return quantities, assertions, table
 
 

@@ -1,8 +1,7 @@
-"""Linear-algebra kernel: mininorms, subspaces, restricted norms and volumes.
+"""Linear-algebra kernel: subspaces, restricted norms and volumes.
 
 Everything here is plain numpy on small dense matrices.  Subspaces are
-carried as orthonormal column frames; a `Subspace` remembers the base point
-it was sampled at purely for bookkeeping.
+carried as orthonormal column frames, alone or stacked.
 """
 
 from __future__ import annotations
@@ -11,9 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateImage, DegenerateSplitting, DimensionMismatch, SingularMap
+from .errors import DegenerateSplitting, DimensionMismatch
 
-DET_FLOOR = 1e-12
 FRAME_TOL = 1e-10
 ANGLE_FLOOR = 1e-8
 
@@ -63,34 +61,6 @@ def dot_norms(v):
     np.linalg.norm of that one vector (a dot product); norm(axis=-1) sums
     the squares another way and can differ in the last bit."""
     return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
-
-
-def span(vectors):
-    """Orthonormalize arbitrary spanning columns into a Subspace."""
-    v = np.asarray(vectors, float)
-    if v.ndim == 1:
-        v = v[:, None]
-    q, r = np.linalg.qr(v)
-    keep = np.abs(np.diag(r)) > FRAME_TOL
-    if not np.all(keep):
-        raise DegenerateImage("spanning vectors are linearly dependent")
-    return Subspace(q)
-
-
-def mininorm(a):
-    """Smallest singular value of an invertible square matrix.
-
-    Equals 1/||a^-1||: the tightest lower bound on the stretch of any unit
-    vector.  Raises SingularMap when |det| falls below the floor.
-    """
-    a = np.asarray(a, float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    if abs(np.linalg.det(a)) < DET_FLOOR:
-        raise SingularMap(f"|det| = {abs(np.linalg.det(a)):.3e} below floor {DET_FLOOR}")
-    return float(np.linalg.svd(a, compute_uv=False)[-1])
 
 
 def _onesided(qa, qb):
@@ -166,21 +136,3 @@ def oblique_components(v, e, f):
     ke = e.shape[-1]
     return (e @ coeff[..., :ke, :])[..., 0], (f @ coeff[..., ke:, :])[..., 0]
 
-
-def graph_norm(base, target):
-    """Norm of the linear map whose graph over `base` is parallel to `target`.
-
-    Both arguments are Subspaces of equal dimension.  `target` is written as
-    {u + L u : u in base} with L mapping into the orthogonal complement of
-    `base`; returns ||L||.  Raises DegenerateTangent (via ValueError upstream)
-    handling left to callers: here we only signal near-singular projections.
-    """
-    if base.dim != target.dim:
-        raise DimensionMismatch("graph over a base of different dimension")
-    bt = base.frame.T @ target.frame            # (d, d) component along base
-    perp = target.frame - base.frame @ bt       # component orthogonal to base
-    sv = np.linalg.svd(bt, compute_uv=False)
-    if sv[-1] < ANGLE_FLOOR:
-        return np.inf
-    l = perp @ np.linalg.inv(bt)
-    return float(np.linalg.svd(l, compute_uv=False)[0])

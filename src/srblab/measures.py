@@ -4,7 +4,8 @@ mu_n is the Cesaro average of forward pushes of a disk's normalized
 intrinsic volume: atoms f^i(y_s) for 0 <= i < n, each carrying the initial
 cell weight of its sample divided by n.  Weights are only relabeled, never
 rescaled, so the total is conserved exactly and the invariance defect of
-mu_n telescopes to a boundary term of size 2B/n.
+mu_n telescopes to a boundary term of size 2B/n.  The atoms are never
+built: a measure is carried as its {test name: integral} dict.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroMass
 from .models import region_sample
 from .pliss import hyperbolic_times, lambda_membership_batch
 from .systems import _log_f_inv, orbit_coords
@@ -36,37 +36,6 @@ class Observable:
 
     def __call__(self, coords):
         return self.fn(np.asarray(coords, float))
-
-
-@dataclass
-class EmpiricalMeasure:
-    """Weighted atoms on a chart; sub-probability totals are allowed."""
-
-    coords: np.ndarray     # (M, dim)
-    weights: np.ndarray    # (M,)
-    chart: object
-    total: float
-
-    def __post_init__(self):
-        self.coords = np.asarray(self.coords, float)
-        self.weights = np.asarray(self.weights, float)
-        if np.any(self.weights < 0):
-            raise ValueError("atom weights must be nonnegative")
-        s = math.fsum(self.weights.tolist())
-        if abs(s - self.total) > 1e-12:
-            raise ValueError(
-                f"weights sum to {s}, declared total {self.total}")
-        if not (0.0 < self.total <= 1.0 + 1e-12):
-            raise ValueError(f"total {self.total} outside (0, 1]")
-
-    @property
-    def n_atoms(self):
-        return len(self.weights)
-
-    def integrate(self, obs):
-        """Exactly-rounded integral of the observable against the measure."""
-        vals = np.asarray(obs(self.coords), float) * self.weights
-        return math.fsum(vals.tolist())
 
 
 def default_observables(chart):
@@ -111,12 +80,6 @@ def default_observables(chart):
                     np.cos(freq * (c[..., j] - mid))),
                 bound=1.0))
     return obs
-
-
-def disk_measure(d):
-    """The disk's normalized intrinsic volume as a discrete measure."""
-    return EmpiricalMeasure(coords=d.points(), weights=d.cell_weights(),
-                            chart=d.chart, total=1.0)
 
 
 # orbit rows per kernel block: a block holds _BLOCK x samples x dim floats
@@ -185,18 +148,12 @@ def pushforward_integrals(sys, d, n, tests):
             for t, row in zip(tests, steps)}
 
 
-def weak_star_distance(mu, nu, tests):
-    """max over tests of |int t d(mu)/mu.total - int t d(nu)/nu.total|."""
+def weak_star_distance(a, b, tests):
+    """max over tests of |a[t.name] - b[t.name]|, for two measures given as
+    {test name: integral} dicts (pushforward_integrals returns one)."""
     if not tests:
         raise ValueError("tests must be nonempty")
-    if mu.total == 0.0 or nu.total == 0.0:
-        raise ZeroMass("cannot normalize a zero-mass measure")
-    worst = 0.0
-    for t in tests:
-        a = mu.integrate(t) / mu.total
-        b = nu.integrate(t) / nu.total
-        worst = max(worst, abs(a - b))
-    return float(worst)
+    return max(abs(a[t.name] - b[t.name]) for t in tests)
 
 
 @dataclass(frozen=True)
@@ -248,20 +205,6 @@ def select_disjoint_balls(dist, radius):
         if all(dist[i, j] > 2.0 * radius for j in selected):
             selected.append(i)
     return np.asarray(selected, dtype=int)
-
-
-def packing_check(dist, radius, selected):
-    """Verify disjointness and 2r-maximality of a packing; returns (ok, why)."""
-    dist = np.asarray(dist, float)
-    sel = list(selected)
-    for a in range(len(sel)):
-        for b in range(a + 1, len(sel)):
-            if dist[sel[a], sel[b]] <= 2.0 * radius:
-                return False, f"balls {sel[a]} and {sel[b]} intersect"
-    for i in range(dist.shape[0]):
-        if not any(dist[i, j] <= 2.0 * radius for j in sel):
-            return False, f"center {i} is 2r-far from every selected ball"
-    return True, ""
 
 
 @dataclass(frozen=True)

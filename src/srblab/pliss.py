@@ -1,14 +1,13 @@
 """Good-time selection along finite orbit segments.
 
-The three workhorses:
+The three detectors:
 
 * pliss_times   -- indices where every lookback window of a bounded sequence
                    keeps its average above a threshold (linear-time scan).
 * hyperbolic_times -- indices n where every trailing window product of the
                    F-restricted inverse norms is below sigma^k.
-* first_nonneg_shift -- the smallest start index from which all tail partial
-                   sums are nonnegative, given that full prefix sums are
-                   eventually nonnegative.
+* lambda_membership_batch -- rows whose every prefix average, from a start
+                   index on, stays at or below log(lam).
 
 Prefix sums are accumulated in extended precision so that detection at
 horizons ~1e5 is not at the mercy of float64 cancellation.
@@ -115,41 +114,13 @@ def hyperbolic_times(log_f_inv, sigma):
                                 density=len(times) / n_len if n_len else 0.0)
 
 
-def first_nonneg_shift(a, n_good):
-    """Smallest k such that every tail sum a[k..n], k <= n <= N, is >= 0.
-
-    pre: prefix sums S(n) >= 0 for all n_good <= n <= N.
-    The first argmin of S over 0..n_good, plus one, is both valid and
-    minimal: any earlier valid start would tie the argmin earlier, and k-1
-    always fails immediately (strict drop into the argmin).
-    """
-    a = np.asarray(a, float)
-    n_len = len(a)
-    if not (1 <= n_good <= n_len):
-        raise ValueError(f"n_good = {n_good} outside 1..{n_len}")
-    s = _prefix(a)
-    bad = [n for n in range(n_good, n_len + 1) if s[n] < -1e-12]
-    if bad:
-        raise HypothesisViolated(
-            f"prefix sum at n = {bad[0]} is {float(s[bad[0]])} < 0 "
-            f"despite n >= n_good = {n_good}")
-    window = s[: n_good + 1]
-    k = int(np.argmin(window)) + 1
-    return k
-
-
-def lambda_membership(log_f_inv, lam, n_start=1):
-    """True iff every prefix average from n_start on stays <= log(lam).
-
-    The array is read 1-based; checks (1/n) sum_{j=1..n} log_f_inv[j]
-    <= log(lam) for all n_start <= n <= N.
-    """
-    return bool(lambda_membership_batch(
-        np.asarray(log_f_inv, float)[None], lam, n_start)[0])
-
-
 def lambda_membership_batch(log_f_inv_rows, lam, n_start=1):
-    """lambda_membership of every row of a (N, horizon) array."""
+    """Finite-horizon Lambda membership of every row of a (N, horizon) array.
+
+    Columns are read 1-based: row s is a member iff
+    (1/n) sum_{j=1..n} log_f_inv_rows[s, j] <= log(lam) for every
+    n_start <= n <= horizon.
+    """
     if lam <= 0:
         raise ValueError("lam must be positive")
     a = np.asarray(log_f_inv_rows, dtype=np.longdouble)

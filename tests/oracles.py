@@ -44,20 +44,6 @@ def hyperbolic_oracle(log_f_inv, sigma):
     return np.where(ok)[0] + 1
 
 
-def shift_oracle(a, n_good):
-    """Smallest k <= n_good with all tail sums over [k, n] nonnegative.
-
-    Exhaustive over every (k, n) pair; returns None when no k works, which
-    the hypothesis of the shift lemma rules out.
-    """
-    a = np.asarray(a, float)
-    n = len(a)
-    for k in range(1, n_good + 1):
-        if all(a[k - 1:m].sum() >= 0.0 for m in range(k, n + 1)):
-            return k
-    return None
-
-
 def membership_oracle(log_f_inv, lam, n_start):
     """Prefix-average definition of finite-horizon Lambda membership."""
     v = np.asarray(log_f_inv, float)
@@ -144,6 +130,59 @@ def greedy_packing_oracle(dist, radius):
     return chosen
 
 
+def packing_check(dist, radius, selected):
+    """Verify disjointness and 2r-maximality of a packing; returns (ok, why)."""
+    dist = np.asarray(dist, float)
+    sel = list(selected)
+    for a in range(len(sel)):
+        for b in range(a + 1, len(sel)):
+            if dist[sel[a], sel[b]] <= 2.0 * radius:
+                return False, f"balls {sel[a]} and {sel[b]} intersect"
+    for i in range(dist.shape[0]):
+        if not any(dist[i, j] <= 2.0 * radius for j in sel):
+            return False, f"center {i} is 2r-far from every selected ball"
+    return True, ""
+
+
+# ---- measures as atoms: the materialised form the streamed kernels avoid ----
+
+@dataclasses.dataclass
+class EmpiricalMeasure:
+    """Weighted atoms on a chart; sub-probability totals are allowed."""
+
+    coords: np.ndarray     # (M, dim)
+    weights: np.ndarray    # (M,)
+    chart: object
+    total: float
+
+    def __post_init__(self):
+        self.coords = np.asarray(self.coords, float)
+        self.weights = np.asarray(self.weights, float)
+        if np.any(self.weights < 0):
+            raise ValueError("atom weights must be nonnegative")
+        s = math.fsum(self.weights.tolist())
+        if abs(s - self.total) > 1e-12:
+            raise ValueError(
+                f"weights sum to {s}, declared total {self.total}")
+        if not (0.0 < self.total <= 1.0 + 1e-12):
+            raise ValueError(f"total {self.total} outside (0, 1]")
+
+    def integrate(self, obs):
+        """Exactly-rounded integral of the observable against the measure."""
+        vals = np.asarray(obs(self.coords), float) * self.weights
+        return math.fsum(vals.tolist())
+
+    def integrals(self, tests):
+        """{test name: normalized integral}, the form measures compares."""
+        return {t.name: self.integrate(t) / self.total for t in tests}
+
+
+def disk_measure(d):
+    """The disk's normalized intrinsic volume as a discrete measure."""
+    return EmpiricalMeasure(coords=d.points(), weights=d.cell_weights(),
+                            chart=d.chart, total=1.0)
+
+
 def pushforward_average(sys, d, n):
     """mu_n: atoms f^i(y_s) for 0 <= i < n, weights w_s/n, total exactly 1.
 
@@ -151,7 +190,6 @@ def pushforward_average(sys, d, n):
     (measures.pushforward_step_integrals / pushforward_integrals) integrates
     against without building it.
     """
-    from srblab import measures
     from srblab.systems import orbit_coords
 
     if n < 1:
@@ -162,17 +200,15 @@ def pushforward_average(sys, d, n):
     weights = np.tile(w / n, n)
     # the float total of the relabeled weights, declared exactly
     total = math.fsum(weights.tolist())
-    return measures.EmpiricalMeasure(coords=coords, weights=weights,
-                                     chart=sys.chart, total=total)
+    return EmpiricalMeasure(coords=coords, weights=weights, chart=sys.chart,
+                            total=total)
 
 
 def pushforward_measure(sys, mu):
     """f_* mu: the same weights on forward-mapped atoms."""
-    from srblab import measures
-
-    return measures.EmpiricalMeasure(coords=sys.forward(mu.coords),
-                                     weights=mu.weights.copy(),
-                                     chart=mu.chart, total=mu.total)
+    return EmpiricalMeasure(coords=sys.forward(mu.coords),
+                            weights=mu.weights.copy(), chart=mu.chart,
+                            total=mu.total)
 
 
 def invariance_defect_oracle(sys, d, n, tests):
@@ -185,6 +221,18 @@ def invariance_defect_oracle(sys, d, n, tests):
     fmu = pushforward_measure(sys, mu)
     return {t.name: abs(fmu.integrate(t) / fmu.total
                         - mu.integrate(t) / mu.total) for t in tests}
+
+
+def span(vectors):
+    """Orthonormalize arbitrary spanning columns into a Subspace."""
+    from srblab.linalg import FRAME_TOL, Subspace
+    v = np.asarray(vectors, float)
+    if v.ndim == 1:
+        v = v[:, None]
+    q, r = np.linalg.qr(v)
+    if not np.all(np.abs(np.diag(r)) > FRAME_TOL):
+        raise ValueError("spanning vectors are linearly dependent")
+    return Subspace(q)
 
 
 # ---- charts and disks: the per-axis, per-point and per-edge definitions ----

@@ -1,5 +1,8 @@
 """End-to-end command-line behavior: exit codes, output lines, determinism."""
 
+import ast
+import glob
+import inspect
 import json
 import os
 import subprocess
@@ -10,6 +13,7 @@ import pytest
 import srblab
 
 CLI = [sys.executable, "-m", "srblab.cli"]
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_cli(*args, env_extra=None):
@@ -174,36 +178,30 @@ class TestIntrospection:
 
 
 PUBLIC = [
-    "CarvingFailed", "ChainInfeasible", "Chart", "ChartOverflow",
-    "CocycleLog", "ConeSpec", "Config", "ConfigInvalid", "ConstantsH",
-    "ConstantsInvalid", "ConstructionFailed", "ContractionReport",
-    "ConvergedSplitting", "CurvatureConstants", "CurvatureReport",
-    "DefectReport", "DegenerateImage", "DegenerateSplitting",
-    "DegenerateTangent", "DimensionMismatch",
+    "CarvingFailed", "ChainInfeasible", "Chart", "ChartOverflow", "CocycleLog",
+    "Config", "ConfigInvalid", "ConstantsH", "ConstantsInvalid",
+    "ConstructionFailed", "ContractionReport", "ConvergedSplitting",
+    "CurvatureConstants", "CurvatureReport", "DefectReport",
+    "DegenerateSplitting", "DegenerateTangent", "DimensionMismatch",
     "DistortionConstants", "DistortionReport", "DominationCertificate",
-    "EmbeddedDisk", "EmpiricalMeasure", "EmptyRadius",
-    "HyperbolicMassReport", "HyperbolicTimeReport",
-    "HypothesisViolated", "MapSystem",
-    "Observable", "OrbitEscaped", "PlissParams",
-    "ResolutionExhausted", "SingularMap", "SplittingField", "SrbLabError",
-    "Subspace", "SystemConstants", "TangencyReport", "ZeroMass",
+    "EmbeddedDisk", "EmptyRadius", "HyperbolicMassReport",
+    "HyperbolicTimeReport", "HypothesisViolated", "MapSystem", "Observable",
+    "OrbitEscaped", "PlissParams", "ResolutionExhausted", "SplittingField",
+    "SrbLabError", "Subspace", "SystemConstants", "TangencyReport",
     "backward_contraction_check", "build", "charts", "check_avg_domination",
-    "cocycle_logs", "cocycle_logs_batch", "cone_from_system",
-    "cone_width_bound", "cone_width_of", "cones",
-    "curvature_constants", "curvature_recursion", "default_observables",
-    "density_theta", "describe", "disk_measure", "disks", "distortion",
+    "cocycle_logs", "cocycle_logs_batch", "cone_width_bound", "cone_width_of",
+    "cones", "curvature_constants", "curvature_recursion",
+    "default_observables", "density_theta", "describe", "disks", "distortion",
     "distortion_profile", "domination_robustness_radius", "errors",
-    "experiments", "first_nonneg_shift", "graph_norm", "holder_curvature",
-    "hyperbolic_component", "hyperbolic_mass", "hyperbolic_times", "in_cone",
-    "invariance_defect", "iterate_disk", "lambda_fraction",
-    "lambda_membership", "lambda_membership_batch", "linalg",
+    "experiments", "holder_curvature", "hyperbolic_component",
+    "hyperbolic_mass", "hyperbolic_times", "invariance_defect", "iterate_disk",
+    "lambda_fraction", "lambda_membership_batch", "linalg",
     "linear_torus_system", "list_models", "make_disk", "make_graph_disk",
     "measure_constants_h", "measure_distortion_constants", "measure_l1",
-    "measures", "mininorm", "models", "oblique_components", "orbit_coords",
-    "packing_check", "parse_config", "physical_fraction", "pliss",
-    "pliss_times", "pushforward_integrals", "pushforward_step_integrals",
-    "quasi_uniform", "region_sample", "run_experiment",
-    "select_disjoint_balls", "span", "splitting_frames_along_orbit",
+    "measures", "models", "oblique_components", "orbit_coords", "parse_config",
+    "physical_fraction", "pliss", "pliss_times", "pushforward_integrals",
+    "pushforward_step_integrals", "quasi_uniform", "region_sample",
+    "run_experiment", "select_disjoint_balls", "splitting_frames_along_orbit",
     "subspace_distance", "systems", "tangency_report", "torus_chart",
     "verify_cone_contraction", "weak_star_distance",
 ]
@@ -213,6 +211,26 @@ class TestImport:
     def test_public_surface_is_pinned(self):
         # a name added to or dropped from the package root shows up here
         assert sorted(srblab.__all__) == PUBLIC
+
+    def test_every_public_function_has_a_caller(self):
+        # a public function stays only if the package, perfbench or an
+        # acceptance criterion calls it; the other tests do not count
+        files = [f for f in glob.glob(os.path.join(ROOT, "src", "srblab", "*.py"))
+                 if os.path.basename(f) != "__init__.py"]
+        files += [f for f in glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
+                  if os.path.basename(f) != "test_perfbench.py"]
+        files.append(os.path.join(ROOT, "tests", "test_acceptance.py"))
+        called = set()
+        for path in files:
+            with open(path) as fh:
+                for node in ast.walk(ast.parse(fh.read(), path)):
+                    if isinstance(node, ast.Call):
+                        fn = node.func
+                        called.add(fn.id if isinstance(fn, ast.Name)
+                                   else getattr(fn, "attr", None))
+        public = [name for name in srblab.__all__
+                  if inspect.isfunction(getattr(srblab, name))]
+        assert sorted(set(public) - called) == []
 
     def test_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats alone costs about a second on every import and CLI run

@@ -14,43 +14,29 @@ from .conftest import LAM_U, V_S, V_U
 X = np.array([0.2, 0.7])
 
 
-class TestConeSpec:
-    def test_positive_width_required(self):
-        with pytest.raises(ValueError):
-            cones.ConeSpec(width=0.0, splitting=None)
-        with pytest.raises(ValueError):
-            cones.ConeSpec(width=-0.1, splitting=None)
-
-    def test_from_system(self, cat):
-        spec = cones.cone_from_system(cat, 0.3)
-        assert spec.width == 0.3
-        assert spec.splitting is cat.splitting
-
-
 class TestInCone:
+    """Cone membership at X: width ||v_E||/||v_F|| at most the cone's."""
+
+    def width(self, sys, v):
+        e, f = sys.splitting.at(X)
+        return cones.cone_width_of(v, e, f)
+
     def test_f_direction_inside(self, cat):
-        spec = cones.cone_from_system(cat, 0.3)
-        assert cones.in_cone(V_U, X, spec)
+        assert self.width(cat, V_U) <= 0.3
 
     def test_e_direction_outside(self, cat):
-        spec = cones.cone_from_system(cat, 0.3)
-        assert not cones.in_cone(V_S, X, spec)
-
-    def test_zero_vector_inside(self, cat):
-        spec = cones.cone_from_system(cat, 0.3)
-        assert cones.in_cone(np.zeros(2), X, spec)
+        assert not self.width(cat, V_S) <= 0.3
 
     def test_near_boundary_both_sides(self, cat):
         # exact equality is one rounding error away from either verdict, so
         # probe strictly inside and strictly outside instead
-        spec = cones.cone_from_system(cat, 0.3)
-        assert cones.in_cone(0.299 * V_S + V_U, X, spec)
-        assert not cones.in_cone(0.301 * V_S + V_U, X, spec)
+        assert self.width(cat, 0.299 * V_S + V_U) <= 0.3
+        assert not self.width(cat, 0.301 * V_S + V_U) <= 0.3
 
     def test_width_scales_admission(self, cat):
         v = 0.5 * V_S + V_U
-        assert not cones.in_cone(v, X, cones.cone_from_system(cat, 0.4))
-        assert cones.in_cone(v, X, cones.cone_from_system(cat, 0.6))
+        assert not self.width(cat, v) <= 0.4
+        assert self.width(cat, v) <= 0.6
 
 
 class TestConeWidthOf:

@@ -4,11 +4,12 @@ import inspect
 import json
 import os
 
+import numpy as np
 import pytest
 
-from srblab import experiments
+from srblab import disks, experiments, measures
 from srblab.errors import ConfigInvalid, SrbLabError
-from srblab.models import MODEL_INFO
+from srblab.models import MODEL_INFO, build, region_sample
 
 
 def base_config(**over):
@@ -169,6 +170,37 @@ class TestRunExperiment:
         meta = json.loads(open(os.path.join(out, "run_meta.json")).read())
         assert meta["error"]["type"] == "HypothesisViolated"
 
+    @pytest.mark.parametrize("model", ["cat", "dfa"])
+    def test_srb_converge_reference(self, tmp_path, model):
+        # Lebesgue on the linear cat, a second disk at a seed + 1 region
+        # point elsewhere; the summary names which
+        cfg = experiments.parse_config(base_config(
+            model={"name": model}, experiment="srb_converge", horizon=64,
+            disk={"resolution": 21}))
+        summary = experiments.run_experiment(cfg, out_dir=str(tmp_path))
+        q = summary["quantities"]
+        sys = build(model)
+        tests = measures.default_observables(sys.chart)
+
+        def integrals(center):
+            f = sys.splitting.at(center)[1]
+            d = disks.make_disk(sys, center, f, 0.2, resolution=21)
+            return measures.pushforward_integrals(sys, d, 64, tests)
+
+        first = integrals(np.asarray(MODEL_INFO[model]["center"], float))
+        if model == "cat":
+            assert "reference_center" not in q
+            ref = {t.name: t.reference_integral for t in tests}
+            check = "final-weak-star-small"
+        else:
+            second = region_sample(sys, 1, seed=4, burn_in=12)[0]
+            assert q["reference_center"] == second.tolist()
+            ref = integrals(second)
+            check = "second-disk-weak-star-small"
+        assert summary["assertions"][0]["name"] == check
+        assert q["final_distance"] == measures.weak_star_distance(
+            first, ref, tests)
+
     def test_default_config_digest(self, tmp_path):
         from .default_configs import run_one
         digests = [run_one("cat", "pliss_demo", os.path.join(tmp_path, tag))
@@ -192,3 +224,24 @@ class TestRunExperiment:
         assert disagreements(digest, expected) == [
             "cat-pliss_demo: expected 0, got 3",
             "dfa-cone_check: expected EmptyRadius, got no run"]
+
+    def test_readme_outcome_table_matches(self):
+        here = os.path.dirname(__file__)
+        with open(os.path.join(here, "default_outcomes.json")) as fh:
+            expected = json.load(fh)
+        with open(os.path.join(here, os.pardir, "README.md")) as fh:
+            lines = fh.read().splitlines()
+        head = lines.index("| experiment | `cat` | `perturbed_cat` | "
+                           "`solenoid` | `dfa` |")
+        models = [c.strip(" `") for c in lines[head].split("|")[2:-1]]
+        table = {}
+        for line in lines[head + 2:head + 2 + len(experiments.EXPERIMENTS)]:
+            exp, *cells = [c.strip(" `") for c in line.split("|")[1:-1]]
+            for model, cell in zip(models, cells):
+                table[f"{model}-{exp}"] = int(cell) if cell.isdigit() else cell
+        assert table == expected
+        # the entries that are not 0, and only those, have a reason line
+        reasons = {line.split("`")[1] for line in lines
+                   if line.startswith("- `") and "`:" in line}
+        assert reasons & set(expected) == {k for k, v in expected.items()
+                                           if v != 0}

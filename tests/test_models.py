@@ -4,10 +4,11 @@ import pytest
 from srblab import (ChainInfeasible, ConstructionFailed, build, cocycle_logs,
                     lambda_fraction, linear_torus_system, list_models,
                     measure_constants_h, quasi_uniform, region_sample,
-                    subspace_distance, span)
+                    subspace_distance)
 from srblab.models import _halton
 
 from .conftest import LAM_U, LOG_LAM_U, V_S, V_U
+from .oracles import span
 
 
 def _finite_difference_jacobian(sys, x, h=1e-6):
@@ -155,6 +156,23 @@ class TestSampling:
     def test_region_sample_deterministic(self, dfa):
         assert np.array_equal(region_sample(dfa, 40, seed=13),
                               region_sample(dfa, 40, seed=13))
+
+    # every multi-point call shape of region_sample in src/: measure_constants_h
+    # (400, 7, 30), measure_l1 (200, 3, 10), measure_distortion_constants at
+    # its default seed (150, 3, 10).  Doubling the solenoid's angle burn_in
+    # times shifts out the Halton digits that tell the points apart.
+    @pytest.mark.parametrize("name", ["cat", "perturbed_cat", "solenoid", "dfa"])
+    @pytest.mark.parametrize("count,seed,burn_in", [(400, 7, 30), (200, 3, 10),
+                                                    (150, 3, 10)])
+    def test_region_sample_stays_spread(self, request, name, count, seed,
+                                        burn_in):
+        if name == "solenoid":
+            request.applymarker(pytest.mark.xfail(strict=True,
+                                                  reason="ROADMAP item 1"))
+        sys = build(name)
+        pts = region_sample(sys, count, seed=seed, burn_in=burn_in)
+        dist = sys.chart.distance(pts[:, None, :], pts[None, :, :])
+        assert np.min(dist[np.triu_indices(count, 1)]) > 1e-5
 
 
 class TestConstantsH:

@@ -6,7 +6,7 @@ import pytest
 
 from srblab import (OrbitEscaped, cocycle_logs, cocycle_logs_batch,
                     orbit_coords, splitting_frames_along_orbit,
-                    subspace_distance, span)
+                    subspace_distance)
 
 from srblab import measures
 from srblab.disks import make_disk
@@ -16,6 +16,7 @@ from srblab.systems import DEPTH, ConvergedSplitting, _log_f_inv
 
 from . import oracles
 from .conftest import LAM_S, LAM_U, LOG_LAM_U
+from .oracles import span
 
 X0 = np.array([0.2, 0.3])
 MODELS = ["cat", "pcat", "sol", "dfa"]
