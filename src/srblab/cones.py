@@ -43,16 +43,12 @@ def check_avg_domination(cocycle, gamma):
     """Certify prod_{j=0}^{i-1} ||Df|E(f^j x)|| / mininorm(Df|F(f^j x)) <= gamma^i
     for every i up to the cocycle's length n.
 
-    The product is 0-based, so the cocycle must carry entry 0 (request
-    cocycle_logs with include_zero=True).  Returns a DominationCertificate,
-    or raises HypothesisViolated naming the first failing i.
+    The product is 0-based, from the cocycle's entry 0.  Returns a
+    DominationCertificate, or raises HypothesisViolated naming the first
+    failing i.
     """
     if not isinstance(cocycle, CocycleLog):
         raise TypeError("expected a CocycleLog")
-    if cocycle.start != 0:
-        raise HypothesisViolated(
-            "average-domination products start at the orbit's entry 0; "
-            "build the cocycle with include_zero=True")
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
     n = len(cocycle.log_e)

@@ -99,30 +99,28 @@ class EmbeddedDisk:
         return s
 
     def dist_from_center(self):
-        """Intrinsic distance of every sample from the center sample."""
+        """Intrinsic distance of every sample from the center sample.
+
+        Curves use arclength.  2-D disks use shortest mesh paths: each round
+        relaxes the edges out of the nodes whose distance dropped in the
+        round before, until none drops (Bellman 1958).  The result is the
+        least float path sum, as Dijkstra's; unreachable nodes stay inf.
+        """
         if self.dim == 1:
             s = self.arclengths()
             return np.abs(s - s[self.center_index])
-        return self._mesh_paths(self.center_index)
-
-    def pairwise_intrinsic(self):
-        """Intrinsic distance matrix between all samples."""
-        if self.dim == 1:
-            s = self.arclengths()
-            return np.abs(s[:, None] - s[None, :])
-        return self._mesh_paths(np.arange(self.n_samples))
-
-    def _mesh_paths(self, indices):
-        """2-D: shortest mesh-path lengths from the given samples (Dijkstra)."""
-        from scipy.sparse import coo_matrix
-        from scipy.sparse.csgraph import dijkstra
         e = self._edges()
-        w = self.edge_lengths()
-        g = coo_matrix((np.concatenate([w, w]),
-                        (np.concatenate([e[:, 0], e[:, 1]]),
-                         np.concatenate([e[:, 1], e[:, 0]]))),
-                       shape=(self.n_samples, self.n_samples))
-        return dijkstra(g.tocsr(), indices=indices)
+        a, b = np.concatenate([e, e[:, ::-1]]).T
+        w = np.tile(self.edge_lengths(), 2)
+        dist = np.full(self.n_samples, np.inf)
+        dist[self.center_index] = 0.0
+        out = a == self.center_index
+        while np.any(out):
+            new = dist.copy()
+            np.minimum.at(new, b[out], dist[a[out]] + w[out])
+            out = (new < dist)[a]
+            dist = new
+        return dist
 
     def intrinsic_radius(self):
         """Smallest intrinsic distance from the center to the disk boundary."""
@@ -666,7 +664,8 @@ def holder_curvature(d, xi):
     if d.dim != 1:
         raise DimensionMismatch("holder_curvature is defined for curves only")
     delta0 = 0.1 * d.chart.diameter
-    dist = d.pairwise_intrinsic()
+    s = d.arclengths()
+    dist = np.abs(s[:, None] - s[None, :])
     sel = (dist > 0) & (dist <= delta0)
     if not np.any(sel):
         return 0.0
@@ -755,7 +754,7 @@ def curvature_recursion(sys, d, n, consts, check=True):
     form and the closed form lambda4^n H_0 + L/(1 - lambda4).
     """
     xi = consts.xi
-    logs = cocycle_logs(sys, d.center_point(), n - 1, include_zero=True)
+    logs = cocycle_logs(sys, d.center_point(), n - 1)
     norm_e = np.exp(logs.log_e)
     min_f = np.exp(-logs.log_f_inv)
     if np.any(min_f - 2.0 * consts.alpha <= 0.0):

@@ -272,7 +272,7 @@ def _exp_cone_check(sys, cfg):
     n = cfg.horizon or 40
     a = cfg.const("a", 0.5)
     x = _default_center(sys, cfg)
-    logs = cocycle_logs(sys, x, n - 1, include_zero=True)
+    logs = cocycle_logs(sys, x, n - 1)
     step = np.asarray(logs.log_e, float) + np.asarray(logs.log_f_inv, float)
     cums = np.cumsum(step)
     gamma_min = float(np.max(np.exp(cums / np.arange(1, n + 1))))
@@ -429,7 +429,7 @@ def _exp_curvature(sys, cfg):
              ["n", "measured", "bound_product", "bound_closed"], rows)
 
     # one-step claim: H(fD) <= c_0 H(D) + L1/(m_0 - 2 alpha)^(1+xi)
-    logs0 = cocycle_logs(sys, d.center_point(), 0, include_zero=True)
+    logs0 = cocycle_logs(sys, d.center_point(), 0)
     ne0 = float(np.exp(logs0.log_e[0]))
     mf0 = float(np.exp(-logs0.log_f_inv[0]))
     h0 = disks.holder_curvature(d, xi)

@@ -6,8 +6,8 @@ The three detectors:
                    keeps its average above a threshold (linear-time scan).
 * hyperbolic_times -- indices n where every trailing window product of the
                    F-restricted inverse norms is below sigma^k.
-* lambda_membership_batch -- rows whose every prefix average, from a start
-                   index on, stays at or below log(lam).
+* lambda_membership_batch -- rows whose every prefix average stays at or
+                   below log(lam).
 
 Prefix sums are accumulated in extended precision so that detection at
 horizons ~1e5 is not at the mercy of float64 cancellation.
@@ -114,22 +114,19 @@ def hyperbolic_times(log_f_inv, sigma):
                                 density=len(times) / n_len if n_len else 0.0)
 
 
-def lambda_membership_batch(log_f_inv_rows, lam, n_start=1):
+def lambda_membership_batch(log_f_inv_rows, lam):
     """Finite-horizon Lambda membership of every row of a (N, horizon) array.
 
     Columns are read 1-based: row s is a member iff
     (1/n) sum_{j=1..n} log_f_inv_rows[s, j] <= log(lam) for every
-    n_start <= n <= horizon.
+    1 <= n <= horizon.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     a = np.asarray(log_f_inv_rows, dtype=np.longdouble)
-    if not (1 <= n_start <= a.shape[1]):
-        raise ValueError(f"n_start = {n_start} outside 1..{a.shape[1]}")
     s = np.cumsum(a, axis=1)
     ns = np.arange(1, a.shape[1] + 1, dtype=np.longdouble)
-    ok = s <= np.longdouble(np.log(lam)) * ns
-    return np.all(ok[:, n_start - 1:], axis=1)
+    return np.all(s <= np.longdouble(np.log(lam)) * ns, axis=1)
 
 
 def density_theta(sigma1, sigma2, c0):

@@ -231,18 +231,15 @@ class ConstantsH:
 class CocycleLog:
     """Per-step restricted derivative logs along a finite orbit segment.
 
-    Arrays are indexed so that position p corresponds to the orbit index
-    start + p; start is 1 by default and 0 when the zeroth entry was
-    requested.
+    Position j of each array holds the value at orbit index j = 0..n.
     """
 
-    start: int
     log_e: np.ndarray
     log_f_inv: np.ndarray
 
     def f_inv_from_one(self):
         """The log_f_inv entries for orbit indices 1..n (detector convention)."""
-        return self.log_f_inv[1 - self.start:]
+        return self.log_f_inv[1:]
 
 
 def orbit_coords(sys, coords, n, check_region=True):
@@ -268,16 +265,15 @@ def splitting_frames_along_orbit(sys, rows):
     return sys.splitting.frames_along(rows)
 
 
-def cocycle_logs(sys, x, n, include_zero=False):
-    """Restricted derivative logs at f^j(x) for j = 1..n (0..n with the flag).
+def cocycle_logs(sys, x, n):
+    """Restricted derivative logs at f^j(x) for j = 0..n.
 
     post: log_e[j] = log ||Df|E(f^j x)||, log_f_inv[j] = -log mininorm(Df|F(f^j x)).
     Raises OrbitEscaped if the forward orbit leaves the region.
     """
     le, lf = cocycle_logs_batch(sys, np.asarray(x, float)[None, :], n,
-                                include_zero=include_zero)
-    return CocycleLog(start=0 if include_zero else 1,
-                      log_e=le[0], log_f_inv=lf[0])
+                                include_zero=True)
+    return CocycleLog(log_e=le[0], log_f_inv=lf[0])
 
 
 def cocycle_logs_batch(sys, coords, n, include_zero=False):

@@ -9,6 +9,8 @@ import dataclasses
 import math
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import dijkstra
 
 
 def window_matrix(values, slope):
@@ -44,13 +46,12 @@ def hyperbolic_oracle(log_f_inv, sigma):
     return np.where(ok)[0] + 1
 
 
-def membership_oracle(log_f_inv, lam, n_start):
+def membership_oracle(log_f_inv, lam):
     """Prefix-average definition of finite-horizon Lambda membership."""
     v = np.asarray(log_f_inv, float)
     s = np.cumsum(v)
     ns = np.arange(1, len(v) + 1)
-    window = ns >= n_start
-    return bool(np.all(s[window] / ns[window] <= np.log(lam)))
+    return bool(np.all(s / ns <= np.log(lam)))
 
 
 # ---- selection scans: the element-by-element running-extremum loops ----
@@ -95,13 +96,13 @@ def hyperbolic_times_loop(log_f_inv, sigma):
     return np.asarray(times, dtype=int)
 
 
-def lambda_membership_single(log_f_inv, lam, n_start):
+def lambda_membership_single(log_f_inv, lam):
     """Prefix averages of one row against log(lam), in extended precision."""
     a = np.asarray(log_f_inv, float)
     n_len = len(a)
     s = _prefix_loop(a)
-    ns = np.arange(n_start, n_len + 1, dtype=np.longdouble)
-    return bool(np.all(s[n_start:] <= np.longdouble(np.log(lam)) * ns))
+    ns = np.arange(1, n_len + 1, dtype=np.longdouble)
+    return bool(np.all(s[1:] <= np.longdouble(np.log(lam)) * ns))
 
 
 def admissible_sequence(rng, c0, c1, n):
@@ -379,6 +380,18 @@ def boundary_nodes_oracle(d):
         if any(not (0 <= a < r and 0 <= b < r) or idx[a, b] < 0 for a, b in nb):
             out.append(k)
     return np.asarray(out, dtype=int)
+
+
+def dist_from_center_oracle(d):
+    """2-D shortest mesh-path lengths from the center: scipy's Dijkstra on
+    the symmetric edge-length graph (inf where no path reaches)."""
+    e = d._edges()
+    w = d.edge_lengths()
+    g = coo_matrix((np.concatenate([w, w]),
+                    (np.concatenate([e[:, 0], e[:, 1]]),
+                     np.concatenate([e[:, 1], e[:, 0]]))),
+                   shape=(d.n_samples, d.n_samples))
+    return dijkstra(g.tocsr(), indices=d.center_index)
 
 
 def f_batch_oracle(sys, pts, depth):

@@ -12,6 +12,8 @@ import pytest
 
 import srblab
 
+from .conftest import LAM_U, V_S, V_U
+
 CLI = [sys.executable, "-m", "srblab.cli"]
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -240,3 +242,39 @@ class TestImport:
             capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == "False"
+
+    def test_runs_with_scipy_blocked(self, tmp_path):
+        # numpy is the only runtime dependency: a 2-D disk's intrinsic
+        # metric, and a run that measures one, import nothing from scipy
+        script = f"""
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+import srblab
+from srblab import disks
+from srblab.linalg import Subspace
+a = np.array([[2.0, 1.0], [1.0, 1.0]])
+v_u, v_s = np.array({V_U.tolist()}), np.array({V_S.tolist()})
+z = np.zeros(2)
+e = np.column_stack([np.r_[v_s, z], np.r_[z, v_s]])
+f = np.column_stack([np.r_[v_u, z], np.r_[z, v_u]])
+cat4 = srblab.linear_torus_system(np.kron(np.eye(2), a), e, f, name="cat4")
+d = disks.make_disk(cat4, np.array([0.15, 0.3, 0.55, 0.8]), Subspace(f),
+                    0.02, resolution=41)
+carved = disks.hyperbolic_component(cat4, d, 2, 0.02, sigma=0.5)
+rep = disks.backward_contraction_check(cat4, carved, 2, 0.5)
+print(rep.max_violation, carved.intrinsic_radius() > 0)
+cfg = srblab.parse_config({{"model": {{"name": "solenoid"}},
+                           "experiment": "disk_iterate", "horizon": 3,
+                           "disk": {{"direction": "E", "resolution": 21}}}})
+srblab.run_experiment(cfg, {str(tmp_path)!r})
+"""
+        r = subprocess.run([sys.executable, "-c", script],
+                           capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        violation, positive = r.stdout.split()
+        assert float(violation) == pytest.approx((1.0 / LAM_U) / 0.5 ** 0.5,
+                                                 rel=1e-9)
+        assert positive == "True"
+        with open(tmp_path / "summary.json") as fh:
+            assert json.load(fh)["pass"] is True

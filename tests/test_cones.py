@@ -85,7 +85,7 @@ class TestConeWidthBound:
 
 class TestAvgDomination:
     def test_cat_certificate_ratios(self, cat):
-        logs = cocycle_logs(cat, X, 12, include_zero=True)
+        logs = cocycle_logs(cat, X, 12)
         cert = cones.check_avg_domination(logs, 0.15)
         n = len(cert.ratios)
         expected = LAM_U ** (-2.0 * np.arange(1, n + 1))
@@ -94,17 +94,12 @@ class TestAvgDomination:
         assert cert.n == n
 
     def test_gamma_below_rate_fails(self, cat):
-        logs = cocycle_logs(cat, X, 12, include_zero=True)
+        logs = cocycle_logs(cat, X, 12)
         with pytest.raises(HypothesisViolated, match="i = 1"):
             cones.check_avg_domination(logs, 0.14)
 
-    def test_requires_entry_zero(self, cat):
-        logs = cocycle_logs(cat, X, 12)          # starts at j = 1
-        with pytest.raises(HypothesisViolated):
-            cones.check_avg_domination(logs, 0.15)
-
     def test_gamma_range_validated(self, cat):
-        logs = cocycle_logs(cat, X, 5, include_zero=True)
+        logs = cocycle_logs(cat, X, 5)
         for g in (0.0, 1.0, 1.2, -0.3):
             with pytest.raises(ValueError):
                 cones.check_avg_domination(logs, g)
@@ -114,7 +109,7 @@ class TestAvgDomination:
             cones.check_avg_domination(np.zeros(5), 0.15)
 
     def test_perturbed_cat_still_dominated(self, pcat):
-        logs = cocycle_logs(pcat, X, 60, include_zero=True)
+        logs = cocycle_logs(pcat, X, 60)
         cert = cones.check_avg_domination(logs, 0.2)
         assert np.all(cert.ratios <= 0.2 ** np.arange(1, len(cert.ratios) + 1) * (1 + 1e-9))
 

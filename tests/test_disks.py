@@ -1,6 +1,8 @@
 """Embedded disks: construction, iteration, carving, contraction,
 distortion, and curvature control."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
@@ -250,6 +252,23 @@ class TestCurvature:
         assert rep.bound == min(rep.bound_product, rep.bound_closed)
         assert len(rep.c_values) == n
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 1")
+    def test_solenoid_recursion_bounds_measured_curvature(self, sol):
+        # the curvature experiment's default solenoid run: l1 is measured
+        # on one fibre, so at n = 6 the bound is 408.8x below the measure
+        ch = measure_constants_h(sol)
+        cc = disks.curvature_constants(sol, ch)
+        x = region_sample(sol, 1, seed=7, burn_in=12)[0]
+        e, f = sol.splitting.at(x)
+        g = disks.make_graph_disk(sol, x, f.frame[:, 0], e.frame[:, 0], R,
+                                  resolution=201, curvature=0.5)
+        logs = cocycle_logs(sol, x, 6)
+        n = int(hyperbolic_times(logs.f_inv_from_one(), ch.lambda2).times[-1])
+        carved = disks.hyperbolic_component(sol, g, n, R, sigma=ch.lambda2)
+        rep = disks.curvature_recursion(sol, carved, n, cc, check=False)
+        assert rep.measured <= rep.bound
+
     def test_flat_cat_needs_check_off(self, cat):
         # the cat's flat-disk admission threshold is exactly zero, so the
         # ~1e-15 measured curvature of a sampled straight line fails it
@@ -319,6 +338,26 @@ class TestTwoDimensional:
             np.testing.assert_allclose([rep.max_width, rep.max_f_distance],
                                        want, rtol=1e-12, atol=1e-12)
         assert rep.max_width > 1e-3
+
+    def test_dist_from_center_matches_dijkstra(self, cat4, sol):
+        d = self.make(cat4)
+        # cut one node off from the mesh: no path reaches it
+        cut = d.node_ij[d.center_index] + (5, 0)
+        keep = np.abs(d.node_ij - cut).sum(axis=1) != 1
+        island = dataclasses.replace(
+            d, params=d.params[keep], disp=d.disp[keep],
+            tangents=d.tangents[keep], node_ij=d.node_ij[keep],
+            center_index=int(np.count_nonzero(keep[:d.center_index])))
+        x = region_sample(sol, 1, seed=7, burn_in=12)[0]
+        sol_e = disks.make_disk(sol, x, sol.splitting.at(x)[0], R,
+                                resolution=21)
+        cases = [d, disks.iterate_disk(cat4, d, 2)[-1],
+                 disks.hyperbolic_component(cat4, d, 2, R, sigma=0.5),
+                 island, sol_e]
+        for disk in cases:
+            got = disk.dist_from_center()
+            assert np.array_equal(got, oracles.dist_from_center_oracle(disk))
+        assert np.count_nonzero(np.isinf(island.dist_from_center())) == 1
 
     def test_holder_curvature_is_for_curves_only(self, cat4):
         with pytest.raises(DimensionMismatch):

@@ -221,4 +221,4 @@ class TestLinearTorusSystem:
     def test_product_of_cats_cocycle(self, cat4):
         logs = cocycle_logs(cat4, np.array([0.1, 0.2, 0.3, 0.4]), 30)
         assert np.max(np.abs(logs.log_f_inv + LOG_LAM_U)) < 1e-12
-        assert logs.log_e.shape == (30,)
+        assert logs.log_e.shape == (31,)

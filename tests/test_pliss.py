@@ -10,9 +10,9 @@ from .oracles import (admissible_sequence, hyperbolic_oracle,
                       membership_oracle, pliss_oracle, pliss_times_loop)
 
 
-def member(v, lam, n_start):
+def member(v, lam):
     """Lambda membership of one row, through the batch."""
-    return bool(lambda_membership_batch(v[None], lam, n_start)[0])
+    return bool(lambda_membership_batch(v[None], lam)[0])
 
 
 class TestPlissTimes:
@@ -118,19 +118,19 @@ class TestHyperbolicTimes:
 class TestLambdaMembership:
     def test_constant_cat_cocycle(self):
         v = np.full(50, -LOG_LAM_U)
-        assert member(v, 0.5, 1)
+        assert member(v, 0.5)
 
     def test_zero_cocycle_never_member(self):
-        assert not member(np.zeros(10), 0.9, 1)
+        assert not member(np.zeros(10), 0.9)
 
     def test_prefix_average_example(self):
-        # average over the first two entries is -0.75 > log(1/e), so the
-        # membership horizon only opens at n_start = 3
-        v = np.array([0.5, -2.0, -2.0, -2.0])
+        # the prefix averages are -1.5, -0.75 and -1.1667: the second is
+        # above log(1/e), so the row fails although its full average passes
+        v = np.array([-1.5, 0.0, -2.0])
         lam = np.exp(-1.0)
-        assert not member(v, lam, 1)
-        assert not member(v, lam, 2)
-        assert member(v, lam, 3)
+        assert not member(v, lam)
+        assert member(v[:1], lam)
+        assert member(np.array([-1.5, -0.6, -2.0]), lam)
 
     def test_oracle_equivalence_random(self):
         rng = np.random.default_rng(31)
@@ -138,14 +138,13 @@ class TestLambdaMembership:
             n = int(rng.integers(2, 50))
             v = rng.uniform(-1.5, 0.5, n)
             lam = float(rng.uniform(0.3, 0.9))
-            ns = int(rng.integers(1, n + 1))
-            assert member(v, lam, ns) == membership_oracle(v, lam, ns)
+            assert member(v, lam) == membership_oracle(v, lam)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(37)
         rows = rng.uniform(-1.5, 0.2, (64, 20))
-        got = lambda_membership_batch(rows, 0.6, 2)
-        want = np.array([lambda_membership_single(r, 0.6, 2) for r in rows])
+        got = lambda_membership_batch(rows, 0.6)
+        want = np.array([lambda_membership_single(r, 0.6) for r in rows])
         assert np.array_equal(got, want)
 
     def test_anti_monotone_in_horizon(self):
@@ -153,8 +152,8 @@ class TestLambdaMembership:
         rng = np.random.default_rng(41)
         for _ in range(1000):
             v = rng.uniform(-1.2, 0.4, 24)
-            if member(v, 0.7, 3):
-                assert member(v[:12], 0.7, 3)
+            if member(v, 0.7):
+                assert member(v[:12], 0.7)
 
 
 def tie_heavy(rng, n, step, p=(1 / 3, 1 / 3, 1 / 3)):
@@ -213,9 +212,7 @@ class TestRecordScan:
             lam = float(rng.uniform(0.3, 0.9))
             v = (tie_heavy(rng, n, np.log(lam)) if k % 2
                  else rng.uniform(-1.5, 0.5, n))
-            ns = int(rng.integers(1, n + 1))
-            assert member(v, lam, ns) is \
-                lambda_membership_single(v, lam, ns)
+            assert member(v, lam) is lambda_membership_single(v, lam)
 
     def test_long_sequences(self):
         rng = np.random.default_rng(127)
@@ -223,9 +220,7 @@ class TestRecordScan:
         for v in (rng.uniform(-1.0, 0.4, n), tie_heavy(rng, n, np.log(sigma))):
             assert np.array_equal(hyperbolic_times(v, sigma).times,
                                   hyperbolic_times_loop(v, sigma))
-            for ns in (1, n // 2, n):
-                assert member(v, sigma, ns) is \
-                    lambda_membership_single(v, sigma, ns)
+            assert member(v, sigma) is lambda_membership_single(v, sigma)
         c2 = -np.log(sigma)
         b = tie_heavy(rng, n, c2, p=(0.2, 0.2, 0.6))
         got = pliss_times(b, PlissParams(2.0 * c2, 1.05 * c2, c2))
@@ -236,9 +231,6 @@ class TestRecordScan:
         rows = np.zeros((3, 5))
         with pytest.raises(ValueError, match="positive"):
             lambda_membership_batch(rows, 0.0)
-        for ns in (0, 6):
-            with pytest.raises(ValueError, match="outside 1..5"):
-                lambda_membership_batch(rows, 0.5, ns)
 
 
 class TestDensityTheta:

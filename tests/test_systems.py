@@ -29,30 +29,34 @@ class TestCocycleLogs:
         assert np.max(np.abs(logs.log_e - np.log(LAM_S))) < 1e-13
         assert np.ptp(logs.log_f_inv) == 0.0
 
-    def test_default_window_is_one_to_n(self, cat):
+    def test_window_is_zero_to_n(self, cat):
         logs = cocycle_logs(cat, X0, 7)
-        assert len(logs.log_e) == 7
-        assert logs.start == 1
+        assert len(logs.log_e) == 8
+        assert len(logs.log_f_inv) == 8
 
-    def test_include_zero_prepends_base_entry(self, cat):
-        with_zero = cocycle_logs(cat, X0, 7, include_zero=True)
-        without = cocycle_logs(cat, X0, 7)
-        assert len(with_zero.log_e) == 8
-        assert with_zero.start == 0
-        assert np.allclose(with_zero.log_e[1:], without.log_e)
+    @pytest.mark.parametrize("model", MODELS)
+    def test_entries_one_to_n_are_the_batch_default(self, request, model):
+        # the 1..n entries come from the same streams as the batch's 1..n
+        # form; the base entry only runs the pull one row further
+        sys = request.getfixturevalue(model)
+        x = region_sample(sys, 1, seed=8, burn_in=2)[0]
+        logs = cocycle_logs(sys, x, 7)
+        le, lf = cocycle_logs_batch(sys, x[None], 7)
+        assert np.array_equal(logs.log_e[1:], le[0])
+        assert np.array_equal(logs.log_f_inv[1:], lf[0])
 
     def test_f_inv_from_one_strips_base_entry(self, cat):
-        with_zero = cocycle_logs(cat, X0, 5, include_zero=True)
-        assert np.allclose(with_zero.f_inv_from_one(),
-                           cocycle_logs(cat, X0, 5).log_f_inv)
+        logs = cocycle_logs(cat, X0, 5)
+        assert np.array_equal(logs.f_inv_from_one(), logs.log_f_inv[1:])
+        assert len(logs.f_inv_from_one()) == 5
 
     def test_batch_matches_singles(self, pcat):
         pts = np.array([[0.1, 0.8], [0.45, 0.33], [0.72, 0.06]])
         le, lf = cocycle_logs_batch(pcat, pts, 12)
         for i, p in enumerate(pts):
             single = cocycle_logs(pcat, p, 12)
-            assert np.allclose(le[i], single.log_e, atol=1e-12)
-            assert np.allclose(lf[i], single.log_f_inv, atol=1e-12)
+            assert np.allclose(le[i], single.log_e[1:], atol=1e-12)
+            assert np.allclose(lf[i], single.f_inv_from_one(), atol=1e-12)
 
     def test_perturbed_entries_vary_but_stay_close(self, pcat):
         logs = cocycle_logs(pcat, X0, 100)
