@@ -130,10 +130,15 @@ def domination_robustness_radius(sys, gamma1, gamma2):
     pts = mesh.reshape(-1, chart.dim)
     keep = sys.in_region(pts)
 
-    t = sys.tangent(pts)
-    e, f = sys.splitting.e_frames(pts), sys.splitting.f_frames(pts)
-    log_e = np.log(restricted_stretch(t, e, "max"))
-    log_f = np.log(restricted_stretch(t, f, "min"))
+    # evaluated only where the mask reads them; the values equal the full
+    # grid's, as the solenoid's maps act per point and a torus keeps it all
+    log_e, log_f = np.zeros(len(pts)), np.zeros(len(pts))
+    if keep.any():
+        inner = pts[keep]
+        t = sys.tangent(inner)
+        e, f = sys.splitting.e_frames(inner), sys.splitting.f_frames(inner)
+        log_e[keep] = np.log(restricted_stretch(t, e, "max"))
+        log_f[keep] = np.log(restricted_stretch(t, f, "min"))
 
     shape = mesh.shape[:-1]
     mask = keep.reshape(shape)

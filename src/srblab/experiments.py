@@ -23,6 +23,7 @@ from . import disks, measures
 from .cones import (check_avg_domination, domination_robustness_radius,
                     verify_cone_contraction)
 from .errors import ConfigInvalid, HypothesisViolated
+from .linalg import subspace_distance
 from .models import (MODEL_INFO, build, lambda_fraction, measure_constants_h,
                      region_sample)
 from .pliss import PlissParams, density_theta, hyperbolic_times, pliss_times
@@ -307,7 +308,8 @@ def _exp_cone_check(sys, cfg):
 
 def _exp_disk_iterate(sys, cfg):
     """Push a disk forward step by step, tracking edge gaps, intrinsic
-    radius, and how close its tangents stay to F.  Writes disk.csv."""
+    radius, and how close its tangents stay to F (to E for an E-disk).
+    Writes disk.csv."""
     n = cfg.horizon or 6
     d = _config_disk(sys, cfg, radius=0.01, resolution=201)
     trace = disks.iterate_disk(sys, d, n)
@@ -318,14 +320,23 @@ def _exp_disk_iterate(sys, cfg):
              [(k, float(np.max(dk.edge_lengths())), dk.intrinsic_radius(),
                rep.max_width, rep.max_f_distance)
               for k, (dk, rep) in enumerate(zip(trace, reps))])
-    tol = max(first.max_f_distance, 1e-6)
-    assertions = [
-        _assert_entry("tangents-stay-near-F", last.max_f_distance <= tol,
-                      last.max_f_distance, tol),
-    ]
     quantities = {"final_radius": trace[-1].intrinsic_radius(),
                   "final_max_width": last.max_width,
                   "final_f_distance": last.max_f_distance}
+    bundle = cfg.disk.get("direction", "F")
+    if bundle == "F":
+        dist0, dist = first.max_f_distance, last.max_f_distance
+    else:
+        # an E-disk sits at F-distance 1 from the start, so only its distance
+        # to E can show it tilting away
+        dist0, dist = (float(np.max(subspace_distance(
+            dk.tangents, sys.splitting.e_frames(dk.points()))))
+            for dk in (trace[0], trace[-1]))
+        quantities["final_e_distance"] = dist
+    tol = max(dist0, 1e-6)
+    assertions = [
+        _assert_entry(f"tangents-stay-near-{bundle}", dist <= tol, dist, tol),
+    ]
     return quantities, assertions, table
 
 
@@ -614,10 +625,12 @@ def _jsonable(x):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
     if isinstance(x, np.ndarray):
         return [_jsonable(v) for v in x.tolist()]
+    if isinstance(x, (np.floating, np.integer)):
+        x = x.item()
+    if isinstance(x, float) and not math.isfinite(x):
+        return None   # strict JSON has no NaN or Infinity
     return x
 
 
@@ -633,8 +646,10 @@ def config_echo(cfg):
 
 
 def _write_json(path, obj):
+    """Strict JSON: a non-finite float is written as null."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        fh.write(json.dumps(_jsonable(obj), sort_keys=True, indent=2,
+                            allow_nan=False) + "\n")
 
 
 def run_experiment(cfg, out_dir=None, workers=1):

@@ -199,11 +199,13 @@ def select_disjoint_balls(dist, radius):
     dist = np.asarray(dist, float)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ValueError("dist must be a square pairwise-distance matrix")
-    m = dist.shape[0]
+    # blocked[i]: some selected j has dist[i, j] > 2r false (NaN included)
+    blocked = np.zeros(dist.shape[0], bool)
     selected = []
-    for i in range(m):
-        if all(dist[i, j] > 2.0 * radius for j in selected):
+    for i in range(dist.shape[0]):
+        if not blocked[i]:
             selected.append(i)
+            blocked |= ~(dist[:, i] > 2.0 * radius)
     return np.asarray(selected, dtype=int)
 
 

@@ -243,13 +243,12 @@ def _build_dfa(delta, rho):
         dm_dr2 = 3.0 * nu * one_m_r2 ** 2
         du_ds = np.where(inside, u * dm_dr2 * (2.0 * s / rho ** 2), 0.0)
         du_du = np.where(inside, m + u * dm_dr2 * (2.0 * u / rho ** 2), 1.0)
-        shape = np.shape(s)
-        t = np.zeros(shape + (2, 2), float)
-        t[..., 0, 0] = 1.0
-        t[..., 1, 0] = du_ds
-        t[..., 1, 1] = du_du
-        v = np.stack([vs, vu], axis=1)   # columns: eig basis (orthogonal)
-        return np.einsum("ij,...jk,lk->...il", v, t, v)
+        # V T V^T with V = [vs | vu] and T = [[1, 0], [du_ds, du_du]], summed
+        # in the order np.einsum("ij,...jk,lk->...il", V, T, V) takes
+        # (T's exact zero adds nothing), so the bits are einsum's
+        cu = vu[:, None]
+        return (((cu * du_ds[..., None, None]) * vs
+                 + (cu * du_du[..., None, None]) * vu) + np.outer(vs, vs))
 
     def _deform_inverse(y):
         s, uprime = _eig_coords(y)

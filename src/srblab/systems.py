@@ -48,13 +48,62 @@ def _generic_frames(pts, k):
     return np.broadcast_to(q, pts.shape[:-1] + q.shape).copy()
 
 
+# dlarfg's rescale threshold dlamch('S') / dlamch('E'), and its inverse
+_SAFMIN = 2.0 ** -969
+_RSAFMN = 2.0 ** 969
+
+
+def _householder_beta(a, b):
+    """dlarfg's beta for the column (a, b): -sign(dlapy2(a, |b|), a)."""
+    aa, ab = np.abs(a), np.abs(b)
+    w = np.maximum(aa, ab)
+    zw = np.minimum(aa, ab) / w
+    return np.copysign(w * np.sqrt(1.0 + zw * zw), -a)
+
+
 def _batch_qr(frames):
-    """Orthonormalize (..., dim, k) stacks of frames, sign-fixed."""
-    q, r = np.linalg.qr(frames)
-    # fix signs so the result is continuous in the input
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    s = np.where(diag < 0, -1.0, 1.0)
-    return q * s[..., None, :]
+    """Orthonormalize (..., dim, k) stacks of frames, sign-fixed: each Q
+    column is flipped where np.linalg.qr's R has a negative diagonal entry,
+    so the result is continuous in the input.
+
+    A (..., 2, 1) stack, the F or E line of a planar model, is computed as
+    whole arrays by the arithmetic of LAPACK's dgeqr2 + dorg2r (dlarfg's
+    Householder reflection, its exact power-of-two rescale below safmin
+    included).  For finite input it equals the np.linalg.qr form bit for
+    bit under reference LAPACK, which OpenBLAS ships; this was checked
+    with numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64, Haswell kernels) only.
+    Builds on Accelerate or MKL may round dlapy2/dnrm2 differently, and
+    there the identity is unverified.  Every other shape
+    calls np.linalg.qr: the 2-D disks' (..., d, 2) frames, and the
+    solenoid's (..., 3, 1) F, whose dlarfg norm is a two-entry dnrm2 that
+    the BLAS rounds its own way (OpenBLAS on x86-64 accumulates it in x87
+    extended precision), so no float64 expression matches it everywhere.
+    """
+    if frames.shape[-2:] != (2, 1):
+        q, r = np.linalg.qr(frames)
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        return q * np.where(diag < 0, -1.0, 1.0)[..., None, :]
+    a, b = frames[..., 0, 0], frames[..., 1, 0]
+    with np.errstate(all="ignore"):
+        beta = _householder_beta(a, b)
+        small = np.abs(beta) < _SAFMIN
+        if small.any():
+            a = np.where(small, a * _RSAFMN, a)
+            b = np.where(small, b * _RSAFMN, b)
+            beta = _householder_beta(a, b)
+        tau = (beta - a) / beta
+        v = b * (1.0 / (a - beta))
+        diag = beta
+        zero = b == 0.0
+        if zero.any():   # dlarfg's H = I: tau = 0 and b left unscaled
+            tau = np.where(zero, 0.0, tau)
+            v = np.where(zero, b, v)
+            diag = np.where(zero, a, beta)
+        s = np.where(diag < 0, -1.0, 1.0)
+        q = np.empty(frames.shape)
+        q[..., 0, 0] = (1.0 - tau) * s
+        q[..., 1, 0] = (-tau * v) * s
+    return q
 
 
 def _swept(step, tangents, frames):

@@ -321,7 +321,6 @@ def advance_oracle(sys, d):
     """One forward step of an anchored disk in the macro regime, rebuilding
     displacements edge by edge: along the curve outward from the center in
     1-D, in depth-first order from the center in 2-D."""
-    from srblab.systems import _batch_qr
     new_center = sys.forward(d.center)
     pts = d.chart.wrap(d.center + d.disp)
     imgs = sys.forward(pts)
@@ -351,7 +350,7 @@ def advance_oracle(sys, d):
                     new_disp[j] = new_disp[i] + d.chart.displacement(
                         imgs[i], imgs[j])
                     stack.append(j)
-    new_tangents = _batch_qr(sys.tangent(pts) @ d.tangents)
+    new_tangents = batch_qr_oracle(sys.tangent(pts) @ d.tangents)
     return dataclasses.replace(d, center=d.chart.wrap(new_center),
                                disp=new_disp, tangents=new_tangents)
 
@@ -397,7 +396,7 @@ def dist_from_center_oracle(d):
 def f_batch_oracle(sys, pts, depth):
     """F at (N, d) points: a generic frame pushed forward along the depth
     steps of each backward orbit, deepest preimage first."""
-    from srblab.systems import _batch_qr, _generic_frames
+    from srblab.systems import _generic_frames
     back = pts
     trail = [back]
     for _ in range(depth):
@@ -405,14 +404,14 @@ def f_batch_oracle(sys, pts, depth):
         trail.append(back)
     frames = _generic_frames(pts, sys.splitting.dim_f)
     for k in range(depth, 0, -1):
-        frames = _batch_qr(sys.tangent(trail[k]) @ frames)
+        frames = batch_qr_oracle(sys.tangent(trail[k]) @ frames)
     return frames
 
 
 def e_batch_oracle(sys, pts, depth):
     """E at (N, d) points: a generic frame pulled back along the depth steps
     of each forward orbit, farthest image first."""
-    from srblab.systems import _batch_qr, _generic_frames
+    from srblab.systems import _generic_frames
     fwd = pts
     trail = [fwd]
     for _ in range(depth):
@@ -420,7 +419,8 @@ def e_batch_oracle(sys, pts, depth):
         trail.append(fwd)
     frames = _generic_frames(pts, sys.splitting.dim_e)
     for k in range(depth - 1, -1, -1):
-        frames = _batch_qr(np.linalg.solve(sys.tangent(trail[k]), frames))
+        frames = batch_qr_oracle(
+            np.linalg.solve(sys.tangent(trail[k]), frames))
     return frames
 
 
@@ -433,8 +433,7 @@ def splitting_frames_oracle(sys, rows):
     tail of depth forward steps past the last row, then pulled back row by
     row.
     """
-    from srblab.systems import (DEPTH, ConvergedSplitting, _batch_qr,
-                                _generic_frames)
+    from srblab.systems import DEPTH, ConvergedSplitting, _generic_frames
     sp = sys.splitting
     m = rows.shape[0] - 1
     if not isinstance(sp, ConvergedSplitting):
@@ -446,7 +445,7 @@ def splitting_frames_oracle(sys, rows):
     f = np.empty((m + 1,) + lead + (d, sp.dim_f), float)
     f[0] = f_batch_oracle(sys, rows[0], DEPTH)
     for j in range(m):
-        f[j + 1] = _batch_qr(sys.tangent(rows[j]) @ f[j])
+        f[j + 1] = batch_qr_oracle(sys.tangent(rows[j]) @ f[j])
     e = np.empty((m + 1,) + lead + (d, sp.dim_e), float)
     if sp.e_fn is not None:
         for j in range(m + 1):
@@ -459,10 +458,11 @@ def splitting_frames_oracle(sys, rows):
         ext = sys.forward(ext)
     cur = _generic_frames(rows[m], sp.dim_e)
     for y in reversed(tail):
-        cur = _batch_qr(np.linalg.solve(sys.tangent(y), cur))
+        cur = batch_qr_oracle(np.linalg.solve(sys.tangent(y), cur))
     e[m] = cur
     for j in range(m - 1, -1, -1):
-        e[j] = _batch_qr(np.linalg.solve(sys.tangent(rows[j]), e[j + 1]))
+        e[j] = batch_qr_oracle(
+            np.linalg.solve(sys.tangent(rows[j]), e[j + 1]))
     return e, f
 
 
@@ -530,3 +530,76 @@ def cone_contraction_oracle(sys, x, a, gamma, n, samples=16, seed=5):
             widths.append(np.inf if nf == 0 else np.linalg.norm(ve) / nf)
         worst[i - 1] = max(widths) / (gamma ** i * a)
     return worst
+
+
+# ---- whole-array kernels: the library forms they replaced, bit for bit ----
+
+def batch_qr_oracle(frames):
+    """_batch_qr through np.linalg.qr: each Q column flipped where R's
+    diagonal entry is negative."""
+    q, r = np.linalg.qr(frames)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * np.where(diag < 0, -1.0, 1.0)[..., None, :]
+
+
+def dfa_tangent_oracle(x, delta=0.05, rho=0.2):
+    """dfa's tangent at (..., 2) points, the deformation's derivative taken
+    as one three-operand einsum V T V^T with V = [vs | vu] and
+    T = [[1, 0], [du_ds, du_du]] in eigen-coordinates."""
+    from srblab.charts import torus_chart
+    from srblab.models import CAT_MATRIX, CAT_STABLE, CAT_UNSTABLE, LAMBDA_U
+    chart = torus_chart(2)
+    nu = 1.0 - (1.0 + delta) / LAMBDA_U
+    y = chart.wrap(np.einsum("ij,...j->...i", CAT_MATRIX,
+                             np.asarray(x, float)))
+    z = chart.displacement(np.zeros_like(y), y)
+    s, u = z @ CAT_STABLE, z @ CAT_UNSTABLE
+    r2 = (s * s + u * u) / rho ** 2
+    inside = r2 < 1.0
+    one_m_r2 = np.where(inside, 1.0 - r2, 0.0)
+    m = 1.0 - nu * one_m_r2 ** 3
+    dm_dr2 = 3.0 * nu * one_m_r2 ** 2
+    t = np.zeros(np.shape(s) + (2, 2))
+    t[..., 0, 0] = 1.0
+    t[..., 1, 0] = np.where(inside, u * dm_dr2 * (2.0 * s / rho ** 2), 0.0)
+    t[..., 1, 1] = np.where(inside, m + u * dm_dr2 * (2.0 * u / rho ** 2),
+                            1.0)
+    v = np.stack([CAT_STABLE, CAT_UNSTABLE], axis=1)
+    return np.einsum("ij,...jk,lk->...il", v, t, v) @ CAT_MATRIX
+
+
+def robustness_radius_full_grid_oracle(sys, gamma1, gamma2):
+    """domination_robustness_radius with the frames evaluated at all 24^d
+    grid points, the region mask applied only to the differences."""
+    from srblab.errors import EmptyRadius
+    from srblab.linalg import restricted_stretch
+    bound = 0.5 * float(np.log(gamma2 / gamma1))
+    chart = sys.chart
+    lo = np.asarray(chart.lower, float)
+    hi = np.asarray(chart.upper, float)
+    axes = [np.linspace(lo[j], hi[j], 24, endpoint=not chart.periodic[j])
+            for j in range(chart.dim)]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    pts = mesh.reshape(-1, chart.dim)
+    t = sys.tangent(pts)
+    e, f = sys.splitting.e_frames(pts), sys.splitting.f_frames(pts)
+    shape = mesh.shape[:-1]
+    mask = sys.in_region(pts).reshape(shape)
+    worst_slope = finest_jump = 0.0
+    for vals in (np.log(restricted_stretch(t, e, "max")),
+                 np.log(restricted_stretch(t, f, "min"))):
+        vals = vals.reshape(shape)
+        for j in range(chart.dim):
+            step = (hi[j] - lo[j]) / (24 if chart.periodic[j] else 23)
+            ok = mask & np.roll(mask, -1, axis=j)
+            if not chart.periodic[j]:
+                np.moveaxis(ok, j, 0)[-1] = False
+            diffs = np.abs(np.roll(vals, -1, axis=j) - vals)[ok]
+            if diffs.size:
+                finest_jump = max(finest_jump, float(np.max(diffs)))
+                worst_slope = max(worst_slope, float(np.max(diffs)) / step)
+    if finest_jump > bound:
+        raise EmptyRadius(f"a single grid step moves a ratio by {finest_jump}")
+    if worst_slope == 0.0:
+        return chart.diameter
+    return float(min(bound / (2.0 * worst_slope), chart.diameter))

@@ -1,5 +1,7 @@
 """Cone membership, average-domination certificates, and robustness radii."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -161,3 +163,33 @@ class TestRobustnessRadius:
     def test_vanishing_slack_raises_empty(self, pcat):
         with pytest.raises(EmptyRadius):
             cones.domination_robustness_radius(pcat, 0.15, 0.15 * (1 + 1e-12))
+
+    @pytest.mark.parametrize("gammas", [(0.14, 0.16), (0.1, 0.5),
+                                        (0.01, 0.99)])
+    def test_region_grid_matches_full_grid(self, sol, gammas):
+        want = oracles.robustness_radius_full_grid_oracle(sol, *gammas)
+        assert cones.domination_robustness_radius(sol, *gammas) == want
+
+    def test_evaluates_only_inside_the_region(self, sol):
+        ch = sol.chart
+        axes = [np.linspace(lo, hi, 24, endpoint=not periodic)
+                for lo, hi, periodic in zip(ch.lower, ch.upper, ch.periodic)]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        inside = int(np.count_nonzero(sol.in_region(grid.reshape(-1, 3))))
+        sizes = []
+
+        def tangent(c):
+            sizes.append(len(c))
+            return sol.tangent(c)
+
+        counted = dataclasses.replace(sol, tangent=tangent)
+        assert cones.domination_robustness_radius(counted, 0.14, 0.16) == \
+            cones.domination_robustness_radius(sol, 0.14, 0.16)
+        assert 0 < inside < 24 ** 3 and sizes == [inside]
+        # no grid point in the region: nothing to evaluate, nothing to bound
+        empty = dataclasses.replace(
+            counted, region_contains=lambda c: np.zeros(np.shape(c)[:-1], bool))
+        sizes.clear()
+        assert cones.domination_robustness_radius(empty, 0.14, 0.16) == \
+            ch.diameter
+        assert sizes == []

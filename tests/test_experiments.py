@@ -245,3 +245,39 @@ class TestRunExperiment:
                    if line.startswith("- `") and "`:" in line}
         assert reasons & set(expected) == {k for k, v in expected.items()
                                            if v != 0}
+
+
+def _strict(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestDiskIterate:
+    # the solenoid E-disk config that CI runs through the installed script
+    E_DISK = {"model": {"name": "solenoid"}, "experiment": "disk_iterate",
+              "horizon": 3, "disk": {"direction": "E", "resolution": 21}}
+
+    def test_e_disk_summary_is_strict_json(self, tmp_path):
+        cfg = experiments.parse_config(self.E_DISK)
+        experiments.run_experiment(cfg, out_dir=str(tmp_path))
+        with open(os.path.join(tmp_path, "summary.json")) as fh:
+            summary = json.loads(fh.read(), parse_constant=_strict)
+        assert summary["quantities"]["final_max_width"] is None
+        (check,) = summary["assertions"]
+        assert check["name"] == "tangents-stay-near-E" and check["passed"]
+        assert summary["quantities"]["final_e_distance"] == check["value"]
+
+    def test_tilted_e_disk_fails(self, monkeypatch):
+        # an E-disk tilted 1e-3 toward F: forward steps pull it onto F
+        make_disk = disks.make_disk
+
+        def tilted(sys, x, direction, radius, resolution):
+            v = direction.frame[:, 0] + 1e-3 * sys.splitting.f_frames(x)[:, 0]
+            return make_disk(sys, x, v / np.linalg.norm(v), radius,
+                             resolution=resolution)
+
+        monkeypatch.setattr(disks, "make_disk", tilted)
+        cfg = experiments.parse_config(base_config(
+            experiment="disk_iterate", horizon=6, disk={"direction": "E"}))
+        _, (check,), _ = experiments._exp_disk_iterate(build("cat"), cfg)
+        assert check["name"] == "tangents-stay-near-E"
+        assert not check["passed"] and check["value"] > 100 * check["bound"]

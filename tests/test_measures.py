@@ -255,6 +255,22 @@ class TestPacking:
             assert packing_check(dist, radius, sel)[0]
 
 
+    @pytest.mark.parametrize("kind", ["symmetric", "asymmetric", "nan"])
+    def test_matches_loop_on_raw_matrices(self, kind):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            m = int(rng.integers(1, 40))
+            dist = rng.uniform(0.0, 1.0, (m, m))
+            if kind == "symmetric":
+                dist = np.minimum(dist, dist.T)
+            if kind == "nan":
+                dist[rng.uniform(size=(m, m)) < 0.2] = np.nan
+            radius = float(rng.uniform(0.02, 0.3))
+            sel = measures.select_disjoint_balls(dist, radius)
+            assert sel.dtype == int
+            assert list(sel) == greedy_packing_oracle(dist, radius)
+
+
 class TestBirkhoff:
     def test_matches_manual_average(self, cat):
         # the orbit-stream kernel on a one-atom measure is the Birkhoff

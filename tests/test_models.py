@@ -8,6 +8,7 @@ from srblab import (ChainInfeasible, ConstructionFailed, build, cocycle_logs,
 from srblab.models import _halton
 
 from .conftest import LAM_U, LOG_LAM_U, V_S, V_U
+from . import oracles
 from .oracles import span
 
 
@@ -103,6 +104,19 @@ class TestDfa:
         x = np.array([0.5, 0.5])
         assert np.allclose(dfa.tangent(x), [[2.0, 1.0], [1.0, 1.0]],
                            atol=1e-12)
+
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 200, 400, 999, 4096])
+    def test_tangent_bit_identical_to_einsum(self, dfa, n):
+        rng = np.random.default_rng(n)
+        # half of the points inside the deformation disk around the origin
+        x = rng.uniform(0.0, 1.0, (n, 2))
+        x[::2] = np.mod(rng.uniform(-0.25, 0.25, (len(x[::2]), 2)), 1.0)
+        got = dfa.tangent(x)
+        want = oracles.dfa_tangent_oracle(x)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(dfa.tangent(x[0]),
+                              oracles.dfa_tangent_oracle(x[0]))
 
 
 class TestSolenoid:

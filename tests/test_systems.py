@@ -1,8 +1,11 @@
 import copy
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srblab import (OrbitEscaped, cocycle_logs, cocycle_logs_batch,
                     orbit_coords, splitting_frames_along_orbit,
@@ -10,9 +13,10 @@ from srblab import (OrbitEscaped, cocycle_logs, cocycle_logs_batch,
 
 from srblab import measures
 from srblab.disks import make_disk
-from srblab.models import lambda_fraction, measure_constants_h, region_sample
+from srblab.models import (build, lambda_fraction, measure_constants_h,
+                           region_sample)
 from srblab.pliss import lambda_membership_batch
-from srblab.systems import DEPTH, ConvergedSplitting, _log_f_inv
+from srblab.systems import DEPTH, ConvergedSplitting, _batch_qr, _log_f_inv
 
 from . import oracles
 from .conftest import LAM_S, LAM_U, LOG_LAM_U
@@ -301,3 +305,89 @@ class TestTangentCounts:
         _counted(dfa, calls).splitting.e_frames(pts)
         assert "push_inverse" not in calls
         assert calls["tangent"] == [5] * DEPTH
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _plane_stack(n, rng):
+    """(n, 2, 1) columns cycling through the cases dlarfg branches on: +-0.0
+    in either slot or both, one entry 0, both sides of the rescale
+    threshold 2^-969, subnormals, and magnitudes from e^-700 to overflow."""
+    tiny = 2.0 ** -969
+    cases = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0),
+             (0.0, 1.5), (-0.0, -2.5), (3.0, 0.0), (-3.0, -0.0),
+             (tiny, tiny), (-tiny, 0.5 * tiny), (0.5 * tiny, -0.25 * tiny),
+             (2.0 * tiny, tiny), (tiny * (1 - 2.0 ** -52), 0.0),
+             (5e-324, -5e-324), (1e-310, 3e-320),
+             (np.exp(-700.0), np.exp(-699.0)), (1e300, -1e300),
+             (1.7e308, 1.7e308), (-1e308, 1e-308)]
+    col = rng.standard_normal((n, 2)) * np.exp(rng.uniform(-700, 700, (n, 2)))
+    for i in range(n):
+        if i % 2:
+            col[i] = cases[(i // 2) % len(cases)]
+    return col[:, :, None]
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestPlaneQR:
+    """The (..., 2, 1) path of _batch_qr against LAPACK through np.linalg.qr,
+    compared as int64 bit patterns (so +0.0 and -0.0 differ)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 400])
+    def test_bit_identical_to_lapack_on_edge_cases(self, n):
+        fr = _plane_stack(n, np.random.default_rng(n))
+        with np.errstate(all="ignore"):
+            want = oracles.batch_qr_oracle(fr)
+        assert np.array_equal(_bits(_batch_qr(fr)), _bits(want))
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(cols=st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=40))
+    def test_bit_identical_to_lapack_on_random_floats(self, cols):
+        fr = np.array(cols, float)[:, :, None]
+        with np.errstate(all="ignore"):
+            want = oracles.batch_qr_oracle(fr)
+        assert np.array_equal(_bits(_batch_qr(fr)), _bits(want))
+
+    def test_other_shapes_keep_lapack(self):
+        rng = np.random.default_rng(2)
+        for shape in [(5, 3, 1), (5, 4, 2), (5, 2, 2), (3, 2, 5, 2, 1)]:
+            fr = rng.standard_normal(shape)
+            got = _batch_qr(fr)
+            assert got.shape == oracles.batch_qr_oracle(fr).shape
+            assert np.array_equal(_bits(got),
+                                  _bits(oracles.batch_qr_oracle(fr)))
+
+
+def _qr_calls(monkeypatch):
+    """(caller's function name, input shape) of every np.linalg.qr call."""
+    calls = []
+    real = np.linalg.qr
+
+    def spy(a, *args, **kwargs):
+        calls.append((inspect.currentframe().f_back.f_code.co_name,
+                      np.shape(a)))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    return calls
+
+
+class TestQrCalls:
+    def test_planar_streams_call_lapack_only_for_seed_frames(self, dfa,
+                                                             monkeypatch):
+        pts = region_sample(dfa, 200, seed=5)
+        calls = _qr_calls(monkeypatch)
+        cocycle_logs_batch(dfa, pts, 50)
+        measure_constants_h(build("perturbed_cat"))
+        assert calls and {name for name, _ in calls} == {"_generic_frames"}
+
+    def test_solenoid_frames_stay_on_lapack(self, sol, monkeypatch):
+        pts = region_sample(sol, 20, seed=5, burn_in=3)
+        calls = _qr_calls(monkeypatch)
+        cocycle_logs_batch(sol, pts, 5)
+        assert ("_batch_qr", (20, 3, 1)) in calls
