@@ -8,22 +8,11 @@ strictly into themselves with geometrically shrinking width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import EmptyRadius, HypothesisViolated
 from .linalg import dot_norms, oblique_components, restricted_stretch
 from .systems import CocycleLog, orbit_coords, splitting_frames_along_orbit
-
-
-@dataclass(frozen=True)
-class DominationCertificate:
-    """Witness that cumulative E/F ratio products stay under gamma^i."""
-
-    gamma: float
-    n: int
-    ratios: np.ndarray          # cumulative products, i = 1..n
 
 
 def cone_width_of(v, e, f):
@@ -43,9 +32,9 @@ def check_avg_domination(cocycle, gamma):
     """Certify prod_{j=0}^{i-1} ||Df|E(f^j x)|| / mininorm(Df|F(f^j x)) <= gamma^i
     for every i up to the cocycle's length n.
 
-    The product is 0-based, from the cocycle's entry 0.  Returns a
-    DominationCertificate, or raises HypothesisViolated naming the first
-    failing i.
+    The product is 0-based, from the cocycle's entry 0.  Returns the (n,)
+    array of cumulative products for i = 1..n, or raises HypothesisViolated
+    naming the first failing i.
     """
     if not isinstance(cocycle, CocycleLog):
         raise TypeError("expected a CocycleLog")
@@ -62,8 +51,7 @@ def check_avg_domination(cocycle, gamma):
         raise HypothesisViolated(
             f"domination fails at i = {i}: log-product {float(cum[i - 1]):.6f} "
             f"> i*log(gamma) = {float(bound[i - 1]):.6f}")
-    return DominationCertificate(gamma=float(gamma), n=n,
-                                 ratios=np.exp(cum).astype(float))
+    return np.exp(cum).astype(float)
 
 
 def cone_width_bound(a, gamma, i):

@@ -541,8 +541,6 @@ def _carve_2d(sys, d, n, r):
 class ContractionReport:
     max_violation: float      # worst d_{n-k} / (sigma^{k/2} d_n)
     per_k: np.ndarray         # worst ratio for each k = 1..n
-    sigma: float
-    n: int
 
 
 def backward_contraction_check(sys, d, n, sigma):
@@ -561,8 +559,7 @@ def backward_contraction_check(sys, d, n, sigma):
     for k in range(1, n + 1):
         ratio = arcs[n - k][live] / (sigma ** (k / 2.0) * final[live])
         per_k[k - 1] = float(np.max(ratio)) if ratio.size else 0.0
-    return ContractionReport(max_violation=float(np.max(per_k)), per_k=per_k,
-                             sigma=float(sigma), n=n)
+    return ContractionReport(max_violation=float(np.max(per_k)), per_k=per_k)
 
 
 # ---- distortion ------------------------------------------------------
@@ -571,7 +568,6 @@ def backward_contraction_check(sys, d, n, sigma):
 class DistortionReport:
     ratio: float
     bound_k: float
-    n: int
 
 
 def distortion_profile(sys, d, n):
@@ -594,7 +590,7 @@ def distortion(sys, d, y_index, n, constants):
         raise ValueError(f"y_index {y_index} out of range")
     ratios = distortion_profile(sys, d, n)
     return DistortionReport(ratio=float(ratios[y_index]),
-                            bound_k=constants.bound_k, n=n)
+                            bound_k=constants.bound_k)
 
 
 @dataclass(frozen=True)
@@ -613,6 +609,19 @@ class DistortionConstants:
         return float(np.exp(2.0 * self.r1 * self.a / (1.0 - l2)
                             + self.r2 * l2 ** (self.beta / 2.0)
                             / (1.0 - l2 ** (self.beta / 2.0))))
+
+
+def _neighbour_holder(sys, pts, vals, exponent, size):
+    """Worst size(vals[p] - vals[q]) / d(p, q)^exponent over the samples p, q
+    adjacent in x0 order, pairs within 1e-9 skipped; 0.0 if none is left."""
+    order = np.argsort(pts[:, 0])
+    p, q = order[:-1], order[1:]
+    gap = sys.chart.distance(pts[p], pts[q])
+    ok = gap > 1e-9
+    if not np.any(ok):
+        return 0.0
+    p, q, gap = p[ok], q[ok], gap[ok]
+    return float(np.max(size(vals[p] - vals[q]) / gap ** exponent))
 
 
 def measure_distortion_constants(sys, a, lambda2, beta=None, seed=3):
@@ -638,11 +647,7 @@ def measure_distortion_constants(sys, a, lambda2, beta=None, seed=3):
         ok = dist > 1e-12
         r1 = max(r1, float(np.max(np.abs(val - base)[ok] / dist[ok])))
 
-    order = np.argsort(pts[:, 0])
-    p, q = order[:-1], order[1:]
-    gap = sys.chart.distance(pts[p], pts[q])
-    ok = gap > 1e-9
-    r2 = float(np.max(np.abs(base[p] - base[q])[ok] / gap[ok] ** beta))
+    r2 = _neighbour_holder(sys, pts, base, beta, np.abs)
     return DistortionConstants(r1=1.5 * r1, r2=1.5 * r2, a=float(a),
                                lambda2=float(lambda2), beta=beta)
 
@@ -710,15 +715,9 @@ def measure_l1(sys, xi):
     """xi-Hoelder constant of x -> Df(x) over nearby pairs of 200 region
     samples, padded by a factor 1.5."""
     pts = region_sample(sys, 200, seed=3, burn_in=10)
-    t = sys.tangent(pts)
-    order = np.argsort(pts[:, 0])
-    p, q = order[:-1], order[1:]
-    gap = sys.chart.distance(pts[p], pts[q])
-    ok = gap > 1e-9
-    diff = np.linalg.norm(t[p] - t[q], ord=2, axis=(1, 2))
-    if not np.any(ok):
-        return 0.0
-    return float(1.5 * np.max(diff[ok] / gap[ok] ** xi))
+    return 1.5 * _neighbour_holder(
+        sys, pts, sys.tangent(pts), xi,
+        lambda v: np.linalg.norm(v, ord=2, axis=(1, 2)))
 
 
 def curvature_constants(sys, consts_h, alpha=None, lambda4=None):
@@ -742,7 +741,6 @@ class CurvatureReport:
     bound: float            # min of the two forms
     bound_product: float
     bound_closed: float
-    c_values: np.ndarray
 
 
 def curvature_recursion(sys, d, n, consts, check=True):
@@ -785,7 +783,7 @@ def curvature_recursion(sys, d, n, consts, check=True):
             f"measured curvature {measured:.4g} exceeds bound {bound:.4g}")
     return CurvatureReport(measured=float(measured), bound=bound,
                            bound_product=bound_product,
-                           bound_closed=bound_closed, c_values=c)
+                           bound_closed=bound_closed)
 
 
 def make_graph_disk(sys, x, base_dir, normal_dir, radius, resolution=101,

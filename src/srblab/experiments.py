@@ -49,11 +49,13 @@ def _int(v):
 
 
 def _num(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    # json reads NaN, Infinity and ints past the float range; none is usable
+    return (_int(v) or isinstance(v, float)) and abs(v) <= _FLOAT_MAX
 
 
-_NUMBER = (_num, "a number")
-_POSITIVE = (lambda v: _num(v) and v > 0, "a number > 0")
+_FLOAT_MAX = float(np.finfo(float).max)
+_NUMBER = (_num, "a finite number")
+_POSITIVE = (lambda v: _num(v) and v > 0, "a finite number > 0")
 _UNIT = (lambda v: _num(v) and 0.0 < v < 1.0, "a number in (0, 1)")
 
 # every config field: dotted path -> (accepts(value), what it must be);
@@ -63,7 +65,7 @@ _FIELDS = {
                    f"one of {sorted(MODEL_INFO)}"),
     "horizon": (lambda v: v is None or _int(v) and v >= 1,
                 "null or a positive integer"),
-    "seed": (_int, "an integer"),
+    "seed": (lambda v: _int(v) and v >= 0, "a non-negative integer"),
     "output_dir": (lambda v: isinstance(v, str), "a string"),
     "disk.radius": _POSITIVE,
     "disk.resolution": (lambda v: _int(v) and v >= 3 and v % 2 == 1,
@@ -125,7 +127,7 @@ def parse_config(obj):
               "disk.center": (lambda v: v is None
                               or isinstance(v, (list, tuple)) and len(v) == dim
                               and all(map(_num, v)),
-                              f"null or a list of {dim} numbers")}
+                              f"null or a list of {dim} finite numbers")}
     _check(fields, "experiment", obj.get("experiment"))
     for path, value in _leaves(obj):
         _check(fields, path, value)
@@ -281,7 +283,7 @@ def _exp_cone_check(sys, cfg):
     if not gamma < 1.0:
         raise HypothesisViolated(
             f"measured domination factor {gamma_min:.4f} admits no gamma < 1")
-    cert = check_avg_domination(logs, gamma)
+    ratios = check_avg_domination(logs, gamma)
     # the log-space certificate covers the whole horizon; pushing actual
     # vectors can only confirm widths down to the rounding floor of the
     # oblique decomposition (~1e-16 of the vector), so cap that cross-check
@@ -290,7 +292,7 @@ def _exp_cone_check(sys, cfg):
     worst = verify_cone_contraction(sys, x, a, gamma, verify_n, seed=cfg.seed)
     radius = domination_robustness_radius(sys, gamma, (1.0 + gamma) / 2.0)
     table = ("cone.csv", ["i", "cum_ratio", "gamma_pow_i", "width_ratio"],
-             [(i + 1, cert.ratios[i], gamma ** (i + 1),
+             [(i + 1, ratios[i], gamma ** (i + 1),
                worst[i] if i < verify_n else float("nan"))
               for i in range(n)])
     assertions = [
@@ -300,7 +302,7 @@ def _exp_cone_check(sys, cfg):
         _assert_entry("robustness-radius-positive", radius > 0.0, radius, 0.0),
     ]
     quantities = {"gamma": gamma, "gamma_min": gamma_min,
-                  "final_ratio": float(cert.ratios[-1]),
+                  "final_ratio": float(ratios[-1]),
                   "verify_n": verify_n,
                   "robustness_radius": radius}
     return quantities, assertions, table

@@ -20,7 +20,7 @@ ANGLE_FLOOR = 1e-8
 class Subspace:
     """An orthonormal frame spanning a subspace of the ambient chart space.
 
-    frame : (ambient_dim, dim) array with orthonormal columns.
+    frame : (d, dim) array with orthonormal columns.
     """
 
     frame: np.ndarray
@@ -30,10 +30,6 @@ class Subspace:
         if f.ndim not in (1, 2):
             raise ValueError("frame must be a 2-D array of columns")
         object.__setattr__(self, "frame", _frames(f))
-
-    @property
-    def ambient_dim(self):
-        return self.frame.shape[0]
 
     @property
     def dim(self):

@@ -160,7 +160,6 @@ def weak_star_distance(a, b, tests):
 class DefectReport:
     per_test: dict      # name -> |int t dmu_n - int t d f_* mu_n|
     bound: dict         # name -> 2 * bound / n
-    n: int
 
     @property
     def max_excess(self):
@@ -182,7 +181,7 @@ def invariance_defect(sys, d, n, tests):
         row = row.tolist()
         per[t.name] = abs(math.fsum(row[1:]) - math.fsum(row[:-1])) / n
         bound[t.name] = 2.0 * t.bound / n
-    return DefectReport(per_test=per, bound=bound, n=n)
+    return DefectReport(per_test=per, bound=bound)
 
 
 def select_disjoint_balls(dist, radius):
@@ -216,7 +215,6 @@ class HyperbolicMassReport:
     lambda_mass: float     # disk volume of the finite-horizon membership set
     tau: float             # min over nonempty steps of captured/total mass
     floor: float           # tau * theta * lambda_mass
-    densities: np.ndarray  # per qualifying sample: hyperbolic-time density
 
 
 def hyperbolic_mass(sys, d, n, sigma, r1, lam, theta):
@@ -242,13 +240,8 @@ def hyperbolic_mass(sys, d, n, sigma, r1, lam, theta):
     lambda_mass = float(math.fsum(w[member].tolist()))
 
     hyp = np.zeros((len(w), n + 1), bool)
-    densities = []
-    for s in range(len(w)):
-        if not member[s]:
-            continue
-        times = hyperbolic_times(log_f_inv[s], sigma).times
-        hyp[s, times] = True
-        densities.append(len(times) / float(n))
+    for s in np.flatnonzero(member):
+        hyp[s, hyperbolic_times(log_f_inv[s], sigma).times] = True
 
     per_i = np.zeros(n, float)
     captured_tot = 0.0
@@ -274,8 +267,7 @@ def hyperbolic_mass(sys, d, n, sigma, r1, lam, theta):
     tau = 0.0 if not np.isfinite(tau) else float(tau)
     return HyperbolicMassReport(eta=float(eta), per_i=per_i,
                                 lambda_mass=lambda_mass, tau=tau,
-                                floor=float(tau * theta * lambda_mass),
-                                densities=np.asarray(densities, float))
+                                floor=float(tau * theta * lambda_mass))
 
 
 def physical_fraction(sys, mu_ref, tests, n, tol, samples, seed=0, workers=1):

@@ -81,9 +81,7 @@ def linear_torus_system(matrix, e_dirs, f_dirs, name="linear"):
         return np.broadcast_to(f_frame, c.shape[:-1] + f_frame.shape).copy()
 
     min_f = float(np.linalg.svd(a @ f_frame, compute_uv=False)[-1])
-    consts = SystemConstants(
-        c0=abs(float(np.log(min_f))), beta=1.0, xi=0.5,
-        ground_truth={"matrix": a.tolist()})
+    consts = SystemConstants(c0=abs(float(np.log(min_f))), beta=1.0, xi=0.5)
     return MapSystem(
         name=name, chart=chart,
         forward=lambda c: fwd(c, chart),
@@ -94,14 +92,7 @@ def linear_torus_system(matrix, e_dirs, f_dirs, name="linear"):
 
 
 def _build_cat():
-    sys = linear_torus_system(CAT_MATRIX, CAT_STABLE, CAT_UNSTABLE, name="cat")
-    sys.constants.ground_truth.update({
-        "lambda_u": LAMBDA_U,
-        "lambda_s": LAMBDA_S,
-        "log_lambda_u": float(np.log(LAMBDA_U)),
-    })
-    sys.constants.xi = 0.5
-    return sys
+    return linear_torus_system(CAT_MATRIX, CAT_STABLE, CAT_UNSTABLE, name="cat")
 
 
 def _build_perturbed_cat(eps):
@@ -136,8 +127,7 @@ def _build_perturbed_cat(eps):
         return t
 
     splitting = ConvergedSplitting(1, 1, forward, inverse, tangent)
-    consts = SystemConstants(beta=0.5, xi=0.5,
-                             ground_truth={"eps": eps})
+    consts = SystemConstants(beta=0.5, xi=0.5)
     return MapSystem(name="perturbed_cat", chart=chart, forward=forward,
                      inverse=inverse, tangent=tangent, splitting=splitting,
                      constants=consts)
@@ -201,10 +191,7 @@ def _build_solenoid(c, d):
         coords = np.asarray(coords, float)
         return coords[..., 1] ** 2 + coords[..., 2] ** 2 <= 1.0 + 1e-9
 
-    consts = SystemConstants(beta=0.5, xi=0.5,
-                             ground_truth={"c": c, "d": d,
-                                           "log_e": float(np.log(c)),
-                                           "base_factor": 2.0})
+    consts = SystemConstants(beta=0.5, xi=0.5)
     return MapSystem(name="solenoid", chart=chart, forward=forward,
                      inverse=inverse, tangent=tangent, splitting=splitting,
                      constants=consts, region_contains=region)
@@ -295,11 +282,7 @@ def _build_dfa(delta, rho):
             f"reduce delta or enlarge rho")
 
     splitting = ConvergedSplitting(1, 1, forward, inverse, tangent)
-    consts = SystemConstants(beta=0.5, xi=1.0,
-                             ground_truth={
-                                 "delta": delta, "rho": rho,
-                                 "unstable_multiplier_at_p0": 1.0 + delta,
-                             })
+    consts = SystemConstants(beta=0.5, xi=1.0)
     return MapSystem(name="dfa", chart=chart, forward=forward, inverse=inverse,
                      tangent=tangent, splitting=splitting, constants=consts)
 

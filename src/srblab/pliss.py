@@ -45,7 +45,6 @@ class HyperbolicTimeReport:
     """Detected contraction-certified times and their density."""
 
     times: np.ndarray   # ascending, 1-based orbit indices
-    sigma: float
     density: float
 
 
@@ -110,7 +109,7 @@ def hyperbolic_times(log_f_inv, sigma):
     u = _prefix(a) - np.longdouble(np.log(sigma)) * np.arange(
         n_len + 1, dtype=np.longdouble)
     times = _record_times(u)
-    return HyperbolicTimeReport(times=times, sigma=float(sigma),
+    return HyperbolicTimeReport(times=times,
                                 density=len(times) / n_len if n_len else 0.0)
 
 

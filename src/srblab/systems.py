@@ -23,7 +23,7 @@ requested (average-domination products are 0-based).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -219,13 +219,11 @@ class SystemConstants:
     c0       : sup |log ||(Df|F)^-1||| over the region; None when measurable.
     beta     : declared Hoelder exponent of the F bundle.
     xi       : default curvature/Hoelder exponent used by constant chains.
-    ground_truth : dict of named exact values with short derivations.
     """
 
     c0: float = None
     beta: float = 0.5
     xi: float = 0.5
-    ground_truth: dict = field(default_factory=dict)
 
 
 @dataclass

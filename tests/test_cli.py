@@ -102,6 +102,17 @@ class TestRun:
         # valid numbers once, but no experiment read them
         ({"constants": {"lambda2": 0.3}}, "constants.lambda2"),
         ({"constants": {"lambda3": 0.9}}, "constants.lambda3"),
+        # json reads NaN, Infinity and ints past the float range, and a
+        # negative seed reached numpy
+        ({"model": {"name": "perturbed_cat"}, "experiment": "cone_check",
+          "seed": -1, "horizon": 20}, "seed"),
+        ({"model": {"name": "perturbed_cat"}, "experiment": "distortion",
+          "seed": -1, "horizon": 20}, "seed"),
+        ({"model": {"name": "perturbed_cat"}, "experiment": "contraction",
+          "disk": {"center": [float("inf"), 0.3]}}, "disk.center"),
+        ({"disk": {"center": [float("nan"), 0.3]}}, "disk.center"),
+        ({"experiment": "contraction", "horizon": 10,
+          "disk": {"radius": 10 ** 400}}, "disk.radius"),
     ])
     def test_malformed_field_exits_two_with_path(self, tmp_path, patch, path):
         cfg = write_config(tmp_path, "bad.json", {**GOOD, **patch})
@@ -185,11 +196,11 @@ PUBLIC = [
     "ConstructionFailed", "ContractionReport", "ConvergedSplitting",
     "CurvatureConstants", "CurvatureReport", "DefectReport",
     "DegenerateSplitting", "DegenerateTangent", "DimensionMismatch",
-    "DistortionConstants", "DistortionReport", "DominationCertificate",
-    "EmbeddedDisk", "EmptyRadius", "HyperbolicMassReport",
-    "HyperbolicTimeReport", "HypothesisViolated", "MapSystem", "Observable",
-    "OrbitEscaped", "PlissParams", "ResolutionExhausted", "SplittingField",
-    "SrbLabError", "Subspace", "SystemConstants", "TangencyReport",
+    "DistortionConstants", "DistortionReport", "EmbeddedDisk", "EmptyRadius",
+    "HyperbolicMassReport", "HyperbolicTimeReport", "HypothesisViolated",
+    "MapSystem", "Observable", "OrbitEscaped", "PlissParams",
+    "ResolutionExhausted", "SplittingField", "SrbLabError", "Subspace",
+    "SystemConstants", "TangencyReport",
     "backward_contraction_check", "build", "charts", "check_avg_domination",
     "cocycle_logs", "cocycle_logs_batch", "cone_width_bound", "cone_width_of",
     "cones", "curvature_constants", "curvature_recursion",
@@ -209,6 +220,30 @@ PUBLIC = [
 ]
 
 
+def _user_nodes():
+    """Every AST node of the package, perfbench and the acceptance criteria;
+    the other tests, perfbench's among them, are not users."""
+    files = [f for f in glob.glob(os.path.join(ROOT, "src", "srblab", "*.py"))
+             if os.path.basename(f) != "__init__.py"]
+    files += [f for f in glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
+              if os.path.basename(f) != "test_perfbench.py"]
+    files.append(os.path.join(ROOT, "tests", "test_acceptance.py"))
+    for path in files:
+        with open(path) as fh:
+            yield from ast.walk(ast.parse(fh.read(), path))
+
+
+# members kept though no user reads them as an attribute, and why
+UNREAD_KEPT = {
+    # perfbench's tracer reads it by name, and tests check round trips
+    ("MapSystem", "inverse"),
+    # what distortion returns, and perfbench calls distortion
+    ("DistortionReport", "ratio"),
+    # part of a chart's == and hash (test_equal_charts_compare_and_hash_equal)
+    ("Chart", "chart_id"),
+}
+
+
 class TestImport:
     def test_public_surface_is_pinned(self):
         # a name added to or dropped from the package root shows up here
@@ -217,22 +252,41 @@ class TestImport:
     def test_every_public_function_has_a_caller(self):
         # a public function stays only if the package, perfbench or an
         # acceptance criterion calls it; the other tests do not count
-        files = [f for f in glob.glob(os.path.join(ROOT, "src", "srblab", "*.py"))
-                 if os.path.basename(f) != "__init__.py"]
-        files += [f for f in glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
-                  if os.path.basename(f) != "test_perfbench.py"]
-        files.append(os.path.join(ROOT, "tests", "test_acceptance.py"))
         called = set()
-        for path in files:
-            with open(path) as fh:
-                for node in ast.walk(ast.parse(fh.read(), path)):
-                    if isinstance(node, ast.Call):
-                        fn = node.func
-                        called.add(fn.id if isinstance(fn, ast.Name)
-                                   else getattr(fn, "attr", None))
+        for node in _user_nodes():
+            if isinstance(node, ast.Call):
+                fn = node.func
+                called.add(fn.id if isinstance(fn, ast.Name)
+                           else getattr(fn, "attr", None))
         public = [name for name in srblab.__all__
                   if inspect.isfunction(getattr(srblab, name))]
         assert sorted(set(public) - called) == []
+
+    def test_every_class_member_is_read(self):
+        # a field, method or property stays only if a user reads it as an
+        # attribute; one that is only filled in costs code on every call
+        read = {node.attr for node in _user_nodes()
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)}
+        members = set()
+        for path in glob.glob(os.path.join(ROOT, "src", "srblab", "*.py")):
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), path)
+            for cls in tree.body:
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                for node in cls.body:
+                    if (isinstance(node, ast.AnnAssign)
+                            and isinstance(node.target, ast.Name)):
+                        members.add((cls.name, node.target.id))
+                    elif (isinstance(node, ast.FunctionDef)
+                          and not (node.name.startswith("__")
+                                   and node.name.endswith("__"))):
+                        members.add((cls.name, node.name))
+        unread = {m for m in members if m[1] not in read}
+        assert sorted(unread - UNREAD_KEPT) == []
+        # an entry whose member is gone or now read leaves the list too
+        assert sorted(UNREAD_KEPT - unread) == []
 
     def test_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats alone costs about a second on every import and CLI run

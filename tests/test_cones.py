@@ -88,12 +88,10 @@ class TestConeWidthBound:
 class TestAvgDomination:
     def test_cat_certificate_ratios(self, cat):
         logs = cocycle_logs(cat, X, 12)
-        cert = cones.check_avg_domination(logs, 0.15)
-        n = len(cert.ratios)
+        ratios = cones.check_avg_domination(logs, 0.15)
+        n = len(ratios)
         expected = LAM_U ** (-2.0 * np.arange(1, n + 1))
-        assert np.allclose(cert.ratios, expected, rtol=1e-12)
-        assert cert.gamma == 0.15
-        assert cert.n == n
+        assert np.allclose(ratios, expected, rtol=1e-12)
 
     def test_gamma_below_rate_fails(self, cat):
         logs = cocycle_logs(cat, X, 12)
@@ -112,8 +110,8 @@ class TestAvgDomination:
 
     def test_perturbed_cat_still_dominated(self, pcat):
         logs = cocycle_logs(pcat, X, 60)
-        cert = cones.check_avg_domination(logs, 0.2)
-        assert np.all(cert.ratios <= 0.2 ** np.arange(1, len(cert.ratios) + 1) * (1 + 1e-9))
+        ratios = cones.check_avg_domination(logs, 0.2)
+        assert np.all(ratios <= 0.2 ** np.arange(1, len(ratios) + 1) * (1 + 1e-9))
 
 
 class TestVerifyConeContraction:

@@ -20,7 +20,8 @@ from srblab.experiments import _FIELDS, EXPERIMENTS, parse_config
 # them into the values it accepts and the values it rejects
 POOL = [None, True, False, -1, 0, 1, 2, 3, 5, 64, 99, 100, 101, 250,
         -0.5, 0.0, 1e-3, 0.5, 0.99, 1.0, 1.5, 1e6, "", "E", "F", "G",
-        "cat", "out", [0.1, 0.2], {"k": 1}]
+        "cat", "out", [0.1, 0.2], {"k": 1},
+        float("nan"), float("inf"), float("-inf"), 10 ** 400]
 SPLIT = {path: ([v for v in POOL if accepts(v)],
                 [v for v in POOL if not accepts(v)])
          for path, (accepts, _what) in _FIELDS.items()}

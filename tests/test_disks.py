@@ -187,8 +187,6 @@ class TestBackwardContraction:
         assert np.isclose(rep.max_violation, theory, rtol=1e-9)
         assert rep.per_k.shape == (10,)
         assert np.isclose(rep.per_k[0], rep.max_violation, rtol=1e-12)
-        assert rep.sigma == 0.5
-        assert rep.n == 10
 
     def test_violation_below_one(self, pcat):
         lam2 = measure_constants_h(pcat, xi=0.5).lambda2
@@ -250,7 +248,6 @@ class TestCurvature:
         rep = disks.curvature_recursion(pcat, carved, n, cc)
         assert rep.measured <= rep.bound
         assert rep.bound == min(rep.bound_product, rep.bound_closed)
-        assert len(rep.c_values) == n
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="ROADMAP item 1")

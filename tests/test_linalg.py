@@ -36,7 +36,7 @@ def bits(a):
 class TestSubspace:
     def test_accepts_orthonormal_frame(self):
         s = Subspace(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
-        assert s.ambient_dim == 3 and s.dim == 2
+        assert s.frame.shape == (3, 2) and s.dim == 2
 
     def test_rejects_scaled_frame(self):
         with pytest.raises(ValueError):
