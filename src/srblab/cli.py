@@ -3,9 +3,6 @@
     srblab run <config.json> [--output-dir DIR] [-v]
     srblab list-models
     srblab describe <experiment>
-
-SRBLAB_WORKERS (default 1) sets how many sample partitions sampling stages
-run one after another; results are identical for any value.
 """
 
 from __future__ import annotations
@@ -30,14 +27,8 @@ def _cmd_run(args):
         print(f"error: config is not valid JSON: {exc}", file=_stdsys.stderr)
         return 2
     try:
-        workers = int(os.environ.get("SRBLAB_WORKERS", "1"))
-    except ValueError as exc:
-        print(f"error: SRBLAB_WORKERS is not an integer ({exc})", file=_stdsys.stderr)
-        return 2
-    try:
         cfg = parse_config(raw)
-        summary = run_experiment(cfg, out_dir=args.output_dir,
-                                 workers=max(workers, 1))
+        summary = run_experiment(cfg, out_dir=args.output_dir)
     except SrbLabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=_stdsys.stderr)
         return 2

@@ -4,8 +4,8 @@ Every experiment takes a freshly built model and a validated Config and
 returns its quantities, named pass/fail assertions and one CSV table;
 run_experiment writes the table, summary.json and run_meta.json.  Summaries
 are deterministic byte-for-byte for a fixed config: quantities derive only
-from (config, seed), never from wall time or worker count (timing lives in
-run_meta.json, written separately).
+from (config, seed), never from wall time (timing lives in run_meta.json,
+written separately).
 """
 
 from __future__ import annotations
@@ -57,6 +57,20 @@ _FLOAT_MAX = float(np.finfo(float).max)
 _NUMBER = (_num, "a finite number")
 _POSITIVE = (lambda v: _num(v) and v > 0, "a finite number > 0")
 _UNIT = (lambda v: _num(v) and 0.0 < v < 1.0, "a number in (0, 1)")
+
+# the largest value of each size field, and what it bounds; parse_config
+# checks them after _FIELDS, horizon's for the config's experiment
+_LIMITS = {
+    "constants.samples": 10 ** 4,  # physical_fraction's 128 x samples x (d+3)
+    "disk.resolution": 1001,  # holder_curvature's (S, S, d) arrays
+    "horizon": {e: top for top, names in (
+        (10 ** 6, "srb_converge physical_basin"),  # streamed in 128-row blocks
+        (10 ** 5, "pliss_demo hyperbolic_times cone_check"),  # an n-row table
+        (5000, "hyperbolic_mass"),  # lambda_fraction's (2n + 1) x 400 tangents
+        (1000, "disk_iterate contraction distortion curvature"),  # disk orbits
+    ) for e in names.split()},
+}
+
 
 # every config field: dotted path -> (accepts(value), what it must be);
 # experiment, model.params.* and disk.center are added in parse_config
@@ -131,6 +145,10 @@ def parse_config(obj):
     _check(fields, "experiment", obj.get("experiment"))
     for path, value in _leaves(obj):
         _check(fields, path, value)
+        top = _LIMITS.get(path)
+        top = top[obj["experiment"]] if isinstance(top, dict) else top
+        if top is not None and value is not None and value > top:
+            raise ConfigInvalid(f"{path} {value!r} is above its limit {top}")
     return Config(model_name=name, model_params=dict(model.get("params", {})),
                   experiment=obj["experiment"], horizon=obj.get("horizon"),
                   disk=dict(obj.get("disk", {})),
@@ -141,17 +159,13 @@ def parse_config(obj):
 
 # ---------------------------------------------------------------- helpers
 
-def _fmt(x):
-    return f"{float(x):.17g}"
-
-
 def _write_csv(path, header, rows):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, (int, float, np.floating))
-                              and not isinstance(v, bool) else str(v)
-                              for v in row) + "\n")
+            fh.write(",".join(f"{float(v):.17g}" if isinstance(
+                v, (int, float, np.floating)) and not isinstance(v, bool)
+                else str(v) for v in row) + "\n")
 
 
 def _assert_entry(name, passed, value, bound):
@@ -561,7 +575,7 @@ def _exp_hyperbolic_mass(sys, cfg):
     return quantities, assertions, table
 
 
-def _exp_physical_basin(sys, cfg, workers):
+def _exp_physical_basin(sys, cfg):
     """Estimate the fraction of quasi-uniform starts whose Birkhoff
     averages converge to the reference integrals within tolerance.  Writes
     basin.csv."""
@@ -579,7 +593,7 @@ def _exp_physical_basin(sys, cfg, workers):
         ref = measures.pushforward_integrals(sys, d, n, tests)
 
     frac = measures.physical_fraction(sys, ref, tests, n, tol, samples,
-                                      seed=cfg.seed, workers=workers)
+                                      seed=cfg.seed)
     table = ("basin.csv", ["test", "reference"],
              [(t.name, ref[t.name]) for t in tests])
     assertions = [
@@ -658,12 +672,16 @@ def run_experiment(cfg, out_dir=None, workers=1):
     """Execute one experiment; returns the summary dict and writes the run's
     files: the experiment's CSV, summary.json and run_meta.json.
 
-    summary.json is byte-stable for a fixed config across runs and worker
-    counts; wall time and the worker count go to run_meta.json instead.  A
-    summary.json already in the directory is removed first, so a verdict
-    never outlives its run.  A run that raises writes run_meta.json alone,
-    with the error's type and message, and re-raises.
+    summary.json is byte-stable for a fixed config across runs; wall time
+    goes to run_meta.json instead.  A summary.json already in the directory
+    is removed first, so a verdict never outlives its run.  A run that raises
+    writes run_meta.json alone, with the error's type and message, and
+    re-raises.  workers must be 1, or ValueError is raised before anything
+    is written; it stays only for perfbench/workloads.py's workers=1 call,
+    and ROADMAP item 6 deletes the argument together with that call.
     """
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers!r}")
     t0 = time.perf_counter()
     out = out_dir or cfg.output_dir
     try:
@@ -676,14 +694,10 @@ def run_experiment(cfg, out_dir=None, workers=1):
     meta_path = os.path.join(out, "run_meta.json")
     try:
         sys_ = build(cfg.model_name, **cfg.model_params)
-        fn = EXPERIMENTS[cfg.experiment]
-        if cfg.experiment == "physical_basin":
-            result = fn(sys_, cfg, workers=workers)
-        else:
-            result = fn(sys_, cfg)
+        result = EXPERIMENTS[cfg.experiment](sys_, cfg)
     except Exception as exc:
         _write_json(meta_path, {
-            "wall_time_s": time.perf_counter() - t0, "workers": workers,
+            "wall_time_s": time.perf_counter() - t0,
             "error": {"type": type(exc).__name__, "message": str(exc)}})
         raise
     quantities, assertions, (csv_name, header, rows) = result
@@ -696,6 +710,5 @@ def run_experiment(cfg, out_dir=None, workers=1):
         "pass": all(a["passed"] for a in assertions),
     }
     _write_json(summary_path, summary)
-    _write_json(meta_path, {"wall_time_s": time.perf_counter() - t0,
-                            "workers": workers})
+    _write_json(meta_path, {"wall_time_s": time.perf_counter() - t0})
     return summary

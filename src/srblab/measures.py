@@ -270,15 +270,14 @@ def hyperbolic_mass(sys, d, n, sigma, r1, lam, theta):
                                 floor=float(tau * theta * lambda_mass))
 
 
-def physical_fraction(sys, mu_ref, tests, n, tol, samples, seed=0, workers=1):
+def physical_fraction(sys, mu_ref, tests, n, tol, samples, seed=0):
     """Fraction of region_sample starts whose Birkhoff averages match mu_ref.
 
     mu_ref: the {test name: integral} dict of the reference measure.  A start
     point counts iff every test's n-step average is within tol of the
     reference and its orbit rows 0..n all stay in the system region (row n
-    is checked but not summed).  workers is the number of sample partitions
-    run one after another; it bounds memory and does not change the result,
-    because every sample's sum adds its own orbit rows in a fixed order.
+    is checked but not summed).  Every sample's sum adds its own orbit rows
+    in step order, so the result repeats bit for bit.
     """
     if samples < 100:
         raise ValueError("samples must be >= 100")
@@ -286,19 +285,12 @@ def physical_fraction(sys, mu_ref, tests, n, tol, samples, seed=0, workers=1):
         raise ValueError("n must be >= 1")
     pts = region_sample(sys, samples, seed=seed)
     ref = np.array([float(mu_ref[t.name]) for t in tests])
-
-    good = []
-    for chunk in np.array_split(pts, min(max(int(workers), 1), len(pts))):
-        alive = np.ones(len(chunk), bool)
-        sums = np.zeros((len(tests), len(chunk)))
-        for i, block in _orbit_blocks(sys, chunk, n + 1):
-            alive &= np.all(sys.in_region(block), axis=0)
-            summed = block[:n - i]
-            for ti, v in enumerate(_test_values(tests, summed)):
-                # each sample adds its rows in step order at any partition
-                for row in v:
-                    sums[ti] += row
-        good.append(alive & np.all(np.abs(sums / n - ref[:, None]) <= tol,
-                                   axis=0))
-    return float(np.count_nonzero(np.concatenate(good)) / samples)
-
+    alive = np.ones(len(pts), bool)
+    sums = np.zeros((len(tests), len(pts)))
+    for i, block in _orbit_blocks(sys, pts, n + 1):
+        alive &= np.all(sys.in_region(block), axis=0)
+        for ti, v in enumerate(_test_values(tests, block[:n - i])):
+            for row in v:
+                sums[ti] += row
+    good = alive & np.all(np.abs(sums / n - ref[:, None]) <= tol, axis=0)
+    return float(np.count_nonzero(good) / samples)

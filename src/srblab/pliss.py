@@ -98,7 +98,8 @@ def hyperbolic_times(log_f_inv, sigma):
 
     The array is read 1-based: entry p is orbit index p+1.  n qualifies iff
     S(n) - S(n-k) <= k log(sigma) for all 1 <= k <= n, detected in linear
-    time via running minima of U(m) = S(m) - m log(sigma).
+    time via running minima of U(m) = S(m) - m log(sigma).  srblab passes
+    logs at f^1..f^n: a time covers Df at f^(n-k+1)..f^n, not f^(n-k)..f^(n-1).
     """
     if not (0.0 < sigma < 1.0):
         raise ValueError(f"sigma must be in (0, 1), got {sigma}")

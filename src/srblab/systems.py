@@ -18,7 +18,9 @@ cocycle log stores the value at the orbit point f^j(x),
     log_f_inv[j] = -log mininorm(Df restricted to F at f^j(x))
 
 with j running over 1..n by default, or 0..n when the zeroth entry is
-requested (average-domination products are 0-based).
+requested (average-domination products are 0-based).  hyperbolic_times gets
+entries 1..n: a time n covers Df at f^(n-k+1)..f^n, one step after the
+backward contraction at f^n, which uses f^(n-k)..f^(n-1).
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import srblab
+from srblab.experiments import _LIMITS
 
 from .conftest import LAM_U, V_S, V_U
 
@@ -18,12 +19,8 @@ CLI = [sys.executable, "-m", "srblab.cli"]
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(CLI + list(args), capture_output=True, text=True,
-                          env=env)
+def run_cli(*args):
+    return subprocess.run(CLI + list(args), capture_output=True, text=True)
 
 
 def write_config(tmp_path, name, obj):
@@ -113,6 +110,16 @@ class TestRun:
         ({"disk": {"center": [float("nan"), 0.3]}}, "disk.center"),
         ({"experiment": "contraction", "horizon": 10,
           "disk": {"radius": 10 ** 400}}, "disk.radius"),
+        # fit an int, not an array: each stated limit, and one past it
+        ({"horizon": 10 ** 30}, "horizon"),
+        ({"experiment": "disk_iterate", "disk": {"resolution": 10 ** 30 + 1}},
+         "disk.resolution"),
+        ({"experiment": "physical_basin", "constants": {"samples": 10 ** 30}},
+         "constants.samples"),
+        ({"disk": {"resolution": 1003}}, "disk.resolution"),
+        ({"constants": {"samples": 10001}}, "constants.samples"),
+        *[({"experiment": e, "horizon": top + 1}, "horizon")
+          for e, top in _LIMITS["horizon"].items()],
     ])
     def test_malformed_field_exits_two_with_path(self, tmp_path, patch, path):
         cfg = write_config(tmp_path, "bad.json", {**GOOD, **patch})
@@ -142,14 +149,6 @@ class TestRun:
         assert r.returncode == 3
         assert any(l.startswith("[FAIL] ") for l in r.stdout.splitlines())
 
-    def test_non_integer_workers_env_exits_two(self, tmp_path):
-        cfg = write_config(tmp_path, "ok.json", GOOD)
-        r = run_cli("run", cfg, "--output-dir", os.path.join(tmp_path, "o"),
-                    env_extra={"SRBLAB_WORKERS": "abc"})
-        assert r.returncode == 2
-        assert "SRBLAB_WORKERS" in r.stderr and "'abc'" in r.stderr
-        assert "Traceback" not in r.stderr
-
     def test_uncreatable_output_dir_exits_two(self, tmp_path):
         cfg = write_config(tmp_path, "ok.json", GOOD)
         blocker = os.path.join(tmp_path, "a_file")
@@ -159,17 +158,6 @@ class TestRun:
         assert r.returncode == 2
         assert out in r.stderr
         assert "Traceback" not in r.stderr
-
-    def test_worker_env_keeps_summary_bytes(self, tmp_path):
-        cfg = write_config(tmp_path, "ok.json", GOOD)
-        blobs = []
-        for tag, workers in (("w1", "1"), ("w4", "4")):
-            out = os.path.join(tmp_path, tag)
-            r = run_cli("run", cfg, "--output-dir", out,
-                        env_extra={"SRBLAB_WORKERS": workers})
-            assert r.returncode == 0
-            blobs.append(open(os.path.join(out, "summary.json"), "rb").read())
-        assert blobs[0] == blobs[1]
 
 
 class TestIntrospection:

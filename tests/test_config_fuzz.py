@@ -1,7 +1,8 @@
 """Generated configs: valid ones parse, malformed ones exit 2 with the path.
 
 Configs are built from the field table `experiments._FIELDS`, so a field
-added there is fuzzed without touching this file.
+added there is fuzzed without touching this file; a size field must also
+stay within its limit in `experiments._LIMITS`.
 """
 
 import contextlib
@@ -14,14 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srblab import cli
-from srblab.experiments import _FIELDS, EXPERIMENTS, parse_config
+from srblab.experiments import _FIELDS, _LIMITS, EXPERIMENTS, parse_config
 
 # leaf values tried against every _FIELDS entry; each field's check splits
 # them into the values it accepts and the values it rejects
 POOL = [None, True, False, -1, 0, 1, 2, 3, 5, 64, 99, 100, 101, 250,
         -0.5, 0.0, 1e-3, 0.5, 0.99, 1.0, 1.5, 1e6, "", "E", "F", "G",
         "cat", "out", [0.1, 0.2], {"k": 1},
-        float("nan"), float("inf"), float("-inf"), 10 ** 400]
+        float("nan"), float("inf"), float("-inf"), 10 ** 400,
+        # the size limits and one past each (1003: the next odd resolution)
+        1000, 1001, 1003, 5000, 5001, 10 ** 4, 10 ** 4 + 1,
+        10 ** 5, 10 ** 5 + 1, 10 ** 6, 10 ** 6 + 1, 10 ** 30]
 SPLIT = {path: ([v for v in POOL if accepts(v)],
                 [v for v in POOL if not accepts(v)])
          for path, (accepts, _what) in _FIELDS.items()}
@@ -30,6 +34,14 @@ LEAVES = st.one_of(st.sampled_from(POOL), st.integers(-10, 1000),
                    st.text(max_size=4))
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
                 database=None)
+
+
+def parses(path, experiment, value):
+    """Whether parse_config takes value at path in a run of experiment."""
+    top = _LIMITS.get(path)
+    top = top[experiment] if isinstance(top, dict) else top
+    return bool(_FIELDS[path][0](value)) and (
+        top is None or value is None or value <= top)
 
 
 def nest(leaves):
@@ -47,12 +59,14 @@ def nest(leaves):
 @st.composite
 def valid_leaves(draw):
     """Dotted path -> value for model, experiment and a few _FIELDS entries."""
-    leaves = {"experiment": draw(st.sampled_from(sorted(EXPERIMENTS)))}
+    exp = draw(st.sampled_from(sorted(EXPERIMENTS)))
+    leaves = {"experiment": exp}
     for path in draw(st.lists(st.sampled_from(sorted(_FIELDS)), unique=True,
                               max_size=8)):
         value = draw(LEAVES)
-        if not _FIELDS[path][0](value):
-            value = draw(st.sampled_from(SPLIT[path][0]))
+        if not parses(path, exp, value):
+            value = draw(st.sampled_from([v for v in SPLIT[path][0]
+                                          if parses(path, exp, v)]))
         leaves[path] = value
     if "model.name" not in leaves:
         leaves["model.name"] = draw(st.sampled_from(SPLIT["model.name"][0]))
@@ -84,8 +98,10 @@ class TestConfigFuzz:
         if kind == "value":
             path = data.draw(st.sampled_from(sorted(_FIELDS)))
             value = data.draw(LEAVES)
-            if _FIELDS[path][0](value):
-                value = data.draw(st.sampled_from(SPLIT[path][1]))
+            if parses(path, leaves["experiment"], value):
+                value = data.draw(st.sampled_from(
+                    [v for v in POOL
+                     if not parses(path, leaves["experiment"], v)]))
             leaves[path] = value
             raw = nest(leaves)
         elif kind == "unknown":

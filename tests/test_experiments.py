@@ -64,6 +64,18 @@ class TestParseConfig:
             experiments.parse_config(raw)
         assert fragment in str(err.value)
 
+    def test_every_experiment_and_its_limits_parse(self):
+        # each experiment has a horizon limit, and a config at every limit
+        # parses (the CLI tests check one past each)
+        limits = experiments._LIMITS
+        assert set(limits["horizon"]) == set(experiments.EXPERIMENTS)
+        for exp, top in limits["horizon"].items():
+            cfg = experiments.parse_config(base_config(
+                experiment=exp, horizon=top,
+                disk={"resolution": limits["disk.resolution"]},
+                constants={"samples": limits["constants.samples"]}))
+            assert cfg.horizon == top
+
     def test_every_field_has_a_reader(self):
         # a field that parse_config accepts but no experiment reads lets a
         # config change nothing while looking as if it did
@@ -121,14 +133,12 @@ class TestRunExperiment:
             blobs.append(open(os.path.join(out, "summary.json"), "rb").read())
         assert blobs[0] == blobs[1]
 
-    def test_worker_count_does_not_change_bytes(self, tmp_path):
+    def test_workers_other_than_one_raise_before_writing(self, tmp_path):
         cfg = experiments.parse_config(base_config())
-        blobs = []
-        for tag, workers in (("w1", 1), ("w4", 4)):
-            out = os.path.join(tmp_path, tag)
-            experiments.run_experiment(cfg, out_dir=out, workers=workers)
-            blobs.append(open(os.path.join(out, "summary.json"), "rb").read())
-        assert blobs[0] == blobs[1]
+        out = os.path.join(tmp_path, "run")
+        with pytest.raises(ValueError, match="workers"):
+            experiments.run_experiment(cfg, out_dir=out, workers=2)
+        assert not os.path.exists(out)
 
     def test_wall_time_kept_out_of_summary(self, tmp_path):
         cfg = experiments.parse_config(base_config())
@@ -138,7 +148,7 @@ class TestRunExperiment:
         for word in ("time", "wall", "elapsed", "second"):
             assert word not in text.lower()
         meta = json.loads(open(os.path.join(out, "run_meta.json")).read())
-        assert set(meta) == {"wall_time_s", "workers"}
+        assert set(meta) == {"wall_time_s"}
         assert meta["wall_time_s"] >= 0.0
 
     def test_csv_sidecar_written(self, tmp_path):

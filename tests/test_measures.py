@@ -293,18 +293,16 @@ class TestPhysicalFraction:
                                           seed=1)
         assert frac == 1.0
 
-    def test_measure_reference_and_workers_invariance(self, cat, pcat, sol):
+    def test_measure_reference_gives_interior_fraction(self, cat, pcat, sol):
         # a 50-step disk average as reference puts every fraction strictly
-        # between 0 and 1, so the partitions have something to disagree on
+        # between 0 and 1
         for sys in (cat, pcat, sol):
             obs = measures.default_observables(sys.chart)
             pa = pushforward_average(sys, model_disk(sys), 50)
             ref = {o.name: pa.integrate(o) / pa.total for o in obs}
-            f1 = measures.physical_fraction(sys, ref, obs, 200, 0.1, 100,
-                                            seed=1)
-            f3 = measures.physical_fraction(sys, ref, obs, 200, 0.1, 100,
-                                            seed=1, workers=3)
-            assert 0.0 < f1 < 1.0 and f1 == f3, (sys.name, f1, f3)
+            f = measures.physical_fraction(sys, ref, obs, 200, 0.1, 100,
+                                           seed=1)
+            assert 0.0 < f < 1.0, (sys.name, f)
 
     def test_escape_counts_rows_zero_to_n(self, cat):
         # a start counts iff orbit rows 0..n all stay in the region, row n
@@ -320,11 +318,9 @@ class TestPhysicalFraction:
                                               check_region=False))
         want = np.mean(np.all(inside, axis=0))
         assert want != np.mean(np.all(inside[:n], axis=0))
-        for workers in (1, 3):
-            frac = measures.physical_fraction(strip, ref, obs, n, 10.0,
-                                              samples, seed=2,
-                                              workers=workers)
-            assert frac == want
+        frac = measures.physical_fraction(strip, ref, obs, n, 10.0, samples,
+                                          seed=2)
+        assert frac == want
 
     def test_sample_floor(self, cat):
         obs = measures.default_observables(cat.chart)

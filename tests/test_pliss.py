@@ -3,6 +3,8 @@ import pytest
 
 from srblab import (HypothesisViolated, PlissParams, density_theta,
                     hyperbolic_times, lambda_membership_batch, pliss_times)
+from srblab.models import build, region_sample
+from srblab.systems import _log_f_inv, orbit_coords
 
 from .conftest import LOG_LAM_U
 from .oracles import (admissible_sequence, hyperbolic_oracle,
@@ -113,6 +115,27 @@ class TestHyperbolicTimes:
             ht = hyperbolic_times(v, sigma).times
             po = pliss_oracle(-v, -np.log(sigma))
             assert np.array_equal(ht, po)
+
+    @pytest.mark.parametrize("name", [
+        "cat", "perturbed_cat",
+        pytest.param("dfa", marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError, reason="ROADMAP item 15"))])
+    def test_times_bound_the_backward_contraction(self, name):
+        # a time n stands for ||Df^-k | F(f^n x)|| <= sigma^k for 1 <= k <= n;
+        # for a 1-D F its log is the sum of log_f_inv at f^(n-k) .. f^(n-1),
+        # while srblab feeds hyperbolic_times the entries at f^1 .. f^n
+        sys = build(name)
+        n, sigma = 60, 0.5
+        pts = region_sample(sys, 400, seed=5, burn_in=10)
+        lf = _log_f_inv(sys, orbit_coords(sys, pts, n))
+        broken = []
+        for s, row in enumerate(lf):
+            for t in hyperbolic_times(row[1:], sigma).times:
+                # entry k - 1: the sum over f^(t-k) .. f^(t-1)
+                back = np.cumsum(row[t - 1::-1])
+                if np.max(back - np.arange(1, t + 1) * np.log(sigma)) > 1e-12:
+                    broken.append((s, int(t)))
+        assert not broken, f"{len(broken)} times break it, first {broken[0]}"
 
 
 class TestLambdaMembership:
