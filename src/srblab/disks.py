@@ -28,7 +28,8 @@ from .linalg import (Subspace, dot_norms, restricted_log_volume,
                      subspace_distance)
 from .models import region_sample
 from .pliss import hyperbolic_times
-from .systems import _batch_qr, _log_f_inv, cocycle_logs, orbit_coords
+from .systems import (_batch_qr, _log_f_inv, _tiled, cocycle_logs,
+                      orbit_coords)
 
 MICRO_SWITCH = 1e-8
 
@@ -202,8 +203,7 @@ def make_disk(sys, x, direction, radius, resolution=101):
     pts = coords[None, :] + disp
     if not np.all(chart.contains(pts)):
         raise ChartOverflow("disk leaves the chart's box bounds")
-    tangents = np.broadcast_to(direction.frame,
-                               (params.shape[0],) + direction.frame.shape).copy()
+    tangents = _tiled(direction.frame, params.shape[:1])
     return EmbeddedDisk(chart=chart, dim=dim, params=params,
                         center=chart.wrap(coords), disp=disp,
                         tangents=tangents, center_index=center_index,

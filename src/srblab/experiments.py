@@ -70,6 +70,9 @@ _LIMITS = {
         (1000, "disk_iterate contraction distortion curvature"),  # disk orbits
     ) for e in names.split()},
 }
+# a 2-D disk has ~0.79 S^2 nodes (a solenoid E-disk step at S = 201 peaks at
+# 86 MB): _config_disk holds its disk.resolution to this, knowing its dim
+_LIMIT_2D_RESOLUTION = 201
 
 
 # every config field: dotted path -> (accepts(value), what it must be);
@@ -188,6 +191,10 @@ def _config_disk(sys, cfg, radius=0.02, resolution=101, center=None):
     radius = cfg.disk.get("radius", radius)
     resolution = cfg.disk.get("resolution", resolution)
     which = cfg.disk.get("direction", "F")
+    dim = sys.dim_f if which == "F" else sys.dim_e
+    if dim == 2 and resolution > _LIMIT_2D_RESOLUTION:
+        raise ConfigInvalid(f"disk.resolution {resolution!r} is above its "
+                            f"limit {_LIMIT_2D_RESOLUTION} for a 2-D disk")
     e, f = sys.splitting.at(center)
     direction = f if which == "F" else e
     return disks.make_disk(sys, center, direction, radius,

@@ -21,9 +21,8 @@ from .charts import Chart, torus_chart
 from .errors import ChainInfeasible, ConstructionFailed
 from .linalg import restricted_stretch
 from .pliss import lambda_membership_batch
-from .systems import (ConstantsH, ConvergedSplitting, MapSystem,
-                      SplittingField, SystemConstants, _log_f_inv,
-                      orbit_coords)
+from .systems import (ConstantsH, MapSystem, SystemConstants, _log_f_inv,
+                      _tiled, orbit_coords)
 
 LAMBDA_U = (3.0 + np.sqrt(5.0)) / 2.0
 LAMBDA_S = (3.0 - np.sqrt(5.0)) / 2.0
@@ -42,23 +41,6 @@ CAT_UNSTABLE = _unit([1.0, LAMBDA_U - 2.0])
 CAT_STABLE = _unit([1.0, LAMBDA_S - 2.0])
 
 
-def _constant_matrix_fns(a):
-    a = np.asarray(a, float)
-    ainv = np.linalg.inv(a)
-
-    def forward(c, chart):
-        return chart.wrap(np.einsum("ij,...j->...i", a, c))
-
-    def inverse(c, chart):
-        return chart.wrap(np.einsum("ij,...j->...i", ainv, c))
-
-    def tangent(c):
-        c = np.asarray(c, float)
-        return np.broadcast_to(a, c.shape[:-1] + a.shape).copy()
-
-    return forward, inverse, tangent
-
-
 def linear_torus_system(matrix, e_dirs, f_dirs, name="linear"):
     """A torus automorphism with a declared constant splitting.
 
@@ -68,27 +50,25 @@ def linear_torus_system(matrix, e_dirs, f_dirs, name="linear"):
     a = np.asarray(matrix, float)
     if abs(abs(np.linalg.det(a)) - 1.0) > 1e-9:
         raise ConstructionFailed("torus automorphism needs |det| = 1")
-    dim = a.shape[0]
-    chart = torus_chart(dim)
-    fwd, inv, tan = _constant_matrix_fns(a)
+    ainv = np.linalg.inv(a)
+    chart = torus_chart(a.shape[0])
+
+    def forward(c):
+        return chart.wrap(np.einsum("ij,...j->...i", a, c))
+
+    def inverse(c):
+        return chart.wrap(np.einsum("ij,...j->...i", ainv, c))
+
+    def tangent(c):
+        return _tiled(a, np.shape(c)[:-1])
+
     e_frame = np.linalg.qr(np.atleast_2d(np.asarray(e_dirs, float).T).T)[0]
     f_frame = np.linalg.qr(np.atleast_2d(np.asarray(f_dirs, float).T).T)[0]
-
-    def e_fn(c):
-        return np.broadcast_to(e_frame, c.shape[:-1] + e_frame.shape).copy()
-
-    def f_fn(c):
-        return np.broadcast_to(f_frame, c.shape[:-1] + f_frame.shape).copy()
-
     min_f = float(np.linalg.svd(a @ f_frame, compute_uv=False)[-1])
     consts = SystemConstants(c0=abs(float(np.log(min_f))), beta=1.0, xi=0.5)
-    return MapSystem(
-        name=name, chart=chart,
-        forward=lambda c: fwd(c, chart),
-        inverse=lambda c: inv(c, chart),
-        tangent=tan,
-        splitting=SplittingField(e_frame.shape[1], f_frame.shape[1], e_fn, f_fn),
-        constants=consts)
+    return MapSystem(name=name, chart=chart, forward=forward, inverse=inverse,
+                     tangent=tangent, constants=consts,
+                     dim_f=f_frame.shape[1], e_frame=e_frame, f_frame=f_frame)
 
 
 def _build_cat():
@@ -122,15 +102,13 @@ def _build_perturbed_cat(eps):
 
     def tangent(c):
         c = np.asarray(c, float)
-        t = np.broadcast_to(CAT_MATRIX, c.shape[:-1] + (2, 2)).copy()
+        t = _tiled(CAT_MATRIX, c.shape[:-1])
         t[..., 0, 0] += eps * two_pi * np.cos(two_pi * c[..., 0])
         return t
 
-    splitting = ConvergedSplitting(1, 1, forward, inverse, tangent)
-    consts = SystemConstants(beta=0.5, xi=0.5)
     return MapSystem(name="perturbed_cat", chart=chart, forward=forward,
-                     inverse=inverse, tangent=tangent, splitting=splitting,
-                     constants=consts)
+                     inverse=inverse, tangent=tangent,
+                     constants=SystemConstants(beta=0.5, xi=0.5), dim_f=1)
 
 
 def _build_solenoid(c, d):
@@ -180,21 +158,15 @@ def _build_solenoid(c, d):
         t[..., 2, 2] = c
         return t
 
-    e_frame = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-
-    def e_fn(coords):
-        return np.broadcast_to(e_frame, coords.shape[:-1] + (3, 2)).copy()
-
-    splitting = ConvergedSplitting(2, 1, forward, inverse, tangent, e_fn=e_fn)
-
     def region(coords):
         coords = np.asarray(coords, float)
         return coords[..., 1] ** 2 + coords[..., 2] ** 2 <= 1.0 + 1e-9
 
-    consts = SystemConstants(beta=0.5, xi=0.5)
     return MapSystem(name="solenoid", chart=chart, forward=forward,
-                     inverse=inverse, tangent=tangent, splitting=splitting,
-                     constants=consts, region_contains=region)
+                     inverse=inverse, tangent=tangent,
+                     constants=SystemConstants(beta=0.5, xi=0.5), dim_f=1,
+                     e_frame=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                     region_contains=region)
 
 
 def _build_dfa(delta, rho):
@@ -281,10 +253,9 @@ def _build_dfa(delta, rho):
             f"deformation Jacobian dips to {np.min(dets):.3g}; "
             f"reduce delta or enlarge rho")
 
-    splitting = ConvergedSplitting(1, 1, forward, inverse, tangent)
-    consts = SystemConstants(beta=0.5, xi=1.0)
     return MapSystem(name="dfa", chart=chart, forward=forward, inverse=inverse,
-                     tangent=tangent, splitting=splitting, constants=consts)
+                     tangent=tangent, constants=SystemConstants(beta=0.5, xi=1.0),
+                     dim_f=1)
 
 
 # Per model: its builder, chart dimension, default parameters (declared

@@ -1,9 +1,11 @@
 """Map systems, invariant splittings, and derivative cocycles along orbits.
 
-A MapSystem bundles a chart, the map and its inverse, the tangent map, an
-E/F splitting field, and whatever constants are known exactly for the model.
-All callables are vectorized: they accept (..., dim) coordinate arrays and
-broadcast over leading axes.
+A MapSystem owns the map: forward, inverse and the tangent map Df are given
+once, by the model, with the chart, the dimension of F, any constant E- or
+F-frame and the constants known for the model.  The splitting field reads
+the map from its system, so a dataclasses.replace copy with other callables
+sweeps its cones with them.  All callables are vectorized: they accept
+(..., dim) coordinate arrays and broadcast over leading axes.
 
 A converged bundle is a stream over (m+1, N, d) orbit rows fed by their
 tangents: the push yields F at rows 0..m after a DEPTH-step sweep along the
@@ -47,7 +49,12 @@ def _generic_frames(pts, k):
                   for j in range(k)], axis=1)
     m = m + 1e-3 * rng.standard_normal((dim, k))  # fixed rng: still deterministic
     q, _ = np.linalg.qr(m)
-    return np.broadcast_to(q, pts.shape[:-1] + q.shape).copy()
+    return _tiled(q, pts.shape[:-1])
+
+
+def _tiled(a, lead):
+    """Writable copies of the array a, one per index of the shape lead."""
+    return np.broadcast_to(a, tuple(lead) + a.shape).copy()
 
 
 # dlarfg's rescale threshold dlamch('S') / dlamch('E'), and its inverse
@@ -124,38 +131,40 @@ def _row_tangents(tangent, rows):
 
 
 class SplittingField:
-    """Orthonormal E- and F-frames; this base class holds the closed forms.
+    """Orthonormal E- and F-frames of a MapSystem; this base class tiles the
+    constant frames the system declares.
 
-    e_fn/f_fn map (..., d) coordinates to (..., d, dim) frames.  Each bundle
-    is also a stream over (m+1, N, d) rows fed by their tangents: _push
-    yields F at rows 0..m, _pull yields E at rows m..0.  A closed form reads
-    no tangent, nor does a push on one row, so f_frames serves both classes.
+    Each bundle is also a stream over (m+1, N, d) rows fed by their
+    tangents: _push yields F at rows 0..m, _pull yields E at rows m..0.  A
+    declared frame reads no tangent, nor does a push on one row, so the
+    point queries serve both classes.
     """
 
-    def __init__(self, dim_e, dim_f, e_fn, f_fn):
-        self.dim_e = dim_e
-        self.dim_f = dim_f
-        self.e_fn = e_fn
-        self.f_fn = f_fn
+    def __init__(self, system):
+        self.system = system
 
     def _push(self, rows, tans):
-        return iter(self.f_fn(rows))
+        return iter(_tiled(self.system.f_frame, rows.shape[:-1]))
 
     def _pull(self, rows, tans):
-        return iter(self.e_fn(rows)[::-1])
+        return iter(_tiled(self.system.e_frame, rows.shape[:-1]))
 
     def e_frames(self, coords):
-        return self.e_fn(np.asarray(coords, float)[None])[0]
+        c = np.asarray(coords, float)
+        row = c.reshape(1, -1, c.shape[-1])
+        e = next(self._pull(row, map(self.system.tangent, row)))
+        return e.reshape(c.shape + (self.system.dim_e,))
 
     def f_frames(self, coords):
         c = np.asarray(coords, float)
         f = next(self._push(c.reshape(1, -1, c.shape[-1]), ()))
-        return f.reshape(c.shape + (self.dim_f,))
+        return f.reshape(c.shape + (self.system.dim_f,))
 
     def frames_along(self, rows):
         """E- and F-frames at every row of (m+1, ..., d) forward-orbit rows."""
-        rows = np.asarray(rows, float)
-        return self.e_fn(rows), self.f_fn(rows)
+        lead = np.shape(rows)[:-1]
+        return (_tiled(self.system.e_frame, lead),
+                _tiled(self.system.f_frame, lead))
 
     def at(self, coords):
         """(E, F) as Subspaces at a single coordinate vector."""
@@ -163,55 +172,47 @@ class SplittingField:
 
 
 class ConvergedSplitting(SplittingField):
-    """Splitting whose F comes from the push and whose E comes from the pull
-    unless e_fn gives it in closed form.
+    """Splitting whose F comes from the push along the system's backward
+    orbits and whose E comes from the pull along its forward orbits, each
+    unless the system declares it.
 
     A query flattens its rows to (m+1, N, d), so no frame depends on the
     leading shape, and fills one array from a stream; the field is pure.
     """
 
-    def __init__(self, dim_e, dim_f, forward, inverse, tangent, e_fn=None):
-        super().__init__(dim_e, dim_f, e_fn, None)
-        self._forward = forward
-        self._inverse = inverse
-        self._tangent = tangent
-
     def _push(self, rows, tans):
+        s = self.system
+        if s.f_frame is not None:
+            return super()._push(rows, tans)
         back = [rows[0]]
         for _ in range(DEPTH):
-            back.append(self._inverse(back[-1]))
+            back.append(s.inverse(back[-1]))
         # Df at f^-DEPTH(row 0), ..., f^-1(row 0), then tans: rows 0..m-1
-        return _swept(np.matmul, chain(map(self._tangent, back[:0:-1]), tans),
-                      _generic_frames(rows[0], self.dim_f))
+        return _swept(np.matmul, chain(map(s.tangent, back[:0:-1]), tans),
+                      _generic_frames(rows[0], s.dim_f))
 
     def _pull(self, rows, tans):
-        if self.e_fn is not None:
+        s = self.system
+        if s.e_frame is not None:
             return super()._pull(rows, tans)
         ahead = [rows[-1]]
         for _ in range(DEPTH - 1):
-            ahead.append(self._forward(ahead[-1]))
+            ahead.append(s.forward(ahead[-1]))
         # Df at f^(DEPTH-1)(row m), ..., f(row m), then tans: rows m..0
-        return _swept(np.linalg.solve,
-                      chain(map(self._tangent, ahead[:0:-1]), tans),
-                      _generic_frames(rows[-1], self.dim_e))
-
-    def e_frames(self, coords):
-        c = np.asarray(coords, float)
-        row = c.reshape(1, -1, c.shape[-1])
-        e = next(self._pull(row, map(self._tangent, row)))
-        return e.reshape(c.shape + (self.dim_e,))
+        return _swept(np.linalg.solve, chain(map(s.tangent, ahead[:0:-1]), tans),
+                      _generic_frames(rows[-1], s.dim_e))
 
     def frames_along(self, rows):
+        s = self.system
         rows = np.asarray(rows, float)
         flat = rows.reshape(len(rows), -1, rows.shape[-1])
-        tans = _row_tangents(self._tangent, flat)
+        tans = _row_tangents(s.tangent, flat)
         f = np.fromiter(self._push(flat, tans[:-1]),
-                        (float, flat.shape[1:] + (self.dim_f,)), len(flat))
-        e = self.e_fn(rows) if self.e_fn is not None else np.fromiter(
-            self._pull(flat, tans[::-1]),
-            (float, flat.shape[1:] + (self.dim_e,)), len(flat))[::-1]
-        return (e.reshape(rows.shape + (self.dim_e,)),
-                f.reshape(rows.shape + (self.dim_f,)))
+                        (float, flat.shape[1:] + (s.dim_f,)), len(flat))
+        e = np.fromiter(self._pull(flat, tans[::-1]),
+                        (float, flat.shape[1:] + (s.dim_e,)), len(flat))[::-1]
+        return (e.reshape(rows.shape + (s.dim_e,)),
+                f.reshape(rows.shape + (s.dim_f,)))
 
 
 @dataclass
@@ -230,20 +231,39 @@ class SystemConstants:
 
 @dataclass
 class MapSystem:
-    """A smooth invertible map with an invariant splitting on a region."""
+    """A smooth invertible map with an invariant splitting on a region.
+
+    F has dimension dim_f and E the rest of the chart's.  e_frame/f_frame
+    declare a bundle as one constant orthonormal (d, dim) frame; a bundle
+    left None converges by cone iteration of this system's map.
+    """
 
     name: str
     chart: Chart
     forward: callable        # (..., d) -> (..., d), chart-wrapped
     inverse: callable        # (..., d) -> (..., d)
     tangent: callable        # (..., d) -> (..., d, d)
-    splitting: SplittingField
     constants: SystemConstants
+    dim_f: int
+    e_frame: np.ndarray = None
+    f_frame: np.ndarray = None
     region_contains: callable = None   # coords -> bool array; None = whole chart
 
     @property
     def dim(self):
         return self.chart.dim
+
+    @property
+    def dim_e(self):
+        return self.chart.dim - self.dim_f
+
+    @property
+    def splitting(self):
+        """The E/F field of this system, built on each access from its
+        current map and frames; it keeps no copy of either."""
+        if self.e_frame is None or self.f_frame is None:
+            return ConvergedSplitting(self)
+        return SplittingField(self)
 
     def in_region(self, coords):
         coords = np.asarray(coords, float)

@@ -402,7 +402,7 @@ def f_batch_oracle(sys, pts, depth):
     for _ in range(depth):
         back = sys.inverse(back)
         trail.append(back)
-    frames = _generic_frames(pts, sys.splitting.dim_f)
+    frames = _generic_frames(pts, sys.dim_f)
     for k in range(depth, 0, -1):
         frames = batch_qr_oracle(sys.tangent(trail[k]) @ frames)
     return frames
@@ -417,7 +417,7 @@ def e_batch_oracle(sys, pts, depth):
     for _ in range(depth):
         fwd = sys.forward(fwd)
         trail.append(fwd)
-    frames = _generic_frames(pts, sys.splitting.dim_e)
+    frames = _generic_frames(pts, sys.dim_e)
     for k in range(depth - 1, -1, -1):
         frames = batch_qr_oracle(
             np.linalg.solve(sys.tangent(trail[k]), frames))
@@ -427,36 +427,32 @@ def e_batch_oracle(sys, pts, depth):
 def splitting_frames_oracle(sys, rows):
     """E- and F-frames along (m+1, N, d) orbit rows, one row at a time.
 
-    Closed-form bundles are evaluated row by row.  A converged F is seeded by
-    f_batch_oracle at row 0 and pushed forward step by step; a converged E
-    (unless exactly known) is seeded by pulling a generic frame back along a
-    tail of depth forward steps past the last row, then pulled back row by
-    row.
+    A declared bundle is its constant frame at every row.  A converged F is
+    seeded by f_batch_oracle at row 0 and pushed forward step by step; a
+    converged E is seeded by pulling a generic frame back along a tail of
+    depth forward steps past the last row, then pulled back row by row.
     """
-    from srblab.systems import DEPTH, ConvergedSplitting, _generic_frames
-    sp = sys.splitting
+    from srblab.systems import DEPTH, _generic_frames
     m = rows.shape[0] - 1
-    if not isinstance(sp, ConvergedSplitting):
-        e = np.stack([sp.e_frames(rows[j]) for j in range(m + 1)])
-        f = np.stack([sp.f_frames(rows[j]) for j in range(m + 1)])
-        return e, f
     lead = rows.shape[1:-1]
     d = rows.shape[-1]
-    f = np.empty((m + 1,) + lead + (d, sp.dim_f), float)
-    f[0] = f_batch_oracle(sys, rows[0], DEPTH)
-    for j in range(m):
-        f[j + 1] = batch_qr_oracle(sys.tangent(rows[j]) @ f[j])
-    e = np.empty((m + 1,) + lead + (d, sp.dim_e), float)
-    if sp.e_fn is not None:
-        for j in range(m + 1):
-            e[j] = sp.e_fn(rows[j])
+    f = np.empty((m + 1,) + lead + (d, sys.dim_f), float)
+    e = np.empty((m + 1,) + lead + (d, sys.dim_e), float)
+    if sys.f_frame is not None:
+        f[...] = sys.f_frame
+    else:
+        f[0] = f_batch_oracle(sys, rows[0], DEPTH)
+        for j in range(m):
+            f[j + 1] = batch_qr_oracle(sys.tangent(rows[j]) @ f[j])
+    if sys.e_frame is not None:
+        e[...] = sys.e_frame
         return e, f
     ext = rows[m]
     tail = []
     for _ in range(DEPTH):
         tail.append(ext)
         ext = sys.forward(ext)
-    cur = _generic_frames(rows[m], sp.dim_e)
+    cur = _generic_frames(rows[m], sys.dim_e)
     for y in reversed(tail):
         cur = batch_qr_oracle(np.linalg.solve(sys.tangent(y), cur))
     e[m] = cur

@@ -120,6 +120,10 @@ class TestRun:
         ({"constants": {"samples": 10001}}, "constants.samples"),
         *[({"experiment": e, "horizon": top + 1}, "horizon")
           for e, top in _LIMITS["horizon"].items()],
+        # a 2-D disk has its own limit, checked before its grid is built
+        ({"model": {"name": "solenoid"}, "experiment": "disk_iterate",
+          "horizon": 1, "disk": {"direction": "E", "resolution": 203}},
+         "disk.resolution"),
     ])
     def test_malformed_field_exits_two_with_path(self, tmp_path, patch, path):
         cfg = write_config(tmp_path, "bad.json", {**GOOD, **patch})
@@ -223,8 +227,6 @@ def _user_nodes():
 
 # members kept though no user reads them as an attribute, and why
 UNREAD_KEPT = {
-    # perfbench's tracer reads it by name, and tests check round trips
-    ("MapSystem", "inverse"),
     # what distortion returns, and perfbench calls distortion
     ("DistortionReport", "ratio"),
     # part of a chart's == and hash (test_equal_charts_compare_and_hash_equal)

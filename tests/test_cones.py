@@ -8,7 +8,7 @@ import pytest
 from srblab import cones
 from srblab.errors import EmptyRadius, HypothesisViolated
 from srblab.models import region_sample
-from srblab.systems import cocycle_logs
+from srblab.systems import DEPTH, cocycle_logs
 
 from . import oracles
 from .conftest import LAM_U, V_S, V_U
@@ -183,7 +183,9 @@ class TestRobustnessRadius:
         counted = dataclasses.replace(sol, tangent=tangent)
         assert cones.domination_robustness_radius(counted, 0.14, 0.16) == \
             cones.domination_robustness_radius(sol, 0.14, 0.16)
-        assert 0 < inside < 24 ** 3 and sizes == [inside]
+        # Df at the inside points, then the DEPTH steps of the push to F;
+        # the solenoid declares E, so nothing is pulled
+        assert 0 < inside < 24 ** 3 and sizes == [inside] * (1 + DEPTH)
         # no grid point in the region: nothing to evaluate, nothing to bound
         empty = dataclasses.replace(
             counted, region_contains=lambda c: np.zeros(np.shape(c)[:-1], bool))

@@ -16,7 +16,7 @@ from srblab.disks import make_disk
 from srblab.models import (build, lambda_fraction, measure_constants_h,
                            region_sample)
 from srblab.pliss import lambda_membership_batch
-from srblab.systems import DEPTH, ConvergedSplitting, _batch_qr, _log_f_inv
+from srblab.systems import DEPTH, _batch_qr, _log_f_inv
 
 from . import oracles
 from .conftest import LAM_S, LAM_U, LOG_LAM_U
@@ -166,11 +166,20 @@ class TestSplittingFrames:
             calls.append(len(c))
             return pcat.forward(c)
 
-        sp = ConvergedSplitting(1, 1, forward, pcat.inverse, pcat.tangent)
+        sp = dataclasses.replace(pcat, forward=forward).splitting
         pts = region_sample(pcat, 5, seed=6)
         e = sp.e_frames(pts)
         assert calls == [5] * (DEPTH - 1)
         assert np.array_equal(e, pcat.splitting.e_frames(pts))
+
+    def test_a_declared_f_alone_leaves_e_to_the_pull(self, cat):
+        # cat without its E: F stays the declared frame, E converges to it
+        half = dataclasses.replace(cat, e_frame=None)
+        rows = orbit_coords(cat, region_sample(cat, 5, seed=6), 3)
+        e, f = splitting_frames_along_orbit(half, rows)
+        want_e, want_f = splitting_frames_along_orbit(cat, rows)
+        assert np.array_equal(f, want_f)
+        assert np.max(subspace_distance(e, want_e)) < 1e-12
 
     def test_converged_field_is_pure(self, pcat):
         p = np.array([0.37, 0.61])
@@ -194,23 +203,21 @@ class TestCocycleAgainstSplitting:
 
 
 def _counted(sys, calls):
-    """sys whose map, tangent and splitting closures append the number of
-    points of each call to calls["forward"], calls["tangent"] (system and
-    splitting together), calls["pull_forward"] and calls["push_inverse"]."""
+    """A copy of sys whose forward, inverse and tangent append the number of
+    points of each call to calls["forward"], calls["inverse"] and
+    calls["tangent"].  The splitting reads the map from its system, so the
+    copy's cone sweeps are counted with the rest."""
     def wrap(key, fn):
         def counted(c):
             calls.setdefault(key, []).append(int(np.prod(np.shape(c)[:-1])))
             return fn(c)
         return counted
 
-    sp = sys.splitting
-    tangent = wrap("tangent", sys.tangent)
     return dataclasses.replace(
-        sys, forward=wrap("forward", sys.forward), tangent=tangent,
-        constants=dataclasses.replace(sys.constants),
-        splitting=ConvergedSplitting(
-            sp.dim_e, sp.dim_f, wrap("pull_forward", sp._forward),
-            wrap("push_inverse", sp._inverse), tangent, e_fn=sp.e_fn))
+        sys, forward=wrap("forward", sys.forward),
+        inverse=wrap("inverse", sys.inverse),
+        tangent=wrap("tangent", sys.tangent),
+        constants=dataclasses.replace(sys.constants))
 
 
 class TestFusedCocycleLogs:
@@ -270,20 +277,33 @@ class TestTangentCounts:
         pts = region_sample(dfa, 200, seed=5)
         cocycle_logs_batch(_counted(dfa, calls), pts, 400)
         orbit_points = 200 * 401
-        # the rows, then the DEPTH-step push and (DEPTH - 1)-step pull sweeps
-        assert sum(calls["tangent"]) == 200 * (401 + DEPTH + DEPTH - 1)
+        # forward: the orbit, then the pull's (DEPTH - 1)-step tail;
+        # inverse: the push's DEPTH-step backward orbit; tangent: the rows,
+        # then the pull's and the push's sweeps
+        assert calls == {"forward": [200] * (400 + DEPTH - 1),
+                         "inverse": [200] * DEPTH,
+                         "tangent": [200] * (401 + DEPTH - 1 + DEPTH)}
         assert sum(calls["tangent"]) <= 1.2 * orbit_points
 
     def test_lambda_fraction_runs_no_pull(self, dfa):
         calls = {}
         lambda_fraction(_counted(dfa, calls), 0.9, 30)
-        assert "pull_forward" not in calls
+        # the 30-step orbits of 400 samples and the push alone: no pull tail
+        assert calls == {"forward": [400] * 30, "inverse": [400] * DEPTH,
+                         "tangent": [400] * (31 + DEPTH)}
 
     def test_measure_constants_h_pulls_only_at_its_sample_points(self, dfa):
         calls = {}
         measure_constants_h(_counted(dfa, calls))
-        # e_frames at the 400 sample points; the 200 cocycle orbits pull none
-        assert calls["pull_forward"] == [400] * (DEPTH - 1)
+        # forward: the burn-in, the pull's tail from the 400 sample points
+        # (e_frames), then the 200 cocycle orbits, which pull none; inverse:
+        # the push at the samples (f_frames), then the orbits' push;
+        # tangent: Df at the samples, their pull and push, then the orbit
+        # rows and their push
+        assert calls == {
+            "forward": [400] * (30 + DEPTH - 1) + [200] * 400,
+            "inverse": [400] * DEPTH + [200] * DEPTH,
+            "tangent": [400] * (1 + DEPTH + DEPTH) + [200] * (401 + DEPTH)}
 
     def test_hyperbolic_mass_maps_its_orbit_once(self, dfa):
         calls = {}
@@ -291,19 +311,36 @@ class TestTangentCounts:
         d = make_disk(dfa, x, dfa.splitting.f_frames(x)[:, 0], 0.02)
         measures.hyperbolic_mass(_counted(dfa, calls), d, 30, 0.6, 0.05,
                                  0.9, 0.1)
-        assert len(calls["forward"]) == 30
-        assert "pull_forward" not in calls
+        # the disk's 30-step orbit and its push; no pull
+        n = d.n_samples
+        assert calls == {"forward": [n] * 30, "inverse": [n] * DEPTH,
+                         "tangent": [n] * (31 + DEPTH)}
 
     def test_point_queries_run_only_their_bundle(self, dfa):
         pts = region_sample(dfa, 5, seed=6)
         calls = {}
         _counted(dfa, calls).splitting.f_frames(pts)
-        assert "pull_forward" not in calls
-        assert calls["tangent"] == [5] * DEPTH
+        assert calls == {"inverse": [5] * DEPTH, "tangent": [5] * DEPTH}
         calls = {}
         _counted(dfa, calls).splitting.e_frames(pts)
-        assert "push_inverse" not in calls
-        assert calls["tangent"] == [5] * DEPTH
+        assert calls == {"forward": [5] * (DEPTH - 1), "tangent": [5] * DEPTH}
+
+    @pytest.mark.parametrize("model", ["pcat", "dfa", "sol"])
+    def test_splitting_sweeps_the_systems_own_map(self, request, model):
+        # a dataclasses.replace copy with other callables: the copy's
+        # splitting runs its sweeps through them, and gets the same frames
+        sys = request.getfixturevalue(model)
+        pts = region_sample(sys, 7, seed=3, burn_in=2)
+        calls = {}
+        f = _counted(sys, calls).splitting.f_frames(pts)
+        assert calls["inverse"] == [7] * DEPTH
+        assert np.array_equal(f, sys.splitting.f_frames(pts))
+        calls = {}
+        e = _counted(sys, calls).splitting.e_frames(pts)
+        # the solenoid declares its fibre-plane E: nothing to sweep
+        pulls = [] if sys.e_frame is not None else [7] * (DEPTH - 1)
+        assert calls.get("forward", []) == pulls
+        assert np.array_equal(e, sys.splitting.e_frames(pts))
 
 
 def _bits(a):
