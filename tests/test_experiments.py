@@ -167,17 +167,43 @@ class TestRunExperiment:
         failed = [a for a in summary["assertions"] if not a["passed"]]
         assert failed and failed[0]["name"] == "basin-fraction-large"
 
+    def test_rerun_replaces_files_instead_of_truncating(self, tmp_path):
+        # a rerun unlinks each file and creates a new one, so a hard link to
+        # the old file keeps the first run's bytes
+        cfg = experiments.parse_config(base_config())
+        out = os.path.join(tmp_path, "run")
+        names = ("summary.json", "run_meta.json", "pliss.csv")
+        experiments.run_experiment(cfg, out_dir=out)
+        first = {}
+        for name in names:
+            path = os.path.join(out, name)
+            first[name] = (open(path, "rb").read(), os.stat(path).st_ino)
+            os.link(path, os.path.join(tmp_path, name))
+        experiments.run_experiment(cfg, out_dir=out)
+        for name in names:
+            path = os.path.join(out, name)
+            kept = open(os.path.join(tmp_path, name), "rb").read()
+            assert kept == first[name][0]
+            assert os.stat(path).st_ino != first[name][1]
+            if name != "run_meta.json":
+                assert open(path, "rb").read() == kept
+
     def test_failed_rerun_leaves_no_stale_summary(self, tmp_path):
         out = os.path.join(tmp_path, "run")
         ok = experiments.parse_config(base_config(experiment="contraction",
                                                   horizon=10))
         assert experiments.run_experiment(ok, out_dir=out)["pass"] is True
+        csv_path = os.path.join(out, "contraction.csv")
+        csv_bytes = open(csv_path, "rb").read()
         bad = experiments.parse_config(base_config(
             experiment="contraction", horizon=10, constants={"sigma": 0.1}))
         with pytest.raises(SrbLabError):
             experiments.run_experiment(bad, out_dir=out)
         assert not os.path.exists(os.path.join(out, "summary.json"))
+        # the first run's CSV is left as it was; run_meta.json is the error
+        assert open(csv_path, "rb").read() == csv_bytes
         meta = json.loads(open(os.path.join(out, "run_meta.json")).read())
+        assert set(meta) == {"wall_time_s", "error"}
         assert meta["error"]["type"] == "HypothesisViolated"
 
     @pytest.mark.parametrize("model", ["cat", "dfa"])
