@@ -370,24 +370,31 @@ def _ball_condition(sys, d, n, r, t):
 
 
 SECTIONS = 64   # a k-section round tests SECTIONS - 1 interior points
+RUNGS = 64      # ladder rungs tested per batch
 
 
 def _edge_of_component(sys, d, n, r, sign):
     """Outermost parameter on one ray satisfying the full-orbit ball condition.
 
     The edge can sit exponentially deep (scale sigma^n of the ray), so the
-    whole ladder t = sign 2^-k, k = 0..997 (down to about 1e-300), is tested
-    in one batch and the first good rung brackets the edge within a binade.
+    ladder t = sign 2^-k, k = 0..997 (down to about 1e-300), is tested
+    RUNGS rungs at a time up to the first good rung, which brackets the edge
+    within a binade.  A row of _pair_distances takes the decisions it would
+    take alone, so where the map is batch-invariant the rungs not tested
+    could not have changed it.
     k-section rounds then shrink the bracket until no float lies strictly
     inside it.  Inside one binade the section points are exact floats, so
     where the ball condition is monotone along the ray the edge is the same
     adjacent-float transition that bisection would find.
     """
     ladder = sign * np.ldexp(1.0, -np.arange(998))
-    ok = _ball_condition(sys, d, n, r, ladder)
-    if not ok.any():
+    for start in range(0, len(ladder), RUNGS):
+        ok = _ball_condition(sys, d, n, r, ladder[start:start + RUNGS])
+        if ok.any():
+            break
+    else:
         raise CarvingFailed("ball condition fails arbitrarily close to the center")
-    k = int(np.argmax(ok))      # rung 0 (the end of the ray) brackets itself
+    k = start + int(np.argmax(ok))  # rung 0 (the ray's end) brackets itself
     good, bad = ladder[k], ladder[max(k - 1, 0)]
     while True:
         ts = good + (bad - good) * (np.arange(1, SECTIONS) / SECTIONS)
@@ -439,7 +446,7 @@ def hyperbolic_component(sys, d, n, r, sigma):
     anchored two-point orbit satisfies the r-ball condition at every step
     0..n (the component of a curve under expanding dynamics is an interval,
     so its edge is the first exit along the ray).  The search tests the
-    whole ladder t = 2^-k in one batch on one shared center orbit, then
+    ladder t = 2^-k on one shared center orbit per batch of rungs, then
     refines the bracket by k-section rounds down to adjacent floats.  The
     surviving interval is resampled at the original resolution, the ball
     conditions are verified on the resampled trace, and each side is trimmed

@@ -80,6 +80,7 @@ def _build_perturbed_cat(eps):
         raise ConstructionFailed(f"eps = {eps} outside [0, 0.05]")
     chart = torus_chart(2)
     two_pi = 2.0 * np.pi
+    slope = eps * two_pi
 
     def forward(c):
         c = np.asarray(c, float)
@@ -88,22 +89,32 @@ def _build_perturbed_cat(eps):
         return chart.wrap(lin)
 
     def inverse(y):
+        # The map changes only x0 and (A^-1)_00 = 1, so with b = A^-1 y, x0
+        # solves g(x0) = x0 + eps sin(2 pi x0) = b0.  Newton from b0 runs a
+        # fixed 4 steps elementwise, so no row reads another: for eps <= 0.05,
+        # g' > 0.68 and |g''| <= 4 pi^2 eps, so e_{k+1} <= 1.46 e_k^2 from
+        # e_0 <= eps, i.e. 3.6e-3, 1.9e-5, 5e-10, 4e-19.  Then one round of
+        # x = A^-1 (y - eps sin(2 pi x0) e0), a contraction by 2 pi eps.
+        # A^-1 products are written out; each entry rounds as an einsum's.
         y = np.asarray(y, float)
-        x = chart.wrap(np.einsum("ij,...j->...i", CAT_INVERSE, y))
-        for _ in range(80):
-            rhs = np.array(y, copy=True)
-            rhs[..., 0] -= eps * np.sin(two_pi * x[..., 0])
-            nxt = chart.wrap(np.einsum("ij,...j->...i", CAT_INVERSE, rhs))
-            step = np.max(chart.distance(nxt, x)) if nxt.size else 0.0
-            x = nxt
-            if step < 1e-15:
-                break
-        return x
+        y0, y1 = y[..., 0], y[..., 1]
+        x = np.empty(y.shape)
+        x[..., 0] = y0 - y1
+        x[..., 1] = 2.0 * y1 - y0
+        b0 = x0 = chart.wrap(x)[..., 0]
+        for _ in range(4):
+            phase = two_pi * x0
+            x0 = x0 - ((x0 + eps * np.sin(phase) - b0)
+                       / (1.0 + slope * np.cos(phase)))
+        r0 = y0 - eps * np.sin(two_pi * x0)
+        x[..., 0] = r0 - y1
+        x[..., 1] = 2.0 * y1 - r0
+        return chart.wrap(x)
 
     def tangent(c):
         c = np.asarray(c, float)
         t = _tiled(CAT_MATRIX, c.shape[:-1])
-        t[..., 0, 0] += eps * two_pi * np.cos(two_pi * c[..., 0])
+        t[..., 0, 0] += slope * np.cos(two_pi * c[..., 0])
         return t
 
     return MapSystem(name="perturbed_cat", chart=chart, forward=forward,

@@ -599,3 +599,25 @@ def robustness_radius_full_grid_oracle(sys, gamma1, gamma2):
     if worst_slope == 0.0:
         return chart.diameter
     return float(min(bound / (2.0 * worst_slope), chart.diameter))
+
+
+# ---- map steps: the forms they replaced, equal within rounding ----
+
+def perturbed_cat_inverse_oracle(eps, y):
+    """perturbed_cat's inverse as the fixed point x = A^-1 (y - eps sin(2 pi
+    x0) e0), iterated from A^-1 y until a round moves the batch by less than
+    1e-15 (at most 80 rounds)."""
+    from srblab.charts import torus_chart
+    from srblab.models import CAT_INVERSE
+    chart = torus_chart(2)
+    y = np.asarray(y, float)
+    x = chart.wrap(np.einsum("ij,...j->...i", CAT_INVERSE, y))
+    for _ in range(80):
+        rhs = np.array(y, copy=True)
+        rhs[..., 0] -= eps * np.sin(2.0 * np.pi * x[..., 0])
+        nxt = chart.wrap(np.einsum("ij,...j->...i", CAT_INVERSE, rhs))
+        step = np.max(chart.distance(nxt, x)) if nxt.size else 0.0
+        x = nxt
+        if step < 1e-15:
+            break
+    return x
