@@ -36,12 +36,18 @@ class Chart:
     def __post_init__(self):
         if not (len(self.lower) == len(self.upper) == len(self.periodic)):
             raise ValueError("chart axis descriptions must have equal length")
-        # periodic axes, their lower bounds and periods, cached outside the
-        # dataclass fields so equality and hashing still see only the fields
+        # periodic axes with their lower bounds and periods, and box axes with
+        # their bounds padded by contains' 1e-9, cached outside the dataclass
+        # fields so equality and hashing still see only the fields
         per = np.flatnonzero(np.asarray(self.periodic, bool))
+        box = np.flatnonzero(~np.asarray(self.periodic, bool))
+        lo, hi = np.asarray(self.lower, float), np.asarray(self.upper, float)
         object.__setattr__(self, "_per", per)
-        object.__setattr__(self, "_per_lo", np.asarray(self.lower, float)[per])
+        object.__setattr__(self, "_per_lo", lo[per])
         object.__setattr__(self, "_per_w", self.widths[per])
+        object.__setattr__(self, "_box", box)
+        object.__setattr__(self, "_box_lo", lo[box] - 1e-9)
+        object.__setattr__(self, "_box_hi", hi[box] + 1e-9)
         # a unit torus with one lower bound folds the whole array at once
         unit = (all(self.periodic) and np.all(self.widths == 1.0)
                 and len(set(self.lower)) == 1)
@@ -89,11 +95,8 @@ class Chart:
     def contains(self, coords):
         """True where box axes respect their bounds to within 1e-9 (periodic
         axes always do)."""
-        box = ~np.asarray(self.periodic, bool)
-        c = np.asarray(coords, float)[..., box]
-        return np.all((c >= np.asarray(self.lower, float)[box] - 1e-9)
-                      & (c <= np.asarray(self.upper, float)[box] + 1e-9),
-                      axis=-1)
+        c = np.asarray(coords, float)[..., self._box]
+        return np.all((c >= self._box_lo) & (c <= self._box_hi), axis=-1)
 
 
 def _fold_unit(t, lo):

@@ -10,8 +10,9 @@ iteration propagates displacements through the center's tangent map (the
 quadratic remainder is below float resolution exactly when the switch is
 active); above it, the map is evaluated directly.
 
-Carving finds each ray's r-close component edge in batches on one shared
-center orbit: the ladder t = 2^-k brackets it, k-section rounds refine it.
+Carving finds each ray's r-close component edge in batches on one center
+orbit, mapped once per carve: the ladder t = 2^-k brackets it, k-section
+rounds refine it.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .linalg import (Subspace, dot_norms, restricted_log_volume,
                      subspace_distance)
 from .models import region_sample
 from .pliss import hyperbolic_times
-from .systems import (_batch_qr, _log_f_inv, _tiled, cocycle_logs,
-                      orbit_coords)
+from .systems import (_batch_qr, _tiled, cocycle_logs, orbit_coords,
+                      time_logs)
 
 MICRO_SWITCH = 1e-8
 
@@ -335,37 +336,46 @@ def _param_to_disp(d, t):
     return out
 
 
-def _pair_distances(sys, center, disps, n):
-    """(m, n+1) norms ||displacement||_k between orbits of center + disps[i]
-    and center, k = 0..n.
+def _center_orbit(sys, center, n):
+    """The center's wrapped orbit rows 0..n, (n+1, d), and Df at rows
+    0..n-1, (n, d, d), each from one (d,) call: every _pair_distances call
+    of a carve reads this one orbit."""
+    chart = sys.chart
+    ctrs = [chart.wrap(np.asarray(center, float))]
+    for _ in range(n):
+        ctrs.append(chart.wrap(sys.forward(ctrs[-1])))
+    return np.array(ctrs), np.array([sys.tangent(c) for c in ctrs[:-1]])
 
-    Anchored two-point propagation on one shared center orbit: rows below the
-    micro switch ride the center's tangent map (full relative precision at
-    any scale); the other rows are mapped directly.
+
+def _pair_distances(sys, orbit, disps):
+    """(m, n+1) norms ||displacement||_k between orbits of ctrs[0] + disps[i]
+    and the center orbit (ctrs, tans) = orbit, k = 0..n.
+
+    Anchored two-point propagation: rows below the micro switch ride the
+    center's tangent map (full relative precision at any scale); the other
+    rows are mapped directly.
     """
     chart = sys.chart
-    ctr = chart.wrap(np.asarray(center, float))
+    ctrs, tans = orbit
     disp = np.array(disps, dtype=float)
-    out = np.empty((len(disp), n + 1))
+    out = np.empty((len(disp), len(ctrs)))
     # stacked matmuls round like one point's t @ disp and norm (a dot), so
     # every row takes the same micro/macro decisions as it would alone
     out[:, 0] = dot_norms(disp)
-    for k in range(1, n + 1):
+    for k in range(1, len(ctrs)):
         micro = out[:, k - 1] < MICRO_SWITCH
-        new_ctr = chart.wrap(sys.forward(ctr))
         if micro.any():
-            disp[micro] = (sys.tangent(ctr) @ disp[micro, :, None])[:, :, 0]
+            disp[micro] = (tans[k - 1] @ disp[micro, :, None])[:, :, 0]
         if not micro.all():
-            pts = chart.wrap(ctr + disp[~micro])
-            disp[~micro] = chart.displacement(new_ctr, sys.forward(pts))
-        ctr = new_ctr
+            pts = chart.wrap(ctrs[k - 1] + disp[~micro])
+            disp[~micro] = chart.displacement(ctrs[k], sys.forward(pts))
         out[:, k] = dot_norms(disp)
     return out
 
 
-def _ball_condition(sys, d, n, r, t):
+def _ball_condition(sys, d, orbit, r, t):
     """Per parameter in t: does its orbit stay r-close to the center orbit?"""
-    dist = _pair_distances(sys, d.center, _param_to_disp(d, t), n)
+    dist = _pair_distances(sys, orbit, _param_to_disp(d, t))
     return np.all(dist <= r, axis=1)
 
 
@@ -373,8 +383,9 @@ SECTIONS = 64   # a k-section round tests SECTIONS - 1 interior points
 RUNGS = 64      # ladder rungs tested per batch
 
 
-def _edge_of_component(sys, d, n, r, sign):
-    """Outermost parameter on one ray satisfying the full-orbit ball condition.
+def _edge_of_component(sys, d, orbit, r, sign):
+    """Outermost parameter on one ray satisfying the full-orbit ball condition
+    along orbit = _center_orbit(sys, d.center, n).
 
     The edge can sit exponentially deep (scale sigma^n of the ray), so the
     ladder t = sign 2^-k, k = 0..997 (down to about 1e-300), is tested
@@ -389,7 +400,7 @@ def _edge_of_component(sys, d, n, r, sign):
     """
     ladder = sign * np.ldexp(1.0, -np.arange(998))
     for start in range(0, len(ladder), RUNGS):
-        ok = _ball_condition(sys, d, n, r, ladder[start:start + RUNGS])
+        ok = _ball_condition(sys, d, orbit, r, ladder[start:start + RUNGS])
         if ok.any():
             break
     else:
@@ -401,7 +412,8 @@ def _edge_of_component(sys, d, n, r, sign):
         ts = ts[(ts != good) & (ts != bad)]
         if ts.size == 0:
             return float(good)
-        ok = np.concatenate([[True], _ball_condition(sys, d, n, r, ts), [False]])
+        ok = np.concatenate([[True], _ball_condition(sys, d, orbit, r, ts),
+                             [False]])
         j = int(np.argmin(ok))      # the first failing point, or bad itself
         good, bad = np.concatenate([[good], ts, [bad]])[j - 1:j + 1]
 
@@ -446,13 +458,13 @@ def hyperbolic_component(sys, d, n, r, sigma):
     anchored two-point orbit satisfies the r-ball condition at every step
     0..n (the component of a curve under expanding dynamics is an interval,
     so its edge is the first exit along the ray).  The search tests the
-    ladder t = 2^-k on one shared center orbit per batch of rungs, then
-    refines the bracket by k-section rounds down to adjacent floats.  The
-    surviving interval is resampled at the original resolution, the ball
-    conditions are verified on the resampled trace, and each side is trimmed
-    so the intrinsic radius of the n-th image equals r (each side must reach
-    at least 0.95 r before the trim).  n is first certified as a
-    sigma-hyperbolic time of the center orbit.
+    ladder t = 2^-k in batches of rungs, then refines the bracket by
+    k-section rounds down to adjacent floats; both rays share one center
+    orbit, mapped once.  The surviving interval is resampled at the
+    original resolution, the ball conditions are verified on the resampled
+    trace, and each side is trimmed so the intrinsic radius of the n-th
+    image equals r (each side must reach at least 0.95 r before the trim).
+    n is first certified as a sigma-hyperbolic time of the center orbit.
 
     1-D disks get the full edge search; 2-D disks are carved at sample
     granularity (rays of grid nodes), which is all their linear test
@@ -465,7 +477,7 @@ def hyperbolic_component(sys, d, n, r, sigma):
         raise ValueError(
             f"r = {r} too large for unambiguous wrapped distances "
             f"(limit {limit})")
-    lf = _log_f_inv(sys, orbit_coords(sys, d.center_point()[None], n))[0, 1:]
+    lf = time_logs(sys, orbit_coords(sys, d.center_point()[None], n))[0]
     rep = hyperbolic_times(lf, sigma)
     if n not in rep.times:
         raise HypothesisViolated(
@@ -473,8 +485,9 @@ def hyperbolic_component(sys, d, n, r, sigma):
     if d.dim == 2:
         return _carve_2d(sys, d, n, r)
 
-    t_plus = _edge_of_component(sys, d, n, r, +1)
-    t_minus = _edge_of_component(sys, d, n, r, -1)
+    orbit = _center_orbit(sys, d.center, n)
+    t_plus = _edge_of_component(sys, d, orbit, r, +1)
+    t_minus = _edge_of_component(sys, d, orbit, r, -1)
 
     carved = _resample_interval(d, t_minus, t_plus, d.n_samples)
     ftrace = iterate_disk(sys, carved, n)

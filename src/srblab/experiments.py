@@ -28,7 +28,7 @@ from .linalg import subspace_distance
 from .models import (MODEL_INFO, build, lambda_fraction, measure_constants_h,
                      region_sample)
 from .pliss import PlissParams, density_theta, hyperbolic_times, pliss_times
-from .systems import _log_f_inv, cocycle_logs, orbit_coords
+from .systems import cocycle_logs, orbit_coords, time_logs
 
 @dataclass
 class Config:
@@ -234,7 +234,7 @@ def _exp_pliss_demo(sys, cfg):
     n = cfg.horizon or 100
     sigma = cfg.const("sigma", 0.5)
     x = _default_center(sys, cfg)
-    lf = _log_f_inv(sys, orbit_coords(sys, x[None], n))[0, 1:]
+    lf = time_logs(sys, orbit_coords(sys, x[None], n))[0]
     gains = -lf   # per-step expansion gains
     c2 = -float(np.log(sigma))
     c0 = float(np.max(gains)) + 1e-9
@@ -270,7 +270,7 @@ def _exp_hyperbolic_times(sys, cfg):
     n = cfg.horizon or 400
     sigma = cfg.const("sigma", 0.5)
     x = _default_center(sys, cfg)
-    lf = _log_f_inv(sys, orbit_coords(sys, x[None], n))[0, 1:]
+    lf = time_logs(sys, orbit_coords(sys, x[None], n))[0]
     rep = hyperbolic_times(lf, sigma)
     times = np.asarray(rep.times, int)
     gaps = np.diff(times) if len(times) > 1 else np.asarray([0])
@@ -456,7 +456,7 @@ def _exp_curvature(sys, cfg):
     # the recursion is checked on carved hyperbolic-time components, whose
     # m-step images stay r-small; iterating the raw disk m steps would
     # stretch it past any fixed resolution
-    lf = _log_f_inv(sys, orbit_coords(sys, center[None], n))[0, 1:]
+    lf = time_logs(sys, orbit_coords(sys, center[None], n))[0]
     times = [m for m in hyperbolic_times(lf, consts_h.lambda2).times if m <= n]
     if not times:
         raise HypothesisViolated(
@@ -569,7 +569,7 @@ def _exp_hyperbolic_mass(sys, cfg):
 
     dens_ok = 1.0
     if len(qual):
-        lf = _log_f_inv(sys, orbit_coords(sys, qual[:200], n))[:, 1:]
+        lf = time_logs(sys, orbit_coords(sys, qual[:200], n))
         dens = np.asarray([len(hyperbolic_times(row, sigma).times) / n
                            for row in lf])
         dens_ok = float(np.mean(dens >= theta))

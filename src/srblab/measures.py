@@ -17,7 +17,7 @@ import numpy as np
 
 from .models import region_sample
 from .pliss import hyperbolic_times, lambda_membership_batch
-from .systems import _log_f_inv, orbit_coords
+from .systems import orbit_coords, time_logs
 
 
 @dataclass
@@ -234,7 +234,7 @@ def hyperbolic_mass(sys, d, n, sigma, r1, lam, theta):
         raise ValueError("r1 must be > 0")
     w = d.cell_weights()
     rows = orbit_coords(sys, d.points(), n)
-    log_f_inv = _log_f_inv(sys, rows)[:, 1:]
+    log_f_inv = time_logs(sys, rows)
 
     member = lambda_membership_batch(log_f_inv, lam)
     lambda_mass = float(math.fsum(w[member].tolist()))

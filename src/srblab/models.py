@@ -21,8 +21,8 @@ from .charts import Chart, torus_chart
 from .errors import ChainInfeasible, ConstructionFailed
 from .linalg import restricted_stretch
 from .pliss import lambda_membership_batch
-from .systems import (ConstantsH, MapSystem, SystemConstants, _log_f_inv,
-                      _tiled, orbit_coords)
+from .systems import (ConstantsH, MapSystem, SystemConstants, _tiled,
+                      orbit_coords, time_logs)
 
 LAMBDA_U = (3.0 + np.sqrt(5.0)) / 2.0
 LAMBDA_S = (3.0 - np.sqrt(5.0)) / 2.0
@@ -41,6 +41,13 @@ CAT_UNSTABLE = _unit([1.0, LAMBDA_U - 2.0])
 CAT_STABLE = _unit([1.0, LAMBDA_S - 2.0])
 
 
+def _matvec(a, x):
+    """a x at the (..., d) points x.  The cat family's matrices have small
+    integer entries, at most two nonzero per row, so each entry is one
+    rounded sum of exact products: np.einsum's bits at any batch size."""
+    return np.matmul(x, a.T)
+
+
 def linear_torus_system(matrix, e_dirs, f_dirs, name="linear"):
     """A torus automorphism with a declared constant splitting.
 
@@ -54,10 +61,10 @@ def linear_torus_system(matrix, e_dirs, f_dirs, name="linear"):
     chart = torus_chart(a.shape[0])
 
     def forward(c):
-        return chart.wrap(np.einsum("ij,...j->...i", a, c))
+        return chart.wrap(_matvec(a, c))
 
     def inverse(c):
-        return chart.wrap(np.einsum("ij,...j->...i", ainv, c))
+        return chart.wrap(_matvec(ainv, c))
 
     def tangent(c):
         return _tiled(a, np.shape(c)[:-1])
@@ -84,7 +91,7 @@ def _build_perturbed_cat(eps):
 
     def forward(c):
         c = np.asarray(c, float)
-        lin = np.einsum("ij,...j->...i", CAT_MATRIX, c)
+        lin = _matvec(CAT_MATRIX, c)
         lin[..., 0] += eps * np.sin(two_pi * c[..., 0])
         return chart.wrap(lin)
 
@@ -95,21 +102,14 @@ def _build_perturbed_cat(eps):
         # g' > 0.68 and |g''| <= 4 pi^2 eps, so e_{k+1} <= 1.46 e_k^2 from
         # e_0 <= eps, i.e. 3.6e-3, 1.9e-5, 5e-10, 4e-19.  Then one round of
         # x = A^-1 (y - eps sin(2 pi x0) e0), a contraction by 2 pi eps.
-        # A^-1 products are written out; each entry rounds as an einsum's.
-        y = np.asarray(y, float)
-        y0, y1 = y[..., 0], y[..., 1]
-        x = np.empty(y.shape)
-        x[..., 0] = y0 - y1
-        x[..., 1] = 2.0 * y1 - y0
-        b0 = x0 = chart.wrap(x)[..., 0]
+        y = np.array(y, float)
+        b0 = x0 = chart.wrap(_matvec(CAT_INVERSE, y))[..., 0]
         for _ in range(4):
             phase = two_pi * x0
             x0 = x0 - ((x0 + eps * np.sin(phase) - b0)
                        / (1.0 + slope * np.cos(phase)))
-        r0 = y0 - eps * np.sin(two_pi * x0)
-        x[..., 0] = r0 - y1
-        x[..., 1] = 2.0 * y1 - r0
-        return chart.wrap(x)
+        y[..., 0] -= eps * np.sin(two_pi * x0)
+        return chart.wrap(_matvec(CAT_INVERSE, y))
 
     def tangent(c):
         c = np.asarray(c, float)
@@ -242,17 +242,15 @@ def _build_dfa(delta, rho):
 
     def forward(x):
         x = np.asarray(x, float)
-        lin = chart.wrap(np.einsum("ij,...j->...i", CAT_MATRIX, x))
-        return _deform(lin)
+        return _deform(chart.wrap(_matvec(CAT_MATRIX, x)))
 
     def inverse(y):
         mid = _deform_inverse(np.asarray(y, float))
-        return chart.wrap(np.einsum("ij,...j->...i", CAT_INVERSE, mid))
+        return chart.wrap(_matvec(CAT_INVERSE, mid))
 
     def tangent(x):
         x = np.asarray(x, float)
-        lin = chart.wrap(np.einsum("ij,...j->...i", CAT_MATRIX, x))
-        dh = _deform_tangent(lin)
+        dh = _deform_tangent(chart.wrap(_matvec(CAT_MATRIX, x)))
         return dh @ CAT_MATRIX
 
     # construction-time sanity: Jacobian determinant bounded away from zero
@@ -417,7 +415,7 @@ def measure_constants_h(sys, xi=None):
     b = float(np.min(mins))
     c0 = float(np.max(np.abs(np.log(mins))))
 
-    lf = _log_f_inv(sys, orbit_coords(sys, pts[:200], 400))[:, 1:]
+    lf = time_logs(sys, orbit_coords(sys, pts[:200], 400))
     q = float(np.quantile(np.mean(lf, axis=1), 0.9))
     lam1 = float(np.exp(q + _MARGIN))
     if lam1 >= 1.0:
@@ -448,6 +446,6 @@ def lambda_fraction(sys, lam, horizon, seed=11):
     stay below log(lam) — the sampling surrogate for membership mass, on
     400 region samples."""
     pts = region_sample(sys, 400, seed=seed)
-    lf = _log_f_inv(sys, orbit_coords(sys, pts, horizon))[:, 1:]
+    lf = time_logs(sys, orbit_coords(sys, pts, horizon))
     ok = lambda_membership_batch(lf, lam)
     return float(np.mean(ok)), pts[ok]

@@ -11,18 +11,9 @@ A converged bundle is a stream over (m+1, N, d) orbit rows fed by their
 tangents: the push yields F at rows 0..m after a DEPTH-step sweep along the
 backward orbit of row 0, the pull yields E at rows m..0 after one along the
 forward orbit of row m.  Only those sweeps evaluate their own Df, so the
-push, the pull and the cocycle logs share one tangent per row.
-
-The cocycle convention, fixed once for the whole toolkit: entry j of a
-cocycle log stores the value at the orbit point f^j(x),
-
-    log_e[j]     = log ||Df restricted to E at f^j(x)||
-    log_f_inv[j] = -log mininorm(Df restricted to F at f^j(x))
-
-with j running over 1..n by default, or 0..n when the zeroth entry is
-requested (average-domination products are 0-based).  hyperbolic_times gets
-entries 1..n: a time n covers Df at f^(n-k+1)..f^n, one step after the
-backward contraction at f^n, which uses f^(n-k)..f^(n-1).
+push, the pull and the cocycle logs share one tangent per row.  Entry j
+of a cocycle log stores the value at the orbit point f^j(x); time_logs
+owns the entries that hyperbolic times and Lambda membership read.
 """
 
 from __future__ import annotations
@@ -315,10 +306,14 @@ def orbit_coords(sys, coords, n, check_region=True):
     """Forward orbit rows: (n+1, ..., d) with row j = f^j(coords), wrapped.
 
     Raises OrbitEscaped naming the first step any point leaves the region.
+    When the chart has no box axis and the system no region_contains,
+    every point is in the region and no row is tested.
     """
     c = np.asarray(coords, float)
     rows = np.empty((n + 1,) + c.shape, float)
     rows[0] = sys.chart.wrap(c)
+    check_region = check_region and (not all(sys.chart.periodic)
+                                     or sys.region_contains is not None)
     if check_region and not np.all(sys.in_region(rows[0])):
         raise OrbitEscaped(0, rows[0])
     for j in range(1, n + 1):
@@ -360,6 +355,15 @@ def cocycle_logs_batch(sys, coords, n, include_zero=False):
     for j, e in zip(range(n, start - 1, -1), pull):
         log_e[:, j - start] = np.log(restricted_stretch(tans[j], e, "max"))
     return log_e, _log_f_inv(sys, rows, tans)[:, start:]
+
+
+def time_logs(sys, rows):
+    """The F logs that hyperbolic times and Lambda membership read, from
+    (n+1, N, d) orbit rows: (N, n), column j - 1 holding
+    -log mininorm(Df restricted to F at f^j(x)) for j = 1..n.  So a time n
+    covers Df at f^(n-k+1)..f^n, one step after the backward contraction
+    at f^n, which uses f^(n-k)..f^(n-1)."""
+    return _log_f_inv(sys, rows)[:, 1:]
 
 
 def _log_f_inv(sys, rows, tans=None):

@@ -286,6 +286,29 @@ def pair_distances_oracle(sys, center, disp0, n):
     return out
 
 
+def pair_distances_per_call_oracle(sys, center, disps, n):
+    """(m, n+1) rows of pair_distances_oracle in one batch that maps its own
+    center orbit, as every carving batch did before the orbit was shared."""
+    from srblab.disks import MICRO_SWITCH
+    from srblab.linalg import dot_norms
+    chart = sys.chart
+    ctr = chart.wrap(np.asarray(center, float))
+    disp = np.array(disps, dtype=float)
+    out = np.empty((len(disp), n + 1))
+    out[:, 0] = dot_norms(disp)
+    for k in range(1, n + 1):
+        micro = out[:, k - 1] < MICRO_SWITCH
+        new_ctr = chart.wrap(sys.forward(ctr))
+        if micro.any():
+            disp[micro] = (sys.tangent(ctr) @ disp[micro, :, None])[:, :, 0]
+        if not micro.all():
+            pts = chart.wrap(ctr + disp[~micro])
+            disp[~micro] = chart.displacement(new_ctr, sys.forward(pts))
+        ctr = new_ctr
+        out[:, k] = dot_norms(disp)
+    return out
+
+
 def edge_bisection_oracle(sys, d, n, r, sign):
     """Outermost parameter on one ray whose orbit stays r-close, by halving
     t from sign down to 1e-300 and then bisecting the bracket serially."""

@@ -389,16 +389,36 @@ class TestBatchedCarving:
         disps = np.concatenate([np.outer(np.logspace(-14, -3, 12),
                                          v / np.linalg.norm(v)) for v in dirs])
         n = 12
-        got = disks._pair_distances(sys, d.center, disps, n)
+        orbit = disks._center_orbit(sys, d.center, n)
+        got = disks._pair_distances(sys, orbit, disps)
         assert got.shape == (len(disps), n + 1)
         # rows start on both sides of the switch, and some cross it
         assert np.any(got[:, 0] < disks.MICRO_SWITCH)
         assert np.any(got[:, 0] > disks.MICRO_SWITCH)
         assert np.any((got[:, 0] < disks.MICRO_SWITCH)
                       & (got[:, -1] > disks.MICRO_SWITCH))
+        # the shared center orbit changes no bit of the per-call batches,
+        # whole or split at the switch
+        micro = got[:, 0] < disks.MICRO_SWITCH
+        for rows in (np.ones(len(disps), bool), micro, ~micro):
+            want = oracles.pair_distances_per_call_oracle(
+                sys, d.center, disps[rows], n)
+            assert np.array_equal(got[rows], want)
         for row, disp in zip(got, disps):
             want = oracles.pair_distances_oracle(sys, d.center, disp, n)
             np.testing.assert_allclose(row, want, rtol=1e-12, atol=0.0)
+
+    def test_center_orbit_maps_single_points(self, dfa):
+        # dfa's forward rounds this point differently as (d,) and as (1, d):
+        # the shared orbit keeps the (d,) calls the per-call batches made
+        x = np.array([0.966048156468645, 0.04138220356024824])
+        assert not np.array_equal(dfa.forward(x), dfa.forward(x[None])[0])
+        d = model_disk(dfa, x)
+        disps = np.outer(np.logspace(-6, -3, 4), d.tangents[0, :, 0])
+        got = disks._pair_distances(dfa, disks._center_orbit(dfa, d.center, 4),
+                                    disps)
+        want = oracles.pair_distances_per_call_oracle(dfa, d.center, disps, 4)
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n", [10, 26])
     @pytest.mark.parametrize("model", MODELS)
@@ -406,7 +426,8 @@ class TestBatchedCarving:
         sys = request.getfixturevalue(model)
         d = model_disk(sys)
         for sign in (+1, -1):
-            got = disks._edge_of_component(sys, d, n, R, sign)
+            got = disks._edge_of_component(
+                sys, d, disks._center_orbit(sys, d.center, n), R, sign)
             want = oracles.edge_bisection_oracle(sys, d, n, R, sign)
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 

@@ -7,6 +7,7 @@ from srblab import (ChainInfeasible, ConstructionFailed, build, cocycle_logs,
                     lambda_fraction, linear_torus_system, list_models,
                     measure_constants_h, quasi_uniform, region_sample,
                     subspace_distance)
+from srblab import models
 from srblab.models import MODEL_INFO, _halton
 
 from .conftest import LAM_U, LOG_LAM_U, V_S, V_U
@@ -139,6 +140,44 @@ class TestBatchInvariance:
         assert np.array_equal(got, alone)
         perm = np.random.default_rng(perm_seed).permutation(len(x))
         assert np.array_equal(fn(x[perm]), got[perm])
+
+
+class TestLinearSteps:
+    """The cat family's integer-matrix steps are one product x @ a.T, and
+    equal np.einsum("ij,...j->...i", a, x) bit for bit."""
+
+    @staticmethod
+    def _einsum(a, x):
+        return np.einsum("ij,...j->...i", a, x)
+
+    @pytest.mark.parametrize("n", [None, 1, 401, 4096])
+    def test_matrices_bit_identical_to_einsum(self, cat4, n):
+        rng = np.random.default_rng(7 if n is None else n)
+        for a in (models.CAT_MATRIX, models.CAT_INVERSE,
+                  cat4.tangent(np.zeros(4)), np.linalg.inv(cat4.tangent(
+                      np.zeros(4)))):
+            shape = a.shape[:1] if n is None else (n,) + a.shape[:1]
+            x = rng.uniform(-1.0, 2.0, shape)
+            got, want = models._matvec(a, x), self._einsum(a, x)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("n", [None, 1, 401, 4096])
+    @pytest.mark.parametrize("name", ["cat", "cat4", "perturbed_cat", "dfa"])
+    def test_maps_bit_identical_to_einsum(self, request, monkeypatch, name,
+                                          n):
+        sys = request.getfixturevalue(name) if name == "cat4" else build(name)
+        rng = np.random.default_rng(3 if n is None else n)
+        x = rng.uniform(0.0, 1.0, (1 if n is None else n, sys.dim))
+        # dfa: half of the points inside the deformation disk
+        x[::2] = np.mod(rng.uniform(-0.25, 0.25, x[::2].shape), 1.0)
+        x = x[0] if n is None else x
+        steps = ("forward", "inverse", "tangent")
+        got = [getattr(sys, step)(x) for step in steps]
+        monkeypatch.setattr(models, "_matvec", self._einsum)
+        for step, g in zip(steps, got):
+            want = getattr(sys, step)(x)
+            assert np.array_equal(g.view(np.int64), want.view(np.int64)), step
 
 
 class TestCatExactness:

@@ -16,7 +16,7 @@ from srblab.disks import make_disk
 from srblab.models import (build, lambda_fraction, measure_constants_h,
                            region_sample)
 from srblab.pliss import lambda_membership_batch
-from srblab.systems import DEPTH, _batch_qr, _log_f_inv
+from srblab.systems import DEPTH, _batch_qr, _log_f_inv, time_logs
 
 from . import oracles
 from .conftest import LAM_S, LAM_U, LOG_LAM_U
@@ -90,6 +90,44 @@ class TestOrbitCoords:
         far = np.array([0.0, 1.55, 1.55])
         rows = orbit_coords(sol, far, 3, check_region=False)
         assert rows.shape == (4, 3)
+
+    def test_escape_step_on_the_solenoid(self, sol):
+        # the solenoid traps its region, so only a start outside it escapes;
+        # an angle bound in region_contains lets the doubling angle leave
+        pts = np.array([[0.3, 0.1, 0.2], [0.2, 0.9, 0.9], [0.4, 0.0, 0.1]])
+        with pytest.raises(OrbitEscaped) as err:
+            orbit_coords(sol, pts, 3)
+        assert err.value.step == 0
+        arc = dataclasses.replace(
+            sol, region_contains=lambda c: np.asarray(c)[..., 0] < 4.0)
+        inside = pts[[0, 2]]
+        rows = orbit_coords(sol, inside, 5)
+        step = int(np.argmax(np.any(rows[..., 0] >= 4.0, axis=1)))
+        assert step > 0
+        with pytest.raises(OrbitEscaped) as err:
+            orbit_coords(arc, inside, 5)
+        assert err.value.step == step
+        # with no region_contains, the chart's box axes are still checked
+        boxed = dataclasses.replace(sol, region_contains=None)
+        assert orbit_coords(boxed, pts, 3).shape == (4, 3, 3)
+        with pytest.raises(OrbitEscaped) as err:
+            orbit_coords(boxed, np.array([[0.3, 1.7, 0.0]]), 3)
+        assert err.value.step == 0
+
+    def test_escape_step_on_a_torus_given_a_region(self, cat):
+        strip = dataclasses.replace(
+            cat, region_contains=lambda c: np.asarray(c)[..., 0] < 0.9)
+        pts = np.array([[0.11, 0.23], [0.31, 0.17]])
+        rows = orbit_coords(cat, pts, 8)
+        step = int(np.argmax(np.any(rows[..., 0] >= 0.9, axis=1)))
+        assert 0 < step < 8
+        with pytest.raises(OrbitEscaped) as err:
+            orbit_coords(strip, pts, 8)
+        assert err.value.step == step
+        bad = np.flatnonzero(rows[step, :, 0] >= 0.9)[0]
+        assert np.array_equal(err.value.coords, rows[step, bad])
+        assert np.array_equal(orbit_coords(strip, pts, step - 1),
+                              rows[:step])
 
 
 class TestSplittingFrames:
@@ -242,6 +280,14 @@ class TestFusedCocycleLogs:
         _, want = oracles.cocycle_logs_oracle(sys, pts, 25, True)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("model", MODELS)
+    def test_time_logs_are_the_default_log_columns(self, request, model):
+        sys = request.getfixturevalue(model)
+        pts = region_sample(sys, 5, seed=3, burn_in=2)
+        got = time_logs(sys, orbit_coords(sys, pts, 20))
+        assert got.shape == (5, 20)
+        assert np.array_equal(got, cocycle_logs_batch(sys, pts, 20)[1])
+
     @pytest.mark.parametrize("model", ["pcat", "dfa"])
     def test_lambda_fraction_matches_the_two_bundle_path(self, request,
                                                          model):
@@ -263,8 +309,8 @@ class TestFusedCocycleLogs:
         args = (sys, d, 30, 0.6, 0.05, 0.9, 0.1)
         got = measures.hyperbolic_mass(*args)
         monkeypatch.setattr(
-            measures, "_log_f_inv", lambda s, rows: oracles.cocycle_logs_oracle(
-                s, rows[0], len(rows) - 1, True)[1])
+            measures, "time_logs", lambda s, rows: oracles.cocycle_logs_oracle(
+                s, rows[0], len(rows) - 1)[1])
         want = measures.hyperbolic_mass(*args)
         assert want.lambda_mass > 0.0
         for name in ("eta", "per_i", "lambda_mass", "tau", "floor"):
