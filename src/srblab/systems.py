@@ -14,12 +14,17 @@ forward orbit of row m.  Only those sweeps evaluate their own Df, so the
 push, the pull and the cocycle logs share one tangent per row.  Entry j
 of a cocycle log stores the value at the orbit point f^j(x); time_logs
 owns the entries that hyperbolic times and Lambda membership read.
+
+Df runs on blocks of POINTS // N stacked (N, d) rows, one call per block,
+and the cocycle logs reduce one block of frames per call: every model maps
+a stacked row to the bits it gives that row alone, and no call or held
+block takes more than max(POINTS, N) points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -29,6 +34,7 @@ from .linalg import Subspace, restricted_stretch
 
 _SEED_ANGLES = (0.7310987, 0.3891113, 0.9122891, 0.1930491)
 DEPTH = 40   # cone-iteration steps before a converged bundle reaches its rows
+POINTS = 4096   # orbit points per stacked tangent call or chunked reduction
 
 
 def _generic_frames(pts, k):
@@ -115,10 +121,39 @@ def _swept(step, tangents, frames):
             yield frames
 
 
+def _blocks(rows):
+    """Slices of the (m+1, N, ...) rows, in order, of POINTS // N rows each
+    (at least one): the blocks one tangent call or one reduction takes."""
+    step = max(1, POINTS // max(1, rows.shape[1]))
+    return (slice(i, i + step) for i in range(0, len(rows), step))
+
+
+def _streamed_tangents(tangent, rows):
+    """Df at each (N, d) row of the (m+1, N, d) rows, yielded in order from
+    one call per block (a block of one row calls tangent on its (N, d)
+    row), so no call takes more than max(POINTS, N) points.  Every model's
+    Df gives a row the same bits whichever rows are stacked with it."""
+    for s in _blocks(rows):
+        block = rows[s]
+        yield from tangent(block[0])[None] if len(block) == 1 else tangent(block)
+
+
 def _row_tangents(tangent, rows):
-    """Df at the (m+1, N, d) rows, one (N, d) call per row as a query makes."""
+    """Df at the (m+1, N, d) rows, filled into one (m+1, N, d, d) array."""
     shape = rows.shape[1:] + rows.shape[-1:]
-    return np.fromiter(map(tangent, rows), (float, shape), len(rows))
+    return np.fromiter(_streamed_tangents(tangent, rows), (float, shape),
+                       len(rows))
+
+
+def _fill_logs(out, tans, frames, dim, which):
+    """out[:, p] = log restricted_stretch(tans[p], frame p, which) for the
+    (N, d, dim) frames streamed in the order of the (m+1, N, d, d) tans, a
+    block of rows per call: only one block's frames are held at a time."""
+    for s in _blocks(tans):
+        t = tans[s]
+        f = np.fromiter(islice(frames, len(t)),
+                        (float, t.shape[1:-1] + (dim,)), len(t))
+        out[:, s] = np.log(restricted_stretch(t, f, which)).T
 
 
 class SplittingField:
@@ -175,22 +210,28 @@ class ConvergedSplitting(SplittingField):
         s = self.system
         if s.f_frame is not None:
             return super()._push(rows, tans)
-        back = [rows[0]]
-        for _ in range(DEPTH):
-            back.append(s.inverse(back[-1]))
+        # back[k] = f^(k - DEPTH)(row 0), filled from row 0 backwards
+        back = np.empty((DEPTH + 1,) + rows.shape[1:])
+        back[DEPTH] = rows[0]
+        for k in range(DEPTH, 0, -1):
+            back[k - 1] = s.inverse(back[k])
         # Df at f^-DEPTH(row 0), ..., f^-1(row 0), then tans: rows 0..m-1
-        return _swept(np.matmul, chain(map(s.tangent, back[:0:-1]), tans),
+        return _swept(np.matmul,
+                      chain(_streamed_tangents(s.tangent, back[:-1]), tans),
                       _generic_frames(rows[0], s.dim_f))
 
     def _pull(self, rows, tans):
         s = self.system
         if s.e_frame is not None:
             return super()._pull(rows, tans)
-        ahead = [rows[-1]]
-        for _ in range(DEPTH - 1):
-            ahead.append(s.forward(ahead[-1]))
+        # ahead[k] = f^(DEPTH - 1 - k)(row m), filled from row m forwards
+        ahead = np.empty((DEPTH,) + rows.shape[1:])
+        ahead[-1] = rows[-1]
+        for k in range(DEPTH - 1, 0, -1):
+            ahead[k - 1] = s.forward(ahead[k])
         # Df at f^(DEPTH-1)(row m), ..., f(row m), then tans: rows m..0
-        return _swept(np.linalg.solve, chain(map(s.tangent, ahead[:0:-1]), tans),
+        return _swept(np.linalg.solve,
+                      chain(_streamed_tangents(s.tangent, ahead[:-1]), tans),
                       _generic_frames(rows[-1], s.dim_e))
 
     def frames_along(self, rows):
@@ -314,14 +355,22 @@ def orbit_coords(sys, coords, n, check_region=True):
     rows[0] = sys.chart.wrap(c)
     check_region = check_region and (not all(sys.chart.periodic)
                                      or sys.region_contains is not None)
-    if check_region and not np.all(sys.in_region(rows[0])):
-        raise OrbitEscaped(0, rows[0])
+    if check_region:
+        _check_in_region(sys, rows[0], 0)
     for j in range(1, n + 1):
         rows[j] = sys.forward(rows[j - 1])
-        if check_region and not np.all(sys.in_region(rows[j])):
-            bad = np.argwhere(~sys.in_region(rows[j]))
-            raise OrbitEscaped(j, rows[j][tuple(bad[0])] if bad.size else rows[j])
+        if check_region:
+            _check_in_region(sys, rows[j], j)
     return rows
+
+
+def _check_in_region(sys, row, step):
+    """Raise OrbitEscaped(step, p) for the first point p of row outside the
+    region (row itself when it is one point)."""
+    inside = sys.in_region(row)
+    if not np.all(inside):
+        bad = np.argwhere(~inside)
+        raise OrbitEscaped(step, row[tuple(bad[0])] if bad.size else row)
 
 
 def splitting_frames_along_orbit(sys, rows):
@@ -351,9 +400,10 @@ def cocycle_logs_batch(sys, coords, n, include_zero=False):
     rows = orbit_coords(sys, np.asarray(coords, float), n)
     tans = _row_tangents(sys.tangent, rows)
     log_e = np.empty((rows.shape[1], n + 1 - start), float)
-    pull = sys.splitting._pull(rows, tans[::-1])
-    for j, e in zip(range(n, start - 1, -1), pull):
-        log_e[:, j - start] = np.log(restricted_stretch(tans[j], e, "max"))
+    # the pull yields E at rows n..start, so column j - start fills backwards
+    rev = tans[::-1]
+    _fill_logs(log_e[:, ::-1], rev[:n + 1 - start],
+               sys.splitting._pull(rows, rev), sys.dim_e, "max")
     return log_e, _log_f_inv(sys, rows, tans)[:, start:]
 
 
@@ -371,6 +421,6 @@ def _log_f_inv(sys, rows, tans=None):
     row j, from the push alone; tans: the row tangents if already held."""
     tans = _row_tangents(sys.tangent, rows) if tans is None else tans
     log_f_inv = np.empty((rows.shape[1], len(rows)), float)
-    for j, f in enumerate(sys.splitting._push(rows, tans[:-1])):
-        log_f_inv[:, j] = -np.log(restricted_stretch(tans[j], f, "min"))
-    return log_f_inv
+    _fill_logs(log_f_inv, tans, sys.splitting._push(rows, tans[:-1]),
+               sys.dim_f, "min")
+    return np.negative(log_f_inv, out=log_f_inv)

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from srblab import (ChainInfeasible, ConstructionFailed, build, cocycle_logs,
                     lambda_fraction, linear_torus_system, list_models,
-                    measure_constants_h, quasi_uniform, region_sample,
-                    subspace_distance)
+                    measure_constants_h, orbit_coords, quasi_uniform,
+                    region_sample, subspace_distance)
 from srblab import models
 from srblab.models import MODEL_INFO, _halton
 
@@ -140,6 +140,36 @@ class TestBatchInvariance:
         assert np.array_equal(got, alone)
         perm = np.random.default_rng(perm_seed).permutation(len(x))
         assert np.array_equal(fn(x[perm]), got[perm])
+
+
+def _stacking_system(name):
+    """A zoo model, or cat4: two cat blocks, whose F is 2-D."""
+    if name != "cat4":
+        return build(name)
+    blocks = np.kron(np.eye(2), models.CAT_MATRIX)
+    return linear_torus_system(blocks, np.kron(np.eye(2), V_S[:, None]),
+                               np.kron(np.eye(2), V_U[:, None]), name="cat4")
+
+
+class TestRowStacks:
+    """Df at a (k, N, d) stack of orbit rows equals Df at each (N, d) row
+    alone, bit for bit, dfa included: its products run once per stacked
+    row.  The splitting relies on this when it stacks rows into one call;
+    which points share a row is TestBatchInvariance's question."""
+
+    @pytest.mark.parametrize("name", ["cat", "perturbed_cat", "solenoid",
+                                      "dfa", "cat4"])
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(k=st.integers(1, 24), n=st.sampled_from([1, 7, 200, 400]),
+           seed=st.integers(0, 2 ** 16))
+    @example(k=21, n=200, seed=5)
+    def test_stacked_rows_match_row_calls(self, name, k, n, seed):
+        sys = _stacking_system(name)
+        rows = orbit_coords(sys, region_sample(sys, n, seed=seed), k - 1)
+        got = sys.tangent(rows)
+        alone = np.stack([sys.tangent(row) for row in rows])
+        assert got.shape == (k, n, sys.dim, sys.dim)
+        assert np.array_equal(got.view(np.int64), alone.view(np.int64))
 
 
 class TestLinearSteps:

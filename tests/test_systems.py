@@ -12,11 +12,13 @@ from srblab import (OrbitEscaped, cocycle_logs, cocycle_logs_batch,
                     subspace_distance)
 
 from srblab import measures
+from srblab.cones import domination_robustness_radius
 from srblab.disks import make_disk
 from srblab.models import (build, lambda_fraction, measure_constants_h,
                            region_sample)
 from srblab.pliss import lambda_membership_batch
-from srblab.systems import DEPTH, _batch_qr, _log_f_inv, time_logs
+from srblab.systems import (DEPTH, POINTS, _batch_qr, _log_f_inv,
+                            time_logs)
 
 from . import oracles
 from .conftest import LAM_S, LAM_U, LOG_LAM_U
@@ -98,6 +100,8 @@ class TestOrbitCoords:
         with pytest.raises(OrbitEscaped) as err:
             orbit_coords(sol, pts, 3)
         assert err.value.step == 0
+        # a start outside is named alone, as an escape at a later step is
+        assert np.array_equal(err.value.coords, pts[1])
         arc = dataclasses.replace(
             sol, region_contains=lambda c: np.asarray(c)[..., 0] < 4.0)
         inside = pts[[0, 2]]
@@ -113,6 +117,7 @@ class TestOrbitCoords:
         with pytest.raises(OrbitEscaped) as err:
             orbit_coords(boxed, np.array([[0.3, 1.7, 0.0]]), 3)
         assert err.value.step == 0
+        assert np.array_equal(err.value.coords, [0.3, 1.7, 0.0])
 
     def test_escape_step_on_a_torus_given_a_region(self, cat):
         strip = dataclasses.replace(
@@ -318,25 +323,32 @@ class TestFusedCocycleLogs:
 
 
 class TestTangentCounts:
+    """Each call's point count.  Df runs on blocks of POINTS // N orbit rows
+    of N points, so 200-point rows go 20 to a call and 400-point rows 10;
+    every total equals one call per row."""
+
     def test_dfa_logs_evaluate_each_row_tangent_once(self, dfa):
         calls = {}
         pts = region_sample(dfa, 200, seed=5)
         cocycle_logs_batch(_counted(dfa, calls), pts, 400)
-        orbit_points = 200 * 401
         # forward: the orbit, then the pull's (DEPTH - 1)-step tail;
-        # inverse: the push's DEPTH-step backward orbit; tangent: the rows,
-        # then the pull's and the push's sweeps
+        # inverse: the push's DEPTH-step backward orbit; tangent: the 401
+        # rows, then the pull's 39 and the push's 40 seed rows
         assert calls == {"forward": [200] * (400 + DEPTH - 1),
                          "inverse": [200] * DEPTH,
-                         "tangent": [200] * (401 + DEPTH - 1 + DEPTH)}
-        assert sum(calls["tangent"]) <= 1.2 * orbit_points
+                         "tangent": [200 * 20] * 20 + [200]
+                         + [200 * 20, 200 * 19] + [200 * 20] * 2}
+        assert sum(calls["tangent"]) == 200 * (401 + DEPTH - 1 + DEPTH)
 
     def test_lambda_fraction_runs_no_pull(self, dfa):
         calls = {}
         lambda_fraction(_counted(dfa, calls), 0.9, 30)
-        # the 30-step orbits of 400 samples and the push alone: no pull tail
+        # the 31 rows of 400 samples' 30-step orbits and the push alone: no
+        # pull tail
         assert calls == {"forward": [400] * 30, "inverse": [400] * DEPTH,
-                         "tangent": [400] * (31 + DEPTH)}
+                         "tangent": [400 * 10] * 3 + [400]
+                         + [400 * 10] * 4}
+        assert sum(calls["tangent"]) == 400 * (31 + DEPTH)
 
     def test_measure_constants_h_pulls_only_at_its_sample_points(self, dfa):
         calls = {}
@@ -344,12 +356,16 @@ class TestTangentCounts:
         # forward: the burn-in, the pull's tail from the 400 sample points
         # (e_frames), then the 200 cocycle orbits, which pull none; inverse:
         # the push at the samples (f_frames), then the orbits' push;
-        # tangent: Df at the samples, their pull and push, then the orbit
-        # rows and their push
+        # tangent: Df at the samples, the pull's 39 seed rows, the sample
+        # row it ends on, the push's 40, then the 401 orbit rows and their
+        # push's 40
         assert calls == {
             "forward": [400] * (30 + DEPTH - 1) + [200] * 400,
             "inverse": [400] * DEPTH + [200] * DEPTH,
-            "tangent": [400] * (1 + DEPTH + DEPTH) + [200] * (401 + DEPTH)}
+            "tangent": [400] + [400 * 10] * 3 + [400 * 9] + [400]
+            + [400 * 10] * 4 + [200 * 20] * 20 + [200] + [200 * 20] * 2}
+        assert sum(calls["tangent"]) == (400 * (1 + DEPTH + DEPTH)
+                                         + 200 * (401 + DEPTH))
 
     def test_hyperbolic_mass_maps_its_orbit_once(self, dfa):
         calls = {}
@@ -357,19 +373,41 @@ class TestTangentCounts:
         d = make_disk(dfa, x, dfa.splitting.f_frames(x)[:, 0], 0.02)
         measures.hyperbolic_mass(_counted(dfa, calls), d, 30, 0.6, 0.05,
                                  0.9, 0.1)
-        # the disk's 30-step orbit and its push; no pull
+        # the disk's 30-step orbit and its push; no pull.  Its 101 samples
+        # fit 40 rows to a call: all 31 orbit rows, then the push's 40
         n = d.n_samples
+        assert n == 101
         assert calls == {"forward": [n] * 30, "inverse": [n] * DEPTH,
-                         "tangent": [n] * (31 + DEPTH)}
+                         "tangent": [n * 31, n * DEPTH]}
+        assert sum(calls["tangent"]) == n * (31 + DEPTH)
 
     def test_point_queries_run_only_their_bundle(self, dfa):
         pts = region_sample(dfa, 5, seed=6)
         calls = {}
         _counted(dfa, calls).splitting.f_frames(pts)
-        assert calls == {"inverse": [5] * DEPTH, "tangent": [5] * DEPTH}
+        assert calls == {"inverse": [5] * DEPTH, "tangent": [5 * DEPTH]}
         calls = {}
         _counted(dfa, calls).splitting.e_frames(pts)
-        assert calls == {"forward": [5] * (DEPTH - 1), "tangent": [5] * DEPTH}
+        # the pull's DEPTH - 1 seed rows in one call, then the query row
+        assert calls == {"forward": [5] * (DEPTH - 1),
+                         "tangent": [5 * (DEPTH - 1), 5]}
+
+    def test_no_call_exceeds_the_point_budget(self, dfa, sol):
+        # a call takes at most POINTS points, or one row when a row has more
+        calls = {}
+        measure_constants_h(_counted(dfa, calls))
+        assert max(calls["tangent"]) == POINTS // 400 * 400
+        calls = {}
+        cocycle_logs_batch(_counted(dfa, calls),
+                           region_sample(dfa, 300, seed=5), 400)
+        assert max(calls["tangent"]) == POINTS // 300 * 300
+        calls = {}
+        domination_robustness_radius(_counted(sol, calls), 0.14, 0.16)
+        # Df at the grid's points in the region, more than POINTS / 2 of
+        # them: the push's seed tangents come one row to a call
+        inside = calls["tangent"][0]
+        assert inside > POINTS // 2
+        assert calls["tangent"] == [inside] * (1 + DEPTH)
 
     @pytest.mark.parametrize("model", ["pcat", "dfa", "sol"])
     def test_splitting_sweeps_the_systems_own_map(self, request, model):
