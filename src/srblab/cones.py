@@ -11,8 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptyRadius, HypothesisViolated
-from .linalg import dot_norms, oblique_components, restricted_stretch
-from .systems import CocycleLog, orbit_coords, splitting_frames_along_orbit
+from .linalg import dot_norms, oblique_components
+from .systems import (CocycleLog, _point_stretches, orbit_coords,
+                      splitting_frames_along_orbit)
 
 
 def cone_width_of(v, e, f):
@@ -122,11 +123,8 @@ def domination_robustness_radius(sys, gamma1, gamma2):
     # grid's, as the solenoid's maps act per point and a torus keeps it all
     log_e, log_f = np.zeros(len(pts)), np.zeros(len(pts))
     if keep.any():
-        inner = pts[keep]
-        t = sys.tangent(inner)
-        e, f = sys.splitting.e_frames(inner), sys.splitting.f_frames(inner)
-        log_e[keep] = np.log(restricted_stretch(t, e, "max"))
-        log_f[keep] = np.log(restricted_stretch(t, f, "min"))
+        stretch_e, stretch_f = _point_stretches(sys, pts[keep])
+        log_e[keep], log_f[keep] = np.log(stretch_e), np.log(stretch_f)
 
     shape = mesh.shape[:-1]
     mask = keep.reshape(shape)

@@ -19,10 +19,9 @@ import numpy as np
 
 from .charts import Chart, torus_chart
 from .errors import ChainInfeasible, ConstructionFailed
-from .linalg import restricted_stretch
 from .pliss import lambda_membership_batch
-from .systems import (ConstantsH, MapSystem, SystemConstants, _tiled,
-                      orbit_coords, time_logs)
+from .systems import (ConstantsH, MapSystem, SystemConstants,
+                      _point_stretches, _tiled, orbit_coords, time_logs)
 
 LAMBDA_U = (3.0 + np.sqrt(5.0)) / 2.0
 LAMBDA_S = (3.0 - np.sqrt(5.0)) / 2.0
@@ -408,10 +407,8 @@ def measure_constants_h(sys, xi=None):
     xi = sys.constants.xi if xi is None else float(xi)
     pts = region_sample(sys, 400, seed=7, burn_in=30)
 
-    t = sys.tangent(pts)
-    e, f = sys.splitting.e_frames(pts), sys.splitting.f_frames(pts)
-    sup_e = float(np.max(restricted_stretch(t, e, "max")))
-    mins = restricted_stretch(t, f, "min")
+    stretch_e, mins = _point_stretches(sys, pts)
+    sup_e = float(np.max(stretch_e))
     b = float(np.min(mins))
     c0 = float(np.max(np.abs(np.log(mins))))
 

@@ -7,13 +7,14 @@ the map from its system, so a dataclasses.replace copy with other callables
 sweeps its cones with them.  All callables are vectorized: they accept
 (..., dim) coordinate arrays and broadcast over leading axes.
 
-A converged bundle is a stream over (m+1, N, d) orbit rows fed by their
-tangents: the push yields F at rows 0..m after a DEPTH-step sweep along the
-backward orbit of row 0, the pull yields E at rows m..0 after one along the
-forward orbit of row m.  Only those sweeps evaluate their own Df, so the
-push, the pull and the cocycle logs share one tangent per row.  Entry j
-of a cocycle log stores the value at the orbit point f^j(x); time_logs
-owns the entries that hyperbolic times and Lambda membership read.
+E and F come from one cone sweep over (m+1, N, d) orbit rows fed by their
+tangents, SplittingField._bundle, run both ways: the push yields F at rows
+0..m after DEPTH steps along row 0's backward orbit, the pull E at rows
+m..0 after DEPTH - 1 along row m's forward one.  Only these lead orbits
+take their own Df: a row's Df feeds the push, the pull and the cocycle
+logs, a point's (_point_stretches) the pull's last step and both stretches.
+Entry j of a cocycle log stores the value at the orbit point f^j(x);
+time_logs owns the entries that hyperbolic times and Lambda membership read.
 
 Df runs on blocks of POINTS // N stacked (N, d) rows, one call per block,
 and the cocycle logs reduce one block of frames per call: every model maps
@@ -130,12 +131,11 @@ def _blocks(rows):
 
 def _streamed_tangents(tangent, rows):
     """Df at each (N, d) row of the (m+1, N, d) rows, yielded in order from
-    one call per block (a block of one row calls tangent on its (N, d)
-    row), so no call takes more than max(POINTS, N) points.  Every model's
-    Df gives a row the same bits whichever rows are stacked with it."""
+    one call per block, so no call takes more than max(POINTS, N) points.
+    Every model's Df gives a row the same bits whichever rows are stacked
+    with it, a (1, N, d) stack of one row included."""
     for s in _blocks(rows):
-        block = rows[s]
-        yield from tangent(block[0])[None] if len(block) == 1 else tangent(block)
+        yield from tangent(rows[s])
 
 
 def _row_tangents(tangent, rows):
@@ -157,94 +157,72 @@ def _fill_logs(out, tans, frames, dim, which):
 
 
 class SplittingField:
-    """Orthonormal E- and F-frames of a MapSystem; this base class tiles the
-    constant frames the system declares.
-
-    Each bundle is also a stream over (m+1, N, d) rows fed by their
-    tangents: _push yields F at rows 0..m, _pull yields E at rows m..0.  A
-    declared frame reads no tangent, nor does a push on one row, so the
-    point queries serve both classes.
+    """Orthonormal E- and F-frames of a MapSystem: one sweep, _bundle, pushes
+    F along backward orbits and pulls E along forward ones, unless the
+    system declares the bundle's constant frame.  A query flattens its rows
+    to (m+1, N, d), so no frame depends on the leading shape, and fills one
+    array from the sweep; the field is pure.
     """
 
     def __init__(self, system):
         self.system = system
 
-    def _push(self, rows, tans):
-        return iter(_tiled(self.system.f_frame, rows.shape[:-1]))
+    def _bundle(self, which, rows, tans):
+        """E (which "e") or F ("f") at the (m+1, N, d) rows: a stream of
+        (N, d, dim) frames, F at rows 0..m fed Df at rows 0..m-1, E at rows
+        m..0 fed Df at rows m..0.  It reads tans lazily, one per frame but
+        F's first; a declared bundle reads none and tiles its frame."""
+        s = self.system
+        push = which == "f"
+        frame = s.f_frame if push else s.e_frame
+        if frame is not None:
+            return iter(_tiled(frame, rows.shape[:-1]))
+        anchor, step, n = ((rows[0], s.inverse, DEPTH) if push
+                           else (rows[-1], s.forward, DEPTH - 1))
+        # lead[k]: the anchor after n - k steps; Df there leads into row 0/m
+        lead = np.empty((n + 1,) + rows.shape[1:])
+        lead[n] = anchor
+        for k in range(n, 0, -1):
+            lead[k - 1] = step(lead[k])
+        return _swept(np.matmul if push else np.linalg.solve,
+                      chain(_streamed_tangents(s.tangent, lead[:-1]), tans),
+                      _generic_frames(anchor, s.dim_f if push else s.dim_e))
 
-    def _pull(self, rows, tans):
-        return iter(_tiled(self.system.e_frame, rows.shape[:-1]))
-
-    def e_frames(self, coords):
+    def _frames_at(self, which, coords):
+        """The bundle at the (..., d) points coords, as their one-row
+        stream's first frame: only a pull reads Df at the row."""
         c = np.asarray(coords, float)
         row = c.reshape(1, -1, c.shape[-1])
-        e = next(self._pull(row, map(self.system.tangent, row)))
-        return e.reshape(c.shape + (self.system.dim_e,))
+        fr = next(self._bundle(which, row, map(self.system.tangent, row)))
+        return fr.reshape(c.shape + fr.shape[-1:])
+
+    def e_frames(self, coords):
+        return self._frames_at("e", coords)
 
     def f_frames(self, coords):
-        c = np.asarray(coords, float)
-        f = next(self._push(c.reshape(1, -1, c.shape[-1]), ()))
-        return f.reshape(c.shape + (self.system.dim_f,))
+        return self._frames_at("f", coords)
 
     def frames_along(self, rows):
-        """E- and F-frames at every row of (m+1, ..., d) forward-orbit rows."""
-        lead = np.shape(rows)[:-1]
-        return (_tiled(self.system.e_frame, lead),
-                _tiled(self.system.f_frame, lead))
+        """E- and F-frames at every row of (m+1, ..., d) forward-orbit rows;
+        the push and the pull share one tangent per row."""
+        s = self.system
+        rows = np.asarray(rows, float)
+        flat = rows.reshape(len(rows), -1, rows.shape[-1])
+        tans = _row_tangents(s.tangent, flat)
+        f = np.fromiter(self._bundle("f", flat, tans[:-1]),
+                        (float, flat.shape[1:] + (s.dim_f,)), len(flat))
+        e = np.fromiter(self._bundle("e", flat, tans[::-1]),
+                        (float, flat.shape[1:] + (s.dim_e,)), len(flat))[::-1]
+        return (e.reshape(rows.shape + (s.dim_e,)),
+                f.reshape(rows.shape + (s.dim_f,)))
 
     def at(self, coords):
         """(E, F) as Subspaces at a single coordinate vector."""
         return Subspace(self.e_frames(coords)), Subspace(self.f_frames(coords))
 
 
-class ConvergedSplitting(SplittingField):
-    """Splitting whose F comes from the push along the system's backward
-    orbits and whose E comes from the pull along its forward orbits, each
-    unless the system declares it.
-
-    A query flattens its rows to (m+1, N, d), so no frame depends on the
-    leading shape, and fills one array from a stream; the field is pure.
-    """
-
-    def _push(self, rows, tans):
-        s = self.system
-        if s.f_frame is not None:
-            return super()._push(rows, tans)
-        # back[k] = f^(k - DEPTH)(row 0), filled from row 0 backwards
-        back = np.empty((DEPTH + 1,) + rows.shape[1:])
-        back[DEPTH] = rows[0]
-        for k in range(DEPTH, 0, -1):
-            back[k - 1] = s.inverse(back[k])
-        # Df at f^-DEPTH(row 0), ..., f^-1(row 0), then tans: rows 0..m-1
-        return _swept(np.matmul,
-                      chain(_streamed_tangents(s.tangent, back[:-1]), tans),
-                      _generic_frames(rows[0], s.dim_f))
-
-    def _pull(self, rows, tans):
-        s = self.system
-        if s.e_frame is not None:
-            return super()._pull(rows, tans)
-        # ahead[k] = f^(DEPTH - 1 - k)(row m), filled from row m forwards
-        ahead = np.empty((DEPTH,) + rows.shape[1:])
-        ahead[-1] = rows[-1]
-        for k in range(DEPTH - 1, 0, -1):
-            ahead[k - 1] = s.forward(ahead[k])
-        # Df at f^(DEPTH-1)(row m), ..., f(row m), then tans: rows m..0
-        return _swept(np.linalg.solve,
-                      chain(_streamed_tangents(s.tangent, ahead[:-1]), tans),
-                      _generic_frames(rows[-1], s.dim_e))
-
-    def frames_along(self, rows):
-        s = self.system
-        rows = np.asarray(rows, float)
-        flat = rows.reshape(len(rows), -1, rows.shape[-1])
-        tans = _row_tangents(s.tangent, flat)
-        f = np.fromiter(self._push(flat, tans[:-1]),
-                        (float, flat.shape[1:] + (s.dim_f,)), len(flat))
-        e = np.fromiter(self._pull(flat, tans[::-1]),
-                        (float, flat.shape[1:] + (s.dim_e,)), len(flat))[::-1]
-        return (e.reshape(rows.shape + (s.dim_e,)),
-                f.reshape(rows.shape + (s.dim_f,)))
+# the old name stays while perfbench/test_perfbench.py and __all__ use it
+ConvergedSplitting = SplittingField
 
 
 @dataclass
@@ -293,8 +271,6 @@ class MapSystem:
     def splitting(self):
         """The E/F field of this system, built on each access from its
         current map and frames; it keeps no copy of either."""
-        if self.e_frame is None or self.f_frame is None:
-            return ConvergedSplitting(self)
         return SplittingField(self)
 
     def in_region(self, coords):
@@ -403,7 +379,7 @@ def cocycle_logs_batch(sys, coords, n, include_zero=False):
     # the pull yields E at rows n..start, so column j - start fills backwards
     rev = tans[::-1]
     _fill_logs(log_e[:, ::-1], rev[:n + 1 - start],
-               sys.splitting._pull(rows, rev), sys.dim_e, "max")
+               sys.splitting._bundle("e", rows, rev), sys.dim_e, "max")
     return log_e, _log_f_inv(sys, rows, tans)[:, start:]
 
 
@@ -421,6 +397,14 @@ def _log_f_inv(sys, rows, tans=None):
     row j, from the push alone; tans: the row tangents if already held."""
     tans = _row_tangents(sys.tangent, rows) if tans is None else tans
     log_f_inv = np.empty((rows.shape[1], len(rows)), float)
-    _fill_logs(log_f_inv, tans, sys.splitting._push(rows, tans[:-1]),
+    _fill_logs(log_f_inv, tans, sys.splitting._bundle("f", rows, tans[:-1]),
                sys.dim_f, "min")
     return np.negative(log_f_inv, out=log_f_inv)
+
+
+def _point_stretches(sys, pts):
+    """||Df|E|| and mininorm(Df|F) at the (N, d) points pts, from one Df call
+    that also feeds the pull's last step."""
+    t = sys.tangent(pts)
+    e, f = (next(sys.splitting._bundle(w, pts[None], [t])) for w in "ef")
+    return restricted_stretch(t, e, "max"), restricted_stretch(t, f, "min")

@@ -8,7 +8,7 @@ import pytest
 from srblab import cones
 from srblab.errors import EmptyRadius, HypothesisViolated
 from srblab.models import region_sample
-from srblab.systems import DEPTH, cocycle_logs
+from srblab.systems import DEPTH, POINTS, cocycle_logs
 
 from . import oracles
 from .conftest import LAM_U, V_S, V_U
@@ -136,6 +136,18 @@ class TestVerifyConeContraction:
         np.testing.assert_allclose(worst, want, rtol=1e-12, atol=1e-12)
 
 
+def _tangent_sizes(sys):
+    """A copy of sys whose tangent appends each call's point count to the
+    list returned with it."""
+    sizes = []
+
+    def tangent(c):
+        sizes.append(int(np.prod(np.shape(c)[:-1])))
+        return sys.tangent(c)
+
+    return dataclasses.replace(sys, tangent=tangent), sizes
+
+
 class TestRobustnessRadius:
     def test_cat_is_flat_so_radius_is_diameter(self, cat):
         r = cones.domination_robustness_radius(cat, 0.14, 0.16)
@@ -174,13 +186,7 @@ class TestRobustnessRadius:
                 for lo, hi, periodic in zip(ch.lower, ch.upper, ch.periodic)]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         inside = int(np.count_nonzero(sol.in_region(grid.reshape(-1, 3))))
-        sizes = []
-
-        def tangent(c):
-            sizes.append(len(c))
-            return sol.tangent(c)
-
-        counted = dataclasses.replace(sol, tangent=tangent)
+        counted, sizes = _tangent_sizes(sol)
         assert cones.domination_robustness_radius(counted, 0.14, 0.16) == \
             cones.domination_robustness_radius(sol, 0.14, 0.16)
         # Df at the inside points, then the DEPTH steps of the push to F;
@@ -193,3 +199,15 @@ class TestRobustnessRadius:
         assert cones.domination_robustness_radius(empty, 0.14, 0.16) == \
             ch.diameter
         assert sizes == []
+
+    def test_evaluates_df_once_per_grid_point(self, pcat):
+        counted, sizes = _tangent_sizes(pcat)
+        assert cones.domination_robustness_radius(counted, 0.14, 0.16) == \
+            cones.domination_robustness_radius(pcat, 0.14, 0.16)
+        # the torus keeps all 576 grid points.  Df there runs once: it feeds
+        # the stretches and the pull's last step.  The pull's DEPTH - 1 and
+        # the push's DEPTH seed rows go POINTS // 576 = 7 to a call
+        assert POINTS // 576 == 7
+        assert sizes == ([576] + [576 * 7] * 5 + [576 * 4]
+                         + [576 * 7] * 5 + [576 * 5])
+        assert sum(sizes) == 576 * (1 + DEPTH - 1 + DEPTH)

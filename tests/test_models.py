@@ -94,20 +94,22 @@ class TestMapConsistency:
                        subspace_distance(span(df @ e0.frame), e1)) < 1e-14
 
 
-# map steps whose rows change when mapped alone.  At region_sample(model, 200,
-# seed=5, burn_in=10): dfa's inverse (3 rows) stops on a batch-wide np.max of
-# the step, and dfa's tangent (4) goes through BLAS products whose rounding
-# depends on the batch size.  dfa's forward holds there, but its _eig_coords
+# map steps and splitting frames whose rows change when mapped alone.  At
+# region_sample(model, 200, seed=5, burn_in=10): dfa's inverse (3 rows) stops
+# on a batch-wide np.max of the step, and dfa's tangent (4) goes through BLAS
+# products whose rounding depends on the batch size; its E (6 rows) and F
+# (5) sweep through both.  dfa's forward holds there, but its _eig_coords
 # product moves a row of a two-point batch below.  perturbed_cat's inverse,
 # a fixed count of elementwise Newton steps, is independent by construction.
-BATCH_DEPENDENT = {("dfa", "forward"), ("dfa", "inverse"), ("dfa", "tangent")}
+BATCH_DEPENDENT = {("dfa", "forward"), ("dfa", "inverse"), ("dfa", "tangent"),
+                   ("dfa", "e_frames"), ("dfa", "f_frames")}
 MAP_STEPS = [pytest.param(
     name, step, marks=pytest.mark.xfail(
         strict=True, raises=AssertionError,
         reason="ROADMAP item 12b; CHANGES.md FOUND line 9")
     if (name, step) in BATCH_DEPENDENT else ())
     for name in ("cat", "perturbed_cat", "solenoid", "dfa")
-    for step in ("forward", "inverse", "tangent")]
+    for step in ("forward", "inverse", "tangent", "e_frames", "f_frames")]
 
 # batches of 2 to 24 points as unit-cube coordinates, scaled to the chart
 UNIT_BATCHES = st.lists(st.tuples(*[st.floats(0.0, 1.0, exclude_max=True)] * 3),
@@ -134,7 +136,7 @@ class TestBatchInvariance:
                  + np.asarray(unit)[:, :chart.dim] * chart.widths)
             x = x[sys.in_region(x)]
             assume(len(x) > 0)
-        fn = getattr(sys, step)
+        fn = getattr(sys.splitting if step.endswith("_frames") else sys, step)
         got = fn(x)
         alone = np.stack([fn(x[i:i + 1])[0] for i in range(len(x))])
         assert np.array_equal(got, alone)

@@ -353,18 +353,17 @@ class TestTangentCounts:
     def test_measure_constants_h_pulls_only_at_its_sample_points(self, dfa):
         calls = {}
         measure_constants_h(_counted(dfa, calls))
-        # forward: the burn-in, the pull's tail from the 400 sample points
-        # (e_frames), then the 200 cocycle orbits, which pull none; inverse:
-        # the push at the samples (f_frames), then the orbits' push;
-        # tangent: Df at the samples, the pull's 39 seed rows, the sample
-        # row it ends on, the push's 40, then the 401 orbit rows and their
-        # push's 40
+        # forward: the burn-in, the pull's tail from the 400 sample points,
+        # then the 200 cocycle orbits, which pull none; inverse: the push
+        # at the samples, then the orbits' push; tangent: Df at the
+        # samples, which also ends the pull, the pull's 39 seed rows, the
+        # push's 40, then the 401 orbit rows and their push's 40
         assert calls == {
             "forward": [400] * (30 + DEPTH - 1) + [200] * 400,
             "inverse": [400] * DEPTH + [200] * DEPTH,
-            "tangent": [400] + [400 * 10] * 3 + [400 * 9] + [400]
+            "tangent": [400] + [400 * 10] * 3 + [400 * 9]
             + [400 * 10] * 4 + [200 * 20] * 20 + [200] + [200 * 20] * 2}
-        assert sum(calls["tangent"]) == (400 * (1 + DEPTH + DEPTH)
+        assert sum(calls["tangent"]) == (400 * (1 + DEPTH - 1 + DEPTH)
                                          + 200 * (401 + DEPTH))
 
     def test_hyperbolic_mass_maps_its_orbit_once(self, dfa):
