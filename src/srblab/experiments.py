@@ -197,6 +197,11 @@ def _default_center(sys, cfg):
 
 
 def _config_disk(sys, cfg, radius=0.02, resolution=101, center=None):
+    return _config_disk_and_splitting(sys, cfg, radius, resolution, center)[0]
+
+
+def _config_disk_and_splitting(sys, cfg, radius, resolution, center):
+    """_config_disk's disk and the (E, F) pair it read at its center."""
     if center is None:
         center = _default_center(sys, cfg)
     radius = cfg.disk.get("radius", radius)
@@ -209,7 +214,7 @@ def _config_disk(sys, cfg, radius=0.02, resolution=101, center=None):
     e, f = sys.splitting.at(center)
     direction = f if which == "F" else e
     return disks.make_disk(sys, center, direction, radius,
-                           resolution=resolution)
+                           resolution=resolution), (e, f)
 
 
 def _carve_radius(sys, cfg, path):
@@ -446,10 +451,9 @@ def _exp_curvature(sys, cfg):
                                    alpha=cfg.const("alpha"),
                                    lambda4=cfg.const("lambda4"))
     center = _default_center(sys, cfg)
-    flat = _config_disk(sys, cfg, radius=0.02, resolution=201, center=center)
+    flat, (e, f) = _config_disk_and_splitting(sys, cfg, 0.02, 201, center)
     h_flat = disks.holder_curvature(flat, xi)
 
-    e, f = sys.splitting.at(center)
     d = disks.make_graph_disk(sys, center, f.frame[:, 0], e.frame[:, 0], r,
                               resolution=cfg.disk.get("resolution", 201),
                               curvature=kappa)

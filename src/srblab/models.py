@@ -190,7 +190,7 @@ def _build_dfa(delta, rho):
 
     def _eig_coords(y):
         # displacement of y from the fixed point, in (stable, unstable) coords
-        z = chart.displacement(np.zeros_like(y), y)
+        z = chart.displacement(0.0, y)
         return z @ vs, z @ vu
 
     def _deform(y):
@@ -198,7 +198,9 @@ def _build_dfa(delta, rho):
         s, u = _eig_coords(y)
         r2 = (s * s + u * u) / rho ** 2
         inside = r2 < 1.0
-        m = np.where(inside, 1.0 - nu * (1.0 - r2) ** 3, 1.0)
+        # numpy's float64 power is many times slower on a negative base, so
+        # the rows outside the ball, whose m the where discards, cube zero
+        m = np.where(inside, 1.0 - nu * np.maximum(1.0 - r2, 0.0) ** 3, 1.0)
         unew = u * m
         out = np.asarray(y, float) + np.multiply.outer(unew - u, vu)
         return chart.wrap(out)
@@ -214,29 +216,40 @@ def _build_dfa(delta, rho):
         du_du = np.where(inside, m + u * dm_dr2 * (2.0 * u / rho ** 2), 1.0)
         # V T V^T with V = [vs | vu] and T = [[1, 0], [du_ds, du_du]], summed
         # in the order np.einsum("ij,...jk,lk->...il", V, T, V) takes
-        # (T's exact zero adds nothing), so the bits are einsum's
-        cu = vu[:, None]
-        return (((cu * du_ds[..., None, None]) * vs
-                 + (cu * du_du[..., None, None]) * vu) + np.outer(vs, vs))
+        # (T's exact zero adds nothing), so the bits are einsum's; each
+        # entry is one expression along the batch axes
+        dh = np.empty(np.shape(du_ds) + (2, 2))
+        for i in range(2):
+            for k in range(2):
+                dh[..., i, k] = (((vu[i] * du_ds) * vs[k]
+                                  + (vu[i] * du_du) * vu[k]) + vs[i] * vs[k])
+        return dh
 
     def _deform_inverse(y):
         s, uprime = _eig_coords(y)
-        r2y = (s * s + uprime * uprime) / rho ** 2
-        inside = r2y < 1.0
-        bnd = np.sqrt(np.clip(rho ** 2 - s * s, 0.0, None))
-        u = np.array(uprime, copy=True)
-        for _ in range(60):
-            r2 = (s * s + u * u) / rho ** 2
-            one_m_r2 = np.clip(1.0 - r2, 0.0, None)
-            m = 1.0 - nu * one_m_r2 ** 3
-            g = u * m
-            gp = m + u * (3.0 * nu * one_m_r2 ** 2) * (2.0 * u / rho ** 2)
-            step = np.where(inside, (g - uprime) / gp, 0.0)
-            u = np.where(inside, np.clip(u - step, -bnd, bnd), u)
-            if np.max(np.abs(step)) < 1e-15:
-                break
-        out = np.asarray(y, float) + np.multiply.outer(
-            np.where(inside, u - uprime, 0.0), vu)
+        inside = (s * s + uprime * uprime) / rho ** 2 < 1.0
+        shift = np.zeros(np.shape(uprime))
+        if np.any(inside):
+            # Newton on the rows inside the ball alone: rows outside take no
+            # step, so the batch-wide stop reads the same maximum.  A (d,)
+            # point takes index (), which keeps its scalars scalars: numpy's
+            # scalar power is libm's, not the array loop's
+            rows = inside if np.ndim(inside) else ()
+            s, uprime = s[rows], uprime[rows]
+            bnd = np.sqrt(np.clip(rho ** 2 - s * s, 0.0, None))
+            u = np.array(uprime, copy=True)
+            for _ in range(60):
+                r2 = (s * s + u * u) / rho ** 2
+                one_m_r2 = np.clip(1.0 - r2, 0.0, None)
+                m = 1.0 - nu * one_m_r2 ** 3
+                g = u * m
+                gp = m + u * (3.0 * nu * one_m_r2 ** 2) * (2.0 * u / rho ** 2)
+                step = (g - uprime) / gp
+                u = np.clip(u - step, -bnd, bnd)
+                if np.max(np.abs(step)) < 1e-15:
+                    break
+            shift[rows] = u - uprime
+        out = np.asarray(y, float) + np.multiply.outer(shift, vu)
         return chart.wrap(out)
 
     def forward(x):
@@ -250,7 +263,12 @@ def _build_dfa(delta, rho):
     def tangent(x):
         x = np.asarray(x, float)
         dh = _deform_tangent(chart.wrap(_matvec(CAT_MATRIX, x)))
-        return dh @ CAT_MATRIX
+        # dh @ CAT_MATRIX: its entries 1 and 2 make every product exact, so
+        # each entry is one rounded sum, as in any matmul
+        out = np.empty_like(dh)
+        out[..., 0] = 2.0 * dh[..., 0] + dh[..., 1]
+        out[..., 1] = dh[..., 0] + dh[..., 1]
+        return out
 
     # construction-time sanity: Jacobian determinant bounded away from zero
     gg = np.linspace(-rho, rho, 41)

@@ -587,6 +587,75 @@ def dfa_tangent_oracle(x, delta=0.05, rho=0.2):
     return np.einsum("ij,...jk,lk->...il", v, t, v) @ CAT_MATRIX
 
 
+def dfa_squeeze_oracle(delta=0.05, rho=0.2):
+    """dfa's forward, inverse and tangent as whole-batch squeezes: the power
+    taken on every row (a negative base outside the ball), Newton run on
+    every row, and Df as a broadcast V T V^T times CAT_MATRIX."""
+    from srblab.charts import torus_chart
+    from srblab.models import (CAT_INVERSE, CAT_MATRIX, CAT_STABLE,
+                               CAT_UNSTABLE, LAMBDA_U)
+    chart = torus_chart(2)
+    nu = 1.0 - (1.0 + delta) / LAMBDA_U
+    vs, vu = CAT_STABLE, CAT_UNSTABLE
+
+    def eig_coords(y):
+        z = chart.displacement(np.zeros_like(y), y)
+        return z @ vs, z @ vu
+
+    def deform(y):
+        s, u = eig_coords(y)
+        r2 = (s * s + u * u) / rho ** 2
+        inside = r2 < 1.0
+        m = np.where(inside, 1.0 - nu * (1.0 - r2) ** 3, 1.0)
+        out = np.asarray(y, float) + np.multiply.outer(u * m - u, vu)
+        return chart.wrap(out)
+
+    def deform_tangent(y):
+        s, u = eig_coords(y)
+        r2 = (s * s + u * u) / rho ** 2
+        inside = r2 < 1.0
+        one_m_r2 = np.where(inside, 1.0 - r2, 0.0)
+        m = 1.0 - nu * one_m_r2 ** 3
+        dm_dr2 = 3.0 * nu * one_m_r2 ** 2
+        du_ds = np.where(inside, u * dm_dr2 * (2.0 * s / rho ** 2), 0.0)
+        du_du = np.where(inside, m + u * dm_dr2 * (2.0 * u / rho ** 2), 1.0)
+        cu = vu[:, None]
+        return (((cu * du_ds[..., None, None]) * vs
+                 + (cu * du_du[..., None, None]) * vu) + np.outer(vs, vs))
+
+    def deform_inverse(y):
+        s, uprime = eig_coords(y)
+        inside = (s * s + uprime * uprime) / rho ** 2 < 1.0
+        bnd = np.sqrt(np.clip(rho ** 2 - s * s, 0.0, None))
+        u = np.array(uprime, copy=True)
+        for _ in range(60):
+            r2 = (s * s + u * u) / rho ** 2
+            one_m_r2 = np.clip(1.0 - r2, 0.0, None)
+            m = 1.0 - nu * one_m_r2 ** 3
+            g = u * m
+            gp = m + u * (3.0 * nu * one_m_r2 ** 2) * (2.0 * u / rho ** 2)
+            step = np.where(inside, (g - uprime) / gp, 0.0)
+            u = np.where(inside, np.clip(u - step, -bnd, bnd), u)
+            if np.max(np.abs(step)) < 1e-15:
+                break
+        out = np.asarray(y, float) + np.multiply.outer(
+            np.where(inside, u - uprime, 0.0), vu)
+        return chart.wrap(out)
+
+    def forward(x):
+        return deform(chart.wrap(np.asarray(x, float) @ CAT_MATRIX.T))
+
+    def inverse(y):
+        mid = deform_inverse(np.asarray(y, float))
+        return chart.wrap(mid @ CAT_INVERSE.T)
+
+    def tangent(x):
+        y = chart.wrap(np.asarray(x, float) @ CAT_MATRIX.T)
+        return deform_tangent(y) @ CAT_MATRIX
+
+    return forward, inverse, tangent
+
+
 def robustness_radius_full_grid_oracle(sys, gamma1, gamma2):
     """domination_robustness_radius with the frames evaluated at all 24^d
     grid points, the region mask applied only to the differences."""

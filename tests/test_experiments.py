@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from srblab import disks, experiments, measures
+from srblab import disks, experiments, measures, systems
 from srblab.errors import ConfigInvalid, SrbLabError
 from srblab.models import MODEL_INFO, build, region_sample
 
@@ -281,6 +281,25 @@ class TestRunExperiment:
                    if line.startswith("- `") and "`:" in line}
         assert reasons & set(expected) == {k for k, v in expected.items()
                                            if v != 0}
+
+
+class TestCurvature:
+    def test_dfa_queries_the_splitting_once_at_its_center(self, monkeypatch):
+        # the flat disk and the graph disk are built from one (E, F) pair
+        at = systems.SplittingField.at
+        points = []
+
+        def counted(self, coords):
+            points.append(np.array(coords, float))
+            return at(self, coords)
+
+        monkeypatch.setattr(systems.SplittingField, "at", counted)
+        sys = build("dfa")
+        cfg = experiments.parse_config(base_config(
+            model={"name": "dfa"}, experiment="curvature", horizon=6))
+        experiments._exp_curvature(sys, cfg)
+        center = experiments._default_center(sys, cfg)
+        assert sum(np.array_equal(p, center) for p in points) == 1
 
 
 def _strict(name):

@@ -96,10 +96,12 @@ class TestMapConsistency:
 
 # map steps and splitting frames whose rows change when mapped alone.  At
 # region_sample(model, 200, seed=5, burn_in=10): dfa's inverse (3 rows) stops
-# on a batch-wide np.max of the step, and dfa's tangent (4) goes through BLAS
-# products whose rounding depends on the batch size; its E (6 rows) and F
-# (5) sweep through both.  dfa's forward holds there, but its _eig_coords
-# product moves a row of a two-point batch below.  perturbed_cat's inverse,
+# on a batch-wide np.max of the step, and dfa's tangent (4) goes through the
+# _eig_coords products z @ vs and z @ vu, whose one-row rounding differs from
+# a batch's; its E (6 rows) and F (5) sweep through both.  dfa's forward holds
+# there, but the same product moves a row of a two-point batch below.
+# Between two batches of two or more rows, dfa's forward and tangent agree
+# (test_dfa_rows_agree_across_multi_row_batches).  perturbed_cat's inverse,
 # a fixed count of elementwise Newton steps, is independent by construction.
 BATCH_DEPENDENT = {("dfa", "forward"), ("dfa", "inverse"), ("dfa", "tangent"),
                    ("dfa", "e_frames"), ("dfa", "f_frames")}
@@ -142,6 +144,38 @@ class TestBatchInvariance:
         assert np.array_equal(got, alone)
         perm = np.random.default_rng(perm_seed).permutation(len(x))
         assert np.array_equal(fn(x[perm]), got[perm])
+
+    @pytest.mark.parametrize("step", ["forward", "tangent"])
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(unit=UNIT_BATCHES, near=st.booleans(), cut=st.integers(0, 200),
+           perm_seed=st.integers(0, 2 ** 32 - 1))
+    @example(unit=None, near=False, cut=100, perm_seed=0)
+    @example(unit=[(0.0, 0.0, 0.0), (0.9618565057079661, 0.0, 0.0)],
+             near=False, cut=0, perm_seed=0)
+    def test_dfa_rows_agree_across_multi_row_batches(self, step, unit, near,
+                                                    cut, perm_seed):
+        # dfa's forward and tangent cases above split only between one-row
+        # and multi-row calls: any two batches of two or more rows agree on
+        # every row.  near: each point's cat image lies within 0.25 of the
+        # fixed point
+        sys = build("dfa")
+        pad = region_sample(sys, 200, seed=5, burn_in=10)
+        if unit is None:
+            x = pad
+        else:
+            x = np.asarray(unit)[:, :2]
+            if near:
+                x = sys.chart.wrap(models._matvec(models.CAT_INVERSE,
+                                                  (x - 0.5) * 0.5))
+        fn = getattr(sys, step)
+        got = fn(x)
+        padded = fn(np.concatenate([pad[:cut], x, pad[cut:]]))
+        pairs = np.stack([fn(x[[i, (i + 1) % len(x)]])[0]
+                          for i in range(len(x))])
+        perm = np.random.default_rng(perm_seed).permutation(len(x))
+        for other in (padded[cut:cut + len(x)], pairs, fn(x[perm])[
+                np.argsort(perm)]):
+            assert np.array_equal(got.view(np.int64), other.view(np.int64))
 
 
 def _stacking_system(name):
@@ -250,6 +284,68 @@ class TestDfa:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert np.array_equal(dfa.tangent(x[0]),
                               oracles.dfa_tangent_oracle(x[0]))
+
+
+def _squeeze_r2(y):
+    """dfa's r2 = |y - 0|^2 / rho^2 in eigen-coordinates, as the map takes it."""
+    z = build("dfa").chart.displacement(0.0, y)
+    s, u = z @ models.CAT_STABLE, z @ models.CAT_UNSTABLE
+    return (s * s + u * u) / MODEL_INFO["dfa"]["params"]["rho"] ** 2
+
+
+def _rim_points(step, n=4000, seed=1):
+    """Points at which `step` squeezes an r2 within 4 ulps of 1, on both
+    sides: the inverse squeezes at the point itself, forward and tangent at
+    its cat image."""
+    chart = build("dfa").chart
+    rho = MODEL_INFO["dfa"]["params"]["rho"]
+    theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, n)
+    y = chart.wrap(rho * (np.cos(theta)[:, None] * models.CAT_STABLE
+                          + np.sin(theta)[:, None] * models.CAT_UNSTABLE))
+    if step == "inverse":
+        x, at = y, y
+    else:
+        x = chart.wrap(models._matvec(models.CAT_INVERSE, y))
+        at = chart.wrap(models._matvec(models.CAT_MATRIX, x))
+    r2 = _squeeze_r2(at)
+    keep = np.abs(r2 - 1.0) <= 4 * np.spacing(1.0)
+    assert np.any(keep & (r2 < 1.0)) and np.any(keep & (r2 >= 1.0))
+    return x[keep]
+
+
+def _dfa_points(kind, step):
+    rng = np.random.default_rng(17)
+    if kind == "uniform":
+        return rng.uniform(0.0, 1.0, (4000, 2))
+    if kind == "near_fixed_point":
+        return np.mod(rng.normal(0.0, 0.1, (4000, 2)), 1.0)
+    if kind == "region":
+        return region_sample(build("dfa"), 4000, seed=13)
+    return _rim_points(step)
+
+
+class TestDfaSqueeze:
+    """dfa's squeeze, with no power of a negative base and Newton steps only
+    on the rows inside the ball, gives every row the bits of the whole-batch
+    form in oracles.dfa_squeeze_oracle, at (d,), (1, d), (200, d) and
+    (20, 200, d) calls."""
+
+    @pytest.mark.parametrize("step", ["forward", "inverse", "tangent"])
+    @pytest.mark.parametrize("kind", ["uniform", "near_fixed_point",
+                                      "region", "rim"])
+    def test_bit_identical_to_whole_batch_squeeze(self, dfa, kind, step):
+        x = _dfa_points(kind, step)
+        want_fn = dict(zip(("forward", "inverse", "tangent"),
+                           oracles.dfa_squeeze_oracle()))[step]
+        got_fn = getattr(dfa, step)
+        calls = ([x[i] for i in range(300)] + [x[i:i + 1] for i in range(300)]
+                 + [x[i:i + 200] for i in range(0, len(x), 200)])
+        if len(x) >= 4000:
+            calls.append(x[:4000].reshape(20, 200, 2))
+        for pts in calls:
+            got, want = got_fn(pts), want_fn(pts)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestSolenoid:
