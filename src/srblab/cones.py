@@ -12,8 +12,8 @@ import numpy as np
 
 from .errors import EmptyRadius, HypothesisViolated
 from .linalg import dot_norms, oblique_components
-from .systems import (CocycleLog, _point_stretches, orbit_coords,
-                      splitting_frames_along_orbit)
+from .systems import (CocycleLog, _point_stretches, _row_tangents,
+                      orbit_coords, splitting_frames_along_orbit)
 
 
 def cone_width_of(v, e, f):
@@ -85,9 +85,10 @@ def verify_cone_contraction(sys, x, a, gamma, n, seed=5):
     ve = e0 @ (ce / dot_norms(ce)[:, None])[:, :, None]
     vf = f0 @ (cf / dot_norms(cf)[:, None])[:, :, None]
     vecs = a * ve[:, :, 0] + vf[:, :, 0]
+    tans = _row_tangents(sys.tangent, rows[:-1])[:, 0]
     worst = np.empty(n, float)
     for i in range(1, n + 1):
-        vecs = vecs @ sys.tangent(rows[i - 1, 0]).T
+        vecs = vecs @ tans[i - 1].T
         widths = cone_width_of(vecs, e_fr[i], f_fr[i])
         worst[i - 1] = np.max(widths) / cone_width_bound(a, gamma, i)
     return worst

@@ -10,9 +10,9 @@ iteration propagates displacements through the center's tangent map (the
 quadratic remainder is below float resolution exactly when the switch is
 active); above it, the map is evaluated directly.
 
-Carving finds each ray's r-close component edge in batches on one center
-orbit, mapped once per carve: the ladder t = 2^-k brackets it, k-section
-rounds refine it.
+Carving finds each ray's r-close component edge in batches on the center
+orbit that certifies the hyperbolic time (maps take (N, d) rows only): the
+ladder t = 2^-k brackets it, k-section rounds refine it.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .linalg import (Subspace, dot_norms, restricted_log_volume,
                      subspace_distance)
 from .models import region_sample
 from .pliss import hyperbolic_times
-from .systems import (_batch_qr, _tiled, cocycle_logs, orbit_coords,
-                      time_logs)
+from .systems import (_batch_qr, _row_tangents, _tiled, cocycle_logs,
+                      orbit_coords, time_logs)
 
 MICRO_SWITCH = 1e-8
 
@@ -240,9 +240,9 @@ def _advance(sys, d, tree):
     tree serves every step of an iteration), None for a curve.
     """
     scale = float(np.max(np.linalg.norm(d.disp, axis=1))) if d.n_samples else 0.0
-    new_center = sys.forward(d.center)
+    new_center = sys.forward(d.center[None])[0]
     if scale < MICRO_SWITCH:
-        t = sys.tangent(d.center)
+        t = sys.tangent(d.center[None])[0]
         new_disp = d.disp @ t.T
         new_tangents = _batch_qr(t[None, :, :] @ d.tangents)
     else:
@@ -336,20 +336,10 @@ def _param_to_disp(d, t):
     return out
 
 
-def _center_orbit(sys, center, n):
-    """The center's wrapped orbit rows 0..n, (n+1, d), and Df at rows
-    0..n-1, (n, d, d), each from one (d,) call: every _pair_distances call
-    of a carve reads this one orbit."""
-    chart = sys.chart
-    ctrs = [chart.wrap(np.asarray(center, float))]
-    for _ in range(n):
-        ctrs.append(chart.wrap(sys.forward(ctrs[-1])))
-    return np.array(ctrs), np.array([sys.tangent(c) for c in ctrs[:-1]])
-
-
 def _pair_distances(sys, orbit, disps):
-    """(m, n+1) norms ||displacement||_k between orbits of ctrs[0] + disps[i]
-    and the center orbit (ctrs, tans) = orbit, k = 0..n.
+    """(m, n+1) norms ||displacement||_k, k = 0..n, between orbits of
+    ctrs[0] + disps[i] and the center orbit (ctrs, tans) = orbit: its
+    wrapped rows 0..n, (n+1, d), and Df at rows 0..n-1, (n, d, d).
 
     Anchored two-point propagation: rows below the micro switch ride the
     center's tangent map (full relative precision at any scale); the other
@@ -385,7 +375,7 @@ RUNGS = 64      # ladder rungs tested per batch
 
 def _edge_of_component(sys, d, orbit, r, sign):
     """Outermost parameter on one ray satisfying the full-orbit ball condition
-    along orbit = _center_orbit(sys, d.center, n).
+    along the center orbit (ctrs, tans) = orbit (see _pair_distances).
 
     The edge can sit exponentially deep (scale sigma^n of the ray), so the
     ladder t = sign 2^-k, k = 0..997 (down to about 1e-300), is tested
@@ -459,12 +449,12 @@ def hyperbolic_component(sys, d, n, r, sigma):
     0..n (the component of a curve under expanding dynamics is an interval,
     so its edge is the first exit along the ray).  The search tests the
     ladder t = 2^-k in batches of rungs, then refines the bracket by
-    k-section rounds down to adjacent floats; both rays share one center
-    orbit, mapped once.  The surviving interval is resampled at the
-    original resolution, the ball conditions are verified on the resampled
-    trace, and each side is trimmed so the intrinsic radius of the n-th
-    image equals r (each side must reach at least 0.95 r before the trim).
-    n is first certified as a sigma-hyperbolic time of the center orbit.
+    k-section rounds down to adjacent floats.  The surviving interval is
+    resampled at the original resolution, the ball conditions are verified
+    on the resampled trace, and each side is trimmed so the intrinsic
+    radius of the n-th image equals r (each side must reach at least 0.95 r
+    before the trim).  n is first certified as a sigma-hyperbolic time of
+    the center orbit, whose rows both rays search and the trace steps on.
 
     1-D disks get the full edge search; 2-D disks are carved at sample
     granularity (rays of grid nodes), which is all their linear test
@@ -477,15 +467,15 @@ def hyperbolic_component(sys, d, n, r, sigma):
         raise ValueError(
             f"r = {r} too large for unambiguous wrapped distances "
             f"(limit {limit})")
-    lf = time_logs(sys, orbit_coords(sys, d.center_point()[None], n))[0]
-    rep = hyperbolic_times(lf, sigma)
+    rows = orbit_coords(sys, d.center_point()[None], n)
+    rep = hyperbolic_times(time_logs(sys, rows)[0], sigma)
     if n not in rep.times:
         raise HypothesisViolated(
             f"n = {n} is not a sigma = {sigma} hyperbolic time of the center")
     if d.dim == 2:
         return _carve_2d(sys, d, n, r)
 
-    orbit = _center_orbit(sys, d.center, n)
+    orbit = rows[:, 0], _row_tangents(sys.tangent, rows[:-1])[:, 0]
     t_plus = _edge_of_component(sys, d, orbit, r, +1)
     t_minus = _edge_of_component(sys, d, orbit, r, -1)
 
@@ -544,8 +534,7 @@ def _carve_2d(sys, d, n, r):
         nearest = np.argmin(dists, axis=1)
         keep[i] = bool(np.all(ok[nearest]))
     keep[d.center_index] = True
-    per_axis = max(int(np.sqrt(keep.sum())), 1)
-    if keep.sum() < 9 or per_axis < 3:
+    if keep.sum() < 9:
         raise CarvingFailed(
             f"carved component has {int(keep.sum())} samples, below 3 per axis")
     idx = np.where(keep)[0]

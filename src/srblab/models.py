@@ -377,10 +377,7 @@ def quasi_uniform(lower, upper, count, seed=0, accept=None):
         drawn += len(raw)
         cand = lo + np.mod(raw + offset, 1.0) * (hi - lo)
         ok = accept(cand) if accept is not None else np.ones(len(cand), bool)
-        for row in cand[ok]:
-            pts.append(row)
-            if len(pts) == count:
-                break
+        pts.extend(cand[ok][:count - len(pts)])
     return np.asarray(pts, float)
 
 

@@ -264,7 +264,8 @@ def pair_distances_oracle(sys, center, disp0, n):
     """||displacement||_k, k = 0..n, of one point's orbit from the center's.
 
     One point at a time: below disks.MICRO_SWITCH the displacement rides the
-    center's tangent map, above it both points are mapped directly.
+    center's tangent map, above it both points are mapped directly.  The
+    center steps as a one-row batch, as the carve's certified orbit does.
     """
     from srblab.disks import MICRO_SWITCH
     chart = sys.chart
@@ -274,12 +275,12 @@ def pair_distances_oracle(sys, center, disp0, n):
     out[0] = np.linalg.norm(disp)
     for k in range(1, n + 1):
         if np.linalg.norm(disp) < MICRO_SWITCH:
-            t = sys.tangent(ctr)
+            t = sys.tangent(ctr[None])[0]
             disp = t @ disp
-            ctr = chart.wrap(sys.forward(ctr))
+            ctr = chart.wrap(sys.forward(ctr[None])[0])
         else:
             pt = chart.wrap(ctr + disp)
-            new_ctr = chart.wrap(sys.forward(ctr))
+            new_ctr = chart.wrap(sys.forward(ctr[None])[0])
             disp = chart.displacement(new_ctr, sys.forward(pt))
             ctr = new_ctr
         out[k] = np.linalg.norm(disp)
@@ -288,7 +289,8 @@ def pair_distances_oracle(sys, center, disp0, n):
 
 def pair_distances_per_call_oracle(sys, center, disps, n):
     """(m, n+1) rows of pair_distances_oracle in one batch that maps its own
-    center orbit, as every carving batch did before the orbit was shared."""
+    center orbit, one row per step, as every carving batch did before the
+    orbit was shared."""
     from srblab.disks import MICRO_SWITCH
     from srblab.linalg import dot_norms
     chart = sys.chart
@@ -298,9 +300,10 @@ def pair_distances_per_call_oracle(sys, center, disps, n):
     out[:, 0] = dot_norms(disp)
     for k in range(1, n + 1):
         micro = out[:, k - 1] < MICRO_SWITCH
-        new_ctr = chart.wrap(sys.forward(ctr))
+        new_ctr = chart.wrap(sys.forward(ctr[None])[0])
         if micro.any():
-            disp[micro] = (sys.tangent(ctr) @ disp[micro, :, None])[:, :, 0]
+            disp[micro] = (sys.tangent(ctr[None])[0]
+                           @ disp[micro, :, None])[:, :, 0]
         if not micro.all():
             pts = chart.wrap(ctr + disp[~micro])
             disp[~micro] = chart.displacement(new_ctr, sys.forward(pts))
@@ -343,8 +346,9 @@ def edge_bisection_oracle(sys, d, n, r, sign):
 def advance_oracle(sys, d):
     """One forward step of an anchored disk in the macro regime, rebuilding
     displacements edge by edge: along the curve outward from the center in
-    1-D, in depth-first order from the center in 2-D."""
-    new_center = sys.forward(d.center)
+    1-D, in depth-first order from the center in 2-D.  The center steps as
+    a one-row batch."""
+    new_center = sys.forward(d.center[None])[0]
     pts = d.chart.wrap(d.center + d.disp)
     imgs = sys.forward(pts)
     new_disp = np.empty_like(d.disp)

@@ -8,14 +8,14 @@ import pytest
 from scipy.linalg import block_diag
 
 import srblab
-from srblab import disks
+from srblab import cones, disks
 from srblab.errors import (CarvingFailed, ChartOverflow, ConstantsInvalid,
                            DimensionMismatch, HypothesisViolated,
                            ResolutionExhausted)
 from srblab.linalg import Subspace
 from srblab.models import measure_constants_h, region_sample
 from srblab.pliss import hyperbolic_times
-from srblab.systems import cocycle_logs
+from srblab.systems import _row_tangents, cocycle_logs, orbit_coords
 
 from . import oracles
 from .conftest import LAM_U, V_S, V_U
@@ -376,6 +376,17 @@ def model_disk(sys, x=None, resolution=201):
                            resolution=resolution)
 
 
+# dfa's forward rounds this point differently as (d,) and as (1, d)
+X_SPLIT = np.array([0.966048156468645, 0.04138220356024824])
+
+
+def center_orbit(sys, d, n):
+    """The edge-search orbit as hyperbolic_component takes it from the rows
+    it certifies n on: the center's rows 0..n and Df at rows 0..n-1."""
+    rows = orbit_coords(sys, d.center_point()[None], n)
+    return rows[:, 0], _row_tangents(sys.tangent, rows[:-1])[:, 0]
+
+
 class TestBatchedCarving:
     """The batched edge search and disk stepping against the one-point,
     bisection and per-edge definitions in tests/oracles.py."""
@@ -389,8 +400,7 @@ class TestBatchedCarving:
         disps = np.concatenate([np.outer(np.logspace(-14, -3, 12),
                                          v / np.linalg.norm(v)) for v in dirs])
         n = 12
-        orbit = disks._center_orbit(sys, d.center, n)
-        got = disks._pair_distances(sys, orbit, disps)
+        got = disks._pair_distances(sys, center_orbit(sys, d, n), disps)
         assert got.shape == (len(disps), n + 1)
         # rows start on both sides of the switch, and some cross it
         assert np.any(got[:, 0] < disks.MICRO_SWITCH)
@@ -408,17 +418,17 @@ class TestBatchedCarving:
             want = oracles.pair_distances_oracle(sys, d.center, disp, n)
             np.testing.assert_allclose(row, want, rtol=1e-12, atol=0.0)
 
-    def test_center_orbit_maps_single_points(self, dfa):
-        # dfa's forward rounds this point differently as (d,) and as (1, d):
-        # the shared orbit keeps the (d,) calls the per-call batches made
-        x = np.array([0.966048156468645, 0.04138220356024824])
-        assert not np.array_equal(dfa.forward(x), dfa.forward(x[None])[0])
-        d = model_disk(dfa, x)
-        disps = np.outer(np.logspace(-6, -3, 4), d.tangents[0, :, 0])
-        got = disks._pair_distances(dfa, disks._center_orbit(dfa, d.center, 4),
-                                    disps)
-        want = oracles.pair_distances_per_call_oracle(dfa, d.center, disps, 4)
-        assert np.array_equal(got, want)
+    @pytest.mark.parametrize("n", [4, 10, 26])
+    def test_trace_steps_the_certified_center_orbit(self, dfa, n):
+        # a carve certifies n on orbit_coords' rows; its trace must step the
+        # center through those rows, not through (d,) point calls
+        assert not np.array_equal(dfa.forward(X_SPLIT),
+                                  dfa.forward(X_SPLIT[None])[0])
+        d = disks.make_disk(dfa, X_SPLIT, dfa.splitting.at(X_SPLIT)[1], 1e-12,
+                            resolution=201)
+        rows = orbit_coords(dfa, d.center_point()[None], n)[:, 0]
+        centers = np.array([dk.center for dk in disks.iterate_disk(dfa, d, n)])
+        assert np.array_equal(centers, rows)
 
     @pytest.mark.parametrize("n", [10, 26])
     @pytest.mark.parametrize("model", MODELS)
@@ -426,8 +436,8 @@ class TestBatchedCarving:
         sys = request.getfixturevalue(model)
         d = model_disk(sys)
         for sign in (+1, -1):
-            got = disks._edge_of_component(
-                sys, d, disks._center_orbit(sys, d.center, n), R, sign)
+            got = disks._edge_of_component(sys, d, center_orbit(sys, d, n),
+                                           R, sign)
             want = oracles.edge_bisection_oracle(sys, d, n, R, sign)
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -436,7 +446,8 @@ class TestBatchedCarving:
         sys = request.getfixturevalue(model)
         # near the origin the images sit in fine binades, where a negated
         # wrapped jump differs from the reverse jump in the last bit
-        for x in (None, np.full(sys.dim, 0.05)):
+        xs = [None, np.full(sys.dim, 0.05)] + [X_SPLIT] * (sys.dim == 2)
+        for x in xs:
             cur = model_disk(sys, x)
             for _ in range(3):
                 nxt = disks.iterate_disk(sys, cur, 1)[-1]
@@ -462,3 +473,49 @@ class TestBatchedCarving:
                 assert np.array_equal(nxt._boundary_nodes(),
                                       oracles.boundary_nodes_oracle(nxt))
                 cur = nxt
+
+
+def _point_calls(sys, points):
+    """A copy of sys whose forward, inverse and tangent append to points
+    every input that is a single (d,) point."""
+    def wrap(fn):
+        def recorded(c):
+            if np.ndim(c) == 1:
+                points.append(np.array(c))
+            return fn(c)
+        return recorded
+
+    return dataclasses.replace(sys, forward=wrap(sys.forward),
+                               inverse=wrap(sys.inverse),
+                               tangent=wrap(sys.tangent))
+
+
+class TestRowCalls:
+    """srblab calls a map on (N, d) rows only, the center of a disk as a
+    one-row batch: a (d,) point rounds differently on dfa."""
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_carve_and_its_checks_map_rows_only(self, request, model):
+        sys = request.getfixturevalue(model)
+        x = region_sample(sys, 1, seed=5)[0]
+        lf = cocycle_logs(sys, x, 30).f_inv_from_one()
+        n = int(next(t for t in hyperbolic_times(lf, 0.5).times if t >= 10))
+        d = model_disk(sys, x, resolution=101)
+        points = []
+        rec = _point_calls(sys, points)
+        carved = disks.hyperbolic_component(rec, d, n, R, sigma=0.5)
+        disks.backward_contraction_check(rec, carved, n, 0.5)
+        disks.distortion_profile(rec, carved, n)
+        cc = disks.CurvatureConstants(l1=1.0, b=1.0, xi=0.5, alpha=1e-6,
+                                      lambda4=0.999)
+        disks.curvature_recursion(rec, carved, n, cc, check=False)
+        cones.verify_cone_contraction(rec, x, 0.5, 0.5, n)
+        assert points == []
+
+    def test_2d_carve_maps_rows_only(self, cat4):
+        points = []
+        rec = _point_calls(cat4, points)
+        d = TestTwoDimensional().make(cat4, resolution=41)
+        carved = disks.hyperbolic_component(rec, d, 2, R, sigma=0.5)
+        disks.backward_contraction_check(rec, carved, 2, 0.5)
+        assert points == []

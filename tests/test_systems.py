@@ -12,7 +12,7 @@ from srblab import (OrbitEscaped, cocycle_logs, cocycle_logs_batch,
                     subspace_distance)
 
 from srblab import measures
-from srblab.cones import domination_robustness_radius
+from srblab.cones import domination_robustness_radius, verify_cone_contraction
 from srblab.disks import make_disk
 from srblab.models import (build, lambda_fraction, measure_constants_h,
                            region_sample)
@@ -390,6 +390,19 @@ class TestTangentCounts:
         # the pull's DEPTH - 1 seed rows in one call, then the query row
         assert calls == {"forward": [5] * (DEPTH - 1),
                          "tangent": [5 * (DEPTH - 1), 5]}
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_cone_contraction_takes_df_in_one_call(self, request, model):
+        sys = request.getfixturevalue(model)
+        x = region_sample(sys, 1, seed=8, burn_in=3)[0]
+        n = 20
+        frames = {}
+        splitting_frames_along_orbit(_counted(sys, frames),
+                                     orbit_coords(sys, x[None], n))
+        calls = {}
+        verify_cone_contraction(_counted(sys, calls), x, 0.5, 0.4, n)
+        # the frames' calls, then Df at the orbit's first n rows in one call
+        assert calls["tangent"] == frames["tangent"] + [n]
 
     def test_no_call_exceeds_the_point_budget(self, dfa, sol):
         # a call takes at most POINTS points, or one row when a row has more
