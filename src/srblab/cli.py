@@ -35,8 +35,9 @@ def _cmd_run(args):
     out = args.output_dir or cfg.output_dir
     for a in summary["assertions"]:
         status = "PASS" if a["passed"] else "FAIL"
+        room = abs(a["value"] - a["bound"]) * (1 if a["passed"] else -1)
         print(f"[{status}] {a['name']}: value {a['value']:.6g} "
-              f"vs bound {a['bound']:.6g}")
+              f"vs bound {a['bound']:.6g} (headroom {room:.6g})")
     if args.verbose:
         for k in sorted(summary["quantities"]):
             print(f"  {k} = {summary['quantities'][k]}")

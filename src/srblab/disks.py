@@ -468,14 +468,15 @@ def hyperbolic_component(sys, d, n, r, sigma):
             f"r = {r} too large for unambiguous wrapped distances "
             f"(limit {limit})")
     rows = orbit_coords(sys, d.center_point()[None], n)
-    rep = hyperbolic_times(time_logs(sys, rows)[0], sigma)
+    tans = _row_tangents(sys.tangent, rows)
+    rep = hyperbolic_times(time_logs(sys, rows, tans)[0], sigma)
     if n not in rep.times:
         raise HypothesisViolated(
             f"n = {n} is not a sigma = {sigma} hyperbolic time of the center")
     if d.dim == 2:
         return _carve_2d(sys, d, n, r)
 
-    orbit = rows[:, 0], _row_tangents(sys.tangent, rows[:-1])[:, 0]
+    orbit = rows[:, 0], tans[:-1, 0]
     t_plus = _edge_of_component(sys, d, orbit, r, +1)
     t_minus = _edge_of_component(sys, d, orbit, r, -1)
 

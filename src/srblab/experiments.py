@@ -14,6 +14,7 @@ import contextlib
 import inspect
 import json
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -182,9 +183,16 @@ def _write_csv(path, header, rows):
                 else str(v) for v in row) + "\n")
 
 
-def _assert_entry(name, passed, value, bound):
-    return {"name": name, "passed": bool(passed),
-            "value": float(value), "bound": float(bound)}
+_RELATIONS = {"<": operator.lt, "<=": operator.le,
+              ">": operator.gt, ">=": operator.ge}
+
+
+def _assert_entry(name, value, rel, bound):
+    """A check's record; passed is value rel bound on the floats written (a
+    NaN fails every relation), and the relation stays out of the record."""
+    value, bound = float(value), float(bound)
+    return {"name": name, "passed": _RELATIONS[rel](value, bound),
+            "value": value, "bound": bound}
 
 
 def _default_center(sys, cfg):
@@ -259,9 +267,8 @@ def _exp_pliss_demo(sys, cfg):
     table = ("pliss.csv", ["j", "gain", "prefix_avg", "is_selected"],
              [(j + 1, gains[j], prefix[j], int(flags[j])) for j in range(n)])
     assertions = [
-        _assert_entry("selection-matches-detector", agree, float(agree), 1.0),
-        _assert_entry("density-exceeds-theta", density > params.theta,
-                      density, params.theta),
+        _assert_entry("selection-matches-detector", agree, ">=", 1.0),
+        _assert_entry("density-exceeds-theta", density, ">", params.theta),
     ]
     quantities = {"count": len(times), "density": density,
                   "theta": params.theta, "c0": c0, "c1": c1, "c2": c2}
@@ -289,13 +296,10 @@ def _exp_hyperbolic_times(sys, cfg):
     flags[times - 1] = True
     table = ("times.csv", ["j", "log_f_inv", "prefix_avg", "is_time"],
              [(j + 1, lf[j], cums[j], int(flags[j])) for j in range(n)])
-    assertions = [
-        _assert_entry("times-nonempty", len(times) > 0, len(times), 1.0),
-    ]
+    assertions = [_assert_entry("times-nonempty", len(times), ">=", 1.0)]
     if theta is not None:
-        assertions.append(_assert_entry(
-            "density-at-least-theta", rep.density >= theta,
-            rep.density, theta))
+        assertions.append(_assert_entry("density-at-least-theta",
+                                        rep.density, ">=", theta))
     quantities = {"count": int(len(times)), "density": rep.density,
                   "first_time": int(times[0]) if len(times) else -1,
                   "max_gap": int(np.max(gaps)) if len(times) else -1,
@@ -333,10 +337,9 @@ def _exp_cone_check(sys, cfg):
                worst[i] if i < verify_n else float("nan"))
               for i in range(n)])
     assertions = [
-        _assert_entry("domination-certified", True, gamma_min, gamma),
-        _assert_entry("cone-widths-contract", float(np.max(worst)) <= 1.0 + 1e-6,
-                      float(np.max(worst)), 1.0 + 1e-6),
-        _assert_entry("robustness-radius-positive", radius > 0.0, radius, 0.0),
+        _assert_entry("domination-certified", gamma_min, "<=", gamma),
+        _assert_entry("cone-widths-contract", np.max(worst), "<=", 1.0 + 1e-6),
+        _assert_entry("robustness-radius-positive", radius, ">", 0.0),
     ]
     quantities = {"gamma": gamma, "gamma_min": gamma_min,
                   "final_ratio": float(ratios[-1]),
@@ -373,9 +376,7 @@ def _exp_disk_iterate(sys, cfg):
             for dk in (trace[0], trace[-1]))
         quantities["final_e_distance"] = dist
     tol = max(dist0, 1e-6)
-    assertions = [
-        _assert_entry(f"tangents-stay-near-{bundle}", dist <= tol, dist, tol),
-    ]
+    assertions = [_assert_entry(f"tangents-stay-near-{bundle}", dist, "<=", tol)]
     return quantities, assertions, table
 
 
@@ -394,10 +395,8 @@ def _exp_contraction(sys, cfg):
     bound = 1.0 + 5.0 * grid_step
     table = ("contraction.csv", ["k", "worst_ratio"],
              [(k + 1, rep.per_k[k]) for k in range(n)])
-    assertions = [
-        _assert_entry("backward-contraction-bound",
-                      rep.max_violation <= bound, rep.max_violation, bound),
-    ]
+    assertions = [_assert_entry("backward-contraction-bound",
+                                rep.max_violation, "<=", bound)]
     quantities = {"max_violation": rep.max_violation, "sigma": sigma,
                   "r": r, "carved_radius": carved.radius}
     return quantities, assertions, table
@@ -425,14 +424,13 @@ def _exp_distortion(sys, cfg):
              [(s, carved.params[s, 0], ratios[s])
               for s in range(carved.n_samples)])
     assertions = [
-        _assert_entry("ratios-below-K", hi <= k_bound, hi, k_bound),
-        _assert_entry("ratios-above-1-over-K", lo >= 1.0 / k_bound,
-                      lo, 1.0 / k_bound),
+        _assert_entry("ratios-below-K", hi, "<=", k_bound),
+        _assert_entry("ratios-above-1-over-K", lo, ">=", 1.0 / k_bound),
     ]
     if MODEL_INFO[sys.name]["linear"]:
         dev = max(abs(hi - 1.0), abs(lo - 1.0))
         assertions.append(_assert_entry("constant-volume-exactness",
-                                        dev <= 1e-10, dev, 1e-10))
+                                        dev, "<=", 1e-10))
     quantities = {"K": k_bound, "R1": dc.r1, "R2": dc.r2, "a": a,
                   "ratio_min": lo, "ratio_max": hi}
     return quantities, assertions, table
@@ -486,12 +484,9 @@ def _exp_curvature(sys, cfg):
                   + cc.l1 / (mf0 - 2 * cc.alpha) ** (1 + xi))
     h1 = disks.holder_curvature(disks.iterate_disk(sys, d, 1)[-1], xi)
     assertions = [
-        _assert_entry("flat-disk-curvature-zero", h_flat <= 1e-9,
-                      h_flat, 1e-9),
-        _assert_entry("one-step-claim", h1 <= step_bound * 1.05,
-                      h1, step_bound * 1.05),
-        _assert_entry("n-step-bound-holds", ratio_worst <= 1.0,
-                      ratio_worst, 1.0),
+        _assert_entry("flat-disk-curvature-zero", h_flat, "<=", 1e-9),
+        _assert_entry("one-step-claim", h1, "<=", step_bound * 1.05),
+        _assert_entry("n-step-bound-holds", ratio_worst, "<=", 1.0),
     ]
     quantities = {"h0": h0, "h1": h1, "one_step_bound": step_bound,
                   "times_checked": len(rows),
@@ -543,11 +538,10 @@ def _exp_srb_converge(sys, cfg):
         quantities["reference_center"] = center
     final = measures.weak_star_distance(integ[n], ref, tests)
     quantities["final_distance"] = final
-    assertions = [_assert_entry(check, final < 0.03, final, 0.03)]
+    assertions = [_assert_entry(check, final, "<", 0.03)]
     if len(cauchy) >= 2:
-        assertions.append(_assert_entry(
-            "cauchy-distances-shrink", cauchy[-1] <= cauchy[0],
-            cauchy[-1], cauchy[0]))
+        assertions.append(_assert_entry("cauchy-distances-shrink",
+                                        cauchy[-1], "<=", cauchy[0]))
     return quantities, assertions, table
 
 
@@ -580,15 +574,13 @@ def _exp_hyperbolic_mass(sys, cfg):
 
     table = ("mass.csv", ["i", "captured_mass"],
              [(i, rep.per_i[i]) for i in range(n)])
-    stable = (frac1 > 0.0 and frac2 > 0.0
-              and abs(frac1 - frac2) <= 0.2 * frac1)
+    # with frac1 > 0 (its own check), stability implies frac2 > 0
     assertions = [
-        _assert_entry("lambda-fraction-positive", frac1 > 0.0, frac1, 0.0),
-        _assert_entry("fraction-stable-under-doubling", stable,
-                      abs(frac1 - frac2), 0.2 * frac1),
-        _assert_entry("time-density-meets-theta", dens_ok >= 0.9,
-                      dens_ok, 0.9),
-        _assert_entry("captured-mass-positive", rep.eta > 0.0, rep.eta, 0.0),
+        _assert_entry("lambda-fraction-positive", frac1, ">", 0.0),
+        _assert_entry("fraction-stable-under-doubling", abs(frac1 - frac2),
+                      "<=", 0.2 * frac1),
+        _assert_entry("time-density-meets-theta", dens_ok, ">=", 0.9),
+        _assert_entry("captured-mass-positive", rep.eta, ">", 0.0),
     ]
     quantities = {"eta": rep.eta, "tau": rep.tau, "theta": theta,
                   "lambda1": lam1, "sigma": sigma,
@@ -618,10 +610,7 @@ def _exp_physical_basin(sys, cfg):
                                       seed=cfg.seed)
     table = ("basin.csv", ["test", "reference"],
              [(t.name, ref[t.name]) for t in tests])
-    assertions = [
-        _assert_entry("basin-fraction-large", frac >= threshold,
-                      frac, threshold),
-    ]
+    assertions = [_assert_entry("basin-fraction-large", frac, ">=", threshold)]
     quantities = {"fraction": frac, "tol": tol, "samples": samples,
                   "n": n}
     return quantities, assertions, table

@@ -378,7 +378,7 @@ def quasi_uniform(lower, upper, count, seed=0, accept=None):
         cand = lo + np.mod(raw + offset, 1.0) * (hi - lo)
         ok = accept(cand) if accept is not None else np.ones(len(cand), bool)
         pts.extend(cand[ok][:count - len(pts)])
-    return np.asarray(pts, float)
+    return np.asarray(pts, float).reshape(count, dim)
 
 
 def region_sample(sys, count, seed=0, burn_in=0):

@@ -383,13 +383,13 @@ def cocycle_logs_batch(sys, coords, n, include_zero=False):
     return log_e, _log_f_inv(sys, rows, tans)[:, start:]
 
 
-def time_logs(sys, rows):
+def time_logs(sys, rows, tans=None):
     """The F logs that hyperbolic times and Lambda membership read, from
     (n+1, N, d) orbit rows: (N, n), column j - 1 holding
     -log mininorm(Df restricted to F at f^j(x)) for j = 1..n.  So a time n
     covers Df at f^(n-k+1)..f^n, one step after the backward contraction
-    at f^n, which uses f^(n-k)..f^(n-1)."""
-    return _log_f_inv(sys, rows)[:, 1:]
+    at f^n, which uses f^(n-k)..f^(n-1).  tans: as in _log_f_inv."""
+    return _log_f_inv(sys, rows, tans)[:, 1:]
 
 
 def _log_f_inv(sys, rows, tans=None):

@@ -34,6 +34,22 @@ GOOD = {"model": {"name": "cat"}, "experiment": "pliss_demo",
         "horizon": 64, "seed": 3}
 
 
+def assertion_lines(stdout, out):
+    """The [PASS]/[FAIL] lines of a run, checked against the records of its
+    summary.json: each prints the headroom |value - bound|, negated on a
+    FAIL."""
+    lines = [l for l in stdout.splitlines() if l.startswith("[")]
+    with open(os.path.join(out, "summary.json")) as fh:
+        records = json.load(fh)["assertions"]
+    assert len(lines) == len(records)
+    for line, a in zip(lines, records):
+        room = abs(a["value"] - a["bound"])
+        status, room = ("PASS", room) if a["passed"] else ("FAIL", -room)
+        assert line == (f"[{status}] {a['name']}: value {a['value']:.6g} vs "
+                        f"bound {a['bound']:.6g} (headroom {room:.6g})")
+    return lines
+
+
 class TestRun:
     def test_pass_lines_and_exit_zero(self, tmp_path):
         cfg = write_config(tmp_path, "ok.json", GOOD)
@@ -46,6 +62,10 @@ class TestRun:
         assert not any(l.startswith("[FAIL]") for l in lines)
         assert lines[-1].startswith("summary: ")
         assert os.path.exists(os.path.join(out, "summary.json"))
+        # density-exceeds-theta: a positive headroom
+        line = [l for l in assertion_lines(r.stdout, out)
+                if "density-exceeds-theta" in l][0]
+        assert float(line.split("(headroom ")[1][:-1]) > 0.0
 
     def test_verbose_prints_quantities(self, tmp_path):
         cfg = write_config(tmp_path, "ok.json", GOOD)
@@ -152,6 +172,9 @@ class TestRun:
         r = run_cli("run", cfg, "--output-dir", os.path.join(tmp_path, "o"))
         assert r.returncode == 3
         assert any(l.startswith("[FAIL] ") for l in r.stdout.splitlines())
+        line, = assertion_lines(r.stdout, os.path.join(tmp_path, "o"))
+        assert line.startswith("[FAIL] basin-fraction-large: ")
+        assert float(line.split("(headroom ")[1][:-1]) < 0.0
 
     def test_uncreatable_output_dir_exits_two(self, tmp_path):
         cfg = write_config(tmp_path, "ok.json", GOOD)

@@ -1,5 +1,6 @@
 """Config validation, experiment runs, and output determinism."""
 
+import ast
 import inspect
 import json
 import os
@@ -107,6 +108,71 @@ class TestRegistry:
             "pliss_demo", "hyperbolic_times", "cone_check", "contraction",
             "disk_iterate", "distortion", "curvature", "srb_converge",
             "hyperbolic_mass", "physical_basin"}
+
+
+class TestAssertEntry:
+    """passed is derived from (value, relation, bound) in one place."""
+
+    @pytest.mark.parametrize("rel,want", [
+        ("<", [False, True, False]), ("<=", [True, True, False]),
+        (">", [False, False, True]), (">=", [True, False, True])])
+    @pytest.mark.parametrize("bound", [0.3, 0.0, -1e-300, 5e-324])
+    def test_relation_at_and_one_ulp_around_the_bound(self, rel, want, bound):
+        values = [bound, np.nextafter(bound, -np.inf),
+                  np.nextafter(bound, np.inf)]
+        for value, passed in zip(values, want):
+            rec = experiments._assert_entry("check", value, rel, bound)
+            assert rec == {"name": "check", "passed": passed,
+                           "value": float(value), "bound": bound}
+            assert type(rec["passed"]) is bool
+
+    @pytest.mark.parametrize("rel", sorted(experiments._RELATIONS))
+    def test_nan_fails_every_relation(self, rel):
+        for value, bound in ((np.nan, 1.0), (1.0, np.nan), (np.nan, np.nan)):
+            assert not experiments._assert_entry("c", value, rel,
+                                                 bound)["passed"]
+
+    def test_every_call_site_names_a_relation_literal(self):
+        # a call site gives its relation as a literal from the table, so no
+        # verdict is computed outside _assert_entry
+        tree = ast.parse(inspect.getsource(experiments))
+        calls = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "_assert_entry"]
+        assert len(calls) == 22
+        for call in calls:
+            assert len(call.args) == 4 and not call.keywords
+            rel = call.args[2]
+            assert isinstance(rel, ast.Constant)
+            assert rel.value in experiments._RELATIONS
+
+    def test_domination_inside_the_log_slack_records_fail(self, tmp_path):
+        # check_avg_domination forgives 1e-12 in the log-product; a gamma
+        # that close below the measured factor runs, and the record fails
+        raw = base_config(experiment="cone_check", horizon=20)
+        summary = experiments.run_experiment(experiments.parse_config(raw),
+                                             out_dir=str(tmp_path / "a"))
+        gamma_min = summary["quantities"]["gamma_min"]
+        raw["constants"] = {"gamma": gamma_min * (1.0 - 1e-14)}
+        summary = experiments.run_experiment(experiments.parse_config(raw),
+                                             out_dir=str(tmp_path / "b"))
+        rec = summary["assertions"][0]
+        assert rec["name"] == "domination-certified"
+        assert rec["value"] == gamma_min and rec["bound"] < gamma_min
+        assert rec["passed"] is False and summary["pass"] is False
+
+    def test_both_fractions_zero_fail_through_positivity(self, tmp_path):
+        # no sample meets lambda1 = 0.29 at either horizon: the doubling
+        # record (0 <= 0) holds, and the run fails on the positive fraction
+        raw = {"model": {"name": "dfa"}, "experiment": "hyperbolic_mass",
+               "horizon": 30, "constants": {"lambda1": 0.29}}
+        summary = experiments.run_experiment(experiments.parse_config(raw),
+                                             out_dir=str(tmp_path))
+        got = {a["name"]: (a["passed"], a["value"], a["bound"])
+               for a in summary["assertions"]}
+        assert got["lambda-fraction-positive"] == (False, 0.0, 0.0)
+        assert got["fraction-stable-under-doubling"] == (True, 0.0, 0.0)
+        assert summary["pass"] is False
 
 
 class TestRunExperiment:

@@ -258,6 +258,23 @@ class TestCatExactness:
         pts = np.random.default_rng(1).uniform(0, 1, (50, 2))
         assert np.all(cat.in_region(pts))
 
+    def test_float_orbit_is_lattice_arithmetic(self, cat):
+        # after a transient the orbit lies on 2^-51 Z^2, where the products
+        # and the fold round nowhere: the float map is then A = [[2, 1],
+        # [1, 1]] on integers mod 2^51 (ROADMAP item 21)
+        scale = 2.0 ** 51
+        x = region_sample(cat, 50, seed=3)
+        for _ in range(103):
+            x = cat.forward(x)
+        k = x * scale
+        assert np.array_equal(k, np.floor(k))
+        k = k.astype(np.int64)
+        a = np.array([[2, 1], [1, 1]], np.int64)
+        for _ in range(2000):
+            x, k = cat.forward(x), (k @ a.T) % 2 ** 51
+            assert np.array_equal(x.view(np.int64),
+                                  (k / scale).view(np.int64))
+
 
 class TestDfa:
     def test_fixed_point_multiplier(self, dfa):
@@ -395,6 +412,15 @@ class TestSampling:
     def test_region_sample_respects_region(self, sol):
         pts = region_sample(sol, 100, seed=11)
         assert np.all(sol.in_region(pts))
+
+    @pytest.mark.parametrize("name", sorted(MODEL_INFO))
+    @pytest.mark.parametrize("burn_in", [0, 10])
+    def test_region_sample_of_no_points(self, name, burn_in):
+        sys = build(name)
+        assert quasi_uniform(sys.chart.lower, sys.chart.upper, 0).shape == (
+            0, sys.dim)
+        pts = region_sample(sys, 0, seed=3, burn_in=burn_in)
+        assert pts.shape == (0, sys.dim)
 
     def test_region_sample_deterministic(self, dfa):
         assert np.array_equal(region_sample(dfa, 40, seed=13),

@@ -13,7 +13,7 @@ from srblab import (OrbitEscaped, cocycle_logs, cocycle_logs_batch,
 
 from srblab import measures
 from srblab.cones import domination_robustness_radius, verify_cone_contraction
-from srblab.disks import make_disk
+from srblab.disks import hyperbolic_component, make_disk
 from srblab.models import (build, lambda_fraction, measure_constants_h,
                            region_sample)
 from srblab.pliss import lambda_membership_batch
@@ -379,6 +379,17 @@ class TestTangentCounts:
         assert calls == {"forward": [n] * 30, "inverse": [n] * DEPTH,
                          "tangent": [n * 31, n * DEPTH]}
         assert sum(calls["tangent"]) == n * (31 + DEPTH)
+
+    @pytest.mark.parametrize("n", [4, 10])
+    def test_carve_takes_df_at_its_center_rows_once(self, dfa, n):
+        x = region_sample(dfa, 1, seed=8, burn_in=3)[0]
+        d = make_disk(dfa, x, dfa.splitting.f_frames(x)[:, 0], 0.02)
+        calls = {}
+        hyperbolic_component(_counted(dfa, calls), d, n, 0.02, sigma=0.5)
+        # Df at the center's n + 1 rows in one call, which certifies n and
+        # feeds the edge search; the push's seed rows; then the trace's n
+        # steps, each at the carved disk's samples
+        assert calls["tangent"] == [n + 1, DEPTH] + [d.n_samples] * n
 
     def test_point_queries_run_only_their_bundle(self, dfa):
         pts = region_sample(dfa, 5, seed=6)
