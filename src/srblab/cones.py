@@ -74,7 +74,8 @@ def verify_cone_contraction(sys, x, a, gamma, n, seed=5):
     stays <= 1 + tol.
     """
     rows = orbit_coords(sys, np.asarray(x, float)[None, :], n)
-    e_fr, f_fr = splitting_frames_along_orbit(sys, rows)
+    tans = _row_tangents(sys.tangent, rows)
+    e_fr, f_fr = splitting_frames_along_orbit(sys, rows, tans)
     e0, f0 = e_fr[0, 0], f_fr[0, 0]
     rng = np.random.default_rng(seed)
     # one draw of (16, dim E + dim F) normals is the stream of per-sample
@@ -85,10 +86,9 @@ def verify_cone_contraction(sys, x, a, gamma, n, seed=5):
     ve = e0 @ (ce / dot_norms(ce)[:, None])[:, :, None]
     vf = f0 @ (cf / dot_norms(cf)[:, None])[:, :, None]
     vecs = a * ve[:, :, 0] + vf[:, :, 0]
-    tans = _row_tangents(sys.tangent, rows[:-1])[:, 0]
     worst = np.empty(n, float)
     for i in range(1, n + 1):
-        vecs = vecs @ tans[i - 1].T
+        vecs = vecs @ tans[i - 1, 0].T
         widths = cone_width_of(vecs, e_fr[i], f_fr[i])
         worst[i - 1] = np.max(widths) / cone_width_bound(a, gamma, i)
     return worst

@@ -132,12 +132,10 @@ class EmbeddedDisk:
         return float(np.min(d[self._boundary_nodes()]))
 
     def _boundary_nodes(self):
-        """Nodes with a grid neighbour outside the grid or outside the disk."""
-        node = np.zeros(tuple(s + 2 for s in self.grid_shape), bool)
-        i, j = self.node_ij.T + 1
-        node[i, j] = True
-        inner = node[i - 1, j] & node[i + 1, j] & node[i, j - 1] & node[i, j + 1]
-        return np.flatnonzero(~inner)
+        """Nodes with fewer than 4 mesh edges: a grid neighbour lies outside
+        the grid or outside the disk."""
+        deg = np.bincount(self._edges().ravel(), minlength=self.n_samples)
+        return np.flatnonzero(deg < 4)
 
     def cell_weights(self):
         """Normalized intrinsic-volume weights per sample (the disk's Lebesgue)."""
@@ -212,31 +210,34 @@ def make_disk(sys, x, direction, radius, resolution=101):
                         node_ij=node_ij)
 
 
-def _dfs_tree(d):
-    """Parents and depth levels 1, 2, ... of the center-rooted DFS tree of a
-    2-D disk's mesh, along which _advance sums wrapped jumps."""
-    adj = [[] for _ in range(d.n_samples)]
-    for i, j in d._edges().tolist():
-        adj[i].append(j)
-        adj[j].append(i)
+def _mesh_tree(d, live=None):
+    """Parents and hop levels 1, 2, ... of the breadth-first tree from the
+    center of a 2-D disk's mesh, over the edges whose two ends are both
+    live (every edge when live is None): each node's parent is its first
+    mesh edge from the level before.  Nodes not reached keep parent -1."""
+    e = d._edges()
+    a, b = np.concatenate([e, e[:, ::-1]]).T
+    if live is not None:
+        both = live[a] & live[b]
+        a, b = a[both], b[both]
     parent = np.full(d.n_samples, -1)
-    depth = np.full(d.n_samples, -1)
-    depth[d.center_index] = 0
-    stack = [d.center_index]
-    while stack:
-        i = stack.pop()
-        for j in adj[i]:
-            if depth[j] < 0:
-                parent[j], depth[j] = i, depth[i] + 1
-                stack.append(j)
-    return parent, [np.flatnonzero(depth == k)
-                    for k in range(1, depth.max() + 1)]
+    seen = np.zeros(d.n_samples, bool)
+    seen[d.center_index] = True
+    levels = [np.array([d.center_index])]
+    while True:
+        out = np.isin(a, levels[-1]) & ~seen[b]
+        nodes, first = np.unique(b[out], return_index=True)
+        if nodes.size == 0:
+            return parent, levels[1:]
+        parent[nodes] = a[out][first]
+        seen[nodes] = True
+        levels.append(nodes)
 
 
 def _advance(sys, d, tree):
     """One forward step of an anchored disk; returns a new disk.
 
-    tree: _dfs_tree(d) for a 2-D disk (it depends on the mesh only, so one
+    tree: _mesh_tree(d) for a 2-D disk (it depends on the mesh only, so one
     tree serves every step of an iteration), None for a curve.
     """
     scale = float(np.max(np.linalg.norm(d.disp, axis=1))) if d.n_samples else 0.0
@@ -282,7 +283,7 @@ def iterate_disk(sys, d, steps):
     if steps < 0:
         raise ValueError("steps must be >= 0")
     ceiling = 0.1 * sys.chart.diameter
-    tree = _dfs_tree(d) if d.dim == 2 else None
+    tree = _mesh_tree(d) if d.dim == 2 else None
     trace = [d]
     for k in range(1, steps + 1):
         trace.append(_advance(sys, trace[-1], tree))
@@ -457,8 +458,8 @@ def hyperbolic_component(sys, d, n, r, sigma):
     the center orbit, whose rows both rays search and the trace steps on.
 
     1-D disks get the full edge search; 2-D disks are carved at sample
-    granularity (rays of grid nodes), which is all their linear test
-    coverage needs.
+    granularity: the center's connected component, over the mesh, of the
+    nodes whose n-orbit stays r-close.
     """
     if r <= 0:
         raise ValueError("r must be > 0")
@@ -520,20 +521,8 @@ def _carve_2d(sys, d, n, r):
         dist = dk.chart.distance(dk.chart.wrap(dk.center + dk.disp),
                                  dk.center_point())
         ok &= dist <= r
-    # star carve: a node survives only if every node on its param ray does
-    ctr_param = d.params[d.center_index]
-    keep = np.zeros(d.n_samples, bool)
-    for i in range(d.n_samples):
-        if not ok[i]:
-            continue
-        ray = d.params[i] - ctr_param
-        steps = max(int(np.ceil(np.linalg.norm(ray) / 0.05)), 1)
-        ts = np.linspace(0.0, 1.0, steps + 1)[1:]
-        pts_on_ray = ctr_param + ts[:, None] * ray
-        dists = np.linalg.norm(d.params[None, :, :] - pts_on_ray[:, None, :],
-                               axis=2)
-        nearest = np.argmin(dists, axis=1)
-        keep[i] = bool(np.all(ok[nearest]))
+    # the hyperbolic pre-disk: the center's component of the r-close nodes
+    keep = _mesh_tree(d, ok)[0] >= 0
     keep[d.center_index] = True
     if keep.sum() < 9:
         raise CarvingFailed(

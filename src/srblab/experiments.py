@@ -73,7 +73,8 @@ _LIMITS = {
     ) for e in names.split()},
 }
 # a 2-D disk has ~0.79 S^2 nodes (a solenoid E-disk step at S = 201 peaks at
-# 86 MB): _config_disk holds its disk.resolution to this, knowing its dim
+# 86 MB, and carving it takes about a second): _config_disk holds its
+# disk.resolution to this, knowing its dim
 _LIMIT_2D_RESOLUTION = 201
 
 
@@ -565,7 +566,7 @@ def _exp_hyperbolic_mass(sys, cfg):
     rep = measures.hyperbolic_mass(sys, d, n, sigma, r1, lam=lam1,
                                    theta=theta)
 
-    dens_ok = 1.0
+    dens_ok = np.nan   # no orbit measured: NaN fails every relation
     if len(qual):
         lf = time_logs(sys, orbit_coords(sys, qual[:200], n))
         dens = np.asarray([len(hyperbolic_times(row, sigma).times) / n

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 
 def window_matrix(values, slope):
@@ -346,7 +346,7 @@ def edge_bisection_oracle(sys, d, n, r, sign):
 def advance_oracle(sys, d):
     """One forward step of an anchored disk in the macro regime, rebuilding
     displacements edge by edge: along the curve outward from the center in
-    1-D, in depth-first order from the center in 2-D.  The center steps as
+    1-D, breadth-first from the center in 2-D.  The center steps as
     a one-row batch."""
     new_center = sys.forward(d.center[None])[0]
     pts = d.chart.wrap(d.center + d.disp)
@@ -362,21 +362,21 @@ def advance_oracle(sys, d):
             new_disp[i] = new_disp[i + 1] + d.chart.displacement(
                 imgs[i + 1], imgs[i])
     else:
-        adj = [[] for _ in range(d.n_samples)]
-        for i, j in d._edges():
-            adj[i].append(j)
-            adj[j].append(i)
-        seen = np.zeros(d.n_samples, bool)
-        seen[ctr] = True
-        stack = [ctr]
-        while stack:
-            i = stack.pop()
-            for j in adj[i]:
-                if not seen[j]:
-                    seen[j] = True
+        # level by level: each new node hangs off its first edge, in the
+        # edge list and then the reversed edge list, from the level before
+        pairs = [(i, j) for i, j in d._edges()]
+        pairs += [(j, i) for i, j in pairs]
+        seen = {ctr}
+        level = {ctr}
+        while level:
+            nxt = set()
+            for i, j in pairs:
+                if i in level and j not in seen and j not in nxt:
+                    nxt.add(j)
                     new_disp[j] = new_disp[i] + d.chart.displacement(
                         imgs[i], imgs[j])
-                    stack.append(j)
+            seen |= nxt
+            level = nxt
     new_tangents = batch_qr_oracle(sys.tangent(pts) @ d.tangents)
     return dataclasses.replace(d, center=d.chart.wrap(new_center),
                                disp=new_disp, tangents=new_tangents)
@@ -418,6 +418,25 @@ def dist_from_center_oracle(d):
                      np.concatenate([e[:, 1], e[:, 0]]))),
                    shape=(d.n_samples, d.n_samples))
     return dijkstra(g.tocsr(), indices=d.center_index)
+
+
+def carve_2d_oracle(sys, d, n, r):
+    """The node indices of a 2-D disk that a carve keeps: the center's
+    connected component (scipy's labels) of the mesh over the nodes whose
+    images stay within chart distance r of the center's at steps 0..n."""
+    from srblab.disks import iterate_disk
+    close = np.ones(d.n_samples, bool)
+    for dk in iterate_disk(sys, d, n):
+        for i in range(d.n_samples):
+            close[i] &= dk.chart.distance(
+                dk.chart.wrap(dk.center + dk.disp[i]),
+                dk.chart.wrap(dk.center)) <= r
+    e = np.array([(i, j) for i, j in d._edges() if close[i] and close[j]],
+                 dtype=int).reshape(-1, 2)
+    g = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])),
+                   shape=(d.n_samples, d.n_samples))
+    _, label = connected_components(g, directed=False)
+    return np.flatnonzero(label == label[d.center_index])
 
 
 def f_batch_oracle(sys, pts, depth):

@@ -13,7 +13,7 @@ from srblab.errors import (CarvingFailed, ChartOverflow, ConstantsInvalid,
                            DimensionMismatch, HypothesisViolated,
                            ResolutionExhausted)
 from srblab.linalg import Subspace
-from srblab.models import measure_constants_h, region_sample
+from srblab.models import MODEL_INFO, measure_constants_h, region_sample
 from srblab.pliss import hyperbolic_times
 from srblab.systems import _row_tangents, cocycle_logs, orbit_coords
 
@@ -266,6 +266,33 @@ class TestCurvature:
         rep = disks.curvature_recursion(sol, carved, n, cc, check=False)
         assert rep.measured <= rep.bound
 
+    @staticmethod
+    def pcat_l1(eps):
+        """perturbed_cat's xi = 1/2 Hoelder constant of Df, and its delta:
+        Df(x) - Df(y) = 2 pi eps (cos 2 pi x0 - cos 2 pi y0) e0 e0^T, so it
+        is 4 pi eps sup sin(pi delta) / sqrt(delta), reached at x0 + y0 =
+        1/2 with y - x = (delta, 0)."""
+        delta = np.linspace(1e-4, 0.5, 50_000)
+        k = 4 * np.pi * eps * np.sin(np.pi * delta) / np.sqrt(delta)
+        return k.max(), delta[np.argmax(k)]
+
+    def test_pcat_l1_closed_form_holds_on_the_map(self, pcat):
+        l1, delta = self.pcat_l1(MODEL_INFO["perturbed_cat"]["params"]["eps"])
+        assert l1 == pytest.approx(0.18960, abs=5e-6)
+        pair = np.array([[0.25 - delta / 2, 0.3], [0.25 + delta / 2, 0.3]])
+        t = pcat.tangent(pair)
+        on_map = np.linalg.norm(t[1] - t[0], 2) / np.sqrt(
+            pcat.chart.distance(pair[0], pair[1]))
+        assert on_map == pytest.approx(l1, rel=1e-9)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 17")
+    def test_pcat_l1_reaches_its_closed_form(self, pcat):
+        # measure_l1 pairs samples too far apart to see the constant: its
+        # padded estimate is 0.0519 against 0.18960 (ROADMAP item 21)
+        l1, _ = self.pcat_l1(MODEL_INFO["perturbed_cat"]["params"]["eps"])
+        assert disks.measure_l1(pcat, 0.5) >= l1
+
     def test_flat_cat_needs_check_off(self, cat):
         # the cat's flat-disk admission threshold is exactly zero, so the
         # ~1e-15 measured curvature of a sampled straight line fails it
@@ -364,6 +391,59 @@ class TestTwoDimensional:
         d = self.make(cat4, resolution=21)
         with pytest.raises(CarvingFailed, match="below 3 per axis"):
             disks.hyperbolic_component(cat4, d, 4, R, sigma=0.5)
+
+    @pytest.mark.parametrize("seed,resolution,size", [
+        (7, 41, 89), (10, 41, 66), (20, 21, 7)])
+    def test_carve_keeps_the_centers_component(self, dfa, seed, resolution,
+                                               size):
+        # dfa bends a coordinate disk, so its r-close nodes need not form a
+        # star around the center: at seed 7, 8 of the component's nodes see
+        # an r-far node on their straight ray to the center, and at seeds 10
+        # and 20 some nodes with r-close rays lie outside the component
+        x = region_sample(dfa, 1, seed=seed, burn_in=12)[0]
+        d = disks.make_disk(dfa, x, np.eye(2), R, resolution=resolution)
+        want = oracles.carve_2d_oracle(dfa, d, 3, R)
+        assert len(want) == size
+        if size < 9:
+            with pytest.raises(CarvingFailed, match="below 3 per axis"):
+                disks.hyperbolic_component(dfa, d, 3, R, sigma=0.9)
+            return
+        carved = disks.hyperbolic_component(dfa, d, 3, R, sigma=0.9)
+        assert np.array_equal(carved.node_ij, d.node_ij[want])
+
+    def test_cat4_carve_keeps_the_centers_component(self, cat4):
+        d = self.make(cat4, resolution=41)
+        carved = disks.hyperbolic_component(cat4, d, 2, R, sigma=0.5)
+        want = oracles.carve_2d_oracle(cat4, d, 2, R)
+        assert np.array_equal(carved.node_ij, d.node_ij[want])
+
+    def test_carved_disks_are_connected(self, dfa, cat4):
+        # dfa seeds whose r-close nodes do not all connect to the center;
+        # an unreached node would have no path to step its displacement on
+        carves = [(cat4, self.make(cat4), 2, 0.5)]
+        for seed, resolution in ((10, 41), (20, 21), (21, 41), (28, 41)):
+            x = region_sample(dfa, 1, seed=seed, burn_in=12)[0]
+            carves.append((dfa, disks.make_disk(dfa, x, np.eye(2), R,
+                                                resolution=resolution), 3, 0.9))
+        kept = 0
+        for sys, d, n, sigma in carves:
+            try:
+                carved = disks.hyperbolic_component(sys, d, n, R, sigma=sigma)
+            except CarvingFailed:
+                continue
+            assert np.all(np.isfinite(carved.dist_from_center()))
+            kept += 1
+        assert kept == 4
+
+    def test_macro_step_is_the_linear_map(self, cat4):
+        # a breadth-first path is at most about resolution hops long, so the
+        # summed wrapped jumps round like a few products; a depth-first walk
+        # through the whole disk errs by 2.0e-12 here
+        d = self.make(cat4, resolution=201)
+        got = disks.iterate_disk(cat4, d, 1)[-1].disp
+        a = np.array([[2.0, 1.0], [1.0, 1.0]])
+        want = d.disp @ block_diag(a, a).T
+        assert np.max(np.abs(got - want)) <= 2e-13 * np.max(np.abs(want))
 
 
 MODELS = ["cat", "pcat", "sol", "dfa"]

@@ -164,6 +164,7 @@ class TestAssertEntry:
     def test_both_fractions_zero_fail_through_positivity(self, tmp_path):
         # no sample meets lambda1 = 0.29 at either horizon: the doubling
         # record (0 <= 0) holds, and the run fails on the positive fraction
+        # and on the time density, which measured nothing
         raw = {"model": {"name": "dfa"}, "experiment": "hyperbolic_mass",
                "horizon": 30, "constants": {"lambda1": 0.29}}
         summary = experiments.run_experiment(experiments.parse_config(raw),
@@ -172,6 +173,12 @@ class TestAssertEntry:
                for a in summary["assertions"]}
         assert got["lambda-fraction-positive"] == (False, 0.0, 0.0)
         assert got["fraction-stable-under-doubling"] == (True, 0.0, 0.0)
+        # no orbit's time density was measured: NaN, written as null, fails
+        passed, value, bound = got["time-density-meets-theta"]
+        assert passed is False and np.isnan(value) and bound == 0.9
+        on_disk = json.loads((tmp_path / "summary.json").read_text())
+        assert {"name": "time-density-meets-theta", "passed": False,
+                "value": None, "bound": 0.9} in on_disk["assertions"]
         assert summary["pass"] is False
 
 

@@ -18,7 +18,7 @@ from srblab.models import (build, lambda_fraction, measure_constants_h,
                            region_sample)
 from srblab.pliss import lambda_membership_batch
 from srblab.systems import (DEPTH, POINTS, _batch_qr, _log_f_inv,
-                            time_logs)
+                            _row_tangents, time_logs)
 
 from . import oracles
 from .conftest import LAM_S, LAM_U, LOG_LAM_U
@@ -407,13 +407,17 @@ class TestTangentCounts:
         sys = request.getfixturevalue(model)
         x = region_sample(sys, 1, seed=8, burn_in=3)[0]
         n = 20
+        rows = orbit_coords(sys, x[None], n)
         frames = {}
-        splitting_frames_along_orbit(_counted(sys, frames),
-                                     orbit_coords(sys, x[None], n))
+        want = splitting_frames_along_orbit(_counted(sys, frames), rows)
+        got = splitting_frames_along_orbit(
+            sys, rows, _row_tangents(sys.tangent, rows))
+        assert all(map(np.array_equal, got, want))
         calls = {}
         verify_cone_contraction(_counted(sys, calls), x, 0.5, 0.4, n)
-        # the frames' calls, then Df at the orbit's first n rows in one call
-        assert calls["tangent"] == frames["tangent"] + [n]
+        # the frames' calls only: their Df at the orbit's rows also pushes
+        # the cone vectors
+        assert calls["tangent"] == frames["tangent"]
 
     def test_no_call_exceeds_the_point_budget(self, dfa, sol):
         # a call takes at most POINTS points, or one row when a row has more
