@@ -44,9 +44,8 @@ class EmbeddedDisk:
     disp      : (S, d) displacement of each sample from the center, in the
                 universal cover (periodic axes unwrapped along the mesh).
     tangents  : (S, d, dim) orthonormal tangent frames.
-    grid_shape: (R,) for curves, (R, R) for 2-D disks (nodes in the ball).
-    node_ij   : (S, 2) grid indices of the samples of a 2-D disk; None for
-                curves, whose samples are the grid in order.
+    edges     : (E, 2) sample index pairs of the mesh, built with the grid
+                (_unit_ball_grid) and restricted by a 2-D carve.
     """
 
     chart: object
@@ -57,8 +56,7 @@ class EmbeddedDisk:
     tangents: np.ndarray
     center_index: int
     radius: float
-    grid_shape: tuple
-    node_ij: np.ndarray = None
+    edges: np.ndarray
 
     @property
     def n_samples(self):
@@ -72,33 +70,15 @@ class EmbeddedDisk:
         return self.chart.wrap(self.center)
 
     # ---- intrinsic metric -------------------------------------------
-    def _edges(self):
-        """(i, j) index pairs of mesh edges."""
-        if self.dim == 1:
-            i = np.arange(self.n_samples - 1)
-            return np.stack([i, i + 1], axis=1)
-        r = self.grid_shape[0]
-        idx = -np.ones(self.grid_shape, dtype=int)
-        idx[tuple(self.node_ij.T)] = np.arange(self.n_samples)
-        pairs = []
-        for di, dj in ((0, 1), (1, 0)):
-            a = idx[: r - di, : r - dj]
-            b = idx[di:, dj:]
-            ok = (a >= 0) & (b >= 0)
-            pairs.append(np.stack([a[ok], b[ok]], axis=1))
-        return np.concatenate(pairs, axis=0)
-
     def edge_lengths(self):
-        e = self._edges()
+        e = self.edges
         return np.linalg.norm(self.disp[e[:, 1]] - self.disp[e[:, 0]], axis=1)
 
     def arclengths(self):
         """1-D only: signed arclength coordinate per sample (0 at sample 0)."""
         if self.dim != 1:
             raise DimensionMismatch("arclengths are defined for curves only")
-        seg = np.linalg.norm(np.diff(self.disp, axis=0), axis=1)
-        s = np.concatenate([[0.0], np.cumsum(seg)])
-        return s
+        return np.concatenate([[0.0], np.cumsum(self.edge_lengths())])
 
     def dist_from_center(self):
         """Intrinsic distance of every sample from the center sample.
@@ -111,8 +91,7 @@ class EmbeddedDisk:
         if self.dim == 1:
             s = self.arclengths()
             return np.abs(s - s[self.center_index])
-        e = self._edges()
-        a, b = np.concatenate([e, e[:, ::-1]]).T
+        a, b = np.concatenate([self.edges, self.edges[:, ::-1]]).T
         w = np.tile(self.edge_lengths(), 2)
         dist = np.full(self.n_samples, np.inf)
         dist[self.center_index] = 0.0
@@ -126,33 +105,27 @@ class EmbeddedDisk:
 
     def intrinsic_radius(self):
         """Smallest intrinsic distance from the center to the disk boundary."""
-        d = self.dist_from_center()
-        if self.dim == 1:
-            return float(min(d[0], d[-1]))
-        return float(np.min(d[self._boundary_nodes()]))
+        return float(np.min(self.dist_from_center()[self._boundary_nodes()]))
 
     def _boundary_nodes(self):
-        """Nodes with fewer than 4 mesh edges: a grid neighbour lies outside
-        the grid or outside the disk."""
-        deg = np.bincount(self._edges().ravel(), minlength=self.n_samples)
-        return np.flatnonzero(deg < 4)
+        """Nodes with fewer than 2 dim mesh edges: a grid neighbour lies
+        outside the grid or outside the disk."""
+        deg = np.bincount(self.edges.ravel(), minlength=self.n_samples)
+        return np.flatnonzero(deg < 2 * self.dim)
 
     def cell_weights(self):
-        """Normalized intrinsic-volume weights per sample (the disk's Lebesgue)."""
+        """Normalized intrinsic-volume weights per sample (the disk's Lebesgue):
+        half a curve node's edges, a 2-D node's squared mean edge."""
+        # bincount adds in input order: the interleaved edge ends keep the
+        # per-edge accumulation order
+        ends = self.edges.ravel()
+        acc = np.bincount(ends, np.repeat(self.edge_lengths(), 2),
+                          minlength=self.n_samples)
         if self.dim == 1:
-            seg = np.linalg.norm(np.diff(self.disp, axis=0), axis=1)
-            w = np.zeros(self.n_samples)
-            w[:-1] += seg / 2.0
-            w[1:] += seg / 2.0
+            w = acc / 2.0
         else:
-            # bincount adds in input order: the interleaved edge ends keep
-            # the per-edge accumulation order
-            ends = self._edges().ravel()
-            acc = np.bincount(ends, np.repeat(self.edge_lengths(), 2),
-                              minlength=self.n_samples)
             cnt = np.bincount(ends, minlength=self.n_samples)
-            h = acc / np.maximum(cnt, 1)
-            w = h ** 2
+            w = (acc / np.maximum(cnt, 1)) ** 2
         total = w.sum()
         if total <= 0:
             raise CarvingFailed("disk has no positive intrinsic volume")
@@ -160,18 +133,28 @@ class EmbeddedDisk:
 
 
 def _unit_ball_grid(dim, resolution):
+    """(params, edges, center_index) of the grid on the unit ball.
+
+    edges: for a curve the consecutive sample pairs; for a 2-D disk the
+    in-ball grid neighbours along j, then along i, each in row-major order
+    (cell_weights' sums and _mesh_tree's first-edge parents follow it).
+    """
     if resolution < 3 or resolution % 2 == 0:
         raise ValueError("resolution must be an odd integer >= 3")
-    if dim == 1:
-        t = np.linspace(-1.0, 1.0, resolution)
-        return t[:, None], (resolution,), None, resolution // 2
     t = np.linspace(-1.0, 1.0, resolution)
+    if dim == 1:
+        i = np.arange(resolution)
+        return t[:, None], np.stack([i[:-1], i[1:]], axis=1), resolution // 2
     gi, gj = np.meshgrid(t, t, indexing="ij")
     mask = gi ** 2 + gj ** 2 <= 1.0 + 1e-12
-    params = np.stack([gi[mask], gj[mask]], axis=1)
-    node_ij = np.argwhere(mask)
-    center = int(np.argwhere((node_ij == resolution // 2).all(axis=1))[0][0])
-    return params, (resolution, resolution), node_ij, center
+    idx = np.full(mask.shape, -1)
+    idx[mask] = np.arange(np.count_nonzero(mask))
+    pairs = np.concatenate([np.stack([a.ravel(), b.ravel()], axis=1)
+                            for a, b in ((idx[:, :-1], idx[:, 1:]),
+                                         (idx[:-1], idx[1:]))])
+    mid = resolution // 2
+    return (np.stack([gi[mask], gj[mask]], axis=1),
+            pairs[(pairs >= 0).all(axis=1)], int(idx[mid, mid]))
 
 
 def make_disk(sys, x, direction, radius, resolution=101):
@@ -197,7 +180,7 @@ def make_disk(sys, x, direction, radius, resolution=101):
             raise ChartOverflow(
                 f"disk diameter {2 * radius} reaches half the period on axis {j}")
 
-    params, grid_shape, node_ij, center_index = _unit_ball_grid(dim, resolution)
+    params, edges, center_index = _unit_ball_grid(dim, resolution)
     disp = radius * params @ direction.frame.T
     pts = coords[None, :] + disp
     if not np.all(chart.contains(pts)):
@@ -206,8 +189,7 @@ def make_disk(sys, x, direction, radius, resolution=101):
     return EmbeddedDisk(chart=chart, dim=dim, params=params,
                         center=chart.wrap(coords), disp=disp,
                         tangents=tangents, center_index=center_index,
-                        radius=float(radius), grid_shape=grid_shape,
-                        node_ij=node_ij)
+                        radius=float(radius), edges=edges)
 
 
 def _mesh_tree(d, live=None):
@@ -215,8 +197,7 @@ def _mesh_tree(d, live=None):
     center of a 2-D disk's mesh, over the edges whose two ends are both
     live (every edge when live is None): each node's parent is its first
     mesh edge from the level before.  Nodes not reached keep parent -1."""
-    e = d._edges()
-    a, b = np.concatenate([e, e[:, ::-1]]).T
+    a, b = np.concatenate([d.edges, d.edges[:, ::-1]]).T
     if live is not None:
         both = live[a] & live[b]
         a, b = a[both], b[both]
@@ -409,13 +390,13 @@ def _edge_of_component(sys, d, orbit, r, sign):
         good, bad = np.concatenate([[good], ts, [bad]])[j - 1:j + 1]
 
 
-def _resample_interval(d, t_minus, t_plus, resolution):
-    """Sub-disk of a 1-D disk over [t_minus, t_plus], keeping the center at 0.
+def _resample_interval(d, t_minus, t_plus):
+    """Sub-disk of a 1-D disk over [t_minus, t_plus] on d's mesh, center at 0.
 
     The two sides are resampled separately so that parameter 0 still maps to
     the original center sample.
     """
-    half = resolution // 2
+    half = d.n_samples // 2
     left = np.linspace(t_minus, 0.0, half + 1)
     right = np.linspace(0.0, t_plus, half + 1)
     t_new = np.concatenate([left[:-1], right])
@@ -427,11 +408,10 @@ def _resample_interval(d, t_minus, t_plus, resolution):
     params = np.where(t_new[:, None] >= 0,
                       t_new[:, None] / (t_plus if t_plus > 0 else 1.0),
                       t_new[:, None] / (abs(t_minus) if t_minus < 0 else 1.0))
-    out = EmbeddedDisk(chart=d.chart, dim=1, params=params,
-                       center=d.center.copy(), disp=disp, tangents=tan,
-                       center_index=half, radius=float(d.radius * scale),
-                       grid_shape=(len(t_new),))
-    return out
+    return EmbeddedDisk(chart=d.chart, dim=1, params=params,
+                        center=d.center.copy(), disp=disp, tangents=tan,
+                        center_index=half, radius=float(d.radius * scale),
+                        edges=d.edges)
 
 
 def carve_radius_limit(chart):
@@ -481,7 +461,7 @@ def hyperbolic_component(sys, d, n, r, sigma):
     t_plus = _edge_of_component(sys, d, orbit, r, +1)
     t_minus = _edge_of_component(sys, d, orbit, r, -1)
 
-    carved = _resample_interval(d, t_minus, t_plus, d.n_samples)
+    carved = _resample_interval(d, t_minus, t_plus)
     ftrace = iterate_disk(sys, carved, n)
     final = ftrace[-1]
     # The edge search propagates anchored two-point displacements; the
@@ -509,7 +489,7 @@ def hyperbolic_component(sys, d, n, r, sigma):
     # past the image's end np.interp clamps to the end parameter +-1
     t_hi = float(np.interp(r, right, tp)) * t_plus
     t_lo = abs(float(np.interp(r, left, tm))) * t_minus
-    out = _resample_interval(d, t_lo, t_hi, d.n_samples)
+    out = _resample_interval(d, t_lo, t_hi)
     if out.n_samples < 3 or t_hi <= 0.0 or t_lo >= 0.0:
         raise CarvingFailed("carved component collapsed below 3 samples")
     return out
@@ -527,13 +507,13 @@ def _carve_2d(sys, d, n, r):
     if keep.sum() < 9:
         raise CarvingFailed(
             f"carved component has {int(keep.sum())} samples, below 3 per axis")
-    idx = np.where(keep)[0]
-    return EmbeddedDisk(chart=d.chart, dim=2, params=d.params[idx].copy(),
-                        center=d.center.copy(), disp=d.disp[idx].copy(),
-                        tangents=d.tangents[idx].copy(),
-                        center_index=int(np.where(idx == d.center_index)[0][0]),
-                        radius=d.radius, grid_shape=d.grid_shape,
-                        node_ij=d.node_ij[idx])
+    # the mesh restricted to the kept nodes, relabelled in order
+    new = np.cumsum(keep) - 1
+    return EmbeddedDisk(chart=d.chart, dim=2, params=d.params[keep],
+                        center=d.center.copy(), disp=d.disp[keep],
+                        tangents=d.tangents[keep],
+                        center_index=int(new[d.center_index]), radius=d.radius,
+                        edges=new[d.edges[keep[d.edges].all(axis=1)]])
 
 
 @dataclass(frozen=True)
@@ -797,7 +777,7 @@ def make_graph_disk(sys, x, base_dir, normal_dir, radius, resolution=101,
     w = np.asarray(normal_dir, float)
     w = w - (w @ u) * u
     w = w / np.linalg.norm(w)
-    params, grid_shape, _, center_index = _unit_ball_grid(1, resolution)
+    params, edges, center_index = _unit_ball_grid(1, resolution)
     t = params[:, 0] * radius
     disp = np.outer(t, u) + 0.5 * curvature * np.outer(t ** 2, w)
     tan = u[None, :] + curvature * np.outer(t, w)
@@ -805,4 +785,4 @@ def make_graph_disk(sys, x, base_dir, normal_dir, radius, resolution=101,
     return EmbeddedDisk(chart=sys.chart, dim=1, params=params,
                         center=sys.chart.wrap(coords), disp=disp,
                         tangents=tan[:, :, None], center_index=center_index,
-                        radius=float(radius), grid_shape=grid_shape)
+                        radius=float(radius), edges=edges)

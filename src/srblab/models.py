@@ -302,7 +302,7 @@ MODEL_INFO = {
         "build": _build_perturbed_cat,
         "dim": 2,
         "params": {"eps": 0.01},
-        "doc": "cat + eps*(sin(2*pi*x1), 0); eps in [0, 0.05]; converged splitting",
+        "doc": "cat + eps*(sin(2*pi*x0), 0); eps in [0, 0.05]; converged splitting",
         "center": (0.2, 0.3),
         "linear": False,
     },

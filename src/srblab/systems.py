@@ -202,15 +202,14 @@ class SplittingField:
     def f_frames(self, coords):
         return self._frames_at("f", coords)
 
-    def frames_along(self, rows, tans=None):
+    def frames_along(self, rows, tans):
         """E- and F-frames at every row of (m+1, ..., d) forward-orbit rows;
-        the push and the pull share one tangent per row: tans, Df at the
-        rows (m+1, ..., d, d), when the caller holds it."""
+        the push and the pull share the caller's tangents tans, Df at the
+        rows (m+1, ..., d, d)."""
         s = self.system
         rows = np.asarray(rows, float)
         flat = rows.reshape(len(rows), -1, rows.shape[-1])
-        tans = (_row_tangents(s.tangent, flat) if tans is None
-                else np.reshape(tans, flat.shape + flat.shape[-1:]))
+        tans = np.reshape(tans, flat.shape + flat.shape[-1:])
         f = np.fromiter(self._bundle("f", flat, tans[:-1]),
                         (float, flat.shape[1:] + (s.dim_f,)), len(flat))
         e = np.fromiter(self._bundle("e", flat, tans[::-1]),
@@ -351,9 +350,9 @@ def _check_in_region(sys, row, step):
         raise OrbitEscaped(step, row[tuple(bad[0])] if bad.size else row)
 
 
-def splitting_frames_along_orbit(sys, rows, tans=None):
+def splitting_frames_along_orbit(sys, rows, tans):
     """E- and F-frames at each of the (m+1, ..., d) forward-orbit rows, from
-    Df at the rows when the caller holds it (see frames_along)."""
+    tans, Df at the rows (see frames_along)."""
     return sys.splitting.frames_along(rows, tans)
 
 

@@ -364,7 +364,7 @@ def advance_oracle(sys, d):
     else:
         # level by level: each new node hangs off its first edge, in the
         # edge list and then the reversed edge list, from the level before
-        pairs = [(i, j) for i, j in d._edges()]
+        pairs = [(i, j) for i, j in d.edges]
         pairs += [(j, i) for i, j in pairs]
         seen = {ctr}
         level = {ctr}
@@ -382,11 +382,64 @@ def advance_oracle(sys, d):
                                disp=new_disp, tangents=new_tangents)
 
 
+def unit_ball_grid_oracle(dim, resolution):
+    """The unit ball's grid built node by node: (params, edges, center
+    index).  The edges are the in-ball node pairs at Manhattan distance 1
+    in grid indices, those along j and then those along i, each in
+    row-major order of the first node."""
+    t = np.linspace(-1.0, 1.0, resolution)
+    if dim == 1:
+        nodes = [(i,) for i in range(resolution)]
+        steps = [(1,)]
+    else:
+        nodes = [(i, j) for i in range(resolution) for j in range(resolution)
+                 if t[i] ** 2 + t[j] ** 2 <= 1.0 + 1e-12]
+        steps = [(0, 1), (1, 0)]
+    index = {node: k for k, node in enumerate(nodes)}
+    edges = []
+    for step in steps:
+        for node in nodes:
+            nb = tuple(a + b for a, b in zip(node, step))
+            if nb in index:
+                edges.append((index[node], index[nb]))
+    params = np.array([[t[i] for i in node] for node in nodes])
+    return params, np.array(edges), index[(resolution // 2,) * dim]
+
+
+def grid_indices(d, resolution):
+    """(S, 2) grid indices of a 2-D disk's samples, read off their params
+    on the grid of the given resolution."""
+    return np.rint((d.params + 1.0) * ((resolution - 1) / 2.0)).astype(int)
+
+
+def restricted_edges_oracle(edges, kept):
+    """The edges whose two ends are among the sorted node indices kept,
+    renumbered over the kept nodes."""
+    new = {int(old): k for k, old in enumerate(kept)}
+    return np.array([(new[i], new[j]) for i, j in edges.tolist()
+                     if i in new and j in new], dtype=int).reshape(-1, 2)
+
+
+def curve_mesh_oracle(d):
+    """A curve's mesh methods by sample order: arclengths from np.diff
+    segments, cell weights from two-slice half sums, the intrinsic radius
+    at the two end samples, which are the boundary."""
+    seg = np.linalg.norm(np.diff(d.disp, axis=0), axis=1)
+    w = np.zeros(d.n_samples)
+    w[:-1] += seg / 2.0
+    w[1:] += seg / 2.0
+    s = np.concatenate([[0.0], np.cumsum(seg)])
+    dist = np.abs(s - s[d.center_index])
+    return {"arclengths": s, "cell_weights": w / w.sum(),
+            "intrinsic_radius": float(min(dist[0], dist[-1])),
+            "_boundary_nodes": np.array([0, d.n_samples - 1])}
+
+
 def cell_weights_oracle(d):
     """2-D cell weights: squared mean length of the edges at each node."""
     acc = np.zeros(d.n_samples)
     cnt = np.zeros(d.n_samples)
-    for (i, j), length in zip(d._edges(), d.edge_lengths()):
+    for (i, j), length in zip(d.edges, d.edge_lengths()):
         acc[i] += length
         acc[j] += length
         cnt[i] += 1
@@ -395,13 +448,15 @@ def cell_weights_oracle(d):
     return w / w.sum()
 
 
-def boundary_nodes_oracle(d):
-    """2-D nodes with a grid neighbour off the grid or outside the disk."""
-    r = d.grid_shape[0]
-    idx = -np.ones(d.grid_shape, dtype=int)
-    idx[tuple(d.node_ij.T)] = np.arange(d.n_samples)
+def boundary_nodes_oracle(d, resolution):
+    """2-D nodes with a grid neighbour off the grid or outside the disk, on
+    the grid of the given resolution that d's params sit on."""
+    r = resolution
+    ij = grid_indices(d, resolution)
+    idx = -np.ones((r, r), dtype=int)
+    idx[tuple(ij.T)] = np.arange(d.n_samples)
     out = []
-    for k, (i, j) in enumerate(d.node_ij):
+    for k, (i, j) in enumerate(ij):
         nb = [(i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)]
         if any(not (0 <= a < r and 0 <= b < r) or idx[a, b] < 0 for a, b in nb):
             out.append(k)
@@ -411,7 +466,7 @@ def boundary_nodes_oracle(d):
 def dist_from_center_oracle(d):
     """2-D shortest mesh-path lengths from the center: scipy's Dijkstra on
     the symmetric edge-length graph (inf where no path reaches)."""
-    e = d._edges()
+    e = d.edges
     w = d.edge_lengths()
     g = coo_matrix((np.concatenate([w, w]),
                     (np.concatenate([e[:, 0], e[:, 1]]),
@@ -431,7 +486,7 @@ def carve_2d_oracle(sys, d, n, r):
             close[i] &= dk.chart.distance(
                 dk.chart.wrap(dk.center + dk.disp[i]),
                 dk.chart.wrap(dk.center)) <= r
-    e = np.array([(i, j) for i, j in d._edges() if close[i] and close[j]],
+    e = np.array([(i, j) for i, j in d.edges if close[i] and close[j]],
                  dtype=int).reshape(-1, 2)
     g = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])),
                    shape=(d.n_samples, d.n_samples))

@@ -194,6 +194,14 @@ class TestIntrospection:
         for name in ("cat", "perturbed_cat", "solenoid", "dfa"):
             assert name + ":" in r.stdout
 
+    def test_list_models_names_the_sheared_coordinate(self):
+        # perturbed_cat adds its sine of x0 to the first coordinate
+        r = run_cli("list-models")
+        line = next(ln for ln in r.stdout.splitlines()
+                    if ln.lstrip().startswith("perturbed_cat:"))
+        assert "sin(2*pi*x0)" in line
+        assert "x1" not in line
+
     def test_describe_known(self):
         r = run_cli("describe", "pliss_demo")
         assert r.returncode == 0

@@ -33,7 +33,8 @@ class TestMakeDisk:
         d = flat_disk(cat, resolution=101)
         assert d.dim == 1
         assert d.params.shape == (101, 1)
-        assert d.grid_shape == (101,)
+        assert np.array_equal(d.edges, np.stack([np.arange(100),
+                                                 np.arange(1, 101)], axis=1))
         assert d.center_index == 50
         assert np.array_equal(d.center, X)
         assert d.disp.shape == (101, 2)
@@ -319,11 +320,12 @@ class TestTwoDimensional:
     def test_grid_and_fields(self, cat4, cat):
         d = self.make(cat4, resolution=21)
         assert d.dim == 2
-        assert d.grid_shape == (21, 21)
         assert d.params.shape[1] == 2
-        assert d.node_ij.shape == (d.n_samples, 2)
+        # every edge joins two grid neighbours, one grid step 2 / 20 apart
+        steps = np.abs(d.params[d.edges[:, 1]] - d.params[d.edges[:, 0]])
+        assert np.allclose(np.sort(steps, axis=1), [0.0, 0.1])
         assert np.allclose(d.disp[d.center_index], 0.0)
-        assert flat_disk(cat).node_ij is None
+        assert flat_disk(cat).edges.shape == (400, 2)
 
     def test_iterate_leaves_the_disk_unchanged(self, cat4):
         d = self.make(cat4, resolution=21)
@@ -366,11 +368,14 @@ class TestTwoDimensional:
     def test_dist_from_center_matches_dijkstra(self, cat4, sol):
         d = self.make(cat4)
         # cut one node off from the mesh: no path reaches it
-        cut = d.node_ij[d.center_index] + (5, 0)
-        keep = np.abs(d.node_ij - cut).sum(axis=1) != 1
+        ij = oracles.grid_indices(d, 41)
+        cut = ij[d.center_index] + (5, 0)
+        keep = np.abs(ij - cut).sum(axis=1) != 1
         island = dataclasses.replace(
             d, params=d.params[keep], disp=d.disp[keep],
-            tangents=d.tangents[keep], node_ij=d.node_ij[keep],
+            tangents=d.tangents[keep],
+            edges=oracles.restricted_edges_oracle(d.edges,
+                                                  np.flatnonzero(keep)),
             center_index=int(np.count_nonzero(keep[:d.center_index])))
         x = region_sample(sol, 1, seed=7, burn_in=12)[0]
         sol_e = disks.make_disk(sol, x, sol.splitting.at(x)[0], R,
@@ -409,13 +414,18 @@ class TestTwoDimensional:
                 disks.hyperbolic_component(dfa, d, 3, R, sigma=0.9)
             return
         carved = disks.hyperbolic_component(dfa, d, 3, R, sigma=0.9)
-        assert np.array_equal(carved.node_ij, d.node_ij[want])
+        assert np.array_equal(carved.params, d.params[want])
+        # the carve restricts its parent's mesh to the component
+        assert np.array_equal(carved.edges,
+                              oracles.restricted_edges_oracle(d.edges, want))
 
     def test_cat4_carve_keeps_the_centers_component(self, cat4):
         d = self.make(cat4, resolution=41)
         carved = disks.hyperbolic_component(cat4, d, 2, R, sigma=0.5)
         want = oracles.carve_2d_oracle(cat4, d, 2, R)
-        assert np.array_equal(carved.node_ij, d.node_ij[want])
+        assert np.array_equal(carved.params, d.params[want])
+        assert np.array_equal(carved.edges,
+                              oracles.restricted_edges_oracle(d.edges, want))
 
     def test_carved_disks_are_connected(self, dfa, cat4):
         # dfa seeds whose r-close nodes do not all connect to the center;
@@ -558,8 +568,37 @@ class TestBatchedCarving:
                 assert np.array_equal(nxt.cell_weights(),
                                       oracles.cell_weights_oracle(nxt))
                 assert np.array_equal(nxt._boundary_nodes(),
-                                      oracles.boundary_nodes_oracle(nxt))
+                                      oracles.boundary_nodes_oracle(nxt, 41))
                 cur = nxt
+
+
+class TestMesh:
+    """A disk's mesh edges, built with the grid, and the methods that curves
+    and 2-D disks read off them."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_grid_edges_match_the_node_pairs(self, dim):
+        for resolution in range(3, 42, 2):
+            got = disks._unit_ball_grid(dim, resolution)
+            want = oracles.unit_ball_grid_oracle(dim, resolution)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            assert got[1].dtype == want[1].dtype
+            assert got[2] == want[2]
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_curve_methods_match_sample_order(self, request, model):
+        sys = request.getfixturevalue(model)
+        x = region_sample(sys, 1, seed=5)[0]
+        lf = cocycle_logs(sys, x, 30).f_inv_from_one()
+        n = int(next(t for t in hyperbolic_times(lf, 0.5).times if t >= 10))
+        d = model_disk(sys, x, resolution=101)
+        carved = disks.hyperbolic_component(sys, d, n, R, sigma=0.5)
+        cases = [d, disks.iterate_disk(sys, d, 3)[-1], carved,
+                 disks.iterate_disk(sys, carved, n)[-1]]
+        for disk in cases:
+            for name, want in oracles.curve_mesh_oracle(disk).items():
+                assert np.array_equal(getattr(disk, name)(), want), name
 
 
 def _point_calls(sys, points):

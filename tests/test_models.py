@@ -47,6 +47,18 @@ class TestRegistry:
             build("perturbed_cat", epsilon=0.01)
 
 
+class TestPerturbedCat:
+    def test_shear_is_the_sine_of_x0_in_the_first_coordinate(self, cat):
+        eps = 0.03
+        pcat = build("perturbed_cat", eps=eps)
+        pts = region_sample(pcat, 200, seed=4)
+        got = pcat.chart.displacement(cat.forward(pts), pcat.forward(pts))
+        want = np.stack([eps * np.sin(2.0 * np.pi * pts[:, 0]),
+                         np.zeros(len(pts))], axis=1)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+        assert np.max(np.abs(got[:, 0])) > 0.9 * eps
+
+
 class TestMapConsistency:
     @pytest.mark.parametrize("name,params", [
         ("cat", {}), ("perturbed_cat", {"eps": 0.01}),

@@ -135,10 +135,16 @@ class TestOrbitCoords:
                               rows[:step])
 
 
+def _frames(sys, rows):
+    """E- and F-frames along the (m+1, N, d) orbit rows, on Df at the rows."""
+    return splitting_frames_along_orbit(sys, rows,
+                                        _row_tangents(sys.tangent, rows))
+
+
 class TestSplittingFrames:
     def test_exact_splitting_is_invariant(self, cat):
         rows = orbit_coords(cat, X0, 6)
-        e, f = splitting_frames_along_orbit(cat, rows)
+        e, f = _frames(cat, rows)
         for j in range(6):
             df = cat.tangent(rows[j])
             assert subspace_distance(span(df @ f[j]), span(f[j + 1])) < 1e-12
@@ -146,7 +152,7 @@ class TestSplittingFrames:
 
     def test_converged_splitting_is_invariant(self, pcat):
         rows = orbit_coords(pcat, X0, 10)
-        e, f = splitting_frames_along_orbit(pcat, rows)
+        e, f = _frames(pcat, rows)
         for j in range(10):
             df = pcat.tangent(rows[j])
             assert subspace_distance(span(df @ f[j]), span(f[j + 1])) < 1e-9
@@ -154,7 +160,7 @@ class TestSplittingFrames:
 
     def test_frames_match_pointwise_field(self, pcat):
         rows = orbit_coords(pcat, X0, 8)
-        e, f = splitting_frames_along_orbit(pcat, rows)
+        e, f = _frames(pcat, rows)
         for j in (0, 4, 8):
             ej, fj = pcat.splitting.at(rows[j])
             assert subspace_distance(span(e[j]), ej) < 1e-8
@@ -164,7 +170,7 @@ class TestSplittingFrames:
     def test_frames_bit_identical_to_row_loops(self, request, model):
         sys = request.getfixturevalue(model)
         rows = orbit_coords(sys, region_sample(sys, 6, seed=3, burn_in=2), 12)
-        got = splitting_frames_along_orbit(sys, rows)
+        got = _frames(sys, rows)
         want = oracles.splitting_frames_oracle(sys, rows)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
@@ -182,8 +188,11 @@ class TestSplittingFrames:
     def test_frames_do_not_depend_on_the_leading_shape(self, request, model):
         sys = request.getfixturevalue(model)
         rows = orbit_coords(sys, region_sample(sys, 6, seed=5, burn_in=2), 7)
-        flat = splitting_frames_along_orbit(sys, rows)
-        nested = splitting_frames_along_orbit(sys, rows.reshape(8, 2, 3, -1))
+        tans = _row_tangents(sys.tangent, rows)
+        flat = splitting_frames_along_orbit(sys, rows, tans)
+        nested = splitting_frames_along_orbit(
+            sys, rows.reshape(8, 2, 3, -1),
+            tans.reshape((8, 2, 3) + tans.shape[2:]))
         for g, w in zip(nested, flat):
             assert g.shape == (8, 2, 3) + w.shape[2:]
             assert np.array_equal(g.reshape(w.shape), w)
@@ -198,7 +207,7 @@ class TestSplittingFrames:
             sp.at(p)
         sp.e_frames(pts)
         sp.f_frames(pts)
-        splitting_frames_along_orbit(sys, orbit_coords(sys, pts, 3))
+        _frames(sys, orbit_coords(sys, pts, 3))
         assert vars(sp) == before
 
     def test_pull_kernel_maps_the_last_row_depth_minus_one_steps(self, pcat):
@@ -219,8 +228,8 @@ class TestSplittingFrames:
         # cat without its E: F stays the declared frame, E converges to it
         half = dataclasses.replace(cat, e_frame=None)
         rows = orbit_coords(cat, region_sample(cat, 5, seed=6), 3)
-        e, f = splitting_frames_along_orbit(half, rows)
-        want_e, want_f = splitting_frames_along_orbit(cat, rows)
+        e, f = _frames(half, rows)
+        want_e, want_f = _frames(cat, rows)
         assert np.array_equal(f, want_f)
         assert np.max(subspace_distance(e, want_e)) < 1e-12
 
@@ -409,14 +418,11 @@ class TestTangentCounts:
         n = 20
         rows = orbit_coords(sys, x[None], n)
         frames = {}
-        want = splitting_frames_along_orbit(_counted(sys, frames), rows)
-        got = splitting_frames_along_orbit(
-            sys, rows, _row_tangents(sys.tangent, rows))
-        assert all(map(np.array_equal, got, want))
+        _frames(_counted(sys, frames), rows)
         calls = {}
         verify_cone_contraction(_counted(sys, calls), x, 0.5, 0.4, n)
-        # the frames' calls only: their Df at the orbit's rows also pushes
-        # the cone vectors
+        # Df at the orbit's rows and the frames' seed rows only: the rows'
+        # Df that feeds the frames also pushes the cone vectors
         assert calls["tangent"] == frames["tangent"]
 
     def test_no_call_exceeds_the_point_budget(self, dfa, sol):
