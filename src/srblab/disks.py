@@ -142,6 +142,9 @@ def _unit_ball_grid(dim, resolution):
     if resolution < 3 or resolution % 2 == 0:
         raise ValueError("resolution must be an odd integer >= 3")
     t = np.linspace(-1.0, 1.0, resolution)
+    # linspace leaves the middle sample at -1.1e-16 for some resolutions
+    # (99, 197, ...); the center is exactly 0, as _param_to_disp relies on
+    t[resolution // 2] = 0.0
     if dim == 1:
         i = np.arange(resolution)
         return t[:, None], np.stack([i[:-1], i[1:]], axis=1), resolution // 2

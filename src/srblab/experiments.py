@@ -414,8 +414,10 @@ def _exp_distortion(sys, cfg):
     d = _config_disk(sys, cfg, radius=r, resolution=201)
     carved = disks.hyperbolic_component(sys, d, n, r, sigma=sigma)
     consts_h = measure_constants_h(sys, xi=cfg.const("xi"))
-    tang = disks.tangency_report(carved, sys.splitting)
-    a = cfg.const("a", max(1.5 * tang.max_width, 0.05))
+    a = cfg.const("a")
+    if a is None:
+        a = max(1.5 * disks.tangency_report(carved, sys.splitting).max_width,
+                0.05)
     dc = disks.measure_distortion_constants(
         sys, a, consts_h.lambda2, beta=cfg.const("beta"), seed=cfg.seed)
     ratios = disks.distortion_profile(sys, carved, n)

@@ -245,7 +245,6 @@ def hyperbolic_mass(sys, d, n, sigma, r1, lam, theta):
 
     per_i = np.zeros(n, float)
     captured_tot = 0.0
-    avail_tot = 0.0
     tau = np.inf
     for i in range(n):
         in_set = member & hyp[:, i]
@@ -260,7 +259,6 @@ def hyperbolic_mass(sys, d, n, sigma, r1, lam, theta):
         avail = float(math.fsum(w[idx].tolist()))
         per_i[i] = captured
         captured_tot += captured
-        avail_tot += avail
         if avail > 0:
             tau = min(tau, captured / avail)
     eta = captured_tot / n

@@ -47,6 +47,15 @@ def _matvec(a, x):
     return np.matmul(x, a.T)
 
 
+def _point_as_row(step):
+    """step on (..., d) batches, with a (d,) point mapped as its one-row
+    batch, so a point gets the bits of its (1, d) row."""
+    def on_batch(x):
+        x = np.asarray(x, float)
+        return step(x[None])[0] if x.ndim == 1 else step(x)
+    return on_batch
+
+
 def linear_torus_system(matrix, e_dirs, f_dirs, name="linear"):
     """A torus automorphism with a declared constant splitting.
 
@@ -144,7 +153,8 @@ def _build_solenoid(c, d):
         y = np.asarray(y, float)
         half = y[..., 0] / 2.0
         cand = np.stack([half, np.mod(half + np.pi, two_pi)], axis=-1)
-        best = np.empty_like(y)
+        # NaN fails both r2 < w2 tests, so a NaN row stays NaN
+        best = np.full_like(y, np.nan)
         w2 = np.full(y.shape[:-1], np.inf)
         for k in range(2):
             phi = cand[..., k]
@@ -193,27 +203,19 @@ def _build_dfa(delta, rho):
         z = chart.displacement(0.0, y)
         return z @ vs, z @ vu
 
-    def _deform(y):
-        """The radial unstable-coordinate squeeze h; identity outside the ball."""
-        s, u = _eig_coords(y)
-        r2 = (s * s + u * u) / rho ** 2
-        inside = r2 < 1.0
-        # numpy's float64 power is many times slower on a negative base, so
-        # the rows outside the ball, whose m the where discards, cube zero
-        m = np.where(inside, 1.0 - nu * np.maximum(1.0 - r2, 0.0) ** 3, 1.0)
-        unew = u * m
-        out = np.asarray(y, float) + np.multiply.outer(unew - u, vu)
-        return chart.wrap(out)
+    def _squeeze(s, u):
+        """q = (1 - r^2/rho^2)_+ and the unstable multiplier m = 1 - nu q^3
+        at eigen-coordinates (s, u); outside the ball q = 0 and m = 1."""
+        q = np.maximum(1.0 - (s * s + u * u) / rho ** 2, 0.0)
+        return q, 1.0 - nu * q ** 3
 
     def _deform_tangent(y):
         s, u = _eig_coords(y)
-        r2 = (s * s + u * u) / rho ** 2
-        inside = r2 < 1.0
-        one_m_r2 = np.where(inside, 1.0 - r2, 0.0)
-        m = 1.0 - nu * one_m_r2 ** 3
-        dm_dr2 = 3.0 * nu * one_m_r2 ** 2
-        du_ds = np.where(inside, u * dm_dr2 * (2.0 * s / rho ** 2), 0.0)
-        du_du = np.where(inside, m + u * dm_dr2 * (2.0 * u / rho ** 2), 1.0)
+        q, m = _squeeze(s, u)
+        # outside the ball du_ds is a signed zero and du_du exactly 1
+        dm_dr2 = 3.0 * nu * q ** 2
+        du_ds = u * dm_dr2 * (2.0 * s / rho ** 2)
+        du_du = m + u * dm_dr2 * (2.0 * u / rho ** 2)
         # V T V^T with V = [vs | vu] and T = [[1, 0], [du_ds, du_du]], summed
         # in the order np.einsum("ij,...jk,lk->...il", V, T, V) takes
         # (T's exact zero adds nothing), so the bits are einsum's; each
@@ -225,43 +227,37 @@ def _build_dfa(delta, rho):
                                   + (vu[i] * du_du) * vu[k]) + vs[i] * vs[k])
         return dh
 
-    def _deform_inverse(y):
+    @_point_as_row
+    def forward(x):
+        y = chart.wrap(_matvec(CAT_MATRIX, x))
+        s, u = _eig_coords(y)
+        m = _squeeze(s, u)[1]
+        return chart.wrap(y + np.multiply.outer(u * m - u, vu))
+
+    @_point_as_row
+    def inverse(y):
         s, uprime = _eig_coords(y)
         inside = (s * s + uprime * uprime) / rho ** 2 < 1.0
-        shift = np.zeros(np.shape(uprime))
+        shift = np.zeros(uprime.shape)
         if np.any(inside):
             # Newton on the rows inside the ball alone: rows outside take no
-            # step, so the batch-wide stop reads the same maximum.  A (d,)
-            # point takes index (), which keeps its scalars scalars: numpy's
-            # scalar power is libm's, not the array loop's
-            rows = inside if np.ndim(inside) else ()
-            s, uprime = s[rows], uprime[rows]
+            # step, so the batch-wide stop reads the same maximum
+            s, uprime = s[inside], uprime[inside]
             bnd = np.sqrt(np.clip(rho ** 2 - s * s, 0.0, None))
-            u = np.array(uprime, copy=True)
+            u = uprime
             for _ in range(60):
-                r2 = (s * s + u * u) / rho ** 2
-                one_m_r2 = np.clip(1.0 - r2, 0.0, None)
-                m = 1.0 - nu * one_m_r2 ** 3
-                g = u * m
-                gp = m + u * (3.0 * nu * one_m_r2 ** 2) * (2.0 * u / rho ** 2)
-                step = (g - uprime) / gp
+                q, m = _squeeze(s, u)
+                gp = m + u * (3.0 * nu * q ** 2) * (2.0 * u / rho ** 2)
+                step = (u * m - uprime) / gp
                 u = np.clip(u - step, -bnd, bnd)
                 if np.max(np.abs(step)) < 1e-15:
                     break
-            shift[rows] = u - uprime
-        out = np.asarray(y, float) + np.multiply.outer(shift, vu)
-        return chart.wrap(out)
-
-    def forward(x):
-        x = np.asarray(x, float)
-        return _deform(chart.wrap(_matvec(CAT_MATRIX, x)))
-
-    def inverse(y):
-        mid = _deform_inverse(np.asarray(y, float))
+            shift[inside] = u - uprime
+        mid = chart.wrap(y + np.multiply.outer(shift, vu))
         return chart.wrap(_matvec(CAT_INVERSE, mid))
 
+    @_point_as_row
     def tangent(x):
-        x = np.asarray(x, float)
         dh = _deform_tangent(chart.wrap(_matvec(CAT_MATRIX, x)))
         # dh @ CAT_MATRIX: its entries 1 and 2 make every product exact, so
         # each entry is one rounded sum, as in any matmul

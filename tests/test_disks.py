@@ -586,6 +586,16 @@ class TestMesh:
             assert got[1].dtype == want[1].dtype
             assert got[2] == want[2]
 
+    @pytest.mark.parametrize("dim, top", [(1, 1001), (2, 201)])
+    def test_center_sample_is_exactly_zero(self, cat, dim, top):
+        # linspace's middle sample is -1.1e-16 at 99, 197, 207, ...
+        direction = np.eye(2)[:, :dim]
+        for resolution in range(3, top + 1, 2):
+            d = disks.make_disk(cat, np.array([0.2, 0.3]), direction, 0.1,
+                                resolution=resolution)
+            assert np.all(d.params[d.center_index] == 0.0)
+            assert np.all(d.disp[d.center_index] == 0.0)
+
     @pytest.mark.parametrize("model", MODELS)
     def test_curve_methods_match_sample_order(self, request, model):
         sys = request.getfixturevalue(model)

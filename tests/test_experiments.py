@@ -375,6 +375,26 @@ class TestCurvature:
         assert sum(np.array_equal(p, center) for p in points) == 1
 
 
+class TestDistortion:
+    @pytest.mark.parametrize("constants, calls", [({}, 1), ({"a": 0.1}, 0)])
+    def test_tangency_report_runs_only_for_a_default_a(self, monkeypatch,
+                                                       constants, calls):
+        report = disks.tangency_report
+        seen = []
+
+        def counted(*args, **kwargs):
+            seen.append(1)
+            return report(*args, **kwargs)
+
+        monkeypatch.setattr(disks, "tangency_report", counted)
+        cfg = experiments.parse_config(base_config(
+            experiment="distortion", horizon=6, constants=constants))
+        quantities, _, _ = experiments._exp_distortion(build("cat"), cfg)
+        assert len(seen) == calls
+        if constants:
+            assert quantities["a"] == constants["a"]
+
+
 def _strict(name):
     raise ValueError(f"{name} is not JSON")
 

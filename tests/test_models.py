@@ -190,6 +190,27 @@ class TestBatchInvariance:
             assert np.array_equal(got.view(np.int64), other.view(np.int64))
 
 
+class TestPointAsRow:
+    """Every zoo map gives a (d,) point the bits of its (1, d) row."""
+
+    @pytest.mark.parametrize("step", ["forward", "inverse", "tangent"])
+    @pytest.mark.parametrize("name", sorted(MODEL_INFO))
+    def test_point_maps_as_its_one_row_batch(self, name, step):
+        sys = build(name)
+        x = region_sample(sys, 400, seed=13)
+        if name == "dfa":
+            # points whose cat image, and points themselves, lie near the
+            # fixed point, where the squeeze runs
+            near = np.mod(np.random.default_rng(17).normal(0.0, 0.1, (800, 2)),
+                          1.0)
+            x = np.concatenate([x, near])
+        fn = getattr(sys, step)
+        for point in x:
+            got, want = fn(point), fn(point[None])[0]
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def _stacking_system(name):
     """A zoo model, or cat4: two cat blocks, whose F is 2-D."""
     if name != "cat4":
@@ -356,8 +377,8 @@ def _dfa_points(kind, step):
 class TestDfaSqueeze:
     """dfa's squeeze, with no power of a negative base and Newton steps only
     on the rows inside the ball, gives every row the bits of the whole-batch
-    form in oracles.dfa_squeeze_oracle, at (d,), (1, d), (200, d) and
-    (20, 200, d) calls."""
+    form in oracles.dfa_squeeze_oracle, at (1, d), (200, d) and
+    (20, 200, d) calls; a (d,) call gets the bits of its (1, d) row."""
 
     @pytest.mark.parametrize("step", ["forward", "inverse", "tangent"])
     @pytest.mark.parametrize("kind", ["uniform", "near_fixed_point",
@@ -372,7 +393,9 @@ class TestDfaSqueeze:
         if len(x) >= 4000:
             calls.append(x[:4000].reshape(20, 200, 2))
         for pts in calls:
-            got, want = got_fn(pts), want_fn(pts)
+            got = got_fn(pts)
+            # a (d,) point maps as its one-row batch
+            want = want_fn(pts[None])[0] if pts.ndim == 1 else want_fn(pts)
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -381,6 +404,19 @@ class TestSolenoid:
     def test_region_membership(self, sol):
         assert sol.in_region(np.array([1.0, 0.3, -0.2]))
         assert not sol.in_region(np.array([1.0, 1.5, 1.5]))
+
+    def test_inverse_of_a_nan_row_is_nan(self, sol):
+        y = sol.forward(region_sample(sol, 6, seed=4))
+        bad = y.copy()
+        bad[1, 0] = np.nan
+        bad[3, 2] = np.nan
+        bad[4] = np.nan
+        got = sol.inverse(bad)
+        nan_rows = np.zeros(6, bool)
+        nan_rows[[1, 3, 4]] = True
+        assert np.all(np.isnan(got[nan_rows]))
+        assert np.array_equal(got[~nan_rows].view(np.int64),
+                              sol.inverse(y[~nan_rows]).view(np.int64))
 
     def test_attractor_absorbs(self, sol):
         # forward images of region points stay in the region
