@@ -10,9 +10,11 @@ iteration propagates displacements through the center's tangent map (the
 quadratic remainder is below float resolution exactly when the switch is
 active); above it, the map is evaluated directly.
 
-Carving finds each ray's r-close component edge in batches on the center
-orbit that certifies the hyperbolic time (maps take (N, d) rows only): the
-ladder t = 2^-k brackets it, k-section rounds refine it.
+Carving decides its r-ball condition one way: the pair distances of
+anchored displacements along the center orbit that certifies the hyperbolic
+time (maps take (N, d) rows only).  They find each ray's r-close component
+edge in batches (the ladder t = 2^-k brackets it, k-section rounds refine
+it), check a curve's resample and pick a 2-D disk's nodes.
 """
 
 from __future__ import annotations
@@ -231,7 +233,7 @@ def _advance(sys, d, tree):
         new_disp = d.disp @ t.T
         new_tangents = _batch_qr(t[None, :, :] @ d.tangents)
     else:
-        pts = d.chart.wrap(d.center + d.disp)
+        pts = d.points()
         imgs = sys.forward(pts)
         # rebuild cover displacements by accumulating short wrapped jumps
         # outward from the center (wrapping does not commute with negation)
@@ -348,10 +350,10 @@ def _pair_distances(sys, orbit, disps):
     return out
 
 
-def _ball_condition(sys, d, orbit, r, t):
-    """Per parameter in t: does its orbit stay r-close to the center orbit?"""
-    dist = _pair_distances(sys, orbit, _param_to_disp(d, t))
-    return np.all(dist <= r, axis=1)
+def _ball_condition(sys, orbit, r, disps):
+    """Per displacement from the center: does its orbit stay r-close to the
+    center orbit at every step 0..n (see _pair_distances)?"""
+    return np.all(_pair_distances(sys, orbit, disps) <= r, axis=1)
 
 
 SECTIONS = 64   # a k-section round tests SECTIONS - 1 interior points
@@ -375,7 +377,8 @@ def _edge_of_component(sys, d, orbit, r, sign):
     """
     ladder = sign * np.ldexp(1.0, -np.arange(998))
     for start in range(0, len(ladder), RUNGS):
-        ok = _ball_condition(sys, d, orbit, r, ladder[start:start + RUNGS])
+        ok = _ball_condition(sys, orbit, r,
+                             _param_to_disp(d, ladder[start:start + RUNGS]))
         if ok.any():
             break
     else:
@@ -387,8 +390,8 @@ def _edge_of_component(sys, d, orbit, r, sign):
         ts = ts[(ts != good) & (ts != bad)]
         if ts.size == 0:
             return float(good)
-        ok = np.concatenate([[True], _ball_condition(sys, d, orbit, r, ts),
-                             [False]])
+        ok = np.concatenate([[True], _ball_condition(
+            sys, orbit, r, _param_to_disp(d, ts)), [False]])
         j = int(np.argmin(ok))      # the first failing point, or bad itself
         good, bad = np.concatenate([[good], ts, [bad]])[j - 1:j + 1]
 
@@ -404,7 +407,6 @@ def _resample_interval(d, t_minus, t_plus):
     right = np.linspace(0.0, t_plus, half + 1)
     t_new = np.concatenate([left[:-1], right])
     disp = _param_to_disp(d, t_new)
-    disp[half] = 0.0 * disp[half]
     tan = _batch_qr(np.stack([np.interp(t_new, d.params[:, 0], col)
                               for col in d.tangents[:, :, 0].T], axis=1)[:, :, None])
     scale = max(abs(t_minus), abs(t_plus))
@@ -434,11 +436,12 @@ def hyperbolic_component(sys, d, n, r, sigma):
     so its edge is the first exit along the ray).  The search tests the
     ladder t = 2^-k in batches of rungs, then refines the bracket by
     k-section rounds down to adjacent floats.  The surviving interval is
-    resampled at the original resolution, the ball conditions are verified
-    on the resampled trace, and each side is trimmed so the intrinsic
+    resampled at the original resolution, the ball condition is verified
+    at the resampled nodes, and each side is trimmed so the intrinsic
     radius of the n-th image equals r (each side must reach at least 0.95 r
     before the trim).  n is first certified as a sigma-hyperbolic time of
-    the center orbit, whose rows both rays search and the trace steps on.
+    the center orbit; every r-ball decision reads the pair distances along
+    that orbit's rows (_ball_condition), which the trace also steps on.
 
     1-D disks get the full edge search; 2-D disks are carved at sample
     granularity: the center's connected component, over the mesh, of the
@@ -457,26 +460,22 @@ def hyperbolic_component(sys, d, n, r, sigma):
     if n not in rep.times:
         raise HypothesisViolated(
             f"n = {n} is not a sigma = {sigma} hyperbolic time of the center")
-    if d.dim == 2:
-        return _carve_2d(sys, d, n, r)
-
     orbit = rows[:, 0], tans[:-1, 0]
+    if d.dim == 2:
+        return _carve_2d(sys, d, orbit, r)
+
     t_plus = _edge_of_component(sys, d, orbit, r, +1)
     t_minus = _edge_of_component(sys, d, orbit, r, -1)
 
     carved = _resample_interval(d, t_minus, t_plus)
-    ftrace = iterate_disk(sys, carved, n)
-    final = ftrace[-1]
-    # The edge search propagates anchored two-point displacements; the
-    # trace below accumulates per-edge wrapped differences.  Near the
-    # micro/macro switch both carry ~eps/MICRO_SWITCH relative rounding per
-    # step, so they agree only to ~n * 2e-8; 1e-5 covers that with margin.
-    for k, dk in enumerate(ftrace):
-        dist = np.linalg.norm(dk.disp, axis=1)
-        if np.any(dist > r * (1.0 + 1e-5)):
-            raise CarvingFailed(
-                f"resampled component leaves the r-ball at step {k}: the "
-                f"first-exit interval assumption does not hold here")
+    final = iterate_disk(sys, carved, n)[-1]
+    ok = _ball_condition(sys, orbit, r, carved.disp)
+    if not ok.all():
+        far = _pair_distances(sys, orbit, carved.disp[~ok]) > r
+        raise CarvingFailed(
+            f"resampled component leaves the r-ball at step "
+            f"{int(np.argmax(far.any(axis=0)))}: the first-exit interval "
+            f"assumption does not hold here")
 
     # trim each side to intrinsic radius exactly r in the n-th image
     s = final.arclengths()
@@ -493,19 +492,14 @@ def hyperbolic_component(sys, d, n, r, sigma):
     t_hi = float(np.interp(r, right, tp)) * t_plus
     t_lo = abs(float(np.interp(r, left, tm))) * t_minus
     out = _resample_interval(d, t_lo, t_hi)
-    if out.n_samples < 3 or t_hi <= 0.0 or t_lo >= 0.0:
+    if t_hi <= 0.0 or t_lo >= 0.0:
         raise CarvingFailed("carved component collapsed below 3 samples")
     return out
 
 
-def _carve_2d(sys, d, n, r):
-    ok = np.ones(d.n_samples, bool)
-    for dk in iterate_disk(sys, d, n):
-        dist = dk.chart.distance(dk.chart.wrap(dk.center + dk.disp),
-                                 dk.center_point())
-        ok &= dist <= r
+def _carve_2d(sys, d, orbit, r):
     # the hyperbolic pre-disk: the center's component of the r-close nodes
-    keep = _mesh_tree(d, ok)[0] >= 0
+    keep = _mesh_tree(d, _ball_condition(sys, orbit, r, d.disp))[0] >= 0
     keep[d.center_index] = True
     if keep.sum() < 9:
         raise CarvingFailed(
@@ -555,9 +549,8 @@ class DistortionReport:
 def distortion_profile(sys, d, n):
     """Volume-distortion ratios of f^n between every sample and the center."""
     # log tangent-volume factors of steps 0..n-1, added in step order
-    tot = sum((restricted_log_volume(
-        sys.tangent(dk.chart.wrap(dk.center + dk.disp)), dk.tangents)
-        for dk in iterate_disk(sys, d, n)[:-1]), np.zeros(d.n_samples))
+    tot = sum((restricted_log_volume(sys.tangent(dk.points()), dk.tangents)
+               for dk in iterate_disk(sys, d, n)[:-1]), np.zeros(d.n_samples))
     ratios = np.exp(tot - tot[d.center_index])
     return ratios
 

@@ -478,14 +478,10 @@ def dist_from_center_oracle(d):
 def carve_2d_oracle(sys, d, n, r):
     """The node indices of a 2-D disk that a carve keeps: the center's
     connected component (scipy's labels) of the mesh over the nodes whose
-    images stay within chart distance r of the center's at steps 0..n."""
-    from srblab.disks import iterate_disk
-    close = np.ones(d.n_samples, bool)
-    for dk in iterate_disk(sys, d, n):
-        for i in range(d.n_samples):
-            close[i] &= dk.chart.distance(
-                dk.chart.wrap(dk.center + dk.disp[i]),
-                dk.chart.wrap(dk.center)) <= r
+    pair distances from the center orbit, taken one node at a time
+    (pair_distances_oracle), stay within r at steps 0..n."""
+    close = [np.all(pair_distances_oracle(sys, d.center, disp, n) <= r)
+             for disp in d.disp]
     e = np.array([(i, j) for i, j in d.edges if close[i] and close[j]],
                  dtype=int).reshape(-1, 2)
     g = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])),
@@ -506,22 +502,6 @@ def f_batch_oracle(sys, pts, depth):
     frames = _generic_frames(pts, sys.dim_f)
     for k in range(depth, 0, -1):
         frames = batch_qr_oracle(sys.tangent(trail[k]) @ frames)
-    return frames
-
-
-def e_batch_oracle(sys, pts, depth):
-    """E at (N, d) points: a generic frame pulled back along the depth steps
-    of each forward orbit, farthest image first."""
-    from srblab.systems import _generic_frames
-    fwd = pts
-    trail = [fwd]
-    for _ in range(depth):
-        fwd = sys.forward(fwd)
-        trail.append(fwd)
-    frames = _generic_frames(pts, sys.dim_e)
-    for k in range(depth - 1, -1, -1):
-        frames = batch_qr_oracle(
-            np.linalg.solve(sys.tangent(trail[k]), frames))
     return frames
 
 

@@ -419,6 +419,21 @@ class TestTwoDimensional:
         assert np.array_equal(carved.edges,
                               oracles.restricted_edges_oracle(d.edges, want))
 
+    @pytest.mark.parametrize("resolution,size,at_r", [
+        (21, 83, [54, 262]), (41, 329, [196, 1060])])
+    def test_carve_keeps_the_nodes_at_r(self, dfa, resolution, size, at_r):
+        # two nodes sit at exactly r at step 0 and stay r-close after: the
+        # ball condition keeps them, where a re-wrapped chart distance from
+        # the center read 0.020000000000000018 and dropped them
+        x = region_sample(dfa, 1, seed=12, burn_in=5)[0]
+        d = disks.make_disk(dfa, x, np.eye(2), R, resolution=resolution)
+        assert [np.linalg.norm(d.disp[i]) for i in at_r] == [R, R]
+        want = oracles.carve_2d_oracle(dfa, d, 3, R)
+        assert len(want) == size
+        assert set(at_r) <= set(want)
+        carved = disks.hyperbolic_component(dfa, d, 3, R, sigma=0.9)
+        assert np.array_equal(carved.params, d.params[want])
+
     def test_cat4_carve_keeps_the_centers_component(self, cat4):
         d = self.make(cat4, resolution=41)
         carved = disks.hyperbolic_component(cat4, d, 2, R, sigma=0.5)

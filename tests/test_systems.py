@@ -400,6 +400,19 @@ class TestTangentCounts:
         # steps, each at the carved disk's samples
         assert calls["tangent"] == [n + 1, DEPTH] + [d.n_samples] * n
 
+    def test_2d_carve_takes_no_df_at_the_disks_nodes(self, cat4):
+        x = np.array([0.15, 0.3, 0.55, 0.8])
+        d = make_disk(cat4, x, cat4.splitting.f_frames(x), 0.02,
+                      resolution=41)
+        n = 2
+        calls = {}
+        hyperbolic_component(_counted(cat4, calls), d, n, 0.02, sigma=0.5)
+        # Df at the center's n + 1 rows certifies n and feeds the pair
+        # distances; the center's n steps, then n steps of every node but
+        # the center, which rides Df (cat4 declares its splitting: no sweeps)
+        assert calls == {"forward": [1] * n + [d.n_samples - 1] * n,
+                         "tangent": [n + 1]}
+
     def test_point_queries_run_only_their_bundle(self, dfa):
         pts = region_sample(dfa, 5, seed=6)
         calls = {}
