@@ -360,9 +360,10 @@ SECTIONS = 64   # a k-section round tests SECTIONS - 1 interior points
 RUNGS = 64      # ladder rungs tested per batch
 
 
-def _edge_of_component(sys, d, orbit, r, sign):
-    """Outermost parameter on one ray satisfying the full-orbit ball condition
-    along the center orbit (ctrs, tans) = orbit (see _pair_distances).
+def _ray_search(sign):
+    """The edge search on one parameter ray, as a generator: it yields each
+    batch of parameters to test, is sent their ball conditions, and returns
+    the outermost parameter whose orbit stays in the r-ball.
 
     The edge can sit exponentially deep (scale sigma^n of the ray), so the
     ladder t = sign 2^-k, k = 0..997 (down to about 1e-300), is tested
@@ -377,12 +378,12 @@ def _edge_of_component(sys, d, orbit, r, sign):
     """
     ladder = sign * np.ldexp(1.0, -np.arange(998))
     for start in range(0, len(ladder), RUNGS):
-        ok = _ball_condition(sys, orbit, r,
-                             _param_to_disp(d, ladder[start:start + RUNGS]))
+        ok = yield ladder[start:start + RUNGS]
         if ok.any():
             break
     else:
-        raise CarvingFailed("ball condition fails arbitrarily close to the center")
+        raise CarvingFailed(f"ball condition fails arbitrarily close to the "
+                            f"center on the {'+' if sign > 0 else '-'} ray")
     k = start + int(np.argmax(ok))  # rung 0 (the ray's end) brackets itself
     good, bad = ladder[k], ladder[max(k - 1, 0)]
     while True:
@@ -390,10 +391,34 @@ def _edge_of_component(sys, d, orbit, r, sign):
         ts = ts[(ts != good) & (ts != bad)]
         if ts.size == 0:
             return float(good)
-        ok = np.concatenate([[True], _ball_condition(
-            sys, orbit, r, _param_to_disp(d, ts)), [False]])
+        ok = np.concatenate([[True], (yield ts), [False]])
         j = int(np.argmin(ok))      # the first failing point, or bad itself
         good, bad = np.concatenate([[good], ts, [bad]])[j - 1:j + 1]
+
+
+def _component_edges(sys, d, orbit, r):
+    """(t_minus, t_plus): each ray's outermost parameter satisfying the
+    full-orbit ball condition along the center orbit (ctrs, tans) = orbit
+    (see _pair_distances and _ray_search).
+
+    The two rays' searches run side by side: each round tests every live
+    ray's next batch, a ladder batch or a k-section round, in one
+    _ball_condition call, and a ray leaves once its bracket holds no float.
+    """
+    searches = {sign: _ray_search(sign) for sign in (-1.0, 1.0)}
+    asks = {sign: next(search) for sign, search in searches.items()}
+    edges = {}
+    while asks:
+        ok = _ball_condition(sys, orbit, r, _param_to_disp(
+            d, np.concatenate(list(asks.values()))))
+        cuts = np.cumsum([len(ts) for ts in asks.values()])[:-1]
+        for sign, part in zip(list(asks), np.split(ok, cuts)):
+            try:
+                asks[sign] = searches[sign].send(part)
+            except StopIteration as done:
+                edges[sign] = done.value
+                del asks[sign]
+    return edges[-1.0], edges[1.0]
 
 
 def _resample_interval(d, t_minus, t_plus):
@@ -430,12 +455,15 @@ def hyperbolic_component(sys, d, n, r, sigma):
     """The sub-disk around the center whose whole n-orbit stays r-close and
     whose n-th image has intrinsic radius r.
 
-    Construction, per parameter ray: find the outermost parameter whose
-    anchored two-point orbit satisfies the r-ball condition at every step
-    0..n (the component of a curve under expanding dynamics is an interval,
-    so its edge is the first exit along the ray).  The search tests the
-    ladder t = 2^-k in batches of rungs, then refines the bracket by
-    k-section rounds down to adjacent floats.  The surviving interval is
+    Construction: on each of the two parameter rays, find the outermost
+    parameter whose anchored two-point orbit satisfies the r-ball condition
+    at every step 0..n (the component of a curve under expanding dynamics
+    is an interval, so its edge is the first exit along the ray).  Each
+    ray's search tests the ladder t = +-2^-k in batches of rungs, then
+    refines its bracket by k-section rounds down to adjacent floats; the
+    two rays' batches share one pair-distance call per round
+    (_component_edges), and each ray keeps the decisions it would take
+    alone.  The surviving interval is
     resampled at the original resolution, the ball condition is verified
     at the resampled nodes, and each side is trimmed so the intrinsic
     radius of the n-th image equals r (each side must reach at least 0.95 r
@@ -464,8 +492,7 @@ def hyperbolic_component(sys, d, n, r, sigma):
     if d.dim == 2:
         return _carve_2d(sys, d, orbit, r)
 
-    t_plus = _edge_of_component(sys, d, orbit, r, +1)
-    t_minus = _edge_of_component(sys, d, orbit, r, -1)
+    t_minus, t_plus = _component_edges(sys, d, orbit, r)
 
     carved = _resample_interval(d, t_minus, t_plus)
     final = iterate_disk(sys, carved, n)[-1]
@@ -491,10 +518,7 @@ def hyperbolic_component(sys, d, n, r, sigma):
     # past the image's end np.interp clamps to the end parameter +-1
     t_hi = float(np.interp(r, right, tp)) * t_plus
     t_lo = abs(float(np.interp(r, left, tm))) * t_minus
-    out = _resample_interval(d, t_lo, t_hi)
-    if t_hi <= 0.0 or t_lo >= 0.0:
-        raise CarvingFailed("carved component collapsed below 3 samples")
-    return out
+    return _resample_interval(d, t_lo, t_hi)
 
 
 def _carve_2d(sys, d, orbit, r):

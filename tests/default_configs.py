@@ -2,6 +2,7 @@
 and print a digest of what they write.
 
     python3 tests/default_configs.py OUT_DIR [--check OUTCOMES_JSON]
+    python3 tests/default_configs.py --diff OUT_A OUT_B
 
 Prints JSON mapping "model-experiment" to [outcome, {file: sha256}]: the
 outcome is 0 when every assertion passes, 3 when one fails (the CLI's exit
@@ -14,6 +15,11 @@ With --check, the outcomes are also compared with a {"model-experiment":
 outcome} file (tests/default_outcomes.json holds the expected table; the
 sha256s are left out because they depend on the numpy/BLAS build).  Every
 entry that disagrees is named on stderr and the exit code is 1.
+
+With --diff, nothing runs: the summary.json files of two earlier runs'
+OUT_DIRs are compared leaf by leaf (the digest holds only hashes), every
+leaf that differs is printed with its relative drift, and the exit code is
+1 if any leaf differs.
 """
 
 import hashlib
@@ -54,7 +60,58 @@ def disagreements(digest, expected):
             if key not in digest or digest[key][0] != expected.get(key)]
 
 
+def leaves(node, path=""):
+    """{dotted path: value} of every leaf of a parsed JSON value."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return {path: node}
+    out = {}
+    for key, child in items:
+        out.update(leaves(child, f"{path}.{key}" if path else str(key)))
+    return out
+
+
+def summary_leaves(run_dir):
+    """leaves() of run_dir's summary.json, or None when it has none."""
+    path = os.path.join(run_dir, "summary.json")
+    if not os.path.exists(path):
+        return None
+    with open(path) as fh:
+        return leaves(json.load(fh))
+
+
+def summary_diffs(dir_a, dir_b):
+    """One line per summary.json leaf that differs between two OUT_DIRs,
+    with its relative drift |a - b| / max(|a|, |b|) when both are numbers."""
+    lines = []
+    for run in sorted(set(os.listdir(dir_a)) | set(os.listdir(dir_b))):
+        a, b = (summary_leaves(os.path.join(top, run)) for top in (dir_a, dir_b))
+        if (a is None) != (b is None):
+            lines.append(f"{run}: summary.json in one run only")
+        if a is None or b is None:
+            continue
+        for key in sorted(set(a) | set(b)):
+            va, vb = (json.dumps(x[key]) if key in x else "absent"
+                      for x in (a, b))
+            if va == vb:
+                continue
+            line = f"{run}: {key}: {va} -> {vb}"
+            if all(type(x.get(key)) in (int, float) for x in (a, b)):
+                drift = abs(a[key] - b[key]) / max(abs(a[key]), abs(b[key]))
+                line += f" (rel drift {drift:.3g})"
+            lines.append(line)
+    return lines
+
+
 def main(argv):
+    if len(argv) == 3 and argv[0] == "--diff":
+        bad = summary_diffs(argv[1], argv[2])
+        for line in bad:
+            print(line)
+        return 1 if bad else 0
     if len(argv) not in (1, 3) or (len(argv) == 3 and argv[1] != "--check"):
         print(__doc__, file=sys.stderr)
         return 2

@@ -343,6 +343,44 @@ def edge_bisection_oracle(sys, d, n, r, sign):
     return lo
 
 
+def edge_search_oracle(sys, d, orbit, r, sign):
+    """Outermost parameter on one ray satisfying the full-orbit ball condition
+    along the center orbit (ctrs, tans) = orbit (see _pair_distances).
+
+    The edge can sit exponentially deep (scale sigma^n of the ray), so the
+    ladder t = sign 2^-k, k = 0..997 (down to about 1e-300), is tested
+    RUNGS rungs at a time up to the first good rung, which brackets the edge
+    within a binade.  A row of _pair_distances takes the decisions it would
+    take alone, so where the map is batch-invariant the rungs not tested
+    could not have changed it.
+    k-section rounds then shrink the bracket until no float lies strictly
+    inside it.  Inside one binade the section points are exact floats, so
+    where the ball condition is monotone along the ray the edge is the same
+    adjacent-float transition that bisection would find.
+    """
+    from srblab.disks import RUNGS, SECTIONS, _ball_condition, _param_to_disp
+    from srblab.errors import CarvingFailed
+    ladder = sign * np.ldexp(1.0, -np.arange(998))
+    for start in range(0, len(ladder), RUNGS):
+        ok = _ball_condition(sys, orbit, r,
+                             _param_to_disp(d, ladder[start:start + RUNGS]))
+        if ok.any():
+            break
+    else:
+        raise CarvingFailed("ball condition fails arbitrarily close to the center")
+    k = start + int(np.argmax(ok))  # rung 0 (the ray's end) brackets itself
+    good, bad = ladder[k], ladder[max(k - 1, 0)]
+    while True:
+        ts = good + (bad - good) * (np.arange(1, SECTIONS) / SECTIONS)
+        ts = ts[(ts != good) & (ts != bad)]
+        if ts.size == 0:
+            return float(good)
+        ok = np.concatenate([[True], _ball_condition(
+            sys, orbit, r, _param_to_disp(d, ts)), [False]])
+        j = int(np.argmin(ok))      # the first failing point, or bad itself
+        good, bad = np.concatenate([[good], ts, [bad]])[j - 1:j + 1]
+
+
 def advance_oracle(sys, d):
     """One forward step of an anchored disk in the macro regime, rebuilding
     displacements edge by edge: along the curve outward from the center in

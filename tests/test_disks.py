@@ -547,11 +547,53 @@ class TestBatchedCarving:
     def test_edges_match_bisection(self, request, model, n):
         sys = request.getfixturevalue(model)
         d = model_disk(sys)
-        for sign in (+1, -1):
-            got = disks._edge_of_component(sys, d, center_orbit(sys, d, n),
-                                           R, sign)
+        got = disks._component_edges(sys, d, center_orbit(sys, d, n), R)
+        for sign, edge in zip((-1, +1), got):
             want = oracles.edge_bisection_oracle(sys, d, n, R, sign)
-            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert edge == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [10, 26])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_edges_match_the_per_ray_search(self, request, model, n):
+        # searching both rays at once takes each ray's decisions, so its
+        # edges are the one-ray-at-a-time search's, bit for bit
+        sys = request.getfixturevalue(model)
+        for x in region_sample(sys, 5, seed=11, burn_in=12):
+            d = model_disk(sys, x)
+            orbit = center_orbit(sys, d, n)
+            want = tuple(oracles.edge_search_oracle(sys, d, orbit, R, sign)
+                         for sign in (-1, +1))
+            assert disks._component_edges(sys, d, orbit, R) == want
+
+    @pytest.mark.parametrize("n", [10, 26])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_carve_tests_both_rays_per_call(self, request, monkeypatch,
+                                            model, n):
+        # one ladder batch and nine k-section rounds for both rays, then the
+        # resample check: 11 calls where a search per ray made 21, on the
+        # same 1 455 rows
+        sys = request.getfixturevalue(model)
+        rows = []
+        pair_distances = disks._pair_distances
+
+        def spy(sys, orbit, disps):
+            rows.append(len(disps))
+            return pair_distances(sys, orbit, disps)
+
+        monkeypatch.setattr(disks, "_pair_distances", spy)
+        disks.hyperbolic_component(sys, model_disk(sys), n, R, sigma=0.9)
+        assert len(rows) == 11
+        assert sum(rows) == 1455
+
+    def test_edge_search_names_the_ray_with_no_good_rung(self, cat):
+        # 26 steps stretch every macro rung out of the ball, and a Df of
+        # norm 1e305 throws every micro rung out, down to 2^-997; the two
+        # rays fail in the same round, and the - ray reports first
+        d = model_disk(cat)
+        ctrs, tans = center_orbit(cat, d, 26)
+        with np.errstate(all="ignore"), pytest.raises(
+                CarvingFailed, match="center on the - ray"):
+            disks._component_edges(cat, d, (ctrs, 1e305 * tans), R)
 
     @pytest.mark.parametrize("model", MODELS)
     def test_advance_1d_bit_identical(self, request, model):

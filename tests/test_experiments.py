@@ -319,6 +319,26 @@ class TestRunExperiment:
         assert sorted(files) == ["pliss.csv", "summary.json"]
         assert digests[0] == digests[1]
 
+    def test_default_config_diff_lists_each_moved_leaf(self, tmp_path):
+        from .default_configs import main, run_one, summary_diffs
+        dirs = [os.path.join(tmp_path, tag) for tag in ("a", "b")]
+        for out in dirs:
+            run_one("cat", "pliss_demo", out)
+        assert summary_diffs(*dirs) == []
+        assert main(["--diff", *dirs]) == 0
+        path = os.path.join(dirs[1], "cat-pliss_demo", "summary.json")
+        with open(path) as fh:
+            summary = json.load(fh)
+        c0 = summary["quantities"]["c0"]
+        summary["quantities"]["c0"] = c0 * (1 + 1e-9)
+        with open(path, "w") as fh:
+            json.dump(summary, fh)
+        drift = abs(c0 - c0 * (1 + 1e-9)) / (c0 * (1 + 1e-9))
+        assert summary_diffs(*dirs) == [
+            f"cat-pliss_demo: quantities.c0: {json.dumps(c0)} -> "
+            f"{json.dumps(c0 * (1 + 1e-9))} (rel drift {drift:.3g})"]
+        assert main(["--diff", *dirs]) == 1
+
     def test_default_outcome_table_covers_every_config(self):
         from .default_configs import disagreements
         path = os.path.join(os.path.dirname(__file__), "default_outcomes.json")
