@@ -422,7 +422,8 @@ def _component_edges(sys, d, orbit, r):
 
 
 def _resample_interval(d, t_minus, t_plus):
-    """Sub-disk of a 1-D disk over [t_minus, t_plus] on d's mesh, center at 0.
+    """Sub-disk of a 1-D disk over [t_minus, t_plus], t_minus < 0 < t_plus,
+    on d's mesh, center at 0.
 
     The two sides are resampled separately so that parameter 0 still maps to
     the original center sample.
@@ -435,9 +436,8 @@ def _resample_interval(d, t_minus, t_plus):
     tan = _batch_qr(np.stack([np.interp(t_new, d.params[:, 0], col)
                               for col in d.tangents[:, :, 0].T], axis=1)[:, :, None])
     scale = max(abs(t_minus), abs(t_plus))
-    params = np.where(t_new[:, None] >= 0,
-                      t_new[:, None] / (t_plus if t_plus > 0 else 1.0),
-                      t_new[:, None] / (abs(t_minus) if t_minus < 0 else 1.0))
+    params = np.where(t_new[:, None] >= 0, t_new[:, None] / t_plus,
+                      t_new[:, None] / -t_minus)
     return EmbeddedDisk(chart=d.chart, dim=1, params=params,
                         center=d.center.copy(), disp=disp, tangents=tan,
                         center_index=half, radius=float(d.radius * scale),

@@ -13,6 +13,9 @@ tangents, SplittingField._bundle, run both ways: the push yields F at rows
 m..0 after DEPTH - 1 along row m's forward one.  Only these lead orbits
 take their own Df: a row's Df feeds the push, the pull and the cocycle
 logs, a point's (_point_stretches) the pull's last step and both stretches.
+A MapSystem keeps each anchor row's lead frames (SplittingField._lead) for
+at most POINTS anchor points in all, so a point asked for again walks no
+lead orbit; equal anchor bytes and callables give the bits a walk would.
 Entry j of a cocycle log stores the value at the orbit point f^j(x);
 time_logs owns the entries that hyperbolic times and Lambda membership read.
 
@@ -24,7 +27,7 @@ block takes more than max(POINTS, N) points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, islice
 
 import numpy as np
@@ -115,11 +118,10 @@ def _batch_qr(frames):
 
 def _swept(step, tangents, frames):
     """The cone iteration: frames carried through each Df of tangents by step
-    (np.matmul pushes, np.linalg.solve pulls), yielded from step DEPTH on."""
-    for i, t in enumerate(tangents, 1):
+    (np.matmul pushes, np.linalg.solve pulls), yielded after every step."""
+    for t in tangents:
         frames = _batch_qr(step(t, frames))
-        if i >= DEPTH:
-            yield frames
+        yield frames
 
 
 def _blocks(rows):
@@ -161,7 +163,8 @@ class SplittingField:
     F along backward orbits and pulls E along forward ones, unless the
     system declares the bundle's constant frame.  A query flattens its rows
     to (m+1, N, d), so no frame depends on the leading shape, and fills one
-    array from the sweep; the field is pure.
+    array from the sweep.  The field keeps nothing: the lead frames live in
+    its system's memo, and a repeated query gets the bits of a fresh one.
     """
 
     def __init__(self, system):
@@ -170,31 +173,59 @@ class SplittingField:
     def _bundle(self, which, rows, tans):
         """E (which "e") or F ("f") at the (m+1, N, d) rows: a stream of
         (N, d, dim) frames, F at rows 0..m fed Df at rows 0..m-1, E at rows
-        m..0 fed Df at rows m..0.  It reads tans lazily, one per frame but
-        F's first; a declared bundle reads none and tiles its frame."""
+        m..0 fed Df at rows m..0.  The sweep goes on from the anchor row's
+        _lead frame: F yields it first, E pulls it on.  It reads tans
+        lazily, one per frame but F's first; a declared bundle reads none
+        and tiles its frame."""
         s = self.system
         push = which == "f"
         frame = s.f_frame if push else s.e_frame
         if frame is not None:
             return iter(_tiled(frame, rows.shape[:-1]))
-        anchor, step, n = ((rows[0], s.inverse, DEPTH) if push
-                           else (rows[-1], s.forward, DEPTH - 1))
-        # lead[k]: the anchor after n - k steps; Df there leads into row 0/m
-        lead = np.empty((n + 1,) + rows.shape[1:])
-        lead[n] = anchor
+        lead = self._lead(which, rows[0] if push else rows[-1])
+        sweep = _swept(np.matmul if push else np.linalg.solve, tans, lead)
+        return chain([lead], sweep) if push else sweep
+
+    def _lead(self, which, anchor):
+        """The sweep's frame at the end of the (N, d) anchor's lead orbit: F
+        at the anchor after DEPTH pushes along its backward orbit, or E at
+        f(anchor) after DEPTH - 1 pulls along its forward one, from the
+        generic frames.  The system's memo keeps it by the anchor's bytes
+        and the callables that made it, read-only, for at most POINTS
+        anchor points in all, and drops its oldest entries first."""
+        s = self.system
+        push = which == "f"
+        step, n = (s.inverse, DEPTH) if push else (s.forward, DEPTH - 1)
+        key = (which, step, s.tangent, anchor.shape, anchor.dtype.str,
+               anchor.tobytes())
+        memo = s._leads
+        if key in memo:
+            return memo[key]
+        # orbit[k]: the anchor after n - k steps; Df there leads to its end
+        orbit = np.empty((n + 1,) + anchor.shape)
+        orbit[n] = anchor
         for k in range(n, 0, -1):
-            lead[k - 1] = step(lead[k])
-        return _swept(np.matmul if push else np.linalg.solve,
-                      chain(_streamed_tangents(s.tangent, lead[:-1]), tans),
-                      _generic_frames(anchor, s.dim_f if push else s.dim_e))
+            orbit[k - 1] = step(orbit[k])
+        sweep = np.matmul if push else np.linalg.solve
+        frames = _generic_frames(anchor, s.dim_f if push else s.dim_e)
+        for t in _streamed_tangents(s.tangent, orbit[:-1]):
+            frames = _batch_qr(sweep(t, frames))
+        if len(anchor) <= POINTS:
+            frames.flags.writeable = False
+            held = len(anchor) + sum(map(len, memo.values()))
+            while held > POINTS:
+                held -= len(memo.pop(next(iter(memo))))
+            memo[key] = frames
+        return frames
 
     def _frames_at(self, which, coords):
         """The bundle at the (..., d) points coords, as their one-row
-        stream's first frame: only a pull reads Df at the row."""
+        stream's first frame, copied out of the memo: only a pull reads
+        Df at the row."""
         c = np.asarray(coords, float)
         row = c.reshape(1, -1, c.shape[-1])
         fr = next(self._bundle(which, row, map(self.system.tangent, row)))
-        return fr.reshape(c.shape + fr.shape[-1:])
+        return fr.reshape(c.shape + fr.shape[-1:]).copy()
 
     def e_frames(self, coords):
         return self._frames_at("e", coords)
@@ -259,6 +290,10 @@ class MapSystem:
     e_frame: np.ndarray = None
     f_frame: np.ndarray = None
     region_contains: callable = None   # coords -> bool array; None = whole chart
+    # the splitting's lead frames by anchor (SplittingField._lead); a
+    # dataclasses.replace copy starts with none, and equality ignores them
+    _leads: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def dim(self):

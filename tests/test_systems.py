@@ -241,6 +241,139 @@ class TestSplittingFrames:
         assert np.array_equal(b1.frame, b2.frame)
 
 
+def _held(sys):
+    """The anchor points a system's lead memo holds."""
+    return sum(len(v) for v in sys._leads.values())
+
+
+def _kept(sys, memo):
+    """Does the system's lead memo hold exactly memo's entries, unchanged?"""
+    return (sys._leads.keys() == memo.keys()
+            and all(sys._leads[k] is v for k, v in memo.items()))
+
+
+class TestLeadMemo:
+    """A system keeps each anchor's lead frames: a repeated query walks no
+    lead orbit and returns the bits of a fresh sweep."""
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("n", [1, 200])
+    def test_a_repeated_query_gives_the_oracles_bits(self, request, model,
+                                                     n):
+        calls = {}
+        sys = _counted(request.getfixturevalue(model), calls)
+        pts = region_sample(sys, n, seed=11, burn_in=2)
+        rows = orbit_coords(sys, pts, 5)
+        calls.clear()
+        want_e, want_f = oracles.splitting_frames_oracle(sys, rows)
+        want_pe, want_pf = oracles.splitting_frames_oracle(sys, pts[None])
+        if sys.f_frame is None:   # cat declares its F
+            assert np.array_equal(want_pf[0],
+                                  oracles.f_batch_oracle(sys, pts, DEPTH))
+        for query in range(2):
+            calls.clear()
+            e, f = _frames(sys, rows)
+            assert np.array_equal(e, want_e) and np.array_equal(f, want_f)
+            assert np.array_equal(sys.splitting.f_frames(pts), want_pf[0])
+            assert np.array_equal(sys.splitting.e_frames(pts), want_pe[0])
+            if query:   # the second round walks no lead orbit
+                assert "inverse" not in calls and "forward" not in calls
+        # the anchors: pts for F, the last row and pts for E
+        leads = (sys.f_frame is None) + 2 * (sys.e_frame is None)
+        assert len(sys._leads) == leads and _held(sys) == leads * n
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_a_replace_copy_starts_empty(self, request, model):
+        sys = dataclasses.replace(request.getfixturevalue(model))
+        pts = region_sample(sys, 7, seed=12, burn_in=2)
+        sys.splitting.f_frames(pts)
+        sys.splitting.e_frames(pts)
+        held = dict(sys._leads)
+        plain = dataclasses.replace(sys)
+        assert plain == sys and plain._leads == {}   # equality skips memos
+        calls = {}
+        copy = _counted(sys, calls)
+        assert copy._leads == {}
+        e, f = oracles.splitting_frames_oracle(copy, pts[None])
+        calls.clear()
+        assert np.array_equal(copy.splitting.f_frames(pts), f[0])
+        assert np.array_equal(copy.splitting.e_frames(pts), e[0])
+        # the copy walks its own leads, and leaves the original's memo
+        assert calls.get("inverse", []) == ([] if sys.f_frame is not None
+                                            else [7] * DEPTH)
+        assert calls.get("forward", []) == ([] if sys.e_frame is not None
+                                            else [7] * (DEPTH - 1))
+        assert _kept(sys, held)
+
+    def test_a_reassigned_map_walks_again(self, pcat):
+        # a callable set on the system itself, as a tracer sets its wrappers,
+        # reads no frame swept with the old one: Df first, then the steps
+        sys = dataclasses.replace(pcat)
+        pts = region_sample(sys, 7, seed=15)
+        calls = {}
+        counted = _counted(sys, calls)
+        for attrs in (["tangent"], ["forward", "inverse"]):
+            sys.splitting.f_frames(pts)
+            sys.splitting.e_frames(pts)
+            for attr in attrs:
+                setattr(sys, attr, getattr(counted, attr))
+            calls.clear()
+            sys.splitting.f_frames(pts)
+            sys.splitting.e_frames(pts)
+            assert calls["tangent"] == [7 * DEPTH, 7 * (DEPTH - 1), 7]
+        assert calls["inverse"] == [7] * DEPTH
+        assert calls["forward"] == [7] * (DEPTH - 1)
+
+    @pytest.mark.parametrize("model", ["pcat", "sol", "dfa"])
+    def test_writing_into_a_frame_leaves_the_next_query(self, request, model):
+        sys = dataclasses.replace(request.getfixturevalue(model))
+        sp = sys.splitting
+        pts = region_sample(sys, 5, seed=13, burn_in=2)
+        e, f = oracles.splitting_frames_oracle(sys, pts[None])
+        for query, want in ((sp.f_frames, f[0]), (sp.e_frames, e[0])):
+            query(pts)[...] = 0.0
+            query(pts)[0] += 1.0
+            assert np.array_equal(query(pts), want)
+
+    def test_the_memo_holds_at_most_points_anchor_points(self, pcat):
+        calls = {}
+        sys = _counted(pcat, calls)
+        sp = sys.splitting
+        sets = [region_sample(sys, 1500, seed=s) for s in range(3)]
+        for pts in sets:
+            sp.f_frames(pts)
+        # 4500 points: the oldest anchor goes, the two newest stay
+        assert len(sys._leads) == 2 and _held(sys) == 3000 <= POINTS
+        calls.clear()
+        sp.f_frames(sets[2])
+        assert "inverse" not in calls
+        sp.f_frames(sets[0])
+        assert calls["inverse"] == [1500] * DEPTH
+        assert len(sys._leads) == 2 and _held(sys) == 3000
+        # an anchor of more than POINTS points is swept but not kept
+        big = region_sample(sys, POINTS + 1, seed=9)
+        held = dict(sys._leads)
+        f = sp.f_frames(big)
+        assert _kept(sys, held)
+        assert np.array_equal(f, oracles.f_batch_oracle(sys, big, DEPTH))
+
+    def test_a_centres_queries_walk_one_lead(self, pcat):
+        # F at x, the time logs of x's 10-step orbit and x's cocycle logs
+        # all push from x: one DEPTH-step lead, not three
+        inverse = []
+
+        def counted(c):
+            inverse.append(len(c))
+            return pcat.inverse(c)
+
+        sys = dataclasses.replace(pcat, inverse=counted)
+        x = region_sample(sys, 1, seed=14, burn_in=2)[0]
+        sys.splitting.f_frames(x)
+        time_logs(sys, orbit_coords(sys, x[None], 10))
+        cocycle_logs(sys, x, 10)
+        assert len(inverse) == DEPTH
+
+
 class TestCocycleAgainstSplitting:
     def test_cat_domination_gap(self, cat):
         logs = cocycle_logs(cat, X0, 50)
@@ -544,15 +677,19 @@ def _qr_calls(monkeypatch):
 
 
 class TestQrCalls:
-    def test_planar_streams_call_lapack_only_for_seed_frames(self, dfa,
+    # each test builds its own system: a lead memo filled by an earlier
+    # test would skip the seed frames' calls
+    def test_planar_streams_call_lapack_only_for_seed_frames(self,
                                                              monkeypatch):
+        dfa = build("dfa")
         pts = region_sample(dfa, 200, seed=5)
         calls = _qr_calls(monkeypatch)
         cocycle_logs_batch(dfa, pts, 50)
         measure_constants_h(build("perturbed_cat"))
         assert calls and {name for name, _ in calls} == {"_generic_frames"}
 
-    def test_solenoid_frames_stay_on_lapack(self, sol, monkeypatch):
+    def test_solenoid_frames_stay_on_lapack(self, monkeypatch):
+        sol = build("solenoid", c=0.25, d=0.5)
         pts = region_sample(sol, 20, seed=5, burn_in=3)
         calls = _qr_calls(monkeypatch)
         cocycle_logs_batch(sol, pts, 5)
