@@ -45,14 +45,19 @@ class Chart:
         object.__setattr__(self, "_per", per)
         object.__setattr__(self, "_per_lo", lo[per])
         object.__setattr__(self, "_per_w", self.widths[per])
+        # the largest coordinate below each periodic axis's upper bound
+        object.__setattr__(self, "_per_top", np.nextafter(hi[per], lo[per]))
         object.__setattr__(self, "_box", box)
         object.__setattr__(self, "_box_lo", lo[box] - 1e-9)
         object.__setattr__(self, "_box_hi", hi[box] + 1e-9)
-        # a unit torus with one lower bound folds the whole array at once
+        # a unit torus with one lower and one upper bound folds the whole
+        # array at once
         unit = (all(self.periodic) and np.all(self.widths == 1.0)
-                and len(set(self.lower)) == 1)
+                and len(set(self.lower)) == len(set(self.upper)) == 1)
         object.__setattr__(self, "_unit_lo",
                            float(self.lower[0]) if unit else None)
+        object.__setattr__(self, "_unit_top",
+                           float(np.nextafter(hi[0], lo[0])) if unit else None)
 
     @property
     def dim(self):
@@ -71,12 +76,17 @@ class Chart:
         return float(np.sqrt(np.sum(spans ** 2)))
 
     def wrap(self, coords):
-        """Fold coordinates back into the fundamental domain (periodic axes)."""
+        """Fold coordinates back into the fundamental domain: each periodic
+        axis into [lower, upper).  A value just below a period boundary
+        folds to upper in float arithmetic, so the fold is clamped below
+        upper."""
         out = np.array(coords, dtype=float)
         if self._unit_lo is not None:
-            return _fold_unit(out, self._unit_lo)
+            return np.minimum(_fold_unit(out, self._unit_lo), self._unit_top,
+                              out=out)
         p, lo = self._per, self._per_lo
-        out[..., p] = np.mod(out[..., p] - lo, self._per_w) + lo
+        out[..., p] = np.minimum(np.mod(out[..., p] - lo, self._per_w) + lo,
+                                 self._per_top)
         return out
 
     def displacement(self, a, b):
@@ -100,8 +110,12 @@ class Chart:
 
 
 def _fold_unit(t, lo):
-    """t folded into [lo, lo + 1) in place.  For period 1, t - floor(t)
-    equals np.mod(t, 1.0) bit for bit, so this is the per-axis fold."""
+    """t folded into [lo, lo + 1] in place.  For period 1, t - floor(t)
+    equals np.mod(t, 1.0) bit for bit, so this is the per-axis fold.  It is
+    never -0.0, so from lo = 0 no shift is needed."""
+    if lo == 0.0:
+        t -= np.floor(t)
+        return t
     t -= lo
     t -= np.floor(t)
     t += lo

@@ -101,6 +101,8 @@ _FIELDS = {
     "constants.threshold": _NUMBER,
 }
 _SECTIONS = ("model", "model.params", "disk", "constants")
+# the carve lemmas are statements about disks tangent to the F cone
+_F_DISKS_ONLY = ("contraction", "distortion", "curvature")
 
 
 def _leaves(obj, prefix=""):
@@ -151,6 +153,10 @@ def parse_config(obj):
     _check(fields, "experiment", obj.get("experiment"))
     for path, value in _leaves(obj):
         _check(fields, path, value)
+        if (path == "disk.direction" and value == "E"
+                and obj["experiment"] in _F_DISKS_ONLY):
+            raise ConfigInvalid(f"disk.direction 'E' is not 'F': "
+                                f"{obj['experiment']} carves F-disks only")
         top = _LIMITS.get(path)
         top = top[obj["experiment"]] if isinstance(top, dict) else top
         if top is not None and value is not None and value > top:
@@ -190,9 +196,11 @@ _RELATIONS = {"<": operator.lt, "<=": operator.le,
 
 def _assert_entry(name, value, rel, bound):
     """A check's record; passed is value rel bound on the floats written (a
-    NaN fails every relation), and the relation stays out of the record."""
+    NaN fails every relation, and a bound that is not finite fails, since it
+    bounds nothing), and the relation stays out of the record."""
     value, bound = float(value), float(bound)
-    return {"name": name, "passed": _RELATIONS[rel](value, bound),
+    return {"name": name,
+            "passed": math.isfinite(bound) and _RELATIONS[rel](value, bound),
             "value": value, "bound": bound}
 
 

@@ -76,32 +76,56 @@ def _batch_qr(frames):
     column is flipped where np.linalg.qr's R has a negative diagonal entry,
     so the result is continuous in the input.
 
-    A (..., 2, 1) stack, the F or E line of a planar model, is computed as
-    whole arrays by the arithmetic of LAPACK's dgeqr2 + dorg2r (dlarfg's
-    Householder reflection, its exact power-of-two rescale below safmin
-    included).  For finite input it equals the np.linalg.qr form bit for
-    bit under reference LAPACK, which OpenBLAS ships; this was checked
-    with numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64, Haswell kernels) only.
-    Builds on Accelerate or MKL may round dlapy2/dnrm2 differently, and
-    there the identity is unverified.  Every other shape
-    calls np.linalg.qr: the 2-D disks' (..., d, 2) frames, and the
-    solenoid's (..., 3, 1) F, whose dlarfg norm is a two-entry dnrm2 that
-    the BLAS rounds its own way (OpenBLAS on x86-64 accumulates it in x87
-    extended precision), so no float64 expression matches it everywhere.
+    The LAPACK routines each shape takes, all giving np.linalg.qr's bits
+    for finite input:
+    - (..., d, k) with k >= 2, the 2-D disks' frames: np.linalg.qr,
+      dgeqrf + dorgqr.
+    - (..., d, 1) with d >= 3, the solenoid's F: np.linalg.qr's raw mode,
+      one dgeqrf per frame.  Its dlarfg norm is a dnrm2 that the BLAS
+      rounds its own way (OpenBLAS on x86-64 accumulates it in x87
+      extended precision), so no float64 expression matches it everywhere.
+    - (..., 2, 1), the F or E line of a planar model: no LAPACK call, but
+      dgeqr2's arithmetic as whole arrays (dlarfg's Householder reflection,
+      its exact power-of-two rescale below safmin included).  For finite
+      input this equals LAPACK bit for bit under reference LAPACK, which
+      OpenBLAS ships; this was checked with numpy 2.4.6 on OpenBLAS 0.3.31
+      (x86-64, Haswell kernels) only.  Builds on Accelerate or MKL may
+      round dlapy2/dnrm2 differently, and there the identity is unverified.
+    One reflector H = I - tau v v^T (v_0 = 1) leaves a one-column Q that
+    _reflector_column builds; dorgqr's bits follow from it, because for
+    one column dorgqr runs its unblocked dorg2r, which applies no dlarf
+    and only sets q_0 = 1 - tau and scales the tail by -tau (dscal).
     """
-    if frames.shape[-2:] != (2, 1):
+    if frames.shape[-1] != 1:
         q, r = np.linalg.qr(frames)
         diag = np.diagonal(r, axis1=-2, axis2=-1)
         return q * np.where(diag < 0, -1.0, 1.0)[..., None, :]
-    a, b = frames[..., 0, 0], frames[..., 1, 0]
+    if frames.shape[-2] != 2:
+        h, tau = np.linalg.qr(frames, mode="raw")
+        ht = h.T   # (d, 1, ...): R's diagonal entry, then v's tail
+        with np.errstate(all="ignore"):   # inf * 0 in a column that overflows
+            return _reflector_column(frames.shape, tau.T[0], ht[1:, 0],
+                                     np.where(ht[0, 0] < 0, -1.0, 1.0))
+    ft = frames.T
+    a, b = ft[0, 0, ...], ft[0, 1, ...]
     with np.errstate(all="ignore"):
         beta = _householder_beta(a, b)
+        tau = (beta - a) / beta
+        # tau is in [1, 2] on a finite column (inf where beta - a
+        # overflows) and NaN where a value is not finite, so the guard holds
+        # only if every row has b != 0 and |beta| >= safmin: dlarfg neither
+        # rescales nor keeps H = I, and beta is a nonzero number, whose sign
+        # copysign reads as np.where does
+        if (np.abs(b) * tau).min(initial=np.inf) >= 2.0 * _SAFMIN:
+            return _reflector_column(frames.shape, tau,
+                                     b * (1.0 / (a - beta)),
+                                     np.copysign(1.0, beta))
         small = np.abs(beta) < _SAFMIN
         if small.any():
             a = np.where(small, a * _RSAFMN, a)
             b = np.where(small, b * _RSAFMN, b)
             beta = _householder_beta(a, b)
-        tau = (beta - a) / beta
+            tau = (beta - a) / beta
         v = b * (1.0 / (a - beta))
         diag = beta
         zero = b == 0.0
@@ -109,10 +133,19 @@ def _batch_qr(frames):
             tau = np.where(zero, 0.0, tau)
             v = np.where(zero, b, v)
             diag = np.where(zero, a, beta)
-        s = np.where(diag < 0, -1.0, 1.0)
-        q = np.empty(frames.shape)
-        q[..., 0, 0] = (1.0 - tau) * s
-        q[..., 1, 0] = (-tau * v) * s
+        return _reflector_column(frames.shape, tau, v,
+                                 np.where(diag < 0, -1.0, 1.0))
+
+
+def _reflector_column(shape, tau, v, s):
+    """The (..., d, 1) Q of one Householder reflector, dorg2r's one-column
+    tail: q_0 = 1 - tau and q_i = (-tau) v_i, each times the sign s.  tau
+    and s are indexed by the lead axes reversed, v by the tail row first,
+    so that they broadcast into the transposed Q."""
+    q = np.empty(shape)
+    qt = q.T
+    qt[0, 0] = (1.0 - tau) * s
+    qt[0, 1:] = (-tau * v) * s
     return q
 
 

@@ -239,13 +239,16 @@ def span(vectors):
 # ---- charts and disks: the per-axis, per-point and per-edge definitions ----
 
 def wrap_oracle(chart, coords):
-    """Fold periodic axes into [lower, upper), one axis at a time."""
+    """Fold periodic axes into [lower, upper), one axis at a time: np.mod's
+    fold, which rounds a value just below a period boundary up to upper,
+    clamped to the largest float below upper."""
     out = np.array(coords, dtype=float)
     lo = np.asarray(chart.lower, float)
-    w = np.asarray(chart.upper, float) - lo
+    hi = np.asarray(chart.upper, float)
     for j in range(chart.dim):
         if chart.periodic[j]:
-            out[..., j] = np.mod(out[..., j] - lo[j], w[j]) + lo[j]
+            out[..., j] = np.minimum(np.mod(out[..., j] - lo[j], hi[j] - lo[j])
+                                     + lo[j], np.nextafter(hi[j], lo[j]))
     return out
 
 
@@ -655,6 +658,44 @@ def batch_qr_oracle(frames):
     q, r = np.linalg.qr(frames)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * np.where(diag < 0, -1.0, 1.0)[..., None, :]
+
+
+def plane_qr_oracle(frames):
+    """_batch_qr of a (..., 2, 1) stack by one formula for every call: LAPACK
+    dgeqr2 + dorg2r's arithmetic (dlarfg's beta -sign(dlapy2(a, |b|), a),
+    its power-of-two rescale below safmin, H = I where b == 0), sign-fixed
+    with np.where.  It also pins the bits of rows holding NaN or inf, whose
+    NaN signs follow numpy's loops, so the branches and the strided or
+    contiguous operands are kept as they were."""
+    safmin, rsafmn = 2.0 ** -969, 2.0 ** 969
+
+    def beta_of(a, b):
+        aa, ab = np.abs(a), np.abs(b)
+        w = np.maximum(aa, ab)
+        zw = np.minimum(aa, ab) / w
+        return np.copysign(w * np.sqrt(1.0 + zw * zw), -a)
+
+    a, b = frames[..., 0, 0], frames[..., 1, 0]
+    with np.errstate(all="ignore"):
+        beta = beta_of(a, b)
+        small = np.abs(beta) < safmin
+        if small.any():
+            a = np.where(small, a * rsafmn, a)
+            b = np.where(small, b * rsafmn, b)
+            beta = beta_of(a, b)
+        tau = (beta - a) / beta
+        v = b * (1.0 / (a - beta))
+        diag = beta
+        zero = b == 0.0
+        if zero.any():
+            tau = np.where(zero, 0.0, tau)
+            v = np.where(zero, b, v)
+            diag = np.where(zero, a, beta)
+        s = np.where(diag < 0, -1.0, 1.0)
+        q = np.empty(frames.shape)
+        q[..., 0, 0] = (1.0 - tau) * s
+        q[..., 1, 0] = (-tau * v) * s
+    return q
 
 
 def dfa_tangent_oracle(x, delta=0.05, rho=0.2):

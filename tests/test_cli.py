@@ -144,6 +144,12 @@ class TestRun:
         ({"model": {"name": "solenoid"}, "experiment": "disk_iterate",
           "horizon": 1, "disk": {"direction": "E", "resolution": 203}},
          "disk.resolution"),
+        # the carve lemmas take F-disks only; the solenoid's E-disk was a
+        # vacuous PASS on an infinite distortion bound
+        *[({"model": {"name": "solenoid"}, "experiment": e,
+            "constants": {"sigma": 0.7},
+            "disk": {"direction": "E", "resolution": 101}}, "disk.direction")
+          for e in ("contraction", "distortion", "curvature")],
     ])
     def test_malformed_field_exits_two_with_path(self, tmp_path, patch, path):
         cfg = write_config(tmp_path, "bad.json", {**GOOD, **patch})

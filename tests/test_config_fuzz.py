@@ -2,7 +2,8 @@
 
 Configs are built from the field table `experiments._FIELDS`, so a field
 added there is fuzzed without touching this file; a size field must also
-stay within its limit in `experiments._LIMITS`.
+stay within its limit in `experiments._LIMITS`, and an E-disk is valid only
+outside `experiments._F_DISKS_ONLY`.
 """
 
 import contextlib
@@ -15,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srblab import cli
-from srblab.experiments import _FIELDS, _LIMITS, EXPERIMENTS, parse_config
+from srblab.experiments import (_F_DISKS_ONLY, _FIELDS, _LIMITS, EXPERIMENTS,
+                                parse_config)
 
 # leaf values tried against every _FIELDS entry; each field's check splits
 # them into the values it accepts and the values it rejects
@@ -40,7 +42,9 @@ def parses(path, experiment, value):
     """Whether parse_config takes value at path in a run of experiment."""
     top = _LIMITS.get(path)
     top = top[experiment] if isinstance(top, dict) else top
-    return bool(_FIELDS[path][0](value)) and (
+    e_disk = (path == "disk.direction" and value == "E"
+              and experiment in _F_DISKS_ONLY)
+    return bool(_FIELDS[path][0](value)) and not e_disk and (
         top is None or value is None or value <= top)
 
 

@@ -132,6 +132,14 @@ class TestAssertEntry:
             assert not experiments._assert_entry("c", value, rel,
                                                  bound)["passed"]
 
+    @pytest.mark.parametrize("rel", sorted(experiments._RELATIONS))
+    def test_a_bound_that_is_not_finite_fails_every_relation(self, rel):
+        # "value 1 vs bound inf" bounds nothing, whichever way it points
+        for value in (1.0, 0.0, np.inf, -np.inf):
+            for bound in (np.inf, -np.inf, np.nan):
+                rec = experiments._assert_entry("c", value, rel, bound)
+                assert rec["passed"] is False
+
     def test_every_call_site_names_a_relation_literal(self):
         # a call site gives its relation as a literal from the table, so no
         # verdict is computed outside _assert_entry

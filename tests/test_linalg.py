@@ -25,12 +25,28 @@ _HALVES = np.arange(-6, 7) / 2.0
 FOLD_CASES = np.concatenate([
     _HALVES, np.nextafter(_HALVES, np.inf), np.nextafter(_HALVES, -np.inf),
     [0.0, -0.0, -1e-300, 1e-300, 1e15, -1e15, 1e15 + 0.5, -1e15 - 0.5]])
+# the solenoid's chart (a periodic axis from 0 and two box axes), and a
+# generic chart whose periodic axes start off 0
+SOLENOID_CHART = Chart("solenoid", (0.0, -1.6, -1.6), (2 * np.pi, 1.6, 1.6),
+                       (True, False, False))
+SHIFTED_CHART = Chart("shifted", (-1.0, 0.5), (2.0, 1.5), (True, True))
 COORD = st.floats(-1e15, 1e15, allow_nan=False, allow_infinity=False)
 
 
 def bits(a):
     """int64 view of a float array: unlike ==, it tells -0.0 from +0.0."""
     return np.ascontiguousarray(a, float).view(np.int64)
+
+
+def _below_period_boundaries(ch):
+    """One ulp below each period boundary lower + k w, k = -3..3, and tiny
+    negatives below lower, on the periodic axes (box axes at lower): np.mod's
+    fold rounds some of them up to upper."""
+    lo, hi = np.array(ch.lower), np.array(ch.upper)
+    edges = lo + np.arange(-3, 4)[:, None] * (hi - lo)
+    pts = np.concatenate([np.nextafter(edges, -np.inf),
+                          lo - np.array([1e-20, 1e-300, 5e-324])[:, None]])
+    return np.where(ch.periodic, pts, lo)
 
 
 class TestSubspace:
@@ -236,6 +252,36 @@ class TestChart:
         assert np.array_equal(bits(ch.wrap(x)), bits(wrap_oracle(ch, x)))
         assert np.array_equal(bits(ch.displacement(x, y)),
                               bits(displacement_oracle(ch, x, y)))
+
+    @pytest.mark.parametrize("ch", UNIT_TORI + [SOLENOID_CHART, SHIFTED_CHART],
+                             ids=lambda c: c.chart_id)
+    def test_wrap_stays_below_upper_bound(self, ch):
+        pts = _below_period_boundaries(ch)
+        per = np.array(ch.periodic)
+        w = ch.wrap(pts)
+        assert np.all((w[:, per] >= np.array(ch.lower)[per])
+                      & (w[:, per] < np.array(ch.upper)[per]))
+        assert np.array_equal(bits(w), bits(wrap_oracle(ch, pts)))
+
+    @pytest.mark.parametrize("ch", [torus_chart(2), torus_chart(4),
+                                    SOLENOID_CHART], ids=lambda c: c.chart_id)
+    def test_wrap_is_idempotent_from_lower_zero(self, ch):
+        # x - 0 is exact, so a point of the chart folds to itself
+        w = ch.wrap(_below_period_boundaries(ch))
+        assert np.array_equal(bits(ch.wrap(w)), bits(w))
+
+    @pytest.mark.xfail(strict=True, reason="x - lower rounds: the largest "
+                       "float below upper 2.0 on [-1, 2) folds to -1.0")
+    def test_wrap_is_idempotent_from_a_nonzero_lower(self):
+        w = SHIFTED_CHART.wrap(_below_period_boundaries(SHIFTED_CHART))
+        assert np.array_equal(bits(SHIFTED_CHART.wrap(w)), bits(w))
+
+    def test_wrap_of_a_tiny_negative_angle_is_below_the_period(self, sol):
+        assert torus_chart(2).wrap([-1e-20, 0.3])[0] == np.nextafter(1.0, 0.0)
+        assert sol.chart == SOLENOID_CHART
+        top = sol.chart.wrap([-1e-20, 0.0, 0.0])[0]
+        assert top == np.nextafter(2 * np.pi, 0.0)
+        assert np.mod(-1e-20, 2 * np.pi) == 2 * np.pi   # what it was clamped from
 
     def test_equal_charts_compare_and_hash_equal(self, sol):
         ch = sol.chart

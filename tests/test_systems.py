@@ -610,23 +610,51 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
+_TINY = 2.0 ** -969
+# the cases dlarfg branches on: +-0.0 in either slot or both, one entry 0,
+# both sides of the rescale threshold 2^-969, subnormals, and magnitudes
+# from e^-700 to overflow, with a |b| below 2^-969 whose tau overflows
+PLANE_CASES = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0),
+               (0.0, 1.5), (-0.0, -2.5), (3.0, 0.0), (-3.0, -0.0),
+               (_TINY, _TINY), (-_TINY, 0.5 * _TINY),
+               (0.5 * _TINY, -0.25 * _TINY), (2.0 * _TINY, _TINY),
+               (_TINY * (1 - 2.0 ** -52), 0.0), (5e-324, -5e-324),
+               (1e-310, 3e-320), (np.exp(-700.0), np.exp(-699.0)),
+               (1e300, -1e300), (1.7e308, 1.7e308), (-1e308, 1e-308),
+               (1.7e308, 1e-310)]
+
+
 def _plane_stack(n, rng):
-    """(n, 2, 1) columns cycling through the cases dlarfg branches on: +-0.0
-    in either slot or both, one entry 0, both sides of the rescale
-    threshold 2^-969, subnormals, and magnitudes from e^-700 to overflow."""
-    tiny = 2.0 ** -969
-    cases = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0),
-             (0.0, 1.5), (-0.0, -2.5), (3.0, 0.0), (-3.0, -0.0),
-             (tiny, tiny), (-tiny, 0.5 * tiny), (0.5 * tiny, -0.25 * tiny),
-             (2.0 * tiny, tiny), (tiny * (1 - 2.0 ** -52), 0.0),
-             (5e-324, -5e-324), (1e-310, 3e-320),
-             (np.exp(-700.0), np.exp(-699.0)), (1e300, -1e300),
-             (1.7e308, 1.7e308), (-1e308, 1e-308)]
+    """(n, 2, 1) columns, every other one cycling through PLANE_CASES."""
     col = rng.standard_normal((n, 2)) * np.exp(rng.uniform(-700, 700, (n, 2)))
+    for i in range(n):
+        if i % 2:
+            col[i] = PLANE_CASES[(i // 2) % len(PLANE_CASES)]
+    return col[:, :, None]
+
+
+def _line_stack(n, d, rng):
+    """(n, d, 1) columns, every other one a case of dlarfg's for d entries:
+    a zero tail (H = I) under each sign of zero, subnormals, and values
+    around 1e-300 and 1e300."""
+    cases = [[0.0] * d, [-0.0] * d, [2.5] + [0.0] * (d - 1),
+             [-2.5] + [-0.0] * (d - 1), [0.0, 1.5] + [0.0] * (d - 2),
+             [1e-310, 3e-320] + [-5e-324] * (d - 2),
+             [5e-324] * d, [1e-300, -1e-300] + [1e-300] * (d - 2),
+             [1e300, -1e300] + [1e300] * (d - 2),
+             [1e-300, 1e300] + [0.0] * (d - 2), [_TINY] * d,
+             [-1e300] + [1e-300] * (d - 1)]
+    col = rng.standard_normal((n, d)) * np.exp(rng.uniform(-690, 690, (n, d)))
     for i in range(n):
         if i % 2:
             col[i] = cases[(i // 2) % len(cases)]
     return col[:, :, None]
+
+
+# values around which the planar path's guard decides: NaN, +-inf, +-0,
+# subnormals and safmin send a call to the special-case code, 1.0 passes
+SPECIAL = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1e-310,
+           _TINY, 1.0]
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -634,7 +662,8 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 class TestPlaneQR:
     """The (..., 2, 1) path of _batch_qr against LAPACK through np.linalg.qr,
-    compared as int64 bit patterns (so +0.0 and -0.0 differ)."""
+    and on NaN or inf against its own formula, compared as int64 bit
+    patterns (so +0.0 and -0.0 differ)."""
 
     @pytest.mark.parametrize("n", [1, 2, 63, 400])
     def test_bit_identical_to_lapack_on_edge_cases(self, n):
@@ -652,9 +681,41 @@ class TestPlaneQR:
             want = oracles.batch_qr_oracle(fr)
         assert np.array_equal(_bits(_batch_qr(fr)), _bits(want))
 
+    def test_each_edge_case_alone_is_bit_identical_to_lapack(self):
+        # a stack of one row takes the whole-array path alone, so each
+        # case meets the guard by itself
+        for case in PLANE_CASES:
+            fr = np.array(case, float)[None, :, None]
+            with np.errstate(all="ignore"):
+                want = oracles.batch_qr_oracle(fr)
+            assert np.array_equal(_bits(_batch_qr(fr)), _bits(want)), case
+
+    @pytest.mark.parametrize("shape", [(2, 1), (1, 2, 1), (3, 7, 2, 1),
+                                       (600, 2, 1)])
+    def test_nonfinite_zero_and_subnormal_rows_keep_the_planar_formula(
+            self, shape):
+        # NaN, +-inf, +-0 and subnormal entries, alone and among finite
+        # rows: no LAPACK reference is claimed for them, so the reference is
+        # the formula itself, NaN signs included
+        rng = np.random.default_rng(len(shape))
+        for _ in range(40):
+            fr = (rng.choice(SPECIAL, size=shape)
+                  * np.where(rng.random(shape) < 0.5, 1.0,
+                             rng.standard_normal(shape)))
+            with np.errstate(all="ignore"):
+                want = oracles.plane_qr_oracle(fr)
+            assert np.array_equal(_bits(_batch_qr(fr)), _bits(want))
+        for a in SPECIAL:
+            for b in SPECIAL:
+                fr = np.array([[[a], [b]]])
+                with np.errstate(all="ignore"):
+                    want = oracles.plane_qr_oracle(fr)
+                assert np.array_equal(_bits(_batch_qr(fr)), _bits(want))
+
     def test_other_shapes_keep_lapack(self):
         rng = np.random.default_rng(2)
-        for shape in [(5, 3, 1), (5, 4, 2), (5, 2, 2), (3, 2, 5, 2, 1)]:
+        for shape in [(5, 3, 1), (3, 1), (4, 1), (2, 3, 3, 1), (5, 2, 4, 1),
+                      (0, 3, 1), (5, 4, 2), (5, 2, 2), (3, 2, 5, 2, 1)]:
             fr = rng.standard_normal(shape)
             got = _batch_qr(fr)
             assert got.shape == oracles.batch_qr_oracle(fr).shape
@@ -662,15 +723,40 @@ class TestPlaneQR:
                                   _bits(oracles.batch_qr_oracle(fr)))
 
 
+class TestLineQR:
+    """The (..., d, 1) path of _batch_qr for d >= 3, np.linalg.qr's raw
+    dgeqrf with dorg2r's one-column Q built in numpy, against np.linalg.qr's
+    dgeqrf + dorgqr as int64 bit patterns."""
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 63, 400])
+    def test_bit_identical_to_lapack_on_edge_cases(self, d, n):
+        fr = _line_stack(n, d, np.random.default_rng(10 * n + d))
+        with np.errstate(all="ignore"):
+            want = oracles.batch_qr_oracle(fr)
+        assert np.array_equal(_bits(_batch_qr(fr)), _bits(want))
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(cols=st.lists(st.tuples(FINITE, FINITE, FINITE), min_size=1,
+                         max_size=40))
+    def test_bit_identical_to_lapack_on_random_floats(self, cols):
+        fr = np.array(cols, float)[:, :, None]
+        with np.errstate(all="ignore"):
+            want = oracles.batch_qr_oracle(fr)
+        assert np.array_equal(_bits(_batch_qr(fr)), _bits(want))
+
+
 def _qr_calls(monkeypatch):
-    """(caller's function name, input shape) of every np.linalg.qr call."""
+    """(caller's function name, input shape, mode) of every np.linalg.qr
+    call."""
     calls = []
     real = np.linalg.qr
 
-    def spy(a, *args, **kwargs):
+    def spy(a, mode="reduced"):
         calls.append((inspect.currentframe().f_back.f_code.co_name,
-                      np.shape(a)))
-        return real(a, *args, **kwargs)
+                      np.shape(a), mode))
+        return real(a, mode=mode)
 
     monkeypatch.setattr(np.linalg, "qr", spy)
     return calls
@@ -686,11 +772,26 @@ class TestQrCalls:
         calls = _qr_calls(monkeypatch)
         cocycle_logs_batch(dfa, pts, 50)
         measure_constants_h(build("perturbed_cat"))
-        assert calls and {name for name, _ in calls} == {"_generic_frames"}
+        assert calls and {name for name, _, _ in calls} == {
+            "_generic_frames"}
 
     def test_solenoid_frames_stay_on_lapack(self, monkeypatch):
         sol = build("solenoid", c=0.25, d=0.5)
         pts = region_sample(sol, 20, seed=5, burn_in=3)
         calls = _qr_calls(monkeypatch)
         cocycle_logs_batch(sol, pts, 5)
-        assert ("_batch_qr", (20, 3, 1)) in calls
+        assert ("_batch_qr", (20, 3, 1), "raw") in calls
+
+    def test_a_line_stack_takes_one_raw_call_and_a_planar_one_none(
+            self, monkeypatch):
+        rng = np.random.default_rng(4)
+        calls = _qr_calls(monkeypatch)
+        for shape in [(3, 1), (20, 3, 1), (2, 5, 4, 1)]:
+            _batch_qr(rng.standard_normal(shape))
+            assert calls == [("_batch_qr", shape, "raw")]
+            calls.clear()
+        for fr in (rng.standard_normal((20, 2, 1)), _plane_stack(40, rng)):
+            _batch_qr(fr)
+        assert calls == []
+        _batch_qr(rng.standard_normal((20, 4, 2)))
+        assert calls == [("_batch_qr", (20, 4, 2), "reduced")]
