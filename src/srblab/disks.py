@@ -162,15 +162,27 @@ def _unit_ball_grid(dim, resolution):
             pairs[(pairs >= 0).all(axis=1)], int(idx[mid, mid]))
 
 
+def _check_fits(chart, coords, radius, disp):
+    """The checks of make_disk and make_graph_disk on a disk of this radius
+    whose points are coords + disp."""
+    if radius <= 0:
+        raise ValueError("radius must be > 0")
+    for j in range(chart.dim):
+        if chart.periodic[j] and 2.0 * radius >= chart.widths[j] / 2.0:
+            raise ChartOverflow(f"disk diameter {2 * radius} reaches half "
+                                f"the period on axis {j}")
+    if not np.all(chart.contains(coords + disp)):
+        raise ChartOverflow("disk leaves the chart's box bounds")
+
+
 def make_disk(sys, x, direction, radius, resolution=101):
     """A flat disk through x spanned by `direction`, sampled on a grid.
 
     direction: a Subspace (or spanning columns) of dimension 1 or 2.
-    Raises ChartOverflow when the disk cannot sit inside one chart (box
-    bounds violated, or diameter at least half a period on a periodic axis).
+    Raises ValueError unless radius > 0, and ChartOverflow when the disk
+    cannot sit inside one chart (box bounds violated, or diameter at least
+    half a period on a periodic axis).
     """
-    if radius <= 0:
-        raise ValueError("radius must be > 0")
     if not isinstance(direction, Subspace):
         direction = Subspace(np.asarray(direction, float))
     dim = direction.dim
@@ -178,18 +190,9 @@ def make_disk(sys, x, direction, radius, resolution=101):
         raise DimensionMismatch(f"disk dimension must be 1 or 2, got {dim}")
     coords = np.asarray(x, float)
     chart = sys.chart
-
-    widths = chart.widths
-    for j in range(chart.dim):
-        if chart.periodic[j] and 2.0 * radius >= widths[j] / 2.0:
-            raise ChartOverflow(
-                f"disk diameter {2 * radius} reaches half the period on axis {j}")
-
     params, edges, center_index = _unit_ball_grid(dim, resolution)
     disp = radius * params @ direction.frame.T
-    pts = coords[None, :] + disp
-    if not np.all(chart.contains(pts)):
-        raise ChartOverflow("disk leaves the chart's box bounds")
+    _check_fits(chart, coords, radius, disp)
     tangents = _tiled(direction.frame, params.shape[:1])
     return EmbeddedDisk(chart=chart, dim=dim, params=params,
                         center=chart.wrap(coords), disp=disp,
@@ -790,6 +793,7 @@ def make_graph_disk(sys, x, base_dir, normal_dir, radius, resolution=101,
     """A quadratic-graph curve: useful for curvature tests and demos.
 
     disp(t) = t r u + (t r)^2/2 kappa w, tangent renormalized accordingly.
+    Raises ValueError and ChartOverflow where make_disk does.
     """
     coords = np.asarray(x, float)
     u = np.asarray(base_dir, float)
@@ -801,6 +805,7 @@ def make_graph_disk(sys, x, base_dir, normal_dir, radius, resolution=101,
     t = params[:, 0] * radius
     disp = np.outer(t, u) + 0.5 * curvature * np.outer(t ** 2, w)
     tan = u[None, :] + curvature * np.outer(t, w)
+    _check_fits(sys.chart, coords, radius, disp)
     tan = tan / np.linalg.norm(tan, axis=1, keepdims=True)
     return EmbeddedDisk(chart=sys.chart, dim=1, params=params,
                         center=sys.chart.wrap(coords), disp=disp,

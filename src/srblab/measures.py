@@ -288,7 +288,7 @@ def physical_fraction(sys, mu_ref, tests, n, tol, samples, seed=0):
     for i, block in _orbit_blocks(sys, pts, n + 1):
         alive &= np.all(sys.in_region(block), axis=0)
         for ti, v in enumerate(_test_values(tests, block[:n - i])):
-            for row in v:
-                sums[ti] += row
+            # an axis-0 reduction adds the rows in step order, one at a time
+            sums[ti] = np.add.reduce(np.concatenate([sums[ti][None], v]))
     good = alive & np.all(np.abs(sums / n - ref[:, None]) <= tol, axis=0)
     return float(np.count_nonzero(good) / samples)

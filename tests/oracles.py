@@ -205,6 +205,17 @@ def pushforward_average(sys, d, n):
                             total=total)
 
 
+def birkhoff_average_loop(sys, pts, n, test):
+    """Each start's n-step average of test over its orbit rows 0..n-1, the
+    rows added to the running sums one at a time in step order."""
+    from srblab.systems import orbit_coords
+
+    sums = np.zeros(len(pts))
+    for row in orbit_coords(sys, pts, n - 1, check_region=False):
+        sums += test(row)
+    return sums / n
+
+
 def pushforward_measure(sys, mu):
     """f_* mu: the same weights on forward-mapped atoms."""
     return EmpiricalMeasure(coords=sys.forward(mu.coords),
@@ -658,44 +669,6 @@ def batch_qr_oracle(frames):
     q, r = np.linalg.qr(frames)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * np.where(diag < 0, -1.0, 1.0)[..., None, :]
-
-
-def plane_qr_oracle(frames):
-    """_batch_qr of a (..., 2, 1) stack by one formula for every call: LAPACK
-    dgeqr2 + dorg2r's arithmetic (dlarfg's beta -sign(dlapy2(a, |b|), a),
-    its power-of-two rescale below safmin, H = I where b == 0), sign-fixed
-    with np.where.  It also pins the bits of rows holding NaN or inf, whose
-    NaN signs follow numpy's loops, so the branches and the strided or
-    contiguous operands are kept as they were."""
-    safmin, rsafmn = 2.0 ** -969, 2.0 ** 969
-
-    def beta_of(a, b):
-        aa, ab = np.abs(a), np.abs(b)
-        w = np.maximum(aa, ab)
-        zw = np.minimum(aa, ab) / w
-        return np.copysign(w * np.sqrt(1.0 + zw * zw), -a)
-
-    a, b = frames[..., 0, 0], frames[..., 1, 0]
-    with np.errstate(all="ignore"):
-        beta = beta_of(a, b)
-        small = np.abs(beta) < safmin
-        if small.any():
-            a = np.where(small, a * rsafmn, a)
-            b = np.where(small, b * rsafmn, b)
-            beta = beta_of(a, b)
-        tau = (beta - a) / beta
-        v = b * (1.0 / (a - beta))
-        diag = beta
-        zero = b == 0.0
-        if zero.any():
-            tau = np.where(zero, 0.0, tau)
-            v = np.where(zero, b, v)
-            diag = np.where(zero, a, beta)
-        s = np.where(diag < 0, -1.0, 1.0)
-        q = np.empty(frames.shape)
-        q[..., 0, 0] = (1.0 - tau) * s
-        q[..., 1, 0] = (-tau * v) * s
-    return q
 
 
 def dfa_tangent_oracle(x, delta=0.05, rho=0.2):

@@ -76,6 +76,28 @@ class TestMakeDisk:
         with pytest.raises(ValueError):
             disks.make_disk(cat, X, np.zeros(2), R)
 
+    # make_graph_disk runs make_disk's three checks
+    def test_graph_disk_radius_validation(self, cat):
+        normal = np.array([-V_U[1], V_U[0]])
+        for r in (0.0, -0.1):
+            with pytest.raises(ValueError, match="radius must be > 0"):
+                disks.make_graph_disk(cat, X, V_U, normal, r)
+
+    def test_graph_disk_periodic_overflow(self, cat):
+        normal = np.array([-V_U[1], V_U[0]])
+        disks.make_graph_disk(cat, X, V_U, normal, 0.24, curvature=0.3)
+        for r in (0.25, 0.3):
+            with pytest.raises(ChartOverflow, match="half the period"):
+                disks.make_graph_disk(cat, X, V_U, normal, r, curvature=0.3)
+
+    def test_graph_disk_box_overflow(self, sol):
+        # the flat curve keeps z = 1.55; bent by 0.5 * 20 * 0.1^2 it leaves
+        # the box at z = 1.6
+        x, base, up = np.array([0.1, 0.0, 1.55]), np.eye(3)[0], np.eye(3)[2]
+        disks.make_graph_disk(sol, x, base, up, 0.1)
+        with pytest.raises(ChartOverflow, match="box bounds"):
+            disks.make_graph_disk(sol, x, base, up, 0.1, curvature=20.0)
+
 
 class TestIterateDisk:
     def test_cat_stretches_by_unstable_rate(self, cat):

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from srblab import disks, measures
-from srblab.models import quasi_uniform
+from srblab.models import quasi_uniform, region_sample
 from srblab.systems import orbit_coords
 
 from .conftest import V_U
-from .oracles import (EmpiricalMeasure, disk_measure, greedy_packing_oracle,
-                      invariance_defect_oracle, packing_check,
-                      pushforward_average, pushforward_measure)
+from .oracles import (EmpiricalMeasure, birkhoff_average_loop, disk_measure,
+                      greedy_packing_oracle, invariance_defect_oracle,
+                      packing_check, pushforward_average, pushforward_measure)
 
 X = np.array([0.2, 0.7])
 
@@ -321,6 +321,22 @@ class TestPhysicalFraction:
         frac = measures.physical_fraction(strip, ref, obs, n, 10.0, samples,
                                           seed=2)
         assert frac == want
+
+    def test_each_start_sums_its_rows_in_step_order(self, cat):
+        # tol set exactly at a start's |average - reference| from a per-row
+        # loop counts that start, and the float below it does not, so one
+        # ulp of drift in a sum flips the fraction; n spans three orbit
+        # blocks
+        obs = [measures.Observable("xy", lambda c: c[..., 0] * c[..., 1],
+                                   bound=1.0)]
+        n, samples = 300, 100
+        pts = region_sample(cat, samples, seed=4)
+        dev = np.abs(birkhoff_average_loop(cat, pts, n, obs[0]) - 0.25)
+        for j in np.argsort(dev)[::11]:
+            for tol in (dev[j], np.nextafter(dev[j], -np.inf)):
+                frac = measures.physical_fraction(cat, {"xy": 0.25}, obs, n,
+                                                  tol, samples, seed=4)
+                assert frac == np.count_nonzero(dev <= tol) / samples, tol
 
     def test_sample_floor(self, cat):
         obs = measures.default_observables(cat.chart)

@@ -633,17 +633,21 @@ def _plane_stack(n, rng):
     return col[:, :, None]
 
 
+def _line_cases(d):
+    """dlarfg's cases for d entries: a zero tail (H = I) under each sign of
+    zero, subnormals, and values around 1e-300 and 1e300."""
+    return [[0.0] * d, [-0.0] * d, [2.5] + [0.0] * (d - 1),
+            [-2.5] + [-0.0] * (d - 1), [0.0, 1.5] + [0.0] * (d - 2),
+            [1e-310, 3e-320] + [-5e-324] * (d - 2),
+            [5e-324] * d, [1e-300, -1e-300] + [1e-300] * (d - 2),
+            [1e300, -1e300] + [1e300] * (d - 2),
+            [1e-300, 1e300] + [0.0] * (d - 2), [_TINY] * d,
+            [-1e300] + [1e-300] * (d - 1)]
+
+
 def _line_stack(n, d, rng):
-    """(n, d, 1) columns, every other one a case of dlarfg's for d entries:
-    a zero tail (H = I) under each sign of zero, subnormals, and values
-    around 1e-300 and 1e300."""
-    cases = [[0.0] * d, [-0.0] * d, [2.5] + [0.0] * (d - 1),
-             [-2.5] + [-0.0] * (d - 1), [0.0, 1.5] + [0.0] * (d - 2),
-             [1e-310, 3e-320] + [-5e-324] * (d - 2),
-             [5e-324] * d, [1e-300, -1e-300] + [1e-300] * (d - 2),
-             [1e300, -1e300] + [1e300] * (d - 2),
-             [1e-300, 1e300] + [0.0] * (d - 2), [_TINY] * d,
-             [-1e300] + [1e-300] * (d - 1)]
+    """(n, d, 1) columns, every other one cycling through _line_cases(d)."""
+    cases = _line_cases(d)
     col = rng.standard_normal((n, d)) * np.exp(rng.uniform(-690, 690, (n, d)))
     for i in range(n):
         if i % 2:
@@ -652,7 +656,7 @@ def _line_stack(n, d, rng):
 
 
 # values around which the planar path's guard decides: NaN, +-inf, +-0,
-# subnormals and safmin send a call to the special-case code, 1.0 passes
+# subnormals and safmin send a call to raw LAPACK, 1.0 passes
 SPECIAL = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1e-310,
            _TINY, 1.0]
 
@@ -660,57 +664,70 @@ SPECIAL = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1e-310,
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
-class TestPlaneQR:
-    """The (..., 2, 1) path of _batch_qr against LAPACK through np.linalg.qr,
-    and on NaN or inf against its own formula, compared as int64 bit
-    patterns (so +0.0 and -0.0 differ)."""
+def _assert_lapack_bits(got, want):
+    """got is want as int64 bit patterns (so +0.0 and -0.0 differ), except
+    that a NaN's sign bit is free: it follows numpy's loops."""
+    nan = np.isnan(want)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(_bits(got)[~nan], _bits(want)[~nan])
 
+
+class TestLineQR:
+    """The (..., d, 1) paths of _batch_qr, the guarded planar formula and
+    np.linalg.qr's raw dgeqrf with dorg2r's one-column Q built in numpy,
+    against np.linalg.qr's dgeqrf + dorgqr: bit for bit on finite input,
+    and with LAPACK's NaN entries and every other bit on NaN or inf."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("n", [1, 2, 63, 400])
-    def test_bit_identical_to_lapack_on_edge_cases(self, n):
-        fr = _plane_stack(n, np.random.default_rng(n))
+    def test_bit_identical_to_lapack_on_edge_cases(self, d, n):
+        rng = np.random.default_rng(10 * n + d)
+        fr = _plane_stack(n, rng) if d == 2 else _line_stack(n, d, rng)
         with np.errstate(all="ignore"):
             want = oracles.batch_qr_oracle(fr)
         assert np.array_equal(_bits(_batch_qr(fr)), _bits(want))
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               database=None)
-    @given(cols=st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=40))
+    @given(cols=st.lists(st.tuples(FINITE, FINITE, FINITE, FINITE),
+                         min_size=1, max_size=40))
     def test_bit_identical_to_lapack_on_random_floats(self, cols):
-        fr = np.array(cols, float)[:, :, None]
-        with np.errstate(all="ignore"):
-            want = oracles.batch_qr_oracle(fr)
-        assert np.array_equal(_bits(_batch_qr(fr)), _bits(want))
+        for d in (2, 3, 4):
+            fr = np.array(cols, float)[:, :d, None]
+            with np.errstate(all="ignore"):
+                want = oracles.batch_qr_oracle(fr)
+            assert np.array_equal(_bits(_batch_qr(fr)), _bits(want)), d
 
-    def test_each_edge_case_alone_is_bit_identical_to_lapack(self):
-        # a stack of one row takes the whole-array path alone, so each
-        # case meets the guard by itself
-        for case in PLANE_CASES:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_each_edge_case_alone_is_bit_identical_to_lapack(self, d):
+        # a stack of one row meets the planar guard by itself
+        for case in PLANE_CASES if d == 2 else _line_cases(d):
             fr = np.array(case, float)[None, :, None]
             with np.errstate(all="ignore"):
                 want = oracles.batch_qr_oracle(fr)
             assert np.array_equal(_bits(_batch_qr(fr)), _bits(want)), case
 
-    @pytest.mark.parametrize("shape", [(2, 1), (1, 2, 1), (3, 7, 2, 1),
-                                       (600, 2, 1)])
-    def test_nonfinite_zero_and_subnormal_rows_keep_the_planar_formula(
-            self, shape):
-        # NaN, +-inf, +-0 and subnormal entries, alone and among finite
-        # rows: no LAPACK reference is claimed for them, so the reference is
-        # the formula itself, NaN signs included
-        rng = np.random.default_rng(len(shape))
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("lead", [(), (1,), (3, 7), (600,)])
+    def test_nan_and_inf_keep_lapacks_nans_and_every_other_bit(self, d,
+                                                               lead):
+        # NaN, +-inf, +-0 and subnormal entries, alone and among finite rows
+        shape = lead + (d, 1)
+        rng = np.random.default_rng(len(lead) + 10 * d)
         for _ in range(40):
             fr = (rng.choice(SPECIAL, size=shape)
                   * np.where(rng.random(shape) < 0.5, 1.0,
                              rng.standard_normal(shape)))
             with np.errstate(all="ignore"):
-                want = oracles.plane_qr_oracle(fr)
-            assert np.array_equal(_bits(_batch_qr(fr)), _bits(want))
+                _assert_lapack_bits(_batch_qr(fr),
+                                    oracles.batch_qr_oracle(fr))
         for a in SPECIAL:
             for b in SPECIAL:
-                fr = np.array([[[a], [b]]])
+                fr = np.array([a] + [b] * (d - 1))[None, :, None]
                 with np.errstate(all="ignore"):
-                    want = oracles.plane_qr_oracle(fr)
-                assert np.array_equal(_bits(_batch_qr(fr)), _bits(want))
+                    _assert_lapack_bits(_batch_qr(fr),
+                                        oracles.batch_qr_oracle(fr))
 
     def test_other_shapes_keep_lapack(self):
         rng = np.random.default_rng(2)
@@ -721,30 +738,6 @@ class TestPlaneQR:
             assert got.shape == oracles.batch_qr_oracle(fr).shape
             assert np.array_equal(_bits(got),
                                   _bits(oracles.batch_qr_oracle(fr)))
-
-
-class TestLineQR:
-    """The (..., d, 1) path of _batch_qr for d >= 3, np.linalg.qr's raw
-    dgeqrf with dorg2r's one-column Q built in numpy, against np.linalg.qr's
-    dgeqrf + dorgqr as int64 bit patterns."""
-
-    @pytest.mark.parametrize("d", [3, 4])
-    @pytest.mark.parametrize("n", [1, 2, 63, 400])
-    def test_bit_identical_to_lapack_on_edge_cases(self, d, n):
-        fr = _line_stack(n, d, np.random.default_rng(10 * n + d))
-        with np.errstate(all="ignore"):
-            want = oracles.batch_qr_oracle(fr)
-        assert np.array_equal(_bits(_batch_qr(fr)), _bits(want))
-
-    @settings(max_examples=200, deadline=None, derandomize=True,
-              database=None)
-    @given(cols=st.lists(st.tuples(FINITE, FINITE, FINITE), min_size=1,
-                         max_size=40))
-    def test_bit_identical_to_lapack_on_random_floats(self, cols):
-        fr = np.array(cols, float)[:, :, None]
-        with np.errstate(all="ignore"):
-            want = oracles.batch_qr_oracle(fr)
-        assert np.array_equal(_bits(_batch_qr(fr)), _bits(want))
 
 
 def _qr_calls(monkeypatch):
@@ -782,7 +775,7 @@ class TestQrCalls:
         cocycle_logs_batch(sol, pts, 5)
         assert ("_batch_qr", (20, 3, 1), "raw") in calls
 
-    def test_a_line_stack_takes_one_raw_call_and_a_planar_one_none(
+    def test_a_line_takes_one_raw_call_unless_the_planar_guard_holds(
             self, monkeypatch):
         rng = np.random.default_rng(4)
         calls = _qr_calls(monkeypatch)
@@ -790,8 +783,22 @@ class TestQrCalls:
             _batch_qr(rng.standard_normal(shape))
             assert calls == [("_batch_qr", shape, "raw")]
             calls.clear()
-        for fr in (rng.standard_normal((20, 2, 1)), _plane_stack(40, rng)):
+        for fr in (rng.standard_normal((20, 2, 1)),
+                   rng.standard_normal((3, 4, 2, 1)), np.array([[1.0], [2.0]]),
+                   np.zeros((0, 2, 1))):
             _batch_qr(fr)
         assert calls == []
+        # one row with b == 0, a tiny b or beta, or a value that is not finite
+        # sends the whole stack to raw LAPACK
+        for case in [(1.0, 0.0), (2.0, -0.0), (_TINY, 0.5 * _TINY),
+                     (1.0, 5e-324), (np.nan, 1.0), (1.0, -np.inf)]:
+            fr = rng.standard_normal((20, 2, 1))
+            fr[7, :, 0] = case
+            _batch_qr(fr)
+            assert calls == [("_batch_qr", (20, 2, 1), "raw")], case
+            calls.clear()
+        _batch_qr(_plane_stack(40, rng))
+        assert calls == [("_batch_qr", (40, 2, 1), "raw")]
+        calls.clear()
         _batch_qr(rng.standard_normal((20, 4, 2)))
         assert calls == [("_batch_qr", (20, 4, 2), "reduced")]
