@@ -673,36 +673,75 @@ def _assert_lapack_bits(got, want):
     assert np.array_equal(_bits(got)[~nan], _bits(want)[~nan])
 
 
-class TestLineQR:
-    """The (..., d, 1) paths of _batch_qr, the guarded planar formula and
-    np.linalg.qr's raw dgeqrf with dorg2r's one-column Q built in numpy,
-    against np.linalg.qr's dgeqrf + dorgqr: bit for bit on finite input,
-    and with LAPACK's NaN entries and every other bit on NaN or inf."""
+class TestPlaneQR:
+    """The (..., 2, 1) path of _batch_qr, the guarded planar formula and on
+    a refused stack np.linalg.qr's raw call, against np.linalg.qr's dgeqrf +
+    dorgqr as int64 bit patterns (so +0.0 and -0.0 differ)."""
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("n", [1, 2, 63, 400])
-    def test_bit_identical_to_lapack_on_edge_cases(self, d, n):
-        rng = np.random.default_rng(10 * n + d)
-        fr = _plane_stack(n, rng) if d == 2 else _line_stack(n, d, rng)
+    def test_bit_identical_to_lapack_on_edge_cases(self, n):
+        fr = _plane_stack(n, np.random.default_rng(n))
         with np.errstate(all="ignore"):
             want = oracles.batch_qr_oracle(fr)
         assert np.array_equal(_bits(_batch_qr(fr)), _bits(want))
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               database=None)
+    @given(cols=st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=40))
+    def test_bit_identical_to_lapack_on_random_floats(self, cols):
+        fr = np.array(cols, float)[:, :, None]
+        with np.errstate(all="ignore"):
+            want = oracles.batch_qr_oracle(fr)
+        assert np.array_equal(_bits(_batch_qr(fr)), _bits(want))
+
+    def test_each_edge_case_alone_is_bit_identical_to_lapack(self):
+        # a stack of one row meets the planar guard by itself
+        for case in PLANE_CASES:
+            fr = np.array(case, float)[None, :, None]
+            with np.errstate(all="ignore"):
+                want = oracles.batch_qr_oracle(fr)
+            assert np.array_equal(_bits(_batch_qr(fr)), _bits(want)), case
+
+    def test_other_shapes_keep_lapack(self):
+        rng = np.random.default_rng(2)
+        for shape in [(5, 3, 1), (3, 1), (4, 1), (2, 3, 3, 1), (5, 2, 4, 1),
+                      (0, 3, 1), (5, 4, 2), (5, 2, 2), (3, 2, 5, 2, 1)]:
+            fr = rng.standard_normal(shape)
+            got = _batch_qr(fr)
+            assert got.shape == oracles.batch_qr_oracle(fr).shape
+            assert np.array_equal(_bits(got),
+                                  _bits(oracles.batch_qr_oracle(fr)))
+
+
+class TestLineQR:
+    """The (..., d, 1) path of _batch_qr for d >= 3, np.linalg.qr's raw
+    dgeqrf with dorg2r's one-column Q built in numpy, against np.linalg.qr's
+    dgeqrf + dorgqr: bit for bit on finite input; and for every d, the
+    planar one included, LAPACK's NaN entries and every other bit on NaN or
+    inf."""
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 63, 400])
+    def test_bit_identical_to_lapack_on_edge_cases(self, d, n):
+        fr = _line_stack(n, d, np.random.default_rng(10 * n + d))
+        with np.errstate(all="ignore"):
+            want = oracles.batch_qr_oracle(fr)
+        assert np.array_equal(_bits(_batch_qr(fr)), _bits(want))
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
     @given(cols=st.lists(st.tuples(FINITE, FINITE, FINITE, FINITE),
                          min_size=1, max_size=40))
     def test_bit_identical_to_lapack_on_random_floats(self, cols):
-        for d in (2, 3, 4):
+        for d in (3, 4):
             fr = np.array(cols, float)[:, :d, None]
             with np.errstate(all="ignore"):
                 want = oracles.batch_qr_oracle(fr)
             assert np.array_equal(_bits(_batch_qr(fr)), _bits(want)), d
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", [3, 4])
     def test_each_edge_case_alone_is_bit_identical_to_lapack(self, d):
-        # a stack of one row meets the planar guard by itself
-        for case in PLANE_CASES if d == 2 else _line_cases(d):
+        for case in _line_cases(d):
             fr = np.array(case, float)[None, :, None]
             with np.errstate(all="ignore"):
                 want = oracles.batch_qr_oracle(fr)
@@ -728,16 +767,6 @@ class TestLineQR:
                 with np.errstate(all="ignore"):
                     _assert_lapack_bits(_batch_qr(fr),
                                         oracles.batch_qr_oracle(fr))
-
-    def test_other_shapes_keep_lapack(self):
-        rng = np.random.default_rng(2)
-        for shape in [(5, 3, 1), (3, 1), (4, 1), (2, 3, 3, 1), (5, 2, 4, 1),
-                      (0, 3, 1), (5, 4, 2), (5, 2, 2), (3, 2, 5, 2, 1)]:
-            fr = rng.standard_normal(shape)
-            got = _batch_qr(fr)
-            assert got.shape == oracles.batch_qr_oracle(fr).shape
-            assert np.array_equal(_bits(got),
-                                  _bits(oracles.batch_qr_oracle(fr)))
 
 
 def _qr_calls(monkeypatch):
@@ -775,7 +804,7 @@ class TestQrCalls:
         cocycle_logs_batch(sol, pts, 5)
         assert ("_batch_qr", (20, 3, 1), "raw") in calls
 
-    def test_a_line_takes_one_raw_call_unless_the_planar_guard_holds(
+    def test_a_line_stack_takes_one_raw_call_and_a_planar_one_none(
             self, monkeypatch):
         rng = np.random.default_rng(4)
         calls = _qr_calls(monkeypatch)
@@ -783,11 +812,19 @@ class TestQrCalls:
             _batch_qr(rng.standard_normal(shape))
             assert calls == [("_batch_qr", shape, "raw")]
             calls.clear()
+        # planar stacks that the guard lets through, the empty one included
         for fr in (rng.standard_normal((20, 2, 1)),
                    rng.standard_normal((3, 4, 2, 1)), np.array([[1.0], [2.0]]),
                    np.zeros((0, 2, 1))):
             _batch_qr(fr)
         assert calls == []
+        _batch_qr(rng.standard_normal((20, 4, 2)))
+        assert calls == [("_batch_qr", (20, 4, 2), "reduced")]
+
+    def test_a_planar_stack_the_guard_refuses_takes_one_raw_call(
+            self, monkeypatch):
+        rng = np.random.default_rng(4)
+        calls = _qr_calls(monkeypatch)
         # one row with b == 0, a tiny b or beta, or a value that is not finite
         # sends the whole stack to raw LAPACK
         for case in [(1.0, 0.0), (2.0, -0.0), (_TINY, 0.5 * _TINY),
@@ -799,6 +836,3 @@ class TestQrCalls:
             calls.clear()
         _batch_qr(_plane_stack(40, rng))
         assert calls == [("_batch_qr", (40, 2, 1), "raw")]
-        calls.clear()
-        _batch_qr(rng.standard_normal((20, 4, 2)))
-        assert calls == [("_batch_qr", (20, 4, 2), "reduced")]
