@@ -1,10 +1,10 @@
 """Charts: the coordinate patches systems are written in.
 
-Two kinds of axis are supported: periodic (circle of given period) and box
-(interval with hard bounds).  The chart metric is the product metric; the
-exponential map is the identity, so geodesics are straight lines in
-coordinates and displacements are plain coordinate differences (wrapped on
-periodic axes).
+Two kinds of axis are supported: periodic (circle of given period, with
+coordinates from 0) and box (interval with hard bounds).  The chart metric
+is the product metric; the exponential map is the identity, so geodesics
+are straight lines in coordinates and displacements are plain coordinate
+differences (wrapped on periodic axes).
 """
 
 from __future__ import annotations
@@ -12,6 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# the largest coordinate below a unit period
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -23,7 +26,8 @@ class Chart:
     chart_id : str
         Name of the chart.
     lower, upper : tuple of float
-        Per-axis bounds.  For a periodic axis the period is upper - lower.
+        Per-axis bounds, lower < upper.  A periodic axis runs from 0 to its
+        period: its lower bound is 0 and its upper bound is the period.
     periodic : tuple of bool
         Which axes wrap.
     """
@@ -36,28 +40,27 @@ class Chart:
     def __post_init__(self):
         if not (len(self.lower) == len(self.upper) == len(self.periodic)):
             raise ValueError("chart axis descriptions must have equal length")
-        # periodic axes with their lower bounds and periods, and box axes with
-        # their bounds padded by contains' 1e-9, cached outside the dataclass
-        # fields so equality and hashing still see only the fields
-        per = np.flatnonzero(np.asarray(self.periodic, bool))
-        box = np.flatnonzero(~np.asarray(self.periodic, bool))
         lo, hi = np.asarray(self.lower, float), np.asarray(self.upper, float)
+        periodic = np.asarray(self.periodic, bool)
+        if not np.all(lo < hi):
+            raise ValueError("every chart axis needs lower < upper, got "
+                             f"{self.lower} and {self.upper}")
+        if np.any(lo[periodic] != 0.0):
+            raise ValueError("a periodic chart axis runs from 0, got lower "
+                             f"bounds {self.lower}")
+        # periodic axes with their periods, and box axes with their bounds
+        # padded by contains' 1e-9, cached outside the dataclass fields so
+        # equality and hashing still see only the fields
+        per, box = np.flatnonzero(periodic), np.flatnonzero(~periodic)
         object.__setattr__(self, "_per", per)
-        object.__setattr__(self, "_per_lo", lo[per])
-        object.__setattr__(self, "_per_w", self.widths[per])
-        # the largest coordinate below each periodic axis's upper bound
-        object.__setattr__(self, "_per_top", np.nextafter(hi[per], lo[per]))
+        object.__setattr__(self, "_per_w", hi[per])
+        # the largest coordinate below each period
+        object.__setattr__(self, "_per_top", np.nextafter(hi[per], 0.0))
         object.__setattr__(self, "_box", box)
         object.__setattr__(self, "_box_lo", lo[box] - 1e-9)
         object.__setattr__(self, "_box_hi", hi[box] + 1e-9)
-        # a unit torus with one lower and one upper bound folds the whole
-        # array at once
-        unit = (all(self.periodic) and np.all(self.widths == 1.0)
-                and len(set(self.lower)) == len(set(self.upper)) == 1)
-        object.__setattr__(self, "_unit_lo",
-                           float(self.lower[0]) if unit else None)
-        object.__setattr__(self, "_unit_top",
-                           float(np.nextafter(hi[0], lo[0])) if unit else None)
+        # a unit torus folds the whole array at once
+        object.__setattr__(self, "_unit", bool(np.all(periodic & (hi == 1.0))))
 
     @property
     def dim(self):
@@ -77,23 +80,26 @@ class Chart:
 
     def wrap(self, coords):
         """Fold coordinates back into the fundamental domain: each periodic
-        axis into [lower, upper).  A value just below a period boundary
-        folds to upper in float arithmetic, so the fold is clamped below
-        upper."""
+        axis into [0, period).  A value just below a period boundary folds
+        to the period in float arithmetic, so the fold is clamped below it.
+        On a unit period, t - floor(t) is np.mod(t, 1.0) bit for bit."""
         out = np.array(coords, dtype=float)
-        if self._unit_lo is not None:
-            return np.minimum(_fold_unit(out, self._unit_lo), self._unit_top,
-                              out=out)
-        p, lo = self._per, self._per_lo
-        out[..., p] = np.minimum(np.mod(out[..., p] - lo, self._per_w) + lo,
+        if self._unit:
+            out -= np.floor(out)
+            return np.minimum(out, _BELOW_ONE, out=out)
+        p = self._per
+        out[..., p] = np.minimum(np.mod(out[..., p], self._per_w),
                                  self._per_top)
         return out
 
     def displacement(self, a, b):
         """Minimal displacement b - a in the chart metric (wrapped per axis)."""
         out = np.asarray(b, float) - np.asarray(a, float)
-        if self._unit_lo is not None:
-            return _fold_unit(out, -0.5)
+        if self._unit:
+            out += 0.5
+            out -= np.floor(out)
+            out -= 0.5
+            return out
         p, w = self._per, self._per_w
         out[..., p] = np.mod(out[..., p] + w / 2.0, w) - w / 2.0
         return out
@@ -109,20 +115,6 @@ class Chart:
         return np.all((c >= self._box_lo) & (c <= self._box_hi), axis=-1)
 
 
-def _fold_unit(t, lo):
-    """t folded into [lo, lo + 1] in place.  For period 1, t - floor(t)
-    equals np.mod(t, 1.0) bit for bit, so this is the per-axis fold.  It is
-    never -0.0, so from lo = 0 no shift is needed."""
-    if lo == 0.0:
-        t -= np.floor(t)
-        return t
-    t -= lo
-    t -= np.floor(t)
-    t += lo
-    return t
-
-
 def torus_chart(dim):
     """The flat dim-torus with unit periods, coordinates in [0, 1)."""
     return Chart(f"torus{dim}", (0.0,) * dim, (1.0,) * dim, (True,) * dim)
-

@@ -68,9 +68,6 @@ class EmbeddedDisk:
         """Wrapped chart coordinates of all samples."""
         return self.chart.wrap(self.center + self.disp)
 
-    def center_point(self):
-        return self.chart.wrap(self.center)
-
     # ---- intrinsic metric -------------------------------------------
     def edge_lengths(self):
         e = self.edges
@@ -485,7 +482,7 @@ def hyperbolic_component(sys, d, n, r, sigma):
         raise ValueError(
             f"r = {r} too large for unambiguous wrapped distances "
             f"(limit {limit})")
-    rows = orbit_coords(sys, d.center_point()[None], n)
+    rows = orbit_coords(sys, d.center[None], n)
     tans = _row_tangents(sys.tangent, rows)
     rep = hyperbolic_times(time_logs(sys, rows, tans)[0], sigma)
     if n not in rep.times:
@@ -754,7 +751,7 @@ def curvature_recursion(sys, d, n, consts, check=True):
     form and the closed form lambda4^n H_0 + L/(1 - lambda4).
     """
     xi = consts.xi
-    logs = cocycle_logs(sys, d.center_point(), n - 1)
+    logs = cocycle_logs(sys, d.center, n - 1)
     norm_e = np.exp(logs.log_e)
     min_f = np.exp(-logs.log_f_inv)
     if np.any(min_f - 2.0 * consts.alpha <= 0.0):

@@ -487,7 +487,7 @@ def _exp_curvature(sys, cfg):
              ["n", "measured", "bound_product", "bound_closed"], rows)
 
     # one-step claim: H(fD) <= c_0 H(D) + L1/(m_0 - 2 alpha)^(1+xi)
-    logs0 = cocycle_logs(sys, d.center_point(), 0)
+    logs0 = cocycle_logs(sys, d.center, 0)
     ne0 = float(np.exp(logs0.log_e[0]))
     mf0 = float(np.exp(-logs0.log_f_inv[0]))
     h0 = disks.holder_curvature(d, xi)

@@ -45,25 +45,19 @@ def default_observables(chart):
     obs = []
     for j in range(chart.dim):
         w = chart.widths[j]
-        lo = chart.lower[j]
         if chart.periodic[j]:
             for k in (1, 2):
                 freq = 2.0 * np.pi * k / w
-                obs.append(Observable(
-                    name=f"cos{k}_x{j}",
-                    fn=(lambda c, j=j, freq=freq, lo=lo:
-                        np.cos(freq * (c[..., j] - lo))),
-                    bound=1.0, reference_integral=0.0,
-                    _harmonic=(j, k, "cos")))
-                obs.append(Observable(
-                    name=f"sin{k}_x{j}",
-                    fn=(lambda c, j=j, freq=freq, lo=lo:
-                        np.sin(freq * (c[..., j] - lo))),
-                    bound=1.0, reference_integral=0.0,
-                    _harmonic=(j, k, "sin")))
+                for kind, trig in (("cos", np.cos), ("sin", np.sin)):
+                    obs.append(Observable(
+                        name=f"{kind}{k}_x{j}",
+                        fn=(lambda c, j=j, freq=freq, trig=trig:
+                            trig(freq * c[..., j])),
+                        bound=1.0, reference_integral=0.0,
+                        _harmonic=(j, k, kind)))
         else:
             half = w / 2.0
-            mid = lo + half
+            mid = chart.lower[j] + half
             obs.append(Observable(
                 name=f"lin_x{j}",
                 fn=lambda c, j=j, mid=mid, half=half: (c[..., j] - mid) / half,

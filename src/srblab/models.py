@@ -19,6 +19,7 @@ import numpy as np
 
 from .charts import Chart, torus_chart
 from .errors import ChainInfeasible, ConstructionFailed
+from .linalg import subspace_distance
 from .pliss import lambda_membership_batch
 from .systems import (ConstantsH, MapSystem, SystemConstants,
                       _point_stretches, _tiled, orbit_coords, time_logs)
@@ -60,13 +61,29 @@ def linear_torus_system(matrix, e_dirs, f_dirs, name="linear"):
     """A torus automorphism with a declared constant splitting.
 
     Intended for exact baselines: any integer unimodular matrix works, in any
-    dimension.  e_dirs / f_dirs are spanning columns for the two bundles.
+    dimension.  e_dirs / f_dirs are spanning columns for the two bundles,
+    whose dimensions add up to the matrix's and which the matrix maps into
+    themselves.
     """
     a = np.asarray(matrix, float)
+    if not np.array_equal(a, np.round(a)):
+        raise ConstructionFailed("torus automorphism needs integer entries")
     if abs(abs(np.linalg.det(a)) - 1.0) > 1e-9:
         raise ConstructionFailed("torus automorphism needs |det| = 1")
+    e_frame = np.linalg.qr(np.atleast_2d(np.asarray(e_dirs, float).T).T)[0]
+    f_frame = np.linalg.qr(np.atleast_2d(np.asarray(f_dirs, float).T).T)[0]
+    d = a.shape[0]
+    if not (e_frame.shape[0] == f_frame.shape[0] == d
+            == e_frame.shape[1] + f_frame.shape[1]):
+        raise ConstructionFailed(f"E and F need {d} rows and {d} columns "
+                                 f"together, got E {e_frame.shape} and F "
+                                 f"{f_frame.shape}")
+    for bundle, frame in (("E", e_frame), ("F", f_frame)):
+        if subspace_distance(np.linalg.qr(a @ frame)[0], frame) > 1e-9:
+            raise ConstructionFailed(f"the matrix does not map {bundle} "
+                                     "into itself")
     ainv = np.linalg.inv(a)
-    chart = torus_chart(a.shape[0])
+    chart = torus_chart(d)
 
     def forward(c):
         return chart.wrap(_matvec(a, c))
@@ -77,8 +94,6 @@ def linear_torus_system(matrix, e_dirs, f_dirs, name="linear"):
     def tangent(c):
         return _tiled(a, np.shape(c)[:-1])
 
-    e_frame = np.linalg.qr(np.atleast_2d(np.asarray(e_dirs, float).T).T)[0]
-    f_frame = np.linalg.qr(np.atleast_2d(np.asarray(f_dirs, float).T).T)[0]
     min_f = float(np.linalg.svd(a @ f_frame, compute_uv=False)[-1])
     consts = SystemConstants(c0=abs(float(np.log(min_f))), beta=1.0, xi=0.5)
     return MapSystem(name=name, chart=chart, forward=forward, inverse=inverse,

@@ -510,7 +510,7 @@ X_SPLIT = np.array([0.966048156468645, 0.04138220356024824])
 def center_orbit(sys, d, n):
     """The edge-search orbit as hyperbolic_component takes it from the rows
     it certifies n on: the center's rows 0..n and Df at rows 0..n-1."""
-    rows = orbit_coords(sys, d.center_point()[None], n)
+    rows = orbit_coords(sys, d.center[None], n)
     return rows[:, 0], _row_tangents(sys.tangent, rows)[:-1, 0]
 
 
@@ -560,7 +560,7 @@ class TestBatchedCarving:
                                   sys.forward(X_SPLIT[None])[0])
         d = disks.make_disk(sys, X_SPLIT, sys.splitting.at(X_SPLIT)[1], 1e-12,
                             resolution=201)
-        rows = orbit_coords(sys, d.center_point()[None], n)[:, 0]
+        rows = orbit_coords(sys, d.center[None], n)[:, 0]
         centers = np.array([dk.center for dk in disks.iterate_disk(sys, d, n)])
         assert np.array_equal(centers, rows)
 

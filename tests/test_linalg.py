@@ -16,20 +16,17 @@ from .oracles import displacement_oracle, span, wrap_oracle
 
 CAT = np.array([[2.0, 1.0], [1.0, 1.0]])
 
-# charts whose every axis has period 1 from one shared lower bound
-UNIT_TORI = [torus_chart(2), torus_chart(4),
-             Chart("unit_centred", (-0.5, -0.5), (0.5, 0.5), (True, True))]
+# charts whose every axis has period 1
+UNIT_TORI = [torus_chart(2), torus_chart(4)]
 # integers, half-integers and their float neighbours, signed zeros, a
 # negative value that rounds up to the period, and large magnitudes
 _HALVES = np.arange(-6, 7) / 2.0
 FOLD_CASES = np.concatenate([
     _HALVES, np.nextafter(_HALVES, np.inf), np.nextafter(_HALVES, -np.inf),
     [0.0, -0.0, -1e-300, 1e-300, 1e15, -1e15, 1e15 + 0.5, -1e15 - 0.5]])
-# the solenoid's chart (a periodic axis from 0 and two box axes), and a
-# generic chart whose periodic axes start off 0
+# the solenoid's chart: a periodic axis and two box axes
 SOLENOID_CHART = Chart("solenoid", (0.0, -1.6, -1.6), (2 * np.pi, 1.6, 1.6),
                        (True, False, False))
-SHIFTED_CHART = Chart("shifted", (-1.0, 0.5), (2.0, 1.5), (True, True))
 COORD = st.floats(-1e15, 1e15, allow_nan=False, allow_infinity=False)
 
 
@@ -232,7 +229,7 @@ class TestChart:
 
     @pytest.mark.parametrize("ch", UNIT_TORI, ids=lambda c: c.chart_id)
     def test_unit_torus_fold_is_bit_identical_on_fixed_cases(self, ch):
-        assert ch._unit_lo is not None      # the whole-array path is taken
+        assert ch._unit                     # the whole-array path is taken
         pts = np.repeat(FOLD_CASES[:, None], ch.dim, axis=1)
         mixed = np.resize(FOLD_CASES, (len(FOLD_CASES), ch.dim))
         for p in (pts, mixed, pts[3], mixed[1:].reshape(-1, 2, ch.dim)):
@@ -253,7 +250,7 @@ class TestChart:
         assert np.array_equal(bits(ch.displacement(x, y)),
                               bits(displacement_oracle(ch, x, y)))
 
-    @pytest.mark.parametrize("ch", UNIT_TORI + [SOLENOID_CHART, SHIFTED_CHART],
+    @pytest.mark.parametrize("ch", UNIT_TORI + [SOLENOID_CHART],
                              ids=lambda c: c.chart_id)
     def test_wrap_stays_below_upper_bound(self, ch):
         pts = _below_period_boundaries(ch)
@@ -270,11 +267,32 @@ class TestChart:
         w = ch.wrap(_below_period_boundaries(ch))
         assert np.array_equal(bits(ch.wrap(w)), bits(w))
 
-    @pytest.mark.xfail(strict=True, reason="x - lower rounds: the largest "
-                       "float below upper 2.0 on [-1, 2) folds to -1.0")
-    def test_wrap_is_idempotent_from_a_nonzero_lower(self):
-        w = SHIFTED_CHART.wrap(_below_period_boundaries(SHIFTED_CHART))
-        assert np.array_equal(bits(SHIFTED_CHART.wrap(w)), bits(w))
+    @pytest.mark.parametrize("lower, upper, periodic", [
+        ((-1.0, 0.0), (2.0, 1.0), (True, True)),     # a period from -1
+        ((0.5, 0.0), (1.5, 1.0), (True, False)),     # a period from 0.5
+        ((0.0, 0.0), (0.0, 1.0), (True, True)),      # a zero period
+        ((0.0, 0.0), (-1.0, 1.0), (True, False)),    # a negative period
+        ((0.0, 0.5), (1.0, 0.5), (True, False)),     # an empty box axis
+        ((0.0, 0.5), (1.0, -0.5), (True, False)),    # upper below lower
+    ])
+    def test_chart_refuses_a_period_off_0_and_an_axis_without_width(
+            self, lower, upper, periodic):
+        with pytest.raises(ValueError):
+            Chart("bad", lower, upper, periodic)
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(log_period=st.floats(-5.0, 5.0),
+           xs=st.lists(COORD, min_size=1, max_size=50))
+    def test_wrap_folds_into_the_period_and_is_idempotent(self, log_period,
+                                                          xs):
+        ch = Chart("circle", (0.0, -1.0), (float(np.exp(log_period)), 1.0),
+                   (True, False))
+        pts = np.concatenate([np.column_stack([xs, np.zeros(len(xs))]),
+                              _below_period_boundaries(ch)])
+        w = ch.wrap(pts)
+        assert np.all((w[:, 0] >= 0.0) & (w[:, 0] < ch.upper[0]))
+        assert np.array_equal(bits(ch.wrap(w)), bits(w))
 
     def test_wrap_of_a_tiny_negative_angle_is_below_the_period(self, sol):
         assert torus_chart(2).wrap([-1e-20, 0.3])[0] == np.nextafter(1.0, 0.0)

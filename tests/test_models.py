@@ -535,6 +535,27 @@ class TestLinearTorusSystem:
         with pytest.raises(ConstructionFailed):
             linear_torus_system(np.diag([2.0, 1.0]), [[1], [0]], [[0], [1]])
 
+    def test_integer_entries_guard(self):
+        # |det| = 1, yet (0.2, 0.3) and (1.2, 0.3), one torus point, map to
+        # (0.45, 0.35) and (0.95, 0.85), two torus points
+        with pytest.raises(ConstructionFailed, match="integer"):
+            linear_torus_system([[1.5, 0.5], [0.5, 5 / 6]], [1, 0], [0, 1])
+
+    def test_bundle_dimensions_guard(self):
+        # two E columns and one F column on T^2, one and one on T^3, and an
+        # E of three rows on T^2
+        for a, e, f in ((models.CAT_MATRIX, np.eye(2), V_U),
+                        (np.eye(3), [1, 0, 0], [0, 1, 0]),
+                        (models.CAT_MATRIX, [1, 0, 0], [0, 1])):
+            with pytest.raises(ConstructionFailed, match="together"):
+                linear_torus_system(a, e, f)
+
+    def test_invariant_bundles_guard(self):
+        with pytest.raises(ConstructionFailed, match="E into itself"):
+            linear_torus_system(models.CAT_MATRIX, [1, 0], V_U)
+        with pytest.raises(ConstructionFailed, match="F into itself"):
+            linear_torus_system(models.CAT_MATRIX, V_S, [0, 1])
+
     def test_product_of_cats_cocycle(self, cat4):
         logs = cocycle_logs(cat4, np.array([0.1, 0.2, 0.3, 0.4]), 30)
         assert np.max(np.abs(logs.log_f_inv + LOG_LAM_U)) < 1e-12
