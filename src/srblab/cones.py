@@ -124,7 +124,7 @@ def domination_robustness_radius(sys, gamma1, gamma2):
     # grid's, as the solenoid's maps act per point and a torus keeps it all
     log_e, log_f = np.zeros(len(pts)), np.zeros(len(pts))
     if keep.any():
-        stretch_e, stretch_f = _point_stretches(sys, pts[keep])
+        stretch_e, stretch_f, _ = _point_stretches(sys, pts[keep])
         log_e[keep], log_f[keep] = np.log(stretch_e), np.log(stretch_f)
 
     shape = mesh.shape[:-1]

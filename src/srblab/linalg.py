@@ -91,8 +91,12 @@ def restricted_stretch(t, frames, which):
 
     For one-column frames both are the norm of the image vector.
     """
-    img = t @ frames
-    if frames.shape[-1] == 1:
+    return _image_stretch(t @ frames, which)
+
+
+def _image_stretch(img, which):
+    """restricted_stretch from the (..., d, k) images t @ frames."""
+    if img.shape[-1] == 1:
         return np.linalg.norm(img[..., 0], axis=-1)
     sv = np.linalg.svd(img, compute_uv=False)
     return sv[..., 0] if which == "max" else sv[..., -1]

@@ -418,13 +418,17 @@ def measure_constants_h(sys, xi=None):
 
     The budget is fixed: 400 region samples (seed 7, burned in 30 steps)
     for sup||Df|E|| and b = inf mininorm(Df|F), and the first 200 of them
-    for 400-step cocycle averages.  eps0 is the smallest _MARGIN-padded value
-    compatible with every chain constraint: above log sup||Df|E||, above
-    xi*log(b) (so the l3 slot stays above l2), and above zero.  lambda1 comes
-    from the 0.9-quantile of long-run cocycle averages with _MARGIN headroom
-    in the log; lambda2 sits at the geometric midpoint of its feasible
-    window.  Raises ChainInfeasible with the measured numbers when the
-    window is empty or F fails to expand on average.
+    for 400-step cocycle averages, whose orbits start from the F frames b
+    read: each sample has one F lead.  A lead step is row-local on cat,
+    perturbed_cat and the solenoid; dfa's inverse stops Newton batch-wide,
+    so there the 400-sample lead defines the 200 orbits' F.  eps0 is the
+    smallest _MARGIN-padded value compatible with every chain constraint:
+    above log sup||Df|E||, above xi*log(b) (so the l3 slot stays above l2),
+    and above zero.  lambda1 comes from the 0.9-quantile of long-run
+    cocycle averages with _MARGIN headroom in the log; lambda2 sits at the
+    geometric midpoint of its feasible window.  Raises ChainInfeasible with
+    the measured numbers when the window is empty or F fails to expand on
+    average.
 
     The one write to sys: when the model declares no c0, the measured
     sup |log mininorm(Df|F)| is stored in sys.constants.c0, where the
@@ -433,12 +437,12 @@ def measure_constants_h(sys, xi=None):
     xi = sys.constants.xi if xi is None else float(xi)
     pts = region_sample(sys, 400, seed=7, burn_in=30)
 
-    stretch_e, mins = _point_stretches(sys, pts)
+    stretch_e, mins, f = _point_stretches(sys, pts)
     sup_e = float(np.max(stretch_e))
     b = float(np.min(mins))
     c0 = float(np.max(np.abs(np.log(mins))))
 
-    lf = time_logs(sys, orbit_coords(sys, pts[:200], 400))
+    lf = time_logs(sys, orbit_coords(sys, pts[:200], 400), lead=f[:200])
     q = float(np.quantile(np.mean(lf, axis=1), 0.9))
     lam1 = float(np.exp(q + _MARGIN))
     if lam1 >= 1.0:

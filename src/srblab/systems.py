@@ -11,8 +11,9 @@ E and F come from one cone sweep over (m+1, N, d) orbit rows fed by their
 tangents, SplittingField._bundle, run both ways: the push yields F at rows
 0..m after DEPTH steps along row 0's backward orbit, the pull E at rows
 m..0 after DEPTH - 1 along row m's forward one.  Only these lead orbits
-take their own Df: a row's Df feeds the push, the pull and the cocycle
-logs, a point's (_point_stretches) the pull's last step and both stretches.
+take their own Df: a row's Df feeds the push, the pull and the E log, a
+point's (_point_stretches) the pull's last step and both stretches.  A
+row's F log is the norm of the push's own product Df @ F (_log_f_inv).
 A MapSystem keeps each anchor row's lead frames (SplittingField._lead) for
 at most POINTS anchor points in all, so a point asked for again walks no
 lead orbit; equal anchor bytes and callables give the bits a walk would.
@@ -28,13 +29,13 @@ block takes more than max(POINTS, N) points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 
 import numpy as np
 
 from .charts import Chart
 from .errors import ChainInfeasible, OrbitEscaped
-from .linalg import Subspace, restricted_stretch
+from .linalg import Subspace, _image_stretch, restricted_stretch
 
 _SEED_ANGLES = (0.7310987, 0.3891113, 0.9122891, 0.1930491)
 DEPTH = 40   # cone-iteration steps before a converged bundle reaches its rows
@@ -156,15 +157,15 @@ def _row_tangents(tangent, rows):
                        len(rows))
 
 
-def _fill_logs(out, tans, frames, dim, which):
-    """out[:, p] = log restricted_stretch(tans[p], frame p, which) for the
-    (N, d, dim) frames streamed in the order of the (m+1, N, d, d) tans, a
-    block of rows per call: only one block's frames are held at a time."""
+def _fill_logs(out, tans, frames, dim):
+    """out[:, p] = log ||tans[p] restricted to E|| for the (N, d, dim) E
+    frames streamed in the order of the (m+1, N, d, d) tans, a block of
+    rows per call: only one block's frames are held at a time."""
     for s in _blocks(tans):
         t = tans[s]
         f = np.fromiter(islice(frames, len(t)),
                         (float, t.shape[1:-1] + (dim,)), len(t))
-        out[:, s] = np.log(restricted_stretch(t, f, which)).T
+        out[:, s] = np.log(restricted_stretch(t, f, "max")).T
 
 
 class SplittingField:
@@ -425,32 +426,45 @@ def cocycle_logs_batch(sys, coords, n, include_zero=False):
     # the pull yields E at rows n..start, so column j - start fills backwards
     rev = tans[::-1]
     _fill_logs(log_e[:, ::-1], rev[:n + 1 - start],
-               sys.splitting._bundle("e", rows, rev), sys.dim_e, "max")
+               sys.splitting._bundle("e", rows, rev), sys.dim_e)
     return log_e, _log_f_inv(sys, rows, tans)[:, start:]
 
 
-def time_logs(sys, rows, tans=None):
+def time_logs(sys, rows, tans=None, lead=None):
     """The F logs that hyperbolic times and Lambda membership read, from
     (n+1, N, d) orbit rows: (N, n), column j - 1 holding
     -log mininorm(Df restricted to F at f^j(x)) for j = 1..n.  So a time n
     covers Df at f^(n-k+1)..f^n, one step after the backward contraction
-    at f^n, which uses f^(n-k)..f^(n-1).  tans: as in _log_f_inv."""
-    return _log_f_inv(sys, rows, tans)[:, 1:]
+    at f^n, which uses f^(n-k)..f^(n-1).  tans, lead: as in _log_f_inv."""
+    return _log_f_inv(sys, rows, tans, lead)[:, 1:]
 
 
-def _log_f_inv(sys, rows, tans=None):
+def _log_f_inv(sys, rows, tans=None, lead=None):
     """-log mininorm(Df|F) at (n+1, N, d) orbit rows as (N, n+1), column j at
-    row j, from the push alone; tans: the row tangents if already held."""
+    row j: the norm (or, for dim F >= 2, the smallest singular value) of the
+    push's own product at row j, a block of rows per reduction.  tans and
+    lead: the row tangents and the (N, d, dim_f) F at rows[0] if held."""
     tans = _row_tangents(sys.tangent, rows) if tans is None else tans
+    push = sys.f_frame is None
+    if lead is None:
+        lead = sys.splitting._lead("f", rows[0]) if push else sys.f_frame
+    # product j's QR is F at row j + 1, formed when that row is asked for:
+    # the last row's product takes none, and a declared F none at all
+    step = (lambda img, t: t @ _batch_qr(img)) if push else (
+        lambda img, t: t @ lead)
+    imgs = accumulate(tans[1:], step, initial=tans[0] @ lead)
     log_f_inv = np.empty((rows.shape[1], len(rows)), float)
-    _fill_logs(log_f_inv, tans, sys.splitting._bundle("f", rows, tans[:-1]),
-               sys.dim_f, "min")
+    for s in _blocks(tans):
+        t = tans[s]
+        img = np.fromiter(islice(imgs, len(t)),
+                          (float, t.shape[1:-1] + (sys.dim_f,)), len(t))
+        log_f_inv[:, s] = np.log(_image_stretch(img, "min")).T
     return np.negative(log_f_inv, out=log_f_inv)
 
 
 def _point_stretches(sys, pts):
-    """||Df|E|| and mininorm(Df|F) at the (N, d) points pts, from one Df call
-    that also feeds the pull's last step."""
+    """||Df|E||, mininorm(Df|F) and the F frames at the (N, d) points pts,
+    from one Df call that also feeds the pull's last step."""
     t = sys.tangent(pts)
     e, f = (next(sys.splitting._bundle(w, pts[None], [t])) for w in "ef")
-    return restricted_stretch(t, e, "max"), restricted_stretch(t, f, "min")
+    return restricted_stretch(t, e, "max"), restricted_stretch(t, f, "min"), f

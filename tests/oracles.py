@@ -613,6 +613,13 @@ def cocycle_logs_oracle(sys, coords, n, include_zero=False):
     return log_e, log_f_inv
 
 
+def time_logs_oracle(sys, rows):
+    """time_logs at (n+1, N, d) orbit rows with F walked afresh: columns
+    1..n of cocycle_logs_oracle's F logs, whose lead is f_batch_oracle's at
+    rows[0]."""
+    return cocycle_logs_oracle(sys, rows[0], len(rows) - 1)[1]
+
+
 def tangency_report_oracle(d, splitting):
     """(worst width, worst F-distance) over the disk, sample by sample and
     tangent column by tangent column."""

@@ -11,9 +11,10 @@ from srblab import (OrbitEscaped, cocycle_logs, cocycle_logs_batch,
                     orbit_coords, splitting_frames_along_orbit,
                     subspace_distance)
 
-from srblab import measures
+from srblab import measures, models, systems
 from srblab.cones import domination_robustness_radius, verify_cone_contraction
 from srblab.disks import hyperbolic_component, make_disk
+from srblab.errors import ChainInfeasible
 from srblab.models import (build, lambda_fraction, measure_constants_h,
                            region_sample)
 from srblab.pliss import lambda_membership_batch
@@ -464,6 +465,95 @@ class TestFusedCocycleLogs:
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
+class TestPushProductLogs:
+    """The F logs read the push's own product a block of rows at a time:
+    POINTS // N rows per block, so 200-point rows go 20 to a block and
+    401-point rows 10; the last row's product takes no QR."""
+
+    @pytest.mark.parametrize("model", MODELS + ["cat4"])
+    @pytest.mark.parametrize("npts, n", [(200, 19), (200, 20), (200, 21),
+                                         (200, 45), (401, 9), (401, 10),
+                                         (401, 11), (1, 0), (1, 7)])
+    def test_logs_across_block_edges_equal_the_oracle(self, request, model,
+                                                      npts, n):
+        sys = request.getfixturevalue(model)
+        pts = region_sample(sys, npts, seed=12, burn_in=2)
+        got = _log_f_inv(sys, orbit_coords(sys, pts, n))
+        _, want = oracles.cocycle_logs_oracle(sys, pts, n, True)
+        assert got.shape == (npts, n + 1)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("model", MODELS + ["cat4"])
+    @pytest.mark.parametrize("npts, n", [(200, 20), (200, 45), (1, 0)])
+    def test_each_push_step_takes_one_qr(self, request, monkeypatch, model,
+                                         npts, n):
+        sys = request.getfixturevalue(model)
+        pts = region_sample(sys, npts, seed=12, burn_in=2)
+        rows = orbit_coords(sys, pts, n)
+        lead = sys.splitting.f_frames(pts)
+        calls = []
+        real = systems._batch_qr
+        monkeypatch.setattr(systems, "_batch_qr",
+                            lambda fr: calls.append(fr.shape) or real(fr))
+        got = _log_f_inv(sys, rows, lead=lead)
+        # n pushes carry F from row 0 to row n; a declared F takes none
+        pushes = 0 if sys.f_frame is not None else n
+        assert calls == [(npts, sys.dim, sys.dim_f)] * pushes
+        monkeypatch.undo()
+        assert np.array_equal(got, _log_f_inv(sys, rows))
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the text of the ChainInfeasible it raises."""
+    try:
+        return fn(*args)
+    except ChainInfeasible as exc:
+        return str(exc)
+
+
+class TestMeasureConstantsLead:
+    """measure_constants_h's cocycle orbits start from rows 0..199 of its
+    400 sample points' F lead and give what a fresh 200-row lead gives."""
+
+    @pytest.mark.parametrize("model, params", [
+        ("cat", {}), ("perturbed_cat", {}), ("solenoid", {}), ("dfa", {}),
+        ("dfa", {"delta": 0.02, "rho": 0.05}),
+        ("dfa", {"delta": 0.1, "rho": 0.3}),
+        ("dfa", {"delta": 0.3, "rho": 0.05}),   # infeasible at xi = 1
+        ("dfa", {"delta": 0.5, "rho": 0.45})])
+    @pytest.mark.parametrize("xi", [None, 0.5])
+    def test_equals_the_own_lead_form(self, monkeypatch, model, params, xi):
+        def own_lead(s, rows, lead):
+            # the logs themselves, not only the chain read from them
+            want = oracles.time_logs_oracle(s, rows)
+            assert np.array_equal(time_logs(s, rows, lead=lead), want)
+            return want
+
+        got_sys, want_sys = build(model, **params), build(model, **params)
+        got = _outcome(measure_constants_h, got_sys, xi)
+        monkeypatch.setattr(models, "time_logs", own_lead)
+        want = _outcome(measure_constants_h, want_sys, xi)
+        assert got == want
+        assert got_sys.constants == want_sys.constants
+
+    @pytest.mark.parametrize("model", ["pcat", "sol"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_lead_prefix_is_the_prefix_lead(self, request, model, seed):
+        # every walk step is row-local on these models, so rows 0..199 of a
+        # 400-row lead are the 200-row lead of their anchors
+        sys = request.getfixturevalue(model)
+        lo, hi = np.array(sys.chart.lower), np.array(sys.chart.upper)
+        cand = lo + (hi - lo) * np.random.default_rng(seed).random(
+            (4000, sys.dim))
+        pts = cand[sys.in_region(cand)][:400]
+        assert len(pts) == 400
+        long = dataclasses.replace(sys).splitting.f_frames(pts)
+        short = dataclasses.replace(sys).splitting.f_frames(pts[:200])
+        assert np.array_equal(long[:200], short)
+        assert np.array_equal(short, oracles.f_batch_oracle(sys, pts[:200],
+                                                            DEPTH))
+
+
 class TestTangentCounts:
     """Each call's point count.  Df runs on blocks of POINTS // N orbit rows
     of N points, so 200-point rows go 20 to a call and 400-point rows 10;
@@ -497,16 +587,16 @@ class TestTangentCounts:
         measure_constants_h(_counted(dfa, calls))
         # forward: the burn-in, the pull's tail from the 400 sample points,
         # then the 200 cocycle orbits, which pull none; inverse: the push
-        # at the samples, then the orbits' push; tangent: Df at the
-        # samples, which also ends the pull, the pull's 39 seed rows, the
-        # push's 40, then the 401 orbit rows and their push's 40
+        # at the samples alone, whose F frames seed the orbits' logs;
+        # tangent: Df at the samples, which also ends the pull, the pull's
+        # 39 seed rows, the push's 40, then the 401 orbit rows
         assert calls == {
             "forward": [400] * (30 + DEPTH - 1) + [200] * 400,
-            "inverse": [400] * DEPTH + [200] * DEPTH,
+            "inverse": [400] * DEPTH,
             "tangent": [400] + [400 * 10] * 3 + [400 * 9]
-            + [400 * 10] * 4 + [200 * 20] * 20 + [200] + [200 * 20] * 2}
+            + [400 * 10] * 4 + [200 * 20] * 20 + [200]}
         assert sum(calls["tangent"]) == (400 * (1 + DEPTH - 1 + DEPTH)
-                                         + 200 * (401 + DEPTH))
+                                         + 200 * 401)
 
     def test_hyperbolic_mass_maps_its_orbit_once(self, dfa):
         calls = {}
