@@ -496,9 +496,9 @@ def hyperbolic_component(sys, d, n, r, sigma):
 
     carved = _resample_interval(d, t_minus, t_plus)
     final = iterate_disk(sys, carved, n)[-1]
-    ok = _ball_condition(sys, orbit, r, carved.disp)
-    if not ok.all():
-        far = _pair_distances(sys, orbit, carved.disp[~ok]) > r
+    # a NaN distance leaves the ball too
+    far = ~(_pair_distances(sys, orbit, carved.disp) <= r)
+    if far.any():
         raise CarvingFailed(
             f"resampled component leaves the r-ball at step "
             f"{int(np.argmax(far.any(axis=0)))}: the first-exit interval "

@@ -214,11 +214,6 @@ def _default_center(sys, cfg):
 
 
 def _config_disk(sys, cfg, radius=0.02, resolution=101, center=None):
-    return _config_disk_and_splitting(sys, cfg, radius, resolution, center)[0]
-
-
-def _config_disk_and_splitting(sys, cfg, radius, resolution, center):
-    """_config_disk's disk and the (E, F) pair it read at its center."""
     if center is None:
         center = _default_center(sys, cfg)
     radius = cfg.disk.get("radius", radius)
@@ -231,7 +226,7 @@ def _config_disk_and_splitting(sys, cfg, radius, resolution, center):
     e, f = sys.splitting.at(center)
     direction = f if which == "F" else e
     return disks.make_disk(sys, center, direction, radius,
-                           resolution=resolution), (e, f)
+                           resolution=resolution)
 
 
 def _carve_radius(sys, cfg, path):
@@ -460,12 +455,14 @@ def _exp_curvature(sys, cfg):
                                    alpha=cfg.const("alpha"),
                                    lambda4=cfg.const("lambda4"))
     center = _default_center(sys, cfg)
-    flat, (e, f) = _config_disk_and_splitting(sys, cfg, 0.02, 201, center)
+    e, f = sys.splitting.at(center)
+    res = cfg.disk.get("resolution", 201)
+    # every zoo F is 1-D, so no 2-D resolution limit applies
+    flat = disks.make_disk(sys, center, f, r, resolution=res)
     h_flat = disks.holder_curvature(flat, xi)
 
     d = disks.make_graph_disk(sys, center, f.frame[:, 0], e.frame[:, 0], r,
-                              resolution=cfg.disk.get("resolution", 201),
-                              curvature=kappa)
+                              resolution=res, curvature=kappa)
     # the recursion is checked on carved hyperbolic-time components, whose
     # m-step images stay r-small; iterating the raw disk m steps would
     # stretch it past any fixed resolution

@@ -11,9 +11,10 @@ E and F come from one cone sweep over (m+1, N, d) orbit rows fed by their
 tangents, SplittingField._bundle, run both ways: the push yields F at rows
 0..m after DEPTH steps along row 0's backward orbit, the pull E at rows
 m..0 after DEPTH - 1 along row m's forward one.  Only these lead orbits
-take their own Df: a row's Df feeds the push, the pull and the E log, a
-point's (_point_stretches) the pull's last step and both stretches.  A
-row's F log is the norm of the push's own product Df @ F (_log_f_inv).
+take their own Df: a row's Df feeds the push and the pull, a point's
+(_point_stretches) the pull's last step and both stretches.  Both cocycle
+logs reduce Df's image of the row's frame through one reducer
+(_image_logs): Df @ E of the pulled E, and the push's own product Df @ F.
 A MapSystem keeps each anchor row's lead frames (SplittingField._lead) for
 at most POINTS anchor points in all, so a point asked for again walks no
 lead orbit; equal anchor bytes and callables give the bits a walk would.
@@ -21,7 +22,7 @@ Entry j of a cocycle log stores the value at the orbit point f^j(x);
 time_logs owns the entries that hyperbolic times and Lambda membership read.
 
 Df runs on blocks of POINTS // N stacked (N, d) rows, one call per block,
-and the cocycle logs reduce one block of frames per call: every model maps
+and the cocycle logs reduce one block of images per call: every model maps
 a stacked row to the bits it gives that row alone, and no call or held
 block takes more than max(POINTS, N) points.
 """
@@ -157,15 +158,17 @@ def _row_tangents(tangent, rows):
                        len(rows))
 
 
-def _fill_logs(out, tans, frames, dim):
-    """out[:, p] = log ||tans[p] restricted to E|| for the (N, d, dim) E
-    frames streamed in the order of the (m+1, N, d, d) tans, a block of
-    rows per call: only one block's frames are held at a time."""
-    for s in _blocks(tans):
-        t = tans[s]
-        f = np.fromiter(islice(frames, len(t)),
-                        (float, t.shape[1:-1] + (dim,)), len(t))
-        out[:, s] = np.log(restricted_stretch(t, f, "max")).T
+def _image_logs(out, imgs, shape, which):
+    """Fill the (N, m+1) array out, or a view of one, in place: column j
+    is log _image_stretch(img, which) of the j-th image Df @ frame, of
+    shape (N, d, k), that imgs streams.  A block of rows per reduction, so
+    only one block's images are held at a time.  Returns out."""
+    cols = out.T
+    for s in _blocks(cols):
+        k = len(cols[s])
+        img = np.fromiter(islice(imgs, k), (float, shape), k)
+        cols[s] = np.log(_image_stretch(img, which))
+    return out
 
 
 class SplittingField:
@@ -417,7 +420,7 @@ def cocycle_logs_batch(sys, coords, n, include_zero=False):
 
     Returns (log_e, log_f_inv), each of shape (N, n+1) when include_zero else
     (N, n), column p holding the value at orbit index start + p.  Each row's
-    Df feeds the pull, whose E frames give log_e, and _log_f_inv.
+    Df feeds the pull, whose E frames it maps into log_e, and _log_f_inv.
     """
     start = 0 if include_zero else 1
     rows = orbit_coords(sys, np.asarray(coords, float), n)
@@ -425,8 +428,8 @@ def cocycle_logs_batch(sys, coords, n, include_zero=False):
     log_e = np.empty((rows.shape[1], n + 1 - start), float)
     # the pull yields E at rows n..start, so column j - start fills backwards
     rev = tans[::-1]
-    _fill_logs(log_e[:, ::-1], rev[:n + 1 - start],
-               sys.splitting._bundle("e", rows, rev), sys.dim_e)
+    imgs = map(np.matmul, rev, sys.splitting._bundle("e", rows, rev))
+    _image_logs(log_e[:, ::-1], imgs, rows.shape[1:] + (sys.dim_e,), "max")
     return log_e, _log_f_inv(sys, rows, tans)[:, start:]
 
 
@@ -442,7 +445,7 @@ def time_logs(sys, rows, tans=None, lead=None):
 def _log_f_inv(sys, rows, tans=None, lead=None):
     """-log mininorm(Df|F) at (n+1, N, d) orbit rows as (N, n+1), column j at
     row j: the norm (or, for dim F >= 2, the smallest singular value) of the
-    push's own product at row j, a block of rows per reduction.  tans and
+    push's own product at row j, reduced by _image_logs.  tans and
     lead: the row tangents and the (N, d, dim_f) F at rows[0] if held."""
     tans = _row_tangents(sys.tangent, rows) if tans is None else tans
     push = sys.f_frame is None
@@ -453,12 +456,8 @@ def _log_f_inv(sys, rows, tans=None, lead=None):
     step = (lambda img, t: t @ _batch_qr(img)) if push else (
         lambda img, t: t @ lead)
     imgs = accumulate(tans[1:], step, initial=tans[0] @ lead)
-    log_f_inv = np.empty((rows.shape[1], len(rows)), float)
-    for s in _blocks(tans):
-        t = tans[s]
-        img = np.fromiter(islice(imgs, len(t)),
-                          (float, t.shape[1:-1] + (sys.dim_f,)), len(t))
-        log_f_inv[:, s] = np.log(_image_stretch(img, "min")).T
+    log_f_inv = _image_logs(np.empty((rows.shape[1], len(rows)), float),
+                            imgs, rows.shape[1:] + (sys.dim_f,), "min")
     return np.negative(log_f_inv, out=log_f_inv)
 
 

@@ -830,3 +830,69 @@ def perturbed_cat_inverse_oracle(eps, y):
         if step < 1e-15:
             break
     return x
+
+
+# ---- closed-form cone certificates ----
+
+def _cat_slopes(k):
+    """The fixed slopes (expanding, contracting) of [[k, 1], [1, 1]]: the
+    roots of m^2 + (k - 1) m - 1 = 0, its eigen-directions (1, m)."""
+    root = math.sqrt((k - 1.0) ** 2 + 4.0)
+    return (1.0 - k + root) / 2.0, (1.0 - k - root) / 2.0
+
+
+def perturbed_cat_cones(eps, pad=1e-9):
+    """Whole-torus cones of perturbed_cat, whose Df = [[k, 1], [1, 1]] with
+    k = 2 + s c, s = 2 pi eps and c = cos(2 pi x0) in [-1, 1].
+
+    Returns (f_cone, e_cone, f_inf, e_sup), each cone a (low, high) pair of
+    slopes v1 / v0:
+    - f_cone = [m+(2 + s), m+(2 - s)], m+ the expanding root.  Df maps the
+      slope m to (1 + m) / (k + m), increasing in m and decreasing in k, so
+      the cone is forward-invariant at every point and holds F.
+    - e_cone = [m-(2 + s), m-(2 - s)], m- the contracting root.  Df^-1 maps
+      m to (k m - 1) / (1 - m), increasing in m and, for m < 0, decreasing
+      in k, so the cone is backward-invariant and holds E.
+    - f_inf: inf of |Df v| / |v| over v in the F cone and every c; e_sup:
+      sup over the E cone.
+    Both cones are widened by the relative pad against the rounding of the
+    roots, which only weakens the certificate, and the extrema are padded
+    by 1e-12 relative against their own rounding.
+
+    The extrema are exact at the box's edges, not read off a grid.  In c:
+    |Df (1, m)|^2 = (k + m)^2 + (1 + m)^2 is convex in k, so its sup lies
+    at c = -1 or c = 1, and it increases in k where k + m > 0, which holds
+    on the F box, so its inf lies at c = -1.  In the slope: for a fixed k,
+    |Df v|^2 / |v|^2 = a + b cos 2(theta - theta_max) in v's angle theta,
+    so on an arc of slopes its inf lies at an end unless the arc holds the
+    least eigen-direction of Df^T Df, and its sup at an end unless the arc
+    holds the greatest.  Both are checked before the ends are read.
+    """
+    s = 2.0 * math.pi * eps
+    k_lo, k_hi = 2.0 - s, 2.0 + s
+
+    def widened(lo, hi):
+        return lo - pad * abs(lo), hi + pad * abs(hi)
+
+    f_cone = widened(_cat_slopes(k_hi)[0], _cat_slopes(k_lo)[0])
+    e_cone = widened(_cat_slopes(k_hi)[1], _cat_slopes(k_lo)[1])
+
+    def eigen_slopes(k):
+        # Df^T Df's eigen-directions, least eigenvalue first
+        a = np.array([[k, 1.0], [1.0, 1.0]])
+        vec = np.linalg.eigh(a.T @ a)[1]
+        return vec[1] / vec[0]
+
+    def stretch(k, m):
+        return math.sqrt(((k + m) ** 2 + (1.0 + m) ** 2) / (1.0 + m * m))
+
+    if not k_lo + f_cone[0] > 0.0:
+        raise ValueError("|Df v| is not monotone in c on the F box")
+    for k, (lo, hi), extreme in ((k_lo, f_cone, 0), (k_lo, e_cone, 1),
+                                 (k_hi, e_cone, 1)):
+        if lo <= eigen_slopes(k)[extreme] <= hi:
+            raise ValueError(f"the slope arc [{lo}, {hi}] holds an "
+                             f"eigen-direction of Df^T Df at k = {k}")
+    f_inf = min(stretch(k_lo, m) for m in f_cone)
+    e_sup = max(stretch(k, m) for k in (k_lo, k_hi) for m in e_cone)
+    return f_cone, e_cone, f_inf * (1.0 - 1e-12), e_sup * (1.0 + 1e-12)

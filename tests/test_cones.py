@@ -5,10 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from srblab import cones
+from srblab import build, cones, cocycle_logs_batch
 from srblab.errors import EmptyRadius, HypothesisViolated
-from srblab.models import region_sample
-from srblab.systems import DEPTH, POINTS, cocycle_logs
+from srblab.models import measure_constants_h, region_sample
+from srblab.systems import DEPTH, POINTS, _point_stretches, cocycle_logs
 
 from . import oracles
 from .conftest import LAM_U, V_S, V_U
@@ -211,3 +211,53 @@ class TestRobustnessRadius:
         assert sizes == ([576] + [576 * 7] * 5 + [576 * 4]
                          + [576 * 7] * 5 + [576 * 5])
         assert sum(sizes) == 576 * (1 + DEPTH - 1 + DEPTH)
+
+
+class TestPerturbedCatCertificate:
+    """perturbed_cat's closed-form cones (oracles.perturbed_cat_cones) hold
+    srblab's converged frames, and its sampled constants lie on their side
+    of the certified extrema, which are exact at the box's edges: no sample
+    can beat a certificate.  Every bound comes from the closed form."""
+
+    def test_cones_are_the_closed_form(self):
+        f, e, f_inf, e_sup = oracles.perturbed_cat_cones(0.01)
+        assert f == pytest.approx((0.601016, 0.635758), abs=1e-6)
+        assert e == pytest.approx((-1.663848, -1.572926), abs=1e-6)
+        assert f_inf == pytest.approx(2.57213, abs=1e-5)
+        assert e_sup == pytest.approx(0.40444, abs=1e-5)
+
+    @pytest.mark.parametrize("eps", [0.01, 0.05])
+    def test_cones_are_invariant(self, eps):
+        # Df maps the F cone into itself and Df^-1 the E cone, at every c
+        f, e, _, _ = oracles.perturbed_cat_cones(eps)
+        k = 2.0 + 2.0 * np.pi * eps * np.linspace(-1.0, 1.0, 201)[:, None]
+        for cone, step in ((f, lambda m: (1.0 + m) / (k + m)),
+                           (e, lambda m: (k * m - 1.0) / (1.0 - m))):
+            image = step(np.array(cone))
+            assert np.all((cone[0] <= image) & (image <= cone[1]))
+
+    @pytest.mark.parametrize("eps", [0.01, 0.05])
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_frames_lie_in_their_cones(self, eps, seed):
+        sys = build("perturbed_cat", eps=eps)
+        f_cone, e_cone, _, _ = oracles.perturbed_cat_cones(eps)
+        pts = region_sample(sys, 400, seed=seed, burn_in=30)
+        for frames, (lo, hi) in ((sys.splitting.f_frames(pts), f_cone),
+                                 (sys.splitting.e_frames(pts), e_cone)):
+            slopes = frames[:, 1, 0] / frames[:, 0, 0]
+            assert np.all((lo <= slopes) & (slopes <= hi))
+
+    @pytest.mark.parametrize("eps", [0.01, 0.05])
+    def test_sampled_stretches_respect_the_certified_extrema(self, eps):
+        sys = build("perturbed_cat", eps=eps)
+        _, _, f_inf, e_sup = oracles.perturbed_cat_cones(eps)
+        assert measure_constants_h(sys).b >= f_inf
+        # measure_constants_h's samples, from which it reads sup ||Df|E||
+        pts = region_sample(sys, 400, seed=7, burn_in=30)
+        stretch_e, mins, _ = _point_stretches(sys, pts)
+        assert np.max(stretch_e) <= e_sup
+        assert np.min(mins) >= f_inf
+        # and along orbits
+        log_e, log_f_inv = cocycle_logs_batch(sys, pts[:50], 60, True)
+        assert np.max(log_e) <= np.log(e_sup)
+        assert np.max(log_f_inv) <= -np.log(f_inf)

@@ -198,6 +198,45 @@ class TestHyperbolicComponent:
         carved = disks.hyperbolic_component(pcat, d, n, R, sigma=lam2)
         assert 0 < carved.radius < R
 
+    def test_resample_check_names_the_first_exit_step(self, cat,
+                                                      monkeypatch):
+        # edges three times too wide: the resampled curve's outer nodes
+        # leave the r-ball before step n, and the carve names the first
+        # step at which some node is out, as one point at a time finds it
+        d, n = flat_disk(cat), 10
+        edges = disks._component_edges(cat, d, center_orbit(cat, d, n), R)
+        wide = tuple(3.0 * t for t in edges)
+        monkeypatch.setattr(disks, "_component_edges", lambda *args: wide)
+        nodes = disks._resample_interval(d, *wide).disp
+        dist = np.array([oracles.pair_distances_oracle(cat, d.center, v, n)
+                         for v in nodes])
+        step = int(np.argmax((dist > R).any(axis=0)))
+        assert 0 < step < n
+        with pytest.raises(CarvingFailed, match=f"r-ball at step {step}:"):
+            disks.hyperbolic_component(cat, d, n, R, sigma=0.5)
+
+    def test_resample_check_fails_a_nan_distance(self, cat, monkeypatch):
+        # the true edges pass the check; a map that sends the outermost
+        # node's first image to NaN makes its distance NaN from step 1 on,
+        # which leaves the r-ball as surely as a distance above r
+        d, n = flat_disk(cat), 10
+        edges = disks._component_edges(cat, d, center_orbit(cat, d, n), R)
+        monkeypatch.setattr(disks, "_component_edges", lambda *args: edges)
+        disks.hyperbolic_component(cat, d, n, R, sigma=0.5)
+        bad = cat.chart.wrap(d.center + disks._resample_interval(
+            d, *edges).disp[-1])
+        hits = []
+
+        def forward(x):
+            hit = np.all(x == bad, axis=-1, keepdims=True)
+            hits.append(hit.any())
+            return np.where(hit, np.nan, cat.forward(x))
+
+        sys = dataclasses.replace(cat, forward=forward)
+        with pytest.raises(CarvingFailed, match="r-ball at step 1:"):
+            disks.hyperbolic_component(sys, d, n, R, sigma=0.5)
+        assert any(hits)
+
 
 class TestBackwardContraction:
     def test_cat_exact_violation(self, cat):

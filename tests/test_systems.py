@@ -466,9 +466,11 @@ class TestFusedCocycleLogs:
 
 
 class TestPushProductLogs:
-    """The F logs read the push's own product a block of rows at a time:
-    POINTS // N rows per block, so 200-point rows go 20 to a block and
-    401-point rows 10; the last row's product takes no QR."""
+    """Both logs reduce Df's images a block of rows at a time: POINTS // N
+    rows per block, so 200-point rows go 20 to a block and 401-point rows
+    10.  The E images are Df @ E of the pulled frames, filled from the last
+    column back; the F images are the push's own products, and the last
+    row's product takes no QR.  cat4's 2-D E and F take the SVD branch."""
 
     @pytest.mark.parametrize("model", MODELS + ["cat4"])
     @pytest.mark.parametrize("npts, n", [(200, 19), (200, 20), (200, 21),
@@ -482,6 +484,12 @@ class TestPushProductLogs:
         _, want = oracles.cocycle_logs_oracle(sys, pts, n, True)
         assert got.shape == (npts, n + 1)
         assert np.array_equal(got, want)
+        for include_zero in (False, True):
+            got = cocycle_logs_batch(sys, pts, n, include_zero)
+            want = oracles.cocycle_logs_oracle(sys, pts, n, include_zero)
+            for g, w in zip(got, want):
+                assert g.shape == (npts, n + include_zero)
+                assert np.array_equal(g, w)
 
     @pytest.mark.parametrize("model", MODELS + ["cat4"])
     @pytest.mark.parametrize("npts, n", [(200, 20), (200, 45), (1, 0)])
