@@ -68,7 +68,7 @@ _LIMITS = {
     "horizon": {e: top for top, names in (
         (10 ** 6, "srb_converge physical_basin"),  # streamed in 128-row blocks
         (10 ** 5, "pliss_demo hyperbolic_times cone_check"),  # an n-row table
-        (5000, "hyperbolic_mass"),  # lambda_fraction's (2n + 1) x 400 tangents
+        (5000, "hyperbolic_mass"),  # lambda_fraction's (2n + 1) x 400 rows
         (1000, "disk_iterate contraction distortion curvature"),  # disk orbits
     ) for e in names.split()},
 }

@@ -123,10 +123,11 @@ def lambda_membership_batch(log_f_inv_rows, lam):
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    a = np.asarray(log_f_inv_rows, dtype=np.longdouble)
-    s = np.cumsum(a, axis=1)
+    # a copy even of a longdouble input, so the prefix sums overwrite only it
+    a = np.array(log_f_inv_rows, dtype=np.longdouble)
+    np.cumsum(a, axis=1, out=a)
     ns = np.arange(1, a.shape[1] + 1, dtype=np.longdouble)
-    return np.all(s <= np.longdouble(np.log(lam)) * ns, axis=1)
+    return np.all(a <= np.longdouble(np.log(lam)) * ns, axis=1)
 
 
 def density_theta(sigma1, sigma2, c0):

@@ -24,7 +24,10 @@ time_logs owns the entries that hyperbolic times and Lambda membership read.
 Df runs on blocks of POINTS // N stacked (N, d) rows, one call per block,
 and the cocycle logs reduce one block of images per call: every model maps
 a stacked row to the bits it gives that row alone, and no call or held
-block takes more than max(POINTS, N) points.
+block takes more than max(POINTS, N) points.  The F logs (time_logs) read
+Df as it streams, so they hold one block of it.  Two arrays still span a
+whole orbit: cocycle_logs_batch's Df at every row, which the push reads
+forwards and the pull backwards, and _lead's (DEPTH + 1, N, d) lead orbit.
 """
 
 from __future__ import annotations
@@ -438,7 +441,8 @@ def time_logs(sys, rows, tans=None, lead=None):
     (n+1, N, d) orbit rows: (N, n), column j - 1 holding
     -log mininorm(Df restricted to F at f^j(x)) for j = 1..n.  So a time n
     covers Df at f^(n-k+1)..f^n, one step after the backward contraction
-    at f^n, which uses f^(n-k)..f^(n-1).  tans, lead: as in _log_f_inv."""
+    at f^n, which uses f^(n-k)..f^(n-1).  tans, lead: as in _log_f_inv;
+    without tans, one block of Df is held at a time."""
     return _log_f_inv(sys, rows, tans, lead)[:, 1:]
 
 
@@ -446,16 +450,19 @@ def _log_f_inv(sys, rows, tans=None, lead=None):
     """-log mininorm(Df|F) at (n+1, N, d) orbit rows as (N, n+1), column j at
     row j: the norm (or, for dim F >= 2, the smallest singular value) of the
     push's own product at row j, reduced by _image_logs.  tans and
-    lead: the row tangents and the (N, d, dim_f) F at rows[0] if held."""
-    tans = _row_tangents(sys.tangent, rows) if tans is None else tans
+    lead: the row tangents and the (N, d, dim_f) F at rows[0] if held.
+    Without tans, Df streams one block of rows at a time, after the lead,
+    so the logs hold one block of Df and one of images, not the orbit's."""
     push = sys.f_frame is None
     if lead is None:
         lead = sys.splitting._lead("f", rows[0]) if push else sys.f_frame
+    tans = (_streamed_tangents(sys.tangent, rows) if tans is None
+            else iter(tans))
     # product j's QR is F at row j + 1, formed when that row is asked for:
     # the last row's product takes none, and a declared F none at all
     step = (lambda img, t: t @ _batch_qr(img)) if push else (
         lambda img, t: t @ lead)
-    imgs = accumulate(tans[1:], step, initial=tans[0] @ lead)
+    imgs = accumulate(tans, step, initial=next(tans) @ lead)
     log_f_inv = _image_logs(np.empty((rows.shape[1], len(rows)), float),
                             imgs, rows.shape[1:] + (sys.dim_f,), "min")
     return np.negative(log_f_inv, out=log_f_inv)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,26 @@ class TestLambdaMembership:
         got = lambda_membership_batch(rows, 0.6)
         want = np.array([lambda_membership_single(r, 0.6) for r in rows])
         assert np.array_equal(got, want)
+
+    def test_batch_sums_in_place_on_its_own_copy(self):
+        rows = np.random.default_rng(43).uniform(-1.5, 0.2, (400, 300))
+        copy_bytes = rows.size * np.dtype(np.longdouble).itemsize
+        tracemalloc.start()
+        try:
+            lambda_membership_batch(rows, 0.6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * copy_bytes
+
+    def test_a_longdouble_input_comes_back_unchanged(self):
+        rows = np.random.default_rng(47).uniform(-1.5, 0.2, (64, 20))
+        wide = rows.astype(np.longdouble)
+        before = wide.copy()
+        got = lambda_membership_batch(wide, 0.6)
+        assert np.array_equal(wide, before)
+        assert 0 < np.count_nonzero(got) < len(got)
+        assert np.array_equal(got, lambda_membership_batch(rows, 0.6))
 
     def test_anti_monotone_in_horizon(self):
         # extending the horizon can only remove members

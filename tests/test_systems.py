@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -511,6 +512,40 @@ class TestPushProductLogs:
         assert np.array_equal(got, _log_f_inv(sys, rows))
 
 
+class TestStreamedFLogs:
+    """Without tans, the F logs read Df block by block as
+    _streamed_tangents yields it, and hold one block of it at a time."""
+
+    # 200-point rows go 20 to a block, 401-point rows 10 and 7-point rows
+    # 585: each orbit ends on a partial block
+    @pytest.mark.parametrize("model", MODELS + ["cat4"])
+    @pytest.mark.parametrize("npts, n", [(200, 44), (401, 12), (7, 30),
+                                         (1, 7)])
+    def test_streamed_df_gives_the_held_arrays_bits(self, request, model,
+                                                    npts, n):
+        sys = request.getfixturevalue(model)
+        pts = region_sample(sys, npts, seed=14, burn_in=2)
+        rows = orbit_coords(sys, pts, n)
+        assert (n + 1) % max(1, POINTS // npts)
+        got = time_logs(sys, rows)
+        want = time_logs(sys, rows, tans=_row_tangents(sys.tangent, rows))
+        assert got.shape == (npts, n)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("model", ["sol", "pcat", "dfa"])
+    def test_the_logs_hold_less_than_their_orbit(self, request, model):
+        # a replace copy walks its lead afresh, so the walk is traced too
+        sys = dataclasses.replace(request.getfixturevalue(model))
+        rows = orbit_coords(sys, region_sample(sys, 200, seed=5), 400)
+        tracemalloc.start()
+        try:
+            lf = time_logs(sys, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < lf.nbytes + rows.nbytes
+
+
 def _outcome(fn, *args):
     """fn(*args), or the text of the ChainInfeasible it raises."""
     try:
@@ -584,10 +619,11 @@ class TestTangentCounts:
         calls = {}
         lambda_fraction(_counted(dfa, calls), 0.9, 30)
         # the 31 rows of 400 samples' 30-step orbits and the push alone: no
-        # pull tail
+        # pull tail.  The push's 40 seed rows come first, then the orbit's
+        # rows as the F logs stream them
         assert calls == {"forward": [400] * 30, "inverse": [400] * DEPTH,
-                         "tangent": [400 * 10] * 3 + [400]
-                         + [400 * 10] * 4}
+                         "tangent": [400 * 10] * 4
+                         + [400 * 10] * 3 + [400]}
         assert sum(calls["tangent"]) == 400 * (31 + DEPTH)
 
     def test_measure_constants_h_pulls_only_at_its_sample_points(self, dfa):
@@ -613,11 +649,11 @@ class TestTangentCounts:
         measures.hyperbolic_mass(_counted(dfa, calls), d, 30, 0.6, 0.05,
                                  0.9, 0.1)
         # the disk's 30-step orbit and its push; no pull.  Its 101 samples
-        # fit 40 rows to a call: all 31 orbit rows, then the push's 40
+        # fit 40 rows to a call: the push's 40, then all 31 orbit rows
         n = d.n_samples
         assert n == 101
         assert calls == {"forward": [n] * 30, "inverse": [n] * DEPTH,
-                         "tangent": [n * 31, n * DEPTH]}
+                         "tangent": [n * DEPTH, n * 31]}
         assert sum(calls["tangent"]) == n * (31 + DEPTH)
 
     @pytest.mark.parametrize("n", [4, 10])
