@@ -299,7 +299,12 @@ def _build_dfa(delta, rho):
 # nowhere else), a one-line description, the default disk center (None:
 # drawn from the region, burned in 12 steps) and whether the map is linear
 # (constant Jacobian, Lebesgue as its SRB measure), which the experiments
-# turn into exact checks.
+# turn into exact checks.  A model that sweeps a bundle declares its
+# cone-sweep depth D (MapSystem.depth): 4 steps past the first multiple of
+# 4 at which two seed frames swept along the same lead orbits agree within
+# 2e-15 on each swept bundle, over measure_constants_h's sample.
+# tests/test_systems.py::TestDeclaredDepth holds every D to that rule.
+# cat declares both bundles and sweeps none.
 MODEL_INFO = {
     "cat": {
         "build": _build_cat,
@@ -316,6 +321,7 @@ MODEL_INFO = {
         "doc": "cat + eps*(sin(2*pi*x0), 0); eps in [0, 0.05]; converged splitting",
         "center": (0.2, 0.3),
         "linear": False,
+        "depth": 24,
     },
     "solenoid": {
         "build": _build_solenoid,
@@ -325,6 +331,7 @@ MODEL_INFO = {
                "0 < c < 1/2, c < d, c + d < 1",
         "center": None,
         "linear": False,
+        "depth": 24,
     },
     "dfa": {
         "build": _build_dfa,
@@ -334,20 +341,24 @@ MODEL_INFO = {
                "at the origin, linear outside radius rho",
         "center": (0.2, 0.3),
         "linear": False,
+        "depth": 40,
     },
 }
 
 
 def build(name, **params):
-    """Instantiate a zoo model: its MODEL_INFO defaults updated by params."""
+    """Instantiate a zoo model: its MODEL_INFO defaults updated by params,
+    with its declared cone-sweep depth."""
     if name not in MODEL_INFO:
         raise ConstructionFailed(
             f"unknown model {name!r}; choose from {sorted(MODEL_INFO)}")
     info = MODEL_INFO[name]
     try:
-        return info["build"](**{**info["params"], **params})
+        sys = info["build"](**{**info["params"], **params})
     except TypeError as exc:
         raise ConstructionFailed(f"bad parameters for {name}: {exc}") from None
+    sys.depth = info.get("depth", sys.depth)
+    return sys
 
 
 def _halton(start, count, dim):

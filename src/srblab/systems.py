@@ -9,8 +9,12 @@ sweeps its cones with them.  All callables are vectorized: they accept
 
 E and F come from one cone sweep over (m+1, N, d) orbit rows fed by their
 tangents, SplittingField._bundle, run both ways: the push yields F at rows
-0..m after DEPTH steps along row 0's backward orbit, the pull E at rows
-m..0 after DEPTH - 1 along row m's forward one.  Only these lead orbits
+0..m after D steps along row 0's backward orbit, the pull E at rows m..0
+after D - 1 along row m's forward one, where D is the system's depth.  A
+zoo model declares its D (models.MODEL_INFO): 4 steps past the first
+multiple of 4 at which two seed frames swept along the same lead orbits
+agree within 2e-15 on every bundle it sweeps, over its constants sample;
+a system that declares none walks DEPTH.  Only these lead orbits
 take their own Df: a row's Df feeds the push and the pull, a point's
 (_point_stretches) the pull's last step and both stretches.  Both cocycle
 logs reduce Df's image of the row's frame through one reducer
@@ -27,7 +31,7 @@ a stacked row to the bits it gives that row alone, and no call or held
 block takes more than max(POINTS, N) points.  The F logs (time_logs) read
 Df as it streams, so they hold one block of it.  Two arrays still span a
 whole orbit: cocycle_logs_batch's Df at every row, which the push reads
-forwards and the pull backwards, and _lead's (DEPTH + 1, N, d) lead orbit.
+forwards and the pull backwards, and _lead's (D + 1, N, d) lead orbit.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .errors import ChainInfeasible, OrbitEscaped
 from .linalg import Subspace, _image_stretch, restricted_stretch
 
 _SEED_ANGLES = (0.7310987, 0.3891113, 0.9122891, 0.1930491)
-DEPTH = 40   # cone-iteration steps before a converged bundle reaches its rows
+DEPTH = 40   # a system's default cone-sweep depth (MapSystem.depth)
 POINTS = 4096   # orbit points per stacked tangent call or chunked reduction
 
 
@@ -204,15 +208,16 @@ class SplittingField:
 
     def _lead(self, which, anchor):
         """The sweep's frame at the end of the (N, d) anchor's lead orbit: F
-        at the anchor after DEPTH pushes along its backward orbit, or E at
-        f(anchor) after DEPTH - 1 pulls along its forward one, from the
-        generic frames.  The system's memo keeps it by the anchor's bytes
-        and the callables that made it, read-only, for at most POINTS
-        anchor points in all, and drops its oldest entries first."""
+        at the anchor after depth pushes along its backward orbit, or E at
+        f(anchor) after depth - 1 pulls along its forward one, from the
+        generic frames, where depth is the system's.  The system's memo
+        keeps it by the anchor's bytes, the depth and the callables that
+        made it, read-only, for at most POINTS anchor points in all, and
+        drops its oldest entries first."""
         s = self.system
         push = which == "f"
-        step, n = (s.inverse, DEPTH) if push else (s.forward, DEPTH - 1)
-        key = (which, step, s.tangent, anchor.shape, anchor.dtype.str,
+        step, n = (s.inverse, s.depth) if push else (s.forward, s.depth - 1)
+        key = (which, n, step, s.tangent, anchor.shape, anchor.dtype.str,
                anchor.tobytes())
         memo = s._leads
         if key in memo:
@@ -293,7 +298,8 @@ class MapSystem:
 
     F has dimension dim_f and E the rest of the chart's.  e_frame/f_frame
     declare a bundle as one constant orthonormal (d, dim) frame; a bundle
-    left None converges by cone iteration of this system's map.
+    left None converges by cone iteration of this system's map, whose lead
+    orbits take depth steps for F and depth - 1 for E.
     """
 
     name: str
@@ -306,6 +312,7 @@ class MapSystem:
     e_frame: np.ndarray = None
     f_frame: np.ndarray = None
     region_contains: callable = None   # coords -> bool array; None = whole chart
+    depth: int = DEPTH   # cone-sweep depth D of the bundles left None
     # the splitting's lead frames by anchor (SplittingField._lead); a
     # dataclasses.replace copy starts with none, and equality ignores them
     _leads: dict = field(default_factory=dict, init=False, repr=False,

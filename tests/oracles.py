@@ -557,15 +557,49 @@ def f_batch_oracle(sys, pts, depth):
     return frames
 
 
+def stacked_calls(points, rows):
+    """The point counts of the Df calls on rows orbit rows of points points
+    each, stacked POINTS // points rows to a call (at least one row)."""
+    from srblab.systems import POINTS
+    per = max(1, POINTS // points)
+    return [points * min(per, rows - i) for i in range(0, rows, per)]
+
+
+def lead_residual_oracle(sys, which, pts, depth):
+    """Per point of the (N, d) pts, the subspace distance between two seed
+    frames swept along one lead orbit: pushed through depth steps of each
+    backward orbit to F at the point (which "f"), or pulled through depth - 1
+    steps of each forward one to E at its image ("e").  The seeds are the
+    sweep's own _generic_frames and a second fixed generic frame, stacked
+    into one sweep, so both read the same orbit and the same Df."""
+    from srblab.linalg import subspace_distance
+    from srblab.systems import _generic_frames
+    push = which == "f"
+    k = sys.dim_f if push else sys.dim_e
+    step, n = (sys.inverse, depth) if push else (sys.forward, depth - 1)
+    orbit = [pts]
+    for _ in range(n):
+        orbit.append(step(orbit[-1]))
+    # a second seed, fixed and generic: QR of a fixed normal draw
+    other = np.linalg.qr(np.random.default_rng(2718281).standard_normal(
+        (pts.shape[-1], k)))[0]
+    frames = np.stack([_generic_frames(pts, k),
+                       np.broadcast_to(other, pts.shape[:-1] + other.shape)])
+    sweep = np.matmul if push else np.linalg.solve
+    for y in reversed(orbit[1:]):
+        frames = batch_qr_oracle(sweep(sys.tangent(y), frames))
+    return subspace_distance(frames[0], frames[1])
+
+
 def splitting_frames_oracle(sys, rows):
     """E- and F-frames along (m+1, N, d) orbit rows, one row at a time.
 
     A declared bundle is its constant frame at every row.  A converged F is
     seeded by f_batch_oracle at row 0 and pushed forward step by step; a
     converged E is seeded by pulling a generic frame back along a tail of
-    depth forward steps past the last row, then pulled back row by row.
+    sys.depth forward steps past the last row, then pulled back row by row.
     """
-    from srblab.systems import DEPTH, _generic_frames
+    from srblab.systems import _generic_frames
     m = rows.shape[0] - 1
     lead = rows.shape[1:-1]
     d = rows.shape[-1]
@@ -574,7 +608,7 @@ def splitting_frames_oracle(sys, rows):
     if sys.f_frame is not None:
         f[...] = sys.f_frame
     else:
-        f[0] = f_batch_oracle(sys, rows[0], DEPTH)
+        f[0] = f_batch_oracle(sys, rows[0], sys.depth)
         for j in range(m):
             f[j + 1] = batch_qr_oracle(sys.tangent(rows[j]) @ f[j])
     if sys.e_frame is not None:
@@ -582,7 +616,7 @@ def splitting_frames_oracle(sys, rows):
         return e, f
     ext = rows[m]
     tail = []
-    for _ in range(DEPTH):
+    for _ in range(sys.depth):
         tail.append(ext)
         ext = sys.forward(ext)
     cur = _generic_frames(rows[m], sys.dim_e)
@@ -773,6 +807,15 @@ def dfa_squeeze_oracle(delta=0.05, rho=0.2):
     return forward, inverse, tangent
 
 
+def robustness_mesh(chart):
+    """domination_robustness_radius's grid: 24 points per axis, a periodic
+    axis without its upper end, as a (24, ..., 24, d) mesh."""
+    axes = [np.linspace(lo, hi, 24, endpoint=not periodic)
+            for lo, hi, periodic in zip(chart.lower, chart.upper,
+                                        chart.periodic)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
 def robustness_radius_full_grid_oracle(sys, gamma1, gamma2):
     """domination_robustness_radius with the frames evaluated at all 24^d
     grid points, the region mask applied only to the differences."""
@@ -782,9 +825,7 @@ def robustness_radius_full_grid_oracle(sys, gamma1, gamma2):
     chart = sys.chart
     lo = np.asarray(chart.lower, float)
     hi = np.asarray(chart.upper, float)
-    axes = [np.linspace(lo[j], hi[j], 24, endpoint=not chart.periodic[j])
-            for j in range(chart.dim)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    mesh = robustness_mesh(chart)
     pts = mesh.reshape(-1, chart.dim)
     t = sys.tangent(pts)
     e, f = sys.splitting.e_frames(pts), sys.splitting.f_frames(pts)

@@ -8,7 +8,7 @@ import pytest
 from srblab import build, cones, cocycle_logs_batch
 from srblab.errors import EmptyRadius, HypothesisViolated
 from srblab.models import measure_constants_h, region_sample
-from srblab.systems import DEPTH, POINTS, _point_stretches, cocycle_logs
+from srblab.systems import POINTS, _point_stretches, cocycle_logs
 
 from . import oracles
 from .conftest import LAM_U, V_S, V_U
@@ -182,16 +182,14 @@ class TestRobustnessRadius:
 
     def test_evaluates_only_inside_the_region(self, sol):
         ch = sol.chart
-        axes = [np.linspace(lo, hi, 24, endpoint=not periodic)
-                for lo, hi, periodic in zip(ch.lower, ch.upper, ch.periodic)]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        grid = oracles.robustness_mesh(ch)
         inside = int(np.count_nonzero(sol.in_region(grid.reshape(-1, 3))))
         counted, sizes = _tangent_sizes(sol)
         assert cones.domination_robustness_radius(counted, 0.14, 0.16) == \
             cones.domination_robustness_radius(sol, 0.14, 0.16)
-        # Df at the inside points, then the DEPTH steps of the push to F;
+        # Df at the inside points, then the depth steps of the push to F;
         # the solenoid declares E, so nothing is pulled
-        assert 0 < inside < 24 ** 3 and sizes == [inside] * (1 + DEPTH)
+        assert 0 < inside < 24 ** 3 and sizes == [inside] * (1 + sol.depth)
         # no grid point in the region: nothing to evaluate, nothing to bound
         empty = dataclasses.replace(
             counted, region_contains=lambda c: np.zeros(np.shape(c)[:-1], bool))
@@ -205,12 +203,12 @@ class TestRobustnessRadius:
         assert cones.domination_robustness_radius(counted, 0.14, 0.16) == \
             cones.domination_robustness_radius(pcat, 0.14, 0.16)
         # the torus keeps all 576 grid points.  Df there runs once: it feeds
-        # the stretches and the pull's last step.  The pull's DEPTH - 1 and
-        # the push's DEPTH seed rows go POINTS // 576 = 7 to a call
+        # the stretches and the pull's last step.  The pull's depth - 1 and
+        # the push's depth seed rows go POINTS // 576 = 7 to a call
         assert POINTS // 576 == 7
-        assert sizes == ([576] + [576 * 7] * 5 + [576 * 4]
-                         + [576 * 7] * 5 + [576 * 5])
-        assert sum(sizes) == 576 * (1 + DEPTH - 1 + DEPTH)
+        assert sizes == ([576] + oracles.stacked_calls(576, pcat.depth - 1)
+                         + oracles.stacked_calls(576, pcat.depth))
+        assert sum(sizes) == 576 * (1 + pcat.depth - 1 + pcat.depth)
 
 
 class TestPerturbedCatCertificate:

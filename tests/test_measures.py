@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from srblab import disks, measures
-from srblab.models import quasi_uniform, region_sample
-from srblab.systems import orbit_coords
+from srblab.models import MODEL_INFO, quasi_uniform, region_sample
+from srblab.systems import orbit_coords, time_logs
 
-from .conftest import V_U
+from .conftest import LOG_LAM_U, V_U
 from .oracles import (EmpiricalMeasure, birkhoff_average_loop, disk_measure,
                       greedy_packing_oracle, invariance_defect_oracle,
                       packing_check, pushforward_average, pushforward_measure)
@@ -362,3 +362,62 @@ class TestHyperbolicMass:
         with pytest.raises(ValueError):
             measures.hyperbolic_mass(cat, d, 10, 0.5, -1.0, 0.5, 0.5)
 
+
+# The exponent side of Pesin's formula: the F exponent of the physical
+# measure, estimated twice over n = 4000 steps.  The two estimators share
+# only the map and its Df: (a) reads the F frames of srblab's cone sweeps
+# along Lebesgue-typical orbits, (b) pushes one disk's tangents and reads
+# a frame only for the disk's direction at its center.
+EXPONENT_STEPS = 4000
+# a 4-sigma two-sided bound on the combined standard error
+EXPONENT_SIGMAS = 4.0
+# the rounding of a mean of EXPONENT_STEPS logs of size about 1: below
+# EXPONENT_STEPS ulps of 1, 8.9e-13
+EXPONENT_ROUNDING = 1e-12
+
+
+def orbit_exponent(sys, count=200, seed=11):
+    """(a): minus the mean of time_logs over count region-sampled orbits of
+    EXPONENT_STEPS steps, and its standard error across the orbits."""
+    pts = region_sample(sys, count, seed=seed)
+    per_orbit = -np.mean(time_logs(sys, orbit_coords(sys, pts, EXPONENT_STEPS)),
+                         axis=1)
+    return per_orbit.mean(), per_orbit.std(ddof=1) / np.sqrt(count)
+
+
+def disk_exponent(sys, batches=20):
+    """(b): the pushforward of a 401-sample F-disk of radius 0.02 at the
+    model's default center, mu_n(log |Df v|) with each sample's tangent v
+    pushed by Df and renormalized, and its batch-means standard error over
+    the EXPONENT_STEPS steps in the given number of batches."""
+    x = np.asarray(MODEL_INFO[sys.name]["center"], float)
+    d = disks.make_disk(sys, x, sys.splitting.f_frames(x), 0.02,
+                        resolution=401)
+    y, v, w = d.points(), d.tangents[..., 0], d.cell_weights()
+    steps = np.empty(EXPONENT_STEPS)
+    for i in range(EXPONENT_STEPS):
+        u = (sys.tangent(y) @ v[..., None])[..., 0]
+        norms = np.linalg.norm(u, axis=-1)
+        steps[i] = w @ np.log(norms)
+        v = u / norms[:, None]
+        y = sys.forward(y)
+    means = steps.reshape(batches, -1).mean(axis=1)
+    return steps.mean(), means.std(ddof=1) / np.sqrt(batches)
+
+
+class TestPesinExponent:
+    """ROADMAP item 28: the two estimators agree within EXPONENT_SIGMAS
+    combined standard errors, so frames that are wrong (E read for F) or
+    unconverged, or a pushforward that misses the physical measure, fail."""
+
+    @pytest.mark.parametrize("model", ["cat", "pcat", "dfa"])
+    def test_orbit_and_disk_exponents_agree(self, request, model):
+        sys = request.getfixturevalue(model)
+        a, se_a = orbit_exponent(sys)
+        b, se_b = disk_exponent(sys)
+        assert abs(a - b) <= (EXPONENT_SIGMAS * np.hypot(se_a, se_b)
+                              + EXPONENT_ROUNDING)
+
+    def test_cat_exponent_is_the_closed_form(self, cat):
+        for estimate, _ in (orbit_exponent(cat), disk_exponent(cat)):
+            assert abs(estimate - LOG_LAM_U) <= EXPONENT_ROUNDING

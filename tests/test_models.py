@@ -101,7 +101,7 @@ class TestMapConsistency:
             df = sys.tangent(x)
             e0, f0 = sys.splitting.at(x)
             e1, f1 = sys.splitting.at(fx)
-            # at the cone depth DEPTH the worst residual is at the float floor
+            # at the model's cone depth the worst residual is at the float floor
             assert max(subspace_distance(span(df @ f0.frame), f1),
                        subspace_distance(span(df @ e0.frame), e1)) < 1e-14
 

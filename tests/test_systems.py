@@ -213,7 +213,7 @@ class TestSplittingFrames:
         assert vars(sp) == before
 
     def test_pull_kernel_maps_the_last_row_depth_minus_one_steps(self, pcat):
-        # the pull uses Df at f^(DEPTH-1)(row m) .. row m: no further image
+        # the pull uses Df at f^(depth-1)(row m) .. row m: no further image
         calls = []
 
         def forward(c):
@@ -223,7 +223,7 @@ class TestSplittingFrames:
         sp = dataclasses.replace(pcat, forward=forward).splitting
         pts = region_sample(pcat, 5, seed=6)
         e = sp.e_frames(pts)
-        assert calls == [5] * (DEPTH - 1)
+        assert calls == [5] * (pcat.depth - 1)
         assert np.array_equal(e, pcat.splitting.e_frames(pts))
 
     def test_a_declared_f_alone_leaves_e_to_the_pull(self, cat):
@@ -271,7 +271,7 @@ class TestLeadMemo:
         want_pe, want_pf = oracles.splitting_frames_oracle(sys, pts[None])
         if sys.f_frame is None:   # cat declares its F
             assert np.array_equal(want_pf[0],
-                                  oracles.f_batch_oracle(sys, pts, DEPTH))
+                                  oracles.f_batch_oracle(sys, pts, sys.depth))
         for query in range(2):
             calls.clear()
             e, f = _frames(sys, rows)
@@ -302,9 +302,9 @@ class TestLeadMemo:
         assert np.array_equal(copy.splitting.e_frames(pts), e[0])
         # the copy walks its own leads, and leaves the original's memo
         assert calls.get("inverse", []) == ([] if sys.f_frame is not None
-                                            else [7] * DEPTH)
+                                            else [7] * sys.depth)
         assert calls.get("forward", []) == ([] if sys.e_frame is not None
-                                            else [7] * (DEPTH - 1))
+                                            else [7] * (sys.depth - 1))
         assert _kept(sys, held)
 
     def test_a_reassigned_map_walks_again(self, pcat):
@@ -322,9 +322,32 @@ class TestLeadMemo:
             calls.clear()
             sys.splitting.f_frames(pts)
             sys.splitting.e_frames(pts)
-            assert calls["tangent"] == [7 * DEPTH, 7 * (DEPTH - 1), 7]
-        assert calls["inverse"] == [7] * DEPTH
-        assert calls["forward"] == [7] * (DEPTH - 1)
+            assert calls["tangent"] == [7 * sys.depth, 7 * (sys.depth - 1), 7]
+        assert calls["inverse"] == [7] * sys.depth
+        assert calls["forward"] == [7] * (sys.depth - 1)
+
+    def test_a_reassigned_depth_walks_again(self, pcat):
+        # a depth set on the system itself reads no frame swept at the old
+        # one, and the old depth's frames stay kept for the old depth
+        calls = {}
+        sys = _counted(pcat, calls)
+        pts = region_sample(sys, 7, seed=15)
+        old = sys.depth
+        for depth in (old, old + 6):
+            sys.depth = depth
+            calls.clear()
+            f, e = sys.splitting.f_frames(pts), sys.splitting.e_frames(pts)
+            assert calls == {"inverse": [7] * depth,
+                             "forward": [7] * (depth - 1),
+                             "tangent": [7 * depth, 7 * (depth - 1), 7]}
+            want_e, want_f = oracles.splitting_frames_oracle(sys, pts[None])
+            assert np.array_equal(f, want_f[0])
+            assert np.array_equal(e, want_e[0])
+        sys.depth = old
+        calls.clear()
+        sys.splitting.f_frames(pts)
+        sys.splitting.e_frames(pts)
+        assert calls == {"tangent": [7]}   # the pull's last step alone
 
     @pytest.mark.parametrize("model", ["pcat", "sol", "dfa"])
     def test_writing_into_a_frame_leaves_the_next_query(self, request, model):
@@ -350,18 +373,18 @@ class TestLeadMemo:
         sp.f_frames(sets[2])
         assert "inverse" not in calls
         sp.f_frames(sets[0])
-        assert calls["inverse"] == [1500] * DEPTH
+        assert calls["inverse"] == [1500] * sys.depth
         assert len(sys._leads) == 2 and _held(sys) == 3000
         # an anchor of more than POINTS points is swept but not kept
         big = region_sample(sys, POINTS + 1, seed=9)
         held = dict(sys._leads)
         f = sp.f_frames(big)
         assert _kept(sys, held)
-        assert np.array_equal(f, oracles.f_batch_oracle(sys, big, DEPTH))
+        assert np.array_equal(f, oracles.f_batch_oracle(sys, big, sys.depth))
 
     def test_a_centres_queries_walk_one_lead(self, pcat):
         # F at x, the time logs of x's 10-step orbit and x's cocycle logs
-        # all push from x: one DEPTH-step lead, not three
+        # all push from x: one lead of the system's depth, not three
         inverse = []
 
         def counted(c):
@@ -373,7 +396,76 @@ class TestLeadMemo:
         sys.splitting.f_frames(x)
         time_logs(sys, orbit_coords(sys, x[None], 10))
         cocycle_logs(sys, x, 10)
-        assert len(inverse) == DEPTH
+        assert len(inverse) == sys.depth
+
+
+# two seed frames swept along one lead orbit agree within this at the float
+# floor: the rule of each model's declared depth D (models.MODEL_INFO)
+RESIDUAL_FLOOR = 2e-15
+
+
+def _swept(sys):
+    """The bundles sys converges by cone iteration: "f", "e" or both."""
+    return "".join(w for w, frame in (("f", sys.f_frame), ("e", sys.e_frame))
+                   if frame is None)
+
+
+def _constants_sample(sys):
+    """measure_constants_h's 400 sample points."""
+    return region_sample(sys, 400, seed=7, burn_in=30)
+
+
+def _depth_point_sets(sys):
+    """The point sets a declared depth is checked on: the constants sample,
+    200 burned-in region points, and the in-region points of
+    domination_robustness_radius's grid."""
+    grid = oracles.robustness_mesh(sys.chart).reshape(-1, sys.dim)
+    return {"constants": _constants_sample(sys),
+            "region": region_sample(sys, 200, seed=5, burn_in=10),
+            "grid": grid[sys.in_region(grid)]}
+
+
+SWEEPING = ["perturbed_cat", "solenoid", "dfa"]
+
+
+class TestDeclaredDepth:
+    """Each zoo model that sweeps a bundle declares its depth D: 4 steps past
+    the first multiple of 4 at which the two-seed residual of every swept
+    bundle is at most RESIDUAL_FLOOR on the constants sample.  At D the
+    sweeps agree, and agree with a depth-64 sweep, on every point set."""
+
+    @pytest.mark.parametrize("name", sorted(models.MODEL_INFO))
+    def test_a_model_declares_a_depth_iff_it_sweeps(self, name):
+        sys = build(name)
+        info = models.MODEL_INFO[name]
+        assert ("depth" in info) == bool(_swept(sys))
+        assert sys.depth == info.get("depth", DEPTH)
+        assert sys.depth % 4 == 0
+        assert (name in SWEEPING) == bool(_swept(sys))
+
+    @pytest.mark.parametrize("name", SWEEPING)
+    def test_the_depth_follows_the_rule(self, name):
+        sys = build(name)
+        pts = _constants_sample(sys)
+
+        def worst(depth):
+            return max(float(np.max(oracles.lead_residual_oracle(
+                sys, w, pts, depth))) for w in _swept(sys))
+
+        assert worst(sys.depth - 4) <= RESIDUAL_FLOOR < worst(sys.depth - 8)
+
+    @pytest.mark.parametrize("name", SWEEPING)
+    def test_the_declared_depth_converges(self, name):
+        sys = build(name)
+        deep = dataclasses.replace(sys, depth=64)
+        for label, pts in _depth_point_sets(sys).items():
+            for w in _swept(sys):
+                residual = oracles.lead_residual_oracle(sys, w, pts, sys.depth)
+                assert np.max(residual) <= RESIDUAL_FLOOR, (label, w)
+                query = f"{w}_frames"
+                drift = subspace_distance(getattr(sys.splitting, query)(pts),
+                                          getattr(deep.splitting, query)(pts))
+                assert np.max(drift) <= RESIDUAL_FLOOR, (label, w)
 
 
 class TestCocycleAgainstSplitting:
@@ -594,37 +686,41 @@ class TestMeasureConstantsLead:
         short = dataclasses.replace(sys).splitting.f_frames(pts[:200])
         assert np.array_equal(long[:200], short)
         assert np.array_equal(short, oracles.f_batch_oracle(sys, pts[:200],
-                                                            DEPTH))
+                                                            sys.depth))
 
 
 class TestTangentCounts:
     """Each call's point count.  Df runs on blocks of POINTS // N orbit rows
     of N points, so 200-point rows go 20 to a call and 400-point rows 10;
-    every total equals one call per row."""
+    every total equals one call per row.  A lead's rows are counted with
+    oracles.stacked_calls, as its length is the system's depth."""
 
     def test_dfa_logs_evaluate_each_row_tangent_once(self, dfa):
         calls = {}
         pts = region_sample(dfa, 200, seed=5)
         cocycle_logs_batch(_counted(dfa, calls), pts, 400)
-        # forward: the orbit, then the pull's (DEPTH - 1)-step tail;
-        # inverse: the push's DEPTH-step backward orbit; tangent: the 401
-        # rows, then the pull's 39 and the push's 40 seed rows
-        assert calls == {"forward": [200] * (400 + DEPTH - 1),
-                         "inverse": [200] * DEPTH,
+        # forward: the orbit, then the pull's (depth - 1)-step tail;
+        # inverse: the push's depth-step backward orbit; tangent: the 401
+        # rows, then the pull's depth - 1 and the push's depth seed rows
+        depth = dfa.depth
+        assert calls == {"forward": [200] * (400 + depth - 1),
+                         "inverse": [200] * depth,
                          "tangent": [200 * 20] * 20 + [200]
-                         + [200 * 20, 200 * 19] + [200 * 20] * 2}
-        assert sum(calls["tangent"]) == 200 * (401 + DEPTH - 1 + DEPTH)
+                         + oracles.stacked_calls(200, depth - 1)
+                         + oracles.stacked_calls(200, depth)}
+        assert sum(calls["tangent"]) == 200 * (401 + depth - 1 + depth)
 
     def test_lambda_fraction_runs_no_pull(self, dfa):
         calls = {}
         lambda_fraction(_counted(dfa, calls), 0.9, 30)
         # the 31 rows of 400 samples' 30-step orbits and the push alone: no
-        # pull tail.  The push's 40 seed rows come first, then the orbit's
+        # pull tail.  The push's seed rows come first, then the orbit's
         # rows as the F logs stream them
-        assert calls == {"forward": [400] * 30, "inverse": [400] * DEPTH,
-                         "tangent": [400 * 10] * 4
+        depth = dfa.depth
+        assert calls == {"forward": [400] * 30, "inverse": [400] * depth,
+                         "tangent": oracles.stacked_calls(400, depth)
                          + [400 * 10] * 3 + [400]}
-        assert sum(calls["tangent"]) == 400 * (31 + DEPTH)
+        assert sum(calls["tangent"]) == 400 * (31 + depth)
 
     def test_measure_constants_h_pulls_only_at_its_sample_points(self, dfa):
         calls = {}
@@ -633,13 +729,14 @@ class TestTangentCounts:
         # then the 200 cocycle orbits, which pull none; inverse: the push
         # at the samples alone, whose F frames seed the orbits' logs;
         # tangent: Df at the samples, which also ends the pull, the pull's
-        # 39 seed rows, the push's 40, then the 401 orbit rows
+        # depth - 1 seed rows, the push's depth, then the 401 orbit rows
+        depth = dfa.depth
         assert calls == {
-            "forward": [400] * (30 + DEPTH - 1) + [200] * 400,
-            "inverse": [400] * DEPTH,
-            "tangent": [400] + [400 * 10] * 3 + [400 * 9]
-            + [400 * 10] * 4 + [200 * 20] * 20 + [200]}
-        assert sum(calls["tangent"]) == (400 * (1 + DEPTH - 1 + DEPTH)
+            "forward": [400] * (30 + depth - 1) + [200] * 400,
+            "inverse": [400] * depth,
+            "tangent": [400] + oracles.stacked_calls(400, depth - 1)
+            + oracles.stacked_calls(400, depth) + [200 * 20] * 20 + [200]}
+        assert sum(calls["tangent"]) == (400 * (1 + depth - 1 + depth)
                                          + 200 * 401)
 
     def test_hyperbolic_mass_maps_its_orbit_once(self, dfa):
@@ -649,12 +746,13 @@ class TestTangentCounts:
         measures.hyperbolic_mass(_counted(dfa, calls), d, 30, 0.6, 0.05,
                                  0.9, 0.1)
         # the disk's 30-step orbit and its push; no pull.  Its 101 samples
-        # fit 40 rows to a call: the push's 40, then all 31 orbit rows
+        # fit 40 rows to a call: the push's seed rows, then all 31 orbit rows
         n = d.n_samples
-        assert n == 101
-        assert calls == {"forward": [n] * 30, "inverse": [n] * DEPTH,
-                         "tangent": [n * DEPTH, n * 31]}
-        assert sum(calls["tangent"]) == n * (31 + DEPTH)
+        assert n == 101 and POINTS // n == 40
+        assert calls == {"forward": [n] * 30, "inverse": [n] * dfa.depth,
+                         "tangent": oracles.stacked_calls(n, dfa.depth)
+                         + [n * 31]}
+        assert sum(calls["tangent"]) == n * (31 + dfa.depth)
 
     @pytest.mark.parametrize("n", [4, 10])
     def test_carve_takes_df_at_its_center_rows_once(self, dfa, n):
@@ -665,7 +763,7 @@ class TestTangentCounts:
         # Df at the center's n + 1 rows in one call, which certifies n and
         # feeds the edge search; the push's seed rows; then the trace's n
         # steps, each at the carved disk's samples
-        assert calls["tangent"] == [n + 1, DEPTH] + [d.n_samples] * n
+        assert calls["tangent"] == [n + 1, dfa.depth] + [d.n_samples] * n
 
     def test_2d_carve_takes_no_df_at_the_disks_nodes(self, cat4):
         x = np.array([0.15, 0.3, 0.55, 0.8])
@@ -684,12 +782,13 @@ class TestTangentCounts:
         pts = region_sample(dfa, 5, seed=6)
         calls = {}
         _counted(dfa, calls).splitting.f_frames(pts)
-        assert calls == {"inverse": [5] * DEPTH, "tangent": [5 * DEPTH]}
+        depth = dfa.depth
+        assert calls == {"inverse": [5] * depth, "tangent": [5 * depth]}
         calls = {}
         _counted(dfa, calls).splitting.e_frames(pts)
-        # the pull's DEPTH - 1 seed rows in one call, then the query row
-        assert calls == {"forward": [5] * (DEPTH - 1),
-                         "tangent": [5 * (DEPTH - 1), 5]}
+        # the pull's depth - 1 seed rows in one call, then the query row
+        assert calls == {"forward": [5] * (depth - 1),
+                         "tangent": [5 * (depth - 1), 5]}
 
     @pytest.mark.parametrize("model", MODELS)
     def test_cone_contraction_takes_df_in_one_call(self, request, model):
@@ -720,7 +819,7 @@ class TestTangentCounts:
         # them: the push's seed tangents come one row to a call
         inside = calls["tangent"][0]
         assert inside > POINTS // 2
-        assert calls["tangent"] == [inside] * (1 + DEPTH)
+        assert calls["tangent"] == [inside] * (1 + sol.depth)
 
     @pytest.mark.parametrize("model", ["pcat", "dfa", "sol"])
     def test_splitting_sweeps_the_systems_own_map(self, request, model):
@@ -730,12 +829,12 @@ class TestTangentCounts:
         pts = region_sample(sys, 7, seed=3, burn_in=2)
         calls = {}
         f = _counted(sys, calls).splitting.f_frames(pts)
-        assert calls["inverse"] == [7] * DEPTH
+        assert calls["inverse"] == [7] * sys.depth
         assert np.array_equal(f, sys.splitting.f_frames(pts))
         calls = {}
         e = _counted(sys, calls).splitting.e_frames(pts)
         # the solenoid declares its fibre-plane E: nothing to sweep
-        pulls = [] if sys.e_frame is not None else [7] * (DEPTH - 1)
+        pulls = [] if sys.e_frame is not None else [7] * (sys.depth - 1)
         assert calls.get("forward", []) == pulls
         assert np.array_equal(e, sys.splitting.e_frames(pts))
 
