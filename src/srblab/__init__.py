@@ -2,7 +2,7 @@
 for invertible model maps with dominated splittings."""
 
 from .charts import Chart, torus_chart
-from .cones import (check_avg_domination, cone_width_bound, cone_width_of,
+from .cones import (check_avg_domination, cone_width_of,
                     domination_robustness_radius, verify_cone_contraction)
 from .disks import (ContractionReport, CurvatureConstants, CurvatureReport,
                     DistortionConstants, DistortionReport, EmbeddedDisk,

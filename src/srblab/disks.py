@@ -31,8 +31,7 @@ from .linalg import (Subspace, dot_norms, restricted_log_volume,
                      subspace_distance)
 from .models import region_sample
 from .pliss import hyperbolic_times
-from .systems import (_batch_qr, _row_tangents, _tiled, cocycle_logs,
-                      orbit_coords, time_logs)
+from .systems import _batch_qr, _orbit, _tiled, cocycle_logs, time_logs
 
 MICRO_SWITCH = 1e-8
 
@@ -482,8 +481,7 @@ def hyperbolic_component(sys, d, n, r, sigma):
         raise ValueError(
             f"r = {r} too large for unambiguous wrapped distances "
             f"(limit {limit})")
-    rows = orbit_coords(sys, d.center[None], n)
-    tans = _row_tangents(sys.tangent, rows)
+    rows, tans = _orbit(sys, d.center[None], n)
     rep = hyperbolic_times(time_logs(sys, rows, tans)[0], sigma)
     if n not in rep.times:
         raise HypothesisViolated(
@@ -604,10 +602,14 @@ class DistortionConstants:
 
     @property
     def bound_k(self):
+        """K; inf where the Hoelder tail diverges or the exponent overflows."""
         l2 = self.lambda2
-        return float(np.exp(2.0 * self.r1 * self.a / (1.0 - l2)
-                            + self.r2 * l2 ** (self.beta / 2.0)
-                            / (1.0 - l2 ** (self.beta / 2.0))))
+        tail = l2 ** (self.beta / 2.0)
+        if tail >= 1.0:
+            return np.inf
+        with np.errstate(over="ignore"):
+            return float(np.exp(2.0 * self.r1 * self.a / (1.0 - l2)
+                                + self.r2 * tail / (1.0 - tail)))
 
 
 def _neighbour_holder(sys, pts, vals, exponent, size):

@@ -59,12 +59,15 @@ _FLOAT_MAX = float(np.finfo(float).max)
 _NUMBER = (_num, "a finite number")
 _POSITIVE = (lambda v: _num(v) and v > 0, "a finite number > 0")
 _UNIT = (lambda v: _num(v) and 0.0 < v < 1.0, "a number in (0, 1)")
+_EXPONENT = (lambda v: _num(v) and 0.0 < v <= 1.0, "a number in (0, 1]")
 
-# the largest value of each size field, and what it bounds; parse_config
-# checks them after _FIELDS, horizon's for the config's experiment
+# the largest value of each size field or overflowing field, and why;
+# parse_config checks them after _FIELDS, horizon's for the experiment
 _LIMITS = {
     "constants.samples": 10 ** 4,  # physical_fraction's 128 x samples x (d+3)
     "disk.resolution": 1001,  # holder_curvature's (S, S, d) arrays
+    "seed": 2 ** 32 - 1,  # quasi_uniform's float offsets stay distinct
+    "constants.kappa": 10 ** 6,  # make_graph_disk's tangents overflow
     "horizon": {e: top for top, names in (
         (10 ** 6, "srb_converge physical_basin"),  # streamed in 128-row blocks
         (10 ** 5, "pliss_demo hyperbolic_times cone_check"),  # an n-row table
@@ -94,8 +97,8 @@ _FIELDS = {
     **{f"constants.{k}": _UNIT
        for k in ("sigma", "gamma", "lambda1", "lambda4")},
     **{f"constants.{k}": _POSITIVE
-       for k in ("a", "r", "r1", "alpha", "beta", "kappa", "tol")},
-    "constants.xi": (lambda v: _num(v) and 0.0 < v <= 1.0, "a number in (0, 1]"),
+       for k in ("a", "r", "r1", "alpha", "kappa", "tol")},
+    **{f"constants.{k}": _EXPONENT for k in ("beta", "xi")},
     "constants.samples": (lambda v: _int(v) and v >= 100,
                           "an integer >= 100"),
     "constants.threshold": _NUMBER,

@@ -86,16 +86,11 @@ def subspace_distance(a, b):
     return float(dist) if dist.ndim == 0 else dist
 
 
-def restricted_stretch(t, frames, which):
-    """Batched largest ("max") or smallest ("min") singular value of t @ frames.
-
-    For one-column frames both are the norm of the image vector.
+def restricted_stretch(img, which):
+    """Batched largest ("max") or smallest ("min") singular value of the
+    (..., d, k) images t @ frames: the stretch of t restricted to the span
+    of frames.  For one-column frames both are the norm of the image vector.
     """
-    return _image_stretch(t @ frames, which)
-
-
-def _image_stretch(img, which):
-    """restricted_stretch from the (..., d, k) images t @ frames."""
     if img.shape[-1] == 1:
         return np.linalg.norm(img[..., 0], axis=-1)
     sv = np.linalg.svd(img, compute_uv=False)
@@ -104,9 +99,9 @@ def _image_stretch(img, which):
 
 def restricted_log_volume(t, frames):
     """Batched log of the volume expansion of t on the span of frames."""
-    if frames.shape[-1] == 1:
-        return np.log(restricted_stretch(t, frames, "max"))
     img = t @ frames
+    if img.shape[-1] == 1:
+        return np.log(restricted_stretch(img, "max"))
     g = np.swapaxes(img, -2, -1) @ img
     return 0.5 * np.log(np.clip(np.linalg.det(g), 1e-300, None))
 

@@ -30,8 +30,8 @@ and the cocycle logs reduce one block of images per call: every model maps
 a stacked row to the bits it gives that row alone, and no call or held
 block takes more than max(POINTS, N) points.  The F logs (time_logs) read
 Df as it streams, so they hold one block of it.  Two arrays still span a
-whole orbit: cocycle_logs_batch's Df at every row, which the push reads
-forwards and the pull backwards, and _lead's (D + 1, N, d) lead orbit.
+whole orbit: _orbit's Df at every row, which cocycle_logs_batch's push
+reads forwards and its pull backwards, and _lead's (D + 1, N, d) lead orbit.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 
 from .charts import Chart
 from .errors import ChainInfeasible, OrbitEscaped
-from .linalg import Subspace, _image_stretch, restricted_stretch
+from .linalg import Subspace, restricted_stretch
 
 _SEED_ANGLES = (0.7310987, 0.3891113, 0.9122891, 0.1930491)
 DEPTH = 40   # a system's default cone-sweep depth (MapSystem.depth)
@@ -158,23 +158,16 @@ def _streamed_tangents(tangent, rows):
         yield from tangent(rows[s])
 
 
-def _row_tangents(tangent, rows):
-    """Df at the (m+1, N, d) rows, filled into one (m+1, N, d, d) array."""
-    shape = rows.shape[1:] + rows.shape[-1:]
-    return np.fromiter(_streamed_tangents(tangent, rows), (float, shape),
-                       len(rows))
-
-
 def _image_logs(out, imgs, shape, which):
     """Fill the (N, m+1) array out, or a view of one, in place: column j
-    is log _image_stretch(img, which) of the j-th image Df @ frame, of
+    is log restricted_stretch(img, which) of the j-th image Df @ frame, of
     shape (N, d, k), that imgs streams.  A block of rows per reduction, so
     only one block's images are held at a time.  Returns out."""
     cols = out.T
     for s in _blocks(cols):
         k = len(cols[s])
         img = np.fromiter(islice(imgs, k), (float, shape), k)
-        cols[s] = np.log(_image_stretch(img, which))
+        cols[s] = np.log(restricted_stretch(img, which))
     return out
 
 
@@ -227,10 +220,11 @@ class SplittingField:
         orbit[n] = anchor
         for k in range(n, 0, -1):
             orbit[k - 1] = step(orbit[k])
-        sweep = np.matmul if push else np.linalg.solve
         frames = _generic_frames(anchor, s.dim_f if push else s.dim_e)
-        for t in _streamed_tangents(s.tangent, orbit[:-1]):
-            frames = _batch_qr(sweep(t, frames))
+        for frames in _swept(np.matmul if push else np.linalg.solve,
+                             _streamed_tangents(s.tangent, orbit[:-1]),
+                             frames):
+            pass   # the sweep's last frame, or the generic one if n is 0
         if len(anchor) <= POINTS:
             frames.flags.writeable = False
             held = len(anchor) + sum(map(len, memo.values()))
@@ -399,6 +393,16 @@ def orbit_coords(sys, coords, n, check_region=True):
     return rows
 
 
+def _orbit(sys, coords, n):
+    """orbit_coords' (n+1, N, d) rows of the (N, d) points coords, with Df
+    at every row filled into one (n+1, N, d, d) array from one tangent call
+    per block (_streamed_tangents)."""
+    rows = orbit_coords(sys, coords, n)
+    tans = np.fromiter(_streamed_tangents(sys.tangent, rows),
+                       (float, rows.shape[1:] + rows.shape[-1:]), len(rows))
+    return rows, tans
+
+
 def _check_in_region(sys, row, step):
     """Raise OrbitEscaped(step, p) for the first point p of row outside the
     region (row itself when it is one point)."""
@@ -433,8 +437,7 @@ def cocycle_logs_batch(sys, coords, n, include_zero=False):
     Df feeds the pull, whose E frames it maps into log_e, and _log_f_inv.
     """
     start = 0 if include_zero else 1
-    rows = orbit_coords(sys, np.asarray(coords, float), n)
-    tans = _row_tangents(sys.tangent, rows)
+    rows, tans = _orbit(sys, coords, n)
     log_e = np.empty((rows.shape[1], n + 1 - start), float)
     # the pull yields E at rows n..start, so column j - start fills backwards
     rev = tans[::-1]
@@ -480,4 +483,4 @@ def _point_stretches(sys, pts):
     from one Df call that also feeds the pull's last step."""
     t = sys.tangent(pts)
     e, f = (next(sys.splitting._bundle(w, pts[None], [t])) for w in "ef")
-    return restricted_stretch(t, e, "max"), restricted_stretch(t, f, "min"), f
+    return restricted_stretch(t @ e, "max"), restricted_stretch(t @ f, "min"), f

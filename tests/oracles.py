@@ -642,8 +642,8 @@ def cocycle_logs_oracle(sys, coords, n, include_zero=False):
     log_f_inv = np.empty_like(log_e)
     for j in range(start, n + 1):
         t = sys.tangent(rows[j])
-        log_e[:, j - start] = np.log(restricted_stretch(t, e[j], "max"))
-        log_f_inv[:, j - start] = -np.log(restricted_stretch(t, f[j], "min"))
+        log_e[:, j - start] = np.log(restricted_stretch(t @ e[j], "max"))
+        log_f_inv[:, j - start] = -np.log(restricted_stretch(t @ f[j], "min"))
     return log_e, log_f_inv
 
 
@@ -832,8 +832,8 @@ def robustness_radius_full_grid_oracle(sys, gamma1, gamma2):
     shape = mesh.shape[:-1]
     mask = sys.in_region(pts).reshape(shape)
     worst_slope = finest_jump = 0.0
-    for vals in (np.log(restricted_stretch(t, e, "max")),
-                 np.log(restricted_stretch(t, f, "min"))):
+    for vals in (np.log(restricted_stretch(t @ e, "max")),
+                 np.log(restricted_stretch(t @ f, "min"))):
         vals = vals.reshape(shape)
         for j in range(chart.dim):
             step = (hi[j] - lo[j]) / (24 if chart.periodic[j] else 23)

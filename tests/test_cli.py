@@ -150,13 +150,23 @@ class TestRun:
             "constants": {"sigma": 0.7},
             "disk": {"direction": "E", "resolution": 101}}, "disk.direction")
           for e in ("contraction", "distortion", "curvature")],
+        # one past the seed and kappa limits; past a limit or range, these
+        # overflowed a float: a traceback (exit 1) or a RuntimeWarning
+        ({"seed": 2 ** 32}, "seed"),
+        ({"constants": {"kappa": 10 ** 6 + 1}}, "constants.kappa"),
+        ({"model": {"name": "perturbed_cat"}, "experiment": "physical_basin",
+          "horizon": 100, "seed": 10 ** 400}, "seed"),
+        ({"model": {"name": "perturbed_cat"}, "experiment": "curvature",
+          "horizon": None, "constants": {"kappa": 1e308}}, "constants.kappa"),
+        ({"model": {"name": "perturbed_cat"}, "experiment": "distortion",
+          "horizon": None, "constants": {"beta": 5}}, "constants.beta"),
     ])
     def test_malformed_field_exits_two_with_path(self, tmp_path, patch, path):
         cfg = write_config(tmp_path, "bad.json", {**GOOD, **patch})
         r = run_cli("run", cfg, "--output-dir", os.path.join(tmp_path, "o"))
         assert r.returncode == 2
         assert path in r.stderr
-        assert "Traceback" not in r.stderr
+        assert "Traceback" not in r.stderr and "Warning" not in r.stderr
 
     def test_runtime_hypothesis_failure_exits_two(self, tmp_path):
         cfg = write_config(tmp_path, "hyp.json",
@@ -181,6 +191,34 @@ class TestRun:
         line, = assertion_lines(r.stdout, os.path.join(tmp_path, "o"))
         assert line.startswith("[FAIL] basin-fraction-large: ")
         assert float(line.split("(headroom ")[1][:-1]) < 0.0
+
+    # values that overflowed a float or divided by zero, with a traceback
+    # (exit 1) or a RuntimeWarning: a vacuous distortion bound K now fails
+    # as null, and the pushed cone vectors are rescaled
+    @pytest.mark.parametrize("obj, code", [
+        ({"model": {"name": "perturbed_cat"}, "experiment": "distortion",
+          "constants": {"beta": 1e-300}}, 3),
+        ({"model": {"name": "dfa"}, "experiment": "distortion",
+          "constants": {"beta": 1e-300}}, 3),
+        ({"model": {"name": "perturbed_cat"}, "experiment": "distortion",
+          "constants": {"a": 1e308}}, 3),
+        ({"model": {"name": "cat"}, "experiment": "cone_check",
+          "horizon": 1000, "constants": {"gamma": 0.99}}, 0),
+        ({"model": {"name": "cat"}, "experiment": "cone_check",
+          "constants": {"a": 1e300}}, 0),
+    ])
+    def test_extreme_values_exit_without_a_traceback(self, tmp_path, obj,
+                                                     code):
+        cfg = write_config(tmp_path, "extreme.json", obj)
+        out = os.path.join(tmp_path, "o")
+        r = run_cli("run", cfg, "--output-dir", out)
+        assert r.returncode == code
+        assert "Traceback" not in r.stderr and "Warning" not in r.stderr
+        if code == 3:
+            with open(os.path.join(out, "summary.json")) as fh:
+                summary = json.load(fh)
+            assert summary["quantities"]["K"] is None
+            assert not summary["assertions"][0]["passed"]
 
     def test_uncreatable_output_dir_exits_two(self, tmp_path):
         cfg = write_config(tmp_path, "ok.json", GOOD)
@@ -231,7 +269,7 @@ PUBLIC = [
     "ResolutionExhausted", "SplittingField", "SrbLabError", "Subspace",
     "SystemConstants", "TangencyReport",
     "backward_contraction_check", "build", "charts", "check_avg_domination",
-    "cocycle_logs", "cocycle_logs_batch", "cone_width_bound", "cone_width_of",
+    "cocycle_logs", "cocycle_logs_batch", "cone_width_of",
     "cones", "curvature_constants", "curvature_recursion",
     "default_observables", "density_theta", "describe", "disks", "distortion",
     "distortion_profile", "domination_robustness_radius", "errors",

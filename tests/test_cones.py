@@ -71,20 +71,6 @@ class TestConeWidthOf:
         assert np.array_equal(got, [cones.cone_width_of(v, e, f) for v in vs])
 
 
-class TestConeWidthBound:
-    def test_formula(self):
-        assert cones.cone_width_bound(0.5, 0.2, 0) == 0.5
-        assert np.isclose(cones.cone_width_bound(0.5, 0.2, 3), 0.5 * 0.2**3)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            cones.cone_width_bound(0.0, 0.2, 1)
-        with pytest.raises(ValueError):
-            cones.cone_width_bound(0.5, 0.0, 1)
-        with pytest.raises(ValueError):
-            cones.cone_width_bound(0.5, 0.2, -1)
-
-
 class TestAvgDomination:
     def test_cat_certificate_ratios(self, cat):
         logs = cocycle_logs(cat, X, 12)
@@ -134,6 +120,12 @@ class TestVerifyConeContraction:
         worst = cones.verify_cone_contraction(sys, x, 0.5, 0.4, 20, seed=2)
         want = oracles.cone_contraction_oracle(sys, x, 0.5, 0.4, 20, seed=2)
         np.testing.assert_allclose(worst, want, rtol=1e-12, atol=1e-12)
+
+    def test_validation(self, cat):
+        with pytest.raises(ValueError):
+            cones.verify_cone_contraction(cat, X, 0.0, 0.2, 1)
+        with pytest.raises(ValueError):
+            cones.verify_cone_contraction(cat, X, 0.5, 0.0, 1)
 
 
 def _tangent_sizes(sys):

@@ -27,7 +27,8 @@ POOL = [None, True, False, -1, 0, 1, 2, 3, 5, 64, 99, 100, 101, 250,
         float("nan"), float("inf"), float("-inf"), 10 ** 400,
         # the size limits and one past each (1003: the next odd resolution)
         1000, 1001, 1003, 5000, 5001, 10 ** 4, 10 ** 4 + 1,
-        10 ** 5, 10 ** 5 + 1, 10 ** 6, 10 ** 6 + 1, 10 ** 30]
+        10 ** 5, 10 ** 5 + 1, 10 ** 6, 10 ** 6 + 1, 2 ** 32 - 1, 2 ** 32,
+        10 ** 30]
 SPLIT = {path: ([v for v in POOL if accepts(v)],
                 [v for v in POOL if not accepts(v)])
          for path, (accepts, _what) in _FIELDS.items()}

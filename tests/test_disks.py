@@ -15,7 +15,7 @@ from srblab.errors import (CarvingFailed, ChartOverflow, ConstantsInvalid,
 from srblab.linalg import Subspace
 from srblab.models import MODEL_INFO, measure_constants_h, region_sample
 from srblab.pliss import hyperbolic_times
-from srblab.systems import _row_tangents, cocycle_logs, orbit_coords
+from srblab.systems import _orbit, cocycle_logs, orbit_coords
 
 from . import oracles
 from .conftest import LAM_U, V_S, V_U
@@ -549,8 +549,8 @@ X_SPLIT = np.array([0.966048156468645, 0.04138220356024824])
 def center_orbit(sys, d, n):
     """The edge-search orbit as hyperbolic_component takes it from the rows
     it certifies n on: the center's rows 0..n and Df at rows 0..n-1."""
-    rows = orbit_coords(sys, d.center[None], n)
-    return rows[:, 0], _row_tangents(sys.tangent, rows)[:-1, 0]
+    rows, tans = _orbit(sys, d.center[None], n)
+    return rows[:, 0], tans[:-1, 0]
 
 
 class TestBatchedCarving:

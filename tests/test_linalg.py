@@ -72,17 +72,17 @@ class TestSubspace:
         rng = np.random.default_rng(3)
         for _ in range(50):
             a = rng.normal(size=(4, 4))
-            assert restricted_stretch(a, np.eye(4), "min") == pytest.approx(
+            assert restricted_stretch(a @ np.eye(4), "min") == pytest.approx(
                 np.linalg.svd(a, compute_uv=False)[-1], rel=1e-12)
 
 
 class TestRestrictedQuantities:
     def test_cat_eigendirections(self):
-        assert restricted_stretch(CAT, V_U[:, None], "max") == \
+        assert restricted_stretch(CAT @ V_U[:, None], "max") == \
             pytest.approx(LAM_U, rel=1e-14)
-        assert restricted_stretch(CAT, V_U[:, None], "min") == \
+        assert restricted_stretch(CAT @ V_U[:, None], "min") == \
             pytest.approx(LAM_U, rel=1e-14)
-        assert restricted_stretch(CAT, V_S[:, None], "max") == \
+        assert restricted_stretch(CAT @ V_S[:, None], "max") == \
             pytest.approx(LAM_S, rel=1e-13)
 
     def test_restricted_norms_vs_direct_svd(self):
@@ -91,9 +91,9 @@ class TestRestrictedQuantities:
             a = rng.normal(size=(5, 5))
             q = span(rng.normal(size=(5, 2)))
             sv = np.linalg.svd(a @ q.frame, compute_uv=False)
-            assert restricted_stretch(a, q.frame, "max") == \
+            assert restricted_stretch(a @ q.frame, "max") == \
                 pytest.approx(sv[0], rel=1e-12)
-            assert restricted_stretch(a, q.frame, "min") == \
+            assert restricted_stretch(a @ q.frame, "min") == \
                 pytest.approx(sv[-1], rel=1e-12)
             assert np.exp(restricted_log_volume(a, q.frame)) == \
                 pytest.approx(np.prod(sv), rel=1e-10)

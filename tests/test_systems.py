@@ -19,8 +19,8 @@ from srblab.errors import ChainInfeasible
 from srblab.models import (build, lambda_fraction, measure_constants_h,
                            region_sample)
 from srblab.pliss import lambda_membership_batch
-from srblab.systems import (DEPTH, POINTS, _batch_qr, _log_f_inv,
-                            _row_tangents, time_logs)
+from srblab.systems import (DEPTH, POINTS, _batch_qr, _log_f_inv, _orbit,
+                            time_logs)
 
 from . import oracles
 from .conftest import LAM_S, LAM_U, LOG_LAM_U
@@ -137,32 +137,30 @@ class TestOrbitCoords:
                               rows[:step])
 
 
-def _frames(sys, rows):
-    """E- and F-frames along the (m+1, N, d) orbit rows, on Df at the rows."""
-    return splitting_frames_along_orbit(sys, rows,
-                                        _row_tangents(sys.tangent, rows))
+def _frames(sys, coords, n):
+    """The n-step orbit rows of coords, and the E- and F-frames along them
+    on Df at the rows."""
+    rows, tans = _orbit(sys, coords, n)
+    return (rows, *splitting_frames_along_orbit(sys, rows, tans))
 
 
 class TestSplittingFrames:
     def test_exact_splitting_is_invariant(self, cat):
-        rows = orbit_coords(cat, X0, 6)
-        e, f = _frames(cat, rows)
+        rows, e, f = _frames(cat, X0, 6)
         for j in range(6):
             df = cat.tangent(rows[j])
             assert subspace_distance(span(df @ f[j]), span(f[j + 1])) < 1e-12
             assert subspace_distance(span(df @ e[j]), span(e[j + 1])) < 1e-12
 
     def test_converged_splitting_is_invariant(self, pcat):
-        rows = orbit_coords(pcat, X0, 10)
-        e, f = _frames(pcat, rows)
+        rows, e, f = _frames(pcat, X0, 10)
         for j in range(10):
             df = pcat.tangent(rows[j])
             assert subspace_distance(span(df @ f[j]), span(f[j + 1])) < 1e-9
             assert subspace_distance(span(df @ e[j]), span(e[j + 1])) < 1e-9
 
     def test_frames_match_pointwise_field(self, pcat):
-        rows = orbit_coords(pcat, X0, 8)
-        e, f = _frames(pcat, rows)
+        rows, e, f = _frames(pcat, X0, 8)
         for j in (0, 4, 8):
             ej, fj = pcat.splitting.at(rows[j])
             assert subspace_distance(span(e[j]), ej) < 1e-8
@@ -171,8 +169,8 @@ class TestSplittingFrames:
     @pytest.mark.parametrize("model", MODELS)
     def test_frames_bit_identical_to_row_loops(self, request, model):
         sys = request.getfixturevalue(model)
-        rows = orbit_coords(sys, region_sample(sys, 6, seed=3, burn_in=2), 12)
-        got = _frames(sys, rows)
+        rows, *got = _frames(sys, region_sample(sys, 6, seed=3, burn_in=2),
+                             12)
         want = oracles.splitting_frames_oracle(sys, rows)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
@@ -189,8 +187,7 @@ class TestSplittingFrames:
     @pytest.mark.parametrize("model", ["pcat", "sol", "dfa"])
     def test_frames_do_not_depend_on_the_leading_shape(self, request, model):
         sys = request.getfixturevalue(model)
-        rows = orbit_coords(sys, region_sample(sys, 6, seed=5, burn_in=2), 7)
-        tans = _row_tangents(sys.tangent, rows)
+        rows, tans = _orbit(sys, region_sample(sys, 6, seed=5, burn_in=2), 7)
         flat = splitting_frames_along_orbit(sys, rows, tans)
         nested = splitting_frames_along_orbit(
             sys, rows.reshape(8, 2, 3, -1),
@@ -209,7 +206,7 @@ class TestSplittingFrames:
             sp.at(p)
         sp.e_frames(pts)
         sp.f_frames(pts)
-        _frames(sys, orbit_coords(sys, pts, 3))
+        _frames(sys, pts, 3)
         assert vars(sp) == before
 
     def test_pull_kernel_maps_the_last_row_depth_minus_one_steps(self, pcat):
@@ -229,9 +226,9 @@ class TestSplittingFrames:
     def test_a_declared_f_alone_leaves_e_to_the_pull(self, cat):
         # cat without its E: F stays the declared frame, E converges to it
         half = dataclasses.replace(cat, e_frame=None)
-        rows = orbit_coords(cat, region_sample(cat, 5, seed=6), 3)
-        e, f = _frames(half, rows)
-        want_e, want_f = _frames(cat, rows)
+        pts = region_sample(cat, 5, seed=6)
+        _, e, f = _frames(half, pts, 3)
+        _, want_e, want_f = _frames(cat, pts, 3)
         assert np.array_equal(f, want_f)
         assert np.max(subspace_distance(e, want_e)) < 1e-12
 
@@ -265,7 +262,7 @@ class TestLeadMemo:
         calls = {}
         sys = _counted(request.getfixturevalue(model), calls)
         pts = region_sample(sys, n, seed=11, burn_in=2)
-        rows = orbit_coords(sys, pts, 5)
+        rows, tans = _orbit(sys, pts, 5)
         calls.clear()
         want_e, want_f = oracles.splitting_frames_oracle(sys, rows)
         want_pe, want_pf = oracles.splitting_frames_oracle(sys, pts[None])
@@ -274,7 +271,7 @@ class TestLeadMemo:
                                   oracles.f_batch_oracle(sys, pts, sys.depth))
         for query in range(2):
             calls.clear()
-            e, f = _frames(sys, rows)
+            e, f = splitting_frames_along_orbit(sys, rows, tans)
             assert np.array_equal(e, want_e) and np.array_equal(f, want_f)
             assert np.array_equal(sys.splitting.f_frames(pts), want_pf[0])
             assert np.array_equal(sys.splitting.e_frames(pts), want_pe[0])
@@ -604,6 +601,21 @@ class TestPushProductLogs:
         assert np.array_equal(got, _log_f_inv(sys, rows))
 
 
+class TestOrbit:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_rows_and_df_are_the_one_row_calls_bits(self, request, model):
+        # 200-point rows go 20 to a block: 45 rows end on a partial third
+        sys = request.getfixturevalue(model)
+        pts = region_sample(sys, 200, seed=9, burn_in=2)
+        n = 44
+        assert POINTS // 200 < n + 1 and (n + 1) % (POINTS // 200)
+        rows, tans = _orbit(sys, pts, n)
+        assert np.array_equal(rows, orbit_coords(sys, pts, n))
+        assert tans.shape == (n + 1, 200, sys.dim, sys.dim)
+        for row, t in zip(rows, tans):
+            assert np.array_equal(t, sys.tangent(row))
+
+
 class TestStreamedFLogs:
     """Without tans, the F logs read Df block by block as
     _streamed_tangents yields it, and hold one block of it at a time."""
@@ -617,10 +629,10 @@ class TestStreamedFLogs:
                                                     npts, n):
         sys = request.getfixturevalue(model)
         pts = region_sample(sys, npts, seed=14, burn_in=2)
-        rows = orbit_coords(sys, pts, n)
+        rows, tans = _orbit(sys, pts, n)
         assert (n + 1) % max(1, POINTS // npts)
         got = time_logs(sys, rows)
-        want = time_logs(sys, rows, tans=_row_tangents(sys.tangent, rows))
+        want = time_logs(sys, rows, tans=tans)
         assert got.shape == (npts, n)
         assert np.array_equal(got, want)
 
@@ -795,9 +807,8 @@ class TestTangentCounts:
         sys = request.getfixturevalue(model)
         x = region_sample(sys, 1, seed=8, burn_in=3)[0]
         n = 20
-        rows = orbit_coords(sys, x[None], n)
         frames = {}
-        _frames(_counted(sys, frames), rows)
+        _frames(_counted(sys, frames), x[None], n)
         calls = {}
         verify_cone_contraction(_counted(sys, calls), x, 0.5, 0.4, n)
         # Df at the orbit's rows and the frames' seed rows only: the rows'
