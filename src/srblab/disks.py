@@ -27,7 +27,7 @@ from .errors import (CarvingFailed, ChartOverflow, ConstantsInvalid,
                      DegenerateTangent, DimensionMismatch, HypothesisViolated,
                      ResolutionExhausted)
 from .cones import cone_width_of
-from .linalg import (Subspace, dot_norms, restricted_log_volume,
+from .linalg import (_frames, dot_norms, restricted_log_volume,
                      subspace_distance)
 from .models import region_sample
 from .pliss import hyperbolic_times
@@ -50,7 +50,6 @@ class EmbeddedDisk:
     """
 
     chart: object
-    dim: int
     params: np.ndarray
     center: np.ndarray
     disp: np.ndarray
@@ -58,6 +57,10 @@ class EmbeddedDisk:
     center_index: int
     radius: float
     edges: np.ndarray
+
+    @property
+    def dim(self):
+        return self.params.shape[1]
 
     @property
     def n_samples(self):
@@ -158,42 +161,40 @@ def _unit_ball_grid(dim, resolution):
             pairs[(pairs >= 0).all(axis=1)], int(idx[mid, mid]))
 
 
-def _check_fits(chart, coords, radius, disp):
-    """The checks of make_disk and make_graph_disk on a disk of this radius
-    whose points are coords + disp."""
+def _disk(chart, x, radius, grid, disp, tangents):
+    """The disk with sample i at x + disp[i] on grid, _unit_ball_grid's
+    (params, edges, center_index).  Raises ValueError unless radius > 0, and
+    ChartOverflow when the disk cannot sit inside one chart (box bounds
+    violated, or diameter at least half a period on a periodic axis)."""
     if radius <= 0:
         raise ValueError("radius must be > 0")
     for j in range(chart.dim):
         if chart.periodic[j] and 2.0 * radius >= chart.widths[j] / 2.0:
             raise ChartOverflow(f"disk diameter {2 * radius} reaches half "
                                 f"the period on axis {j}")
-    if not np.all(chart.contains(coords + disp)):
+    if not np.all(chart.contains(x + disp)):
         raise ChartOverflow("disk leaves the chart's box bounds")
+    params, edges, center_index = grid
+    return EmbeddedDisk(chart, params, chart.wrap(x), disp, tangents,
+                        center_index, float(radius), edges)
 
 
 def make_disk(sys, x, direction, radius, resolution=101):
     """A flat disk through x spanned by `direction`, sampled on a grid.
 
-    direction: a Subspace (or spanning columns) of dimension 1 or 2.
-    Raises ValueError unless radius > 0, and ChartOverflow when the disk
-    cannot sit inside one chart (box bounds violated, or diameter at least
-    half a period on a periodic axis).
+    direction: a Subspace, a vector or a (d, k) frame with orthonormal
+    columns, k = 1 or 2 (ValueError otherwise).  Raises as _disk does.
     """
-    if not isinstance(direction, Subspace):
-        direction = Subspace(np.asarray(direction, float))
-    dim = direction.dim
+    frame = _frames(direction)
+    if frame.ndim != 2:
+        raise ValueError("frame must be a 2-D array of columns")
+    dim = frame.shape[1]
     if dim not in (1, 2):
         raise DimensionMismatch(f"disk dimension must be 1 or 2, got {dim}")
-    coords = np.asarray(x, float)
-    chart = sys.chart
-    params, edges, center_index = _unit_ball_grid(dim, resolution)
-    disp = radius * params @ direction.frame.T
-    _check_fits(chart, coords, radius, disp)
-    tangents = _tiled(direction.frame, params.shape[:1])
-    return EmbeddedDisk(chart=chart, dim=dim, params=params,
-                        center=chart.wrap(coords), disp=disp,
-                        tangents=tangents, center_index=center_index,
-                        radius=float(radius), edges=edges)
+    grid = _unit_ball_grid(dim, resolution)
+    params = grid[0]
+    return _disk(sys.chart, np.asarray(x, float), radius, grid,
+                 radius * params @ frame.T, _tiled(frame, params.shape[:1]))
 
 
 def _mesh_tree(d, live=None):
@@ -437,10 +438,9 @@ def _resample_interval(d, t_minus, t_plus):
     scale = max(abs(t_minus), abs(t_plus))
     params = np.where(t_new[:, None] >= 0, t_new[:, None] / t_plus,
                       t_new[:, None] / -t_minus)
-    return EmbeddedDisk(chart=d.chart, dim=1, params=params,
-                        center=d.center.copy(), disp=disp, tangents=tan,
-                        center_index=half, radius=float(d.radius * scale),
-                        edges=d.edges)
+    return replace(d, params=params, center=d.center.copy(), disp=disp,
+                   tangents=tan, center_index=half,
+                   radius=float(d.radius * scale))
 
 
 def carve_radius_limit(chart):
@@ -528,11 +528,10 @@ def _carve_2d(sys, d, orbit, r):
             f"carved component has {int(keep.sum())} samples, below 3 per axis")
     # the mesh restricted to the kept nodes, relabelled in order
     new = np.cumsum(keep) - 1
-    return EmbeddedDisk(chart=d.chart, dim=2, params=d.params[keep],
-                        center=d.center.copy(), disp=d.disp[keep],
-                        tangents=d.tangents[keep],
-                        center_index=int(new[d.center_index]), radius=d.radius,
-                        edges=new[d.edges[keep[d.edges].all(axis=1)]])
+    return replace(d, params=d.params[keep], center=d.center.copy(),
+                   disp=d.disp[keep], tangents=d.tangents[keep],
+                   center_index=int(new[d.center_index]),
+                   edges=new[d.edges[keep[d.edges].all(axis=1)]])
 
 
 @dataclass(frozen=True)
@@ -800,13 +799,9 @@ def make_graph_disk(sys, x, base_dir, normal_dir, radius, resolution=101,
     w = np.asarray(normal_dir, float)
     w = w - (w @ u) * u
     w = w / np.linalg.norm(w)
-    params, edges, center_index = _unit_ball_grid(1, resolution)
-    t = params[:, 0] * radius
+    grid = _unit_ball_grid(1, resolution)
+    t = grid[0][:, 0] * radius
     disp = np.outer(t, u) + 0.5 * curvature * np.outer(t ** 2, w)
     tan = u[None, :] + curvature * np.outer(t, w)
-    _check_fits(sys.chart, coords, radius, disp)
     tan = tan / np.linalg.norm(tan, axis=1, keepdims=True)
-    return EmbeddedDisk(chart=sys.chart, dim=1, params=params,
-                        center=sys.chart.wrap(coords), disp=disp,
-                        tangents=tan[:, :, None], center_index=center_index,
-                        radius=float(radius), edges=edges)
+    return _disk(sys.chart, coords, radius, grid, disp, tan[:, :, None])

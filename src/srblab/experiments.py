@@ -68,6 +68,7 @@ _LIMITS = {
     "disk.resolution": 1001,  # holder_curvature's (S, S, d) arrays
     "seed": 2 ** 32 - 1,  # quasi_uniform's float offsets stay distinct
     "constants.kappa": 10 ** 6,  # make_graph_disk's tangents overflow
+    "constants.a": 10 ** 6,  # cone_check's a ve + vf rounds vf away
     "horizon": {e: top for top, names in (
         (10 ** 6, "srb_converge physical_basin"),  # streamed in 128-row blocks
         (10 ** 5, "pliss_demo hyperbolic_times cone_check"),  # an n-row table
@@ -250,7 +251,10 @@ def _carve_radius(sys, cfg, path):
 def _exp_pliss_demo(sys, cfg):
     """Select positive-density good times from an orbit's gain sequence
     two ways (threshold scan and running-minimum detector) and check they
-    agree, with density above theta = (c1-c2)/(c0-c2).  Writes pliss.csv."""
+    agree, with density above theta = (c1-c2)/(c0-c2).  Writes pliss.csv.
+    Both run one record scan on exactly negated prefix sums, so this checks
+    the gains/threshold wiring; acceptance criterion 1 checks both against
+    the O(N^2) definitions."""
     n = cfg.horizon or 100
     sigma = cfg.const("sigma", 0.5)
     x = _default_center(sys, cfg)
@@ -458,19 +462,19 @@ def _exp_curvature(sys, cfg):
                                    alpha=cfg.const("alpha"),
                                    lambda4=cfg.const("lambda4"))
     center = _default_center(sys, cfg)
-    e, f = sys.splitting.at(center)
+    e, f = sys.splitting.e_frames(center), sys.splitting.f_frames(center)
     res = cfg.disk.get("resolution", 201)
     # every zoo F is 1-D, so no 2-D resolution limit applies
     flat = disks.make_disk(sys, center, f, r, resolution=res)
     h_flat = disks.holder_curvature(flat, xi)
 
-    d = disks.make_graph_disk(sys, center, f.frame[:, 0], e.frame[:, 0], r,
+    d = disks.make_graph_disk(sys, center, f[:, 0], e[:, 0], r,
                               resolution=res, curvature=kappa)
     # the recursion is checked on carved hyperbolic-time components, whose
     # m-step images stay r-small; iterating the raw disk m steps would
     # stretch it past any fixed resolution
     lf = time_logs(sys, orbit_coords(sys, center[None], n))[0]
-    times = [m for m in hyperbolic_times(lf, consts_h.lambda2).times if m <= n]
+    times = list(hyperbolic_times(lf, consts_h.lambda2).times)
     if not times:
         raise HypothesisViolated(
             f"no lambda2-hyperbolic times <= {n} at the disk center")

@@ -160,6 +160,12 @@ class TestRun:
           "horizon": None, "constants": {"kappa": 1e308}}, "constants.kappa"),
         ({"model": {"name": "perturbed_cat"}, "experiment": "distortion",
           "horizon": None, "constants": {"beta": 5}}, "constants.beta"),
+        # past a = 10^6, cone_check's boundary vectors a ve + vf lose vf to
+        # rounding: a false FAIL at 1e15 and 1e16, a vacuous PASS at 1e17
+        # and 1e300
+        *[({"experiment": "cone_check", "horizon": None,
+            "constants": {"a": a}}, "constants.a")
+          for a in (1e15, 1e16, 1e17, 1e300)],
     ])
     def test_malformed_field_exits_two_with_path(self, tmp_path, patch, path):
         cfg = write_config(tmp_path, "bad.json", {**GOOD, **patch})
@@ -194,18 +200,20 @@ class TestRun:
 
     # values that overflowed a float or divided by zero, with a traceback
     # (exit 1) or a RuntimeWarning: a vacuous distortion bound K now fails
-    # as null, and the pushed cone vectors are rescaled
+    # as null, and the pushed cone vectors are rescaled.  a = 10^6 is the
+    # largest cone width admitted: K still overflows there, and cat's cone
+    # check still reads its widths (0.980392)
     @pytest.mark.parametrize("obj, code", [
         ({"model": {"name": "perturbed_cat"}, "experiment": "distortion",
           "constants": {"beta": 1e-300}}, 3),
         ({"model": {"name": "dfa"}, "experiment": "distortion",
           "constants": {"beta": 1e-300}}, 3),
         ({"model": {"name": "perturbed_cat"}, "experiment": "distortion",
-          "constants": {"a": 1e308}}, 3),
+          "constants": {"a": 10 ** 6}}, 3),
         ({"model": {"name": "cat"}, "experiment": "cone_check",
           "horizon": 1000, "constants": {"gamma": 0.99}}, 0),
         ({"model": {"name": "cat"}, "experiment": "cone_check",
-          "constants": {"a": 1e300}}, 0),
+          "constants": {"a": 10 ** 6}}, 0),
     ])
     def test_extreme_values_exit_without_a_traceback(self, tmp_path, obj,
                                                      code):

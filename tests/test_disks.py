@@ -98,6 +98,40 @@ class TestMakeDisk:
         with pytest.raises(ChartOverflow, match="box bounds"):
             disks.make_graph_disk(sol, x, base, up, 0.1, curvature=20.0)
 
+    def test_checks_run_in_order(self, sol, cat4):
+        # each call breaks its check and every later one; the first wins
+        # frame shape, frame columns, dimension, resolution, radius, period,
+        # box
+        edge = np.array([0.1, 1.55, 0.0])
+        base, up = np.eye(3)[0], np.eye(3)[1]
+        cases = [
+            (disks.make_disk, (cat4, np.zeros(4), np.eye(4)[None, :, :3],
+                               -1.0, 2), ValueError, "2-D array"),
+            (disks.make_disk, (cat4, np.zeros(4), np.ones((4, 3)), -1.0, 2),
+             ValueError, "orthonormal"),
+            (disks.make_disk, (cat4, np.zeros(4), np.eye(4)[:, :3], -1.0, 2),
+             DimensionMismatch, "1 or 2, got 3"),
+            (disks.make_disk, (sol, edge, up, -1.0, 2), ValueError,
+             "resolution"),
+            (disks.make_disk, (sol, edge, up, -1.0), ValueError,
+             "radius must be > 0"),
+            (disks.make_disk, (sol, edge, up, 2.0), ChartOverflow,
+             "half the period"),
+            (disks.make_disk, (sol, edge, up, 0.1), ChartOverflow,
+             "box bounds"),
+            (disks.make_graph_disk, (sol, edge, base, up, -1.0, 2),
+             ValueError, "resolution"),
+            (disks.make_graph_disk, (sol, edge, up, base, -1.0), ValueError,
+             "radius must be > 0"),
+            (disks.make_graph_disk, (sol, edge, up, base, 2.0), ChartOverflow,
+             "half the period"),
+            (disks.make_graph_disk, (sol, edge, up, base, 0.1), ChartOverflow,
+             "box bounds"),
+        ]
+        for make, args, error, match in cases:
+            with pytest.raises(error, match=match):
+                make(*args)
+
 
 class TestIterateDisk:
     def test_cat_stretches_by_unstable_rate(self, cat):

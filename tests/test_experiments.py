@@ -387,20 +387,23 @@ class TestRunExperiment:
 class TestCurvature:
     def test_dfa_queries_the_splitting_once_at_its_center(self, monkeypatch):
         # the flat disk and the graph disk are built from one (E, F) pair
-        at = systems.SplittingField.at
-        points = []
+        points = {"e": [], "f": []}
+        for which in points:
+            frames = getattr(systems.SplittingField, f"{which}_frames")
 
-        def counted(self, coords):
-            points.append(np.array(coords, float))
-            return at(self, coords)
+            def counted(self, coords, frames=frames, seen=points[which]):
+                seen.append(np.array(coords, float))
+                return frames(self, coords)
 
-        monkeypatch.setattr(systems.SplittingField, "at", counted)
+            monkeypatch.setattr(systems.SplittingField, f"{which}_frames",
+                                counted)
         sys = build("dfa")
         cfg = experiments.parse_config(base_config(
             model={"name": "dfa"}, experiment="curvature", horizon=6))
         experiments._exp_curvature(sys, cfg)
         center = experiments._default_center(sys, cfg)
-        assert sum(np.array_equal(p, center) for p in points) == 1
+        for seen in points.values():
+            assert sum(np.array_equal(p, center) for p in seen) == 1
 
 
 class TestDistortion:

@@ -385,12 +385,12 @@ def orbit_exponent(sys, count=200, seed=11):
     return per_orbit.mean(), per_orbit.std(ddof=1) / np.sqrt(count)
 
 
-def disk_exponent(sys, batches=20):
-    """(b): the pushforward of a 401-sample F-disk of radius 0.02 at the
-    model's default center, mu_n(log |Df v|) with each sample's tangent v
-    pushed by Df and renormalized, and its batch-means standard error over
-    the EXPONENT_STEPS steps in the given number of batches."""
-    x = np.asarray(MODEL_INFO[sys.name]["center"], float)
+def disk_exponent(sys, batches=20, x=None):
+    """(b): the pushforward of a 401-sample F-disk of radius 0.02 at x (the
+    model's default center if None), mu_n(log |Df v|) with each sample's
+    tangent v pushed by Df and renormalized, and its batch-means standard
+    error over the EXPONENT_STEPS steps in the given number of batches."""
+    x = np.asarray(MODEL_INFO[sys.name]["center"] if x is None else x, float)
     d = disks.make_disk(sys, x, sys.splitting.f_frames(x), 0.02,
                         resolution=401)
     y, v, w = d.points(), d.tangents[..., 0], d.cell_weights()
@@ -421,3 +421,28 @@ class TestPesinExponent:
     def test_cat_exponent_is_the_closed_form(self, cat):
         for estimate, _ in (orbit_exponent(cat), disk_exponent(cat)):
             assert abs(estimate - LOG_LAM_U) <= EXPONENT_ROUNDING
+
+    # The solenoid's Df is lower-triangular with phi-component 2, so it maps
+    # (1, s) to 2 (1, s'), and the cone |s| <= d/(2 - c) holds F and is
+    # mapped into itself (|s'| <= (d + c|s|)/2).  The log stretches of a
+    # vector in that cone telescope: n steps sum to n log 2 plus
+    # log|(1, s_n)| - log|(1, s_0)|, each in [0, SOLENOID_BOUNDARY] at the
+    # sol fixture's c = 0.25, d = 0.5.
+    SOLENOID_BOUNDARY = 0.5 * math.log1p((0.5 / (2.0 - 0.25)) ** 2)
+
+    @pytest.mark.parametrize("n", [10, 100, 400])
+    def test_solenoid_f_logs_telescope_to_log_2(self, sol, n):
+        # starts spread over the circle (burn_in=0), not one fibre's
+        pts = region_sample(sol, 200, seed=11, burn_in=0)
+        sums = time_logs(sol, orbit_coords(sol, pts, n)).sum(axis=1)
+        # each of the n logs and additions rounds below 1e-12
+        assert np.max(np.abs(sums + n * math.log(2.0))) <= (
+            self.SOLENOID_BOUNDARY + n * EXPONENT_ROUNDING)
+
+    def test_solenoid_disk_exponent_is_log_2(self, sol):
+        # estimator (b) is a weighted mean of telescoped sums over
+        # EXPONENT_STEPS steps
+        x = region_sample(sol, 1, seed=11, burn_in=0)[0]
+        estimate, _ = disk_exponent(sol, x=x)
+        assert abs(estimate - math.log(2.0)) <= (
+            self.SOLENOID_BOUNDARY / EXPONENT_STEPS + EXPONENT_ROUNDING)
